@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import NumericError
 from .geometry import CavityGeometry
 
 __all__ = [
@@ -28,6 +29,10 @@ __all__ = [
 # |v . n| / |v| below this counts as a grazing collision: the reflection is
 # numerically the identity, we keep the tangential flight and log the event.
 _GRAZING_TOL = 1e-12
+
+# A particle whose collision step makes no progress this many times in a row
+# (no admissible boundary root: it is retroreflected in place) is stuck.
+_MAX_STALLS = 8
 
 
 @dataclass(frozen=True)
@@ -241,7 +246,7 @@ def escape_times(
 
     Returns ``(times, n_collisions_total)``; survivors get ``inf``.  Particles
     are absorbed at the collision instant when the hit arclength falls inside
-    the opening.
+    the opening.  Raises ``NumericError`` for a particle stuck in place.
     """
     pos = np.array(positions, dtype=float)
     dirs = np.array(directions, dtype=float)
@@ -249,10 +254,12 @@ def escape_times(
     t_now = np.zeros(n)
     esc = np.full(n, np.inf)
     alive = np.arange(n)
+    stalls = None
     total_collisions = 0
 
     while alive.size:
         dist, s_hit, hit, out, kinds = batch_collide(geometry, pos[alive], dirs[alive])
+        stalls = _count_stalls(stalls, dist, alive)
         total_collisions += alive.size
         t_hit = t_now[alive] + dist / speed
         past = t_hit > t_max
@@ -263,6 +270,8 @@ def escape_times(
         dirs[alive[keep]] = out[keep]
         t_now[alive[keep]] = t_hit[keep]
         alive = alive[keep]
+        if stalls is not None:
+            stalls = stalls[keep]
     return esc, total_collisions
 
 
@@ -271,11 +280,14 @@ def advance_to(geometry: CavityGeometry, pos, dirs, t_now, t_target, speed: floa
 
     ``pos``/``dirs``/``t_now`` are modified in place; collisions are resolved
     until every particle's next hit lies beyond the target, then everyone
-    drifts straight to it.
+    drifts straight to it.  Raises ``NumericError`` for a particle stuck in
+    place.
     """
     active = np.arange(len(pos))
+    stalls = None
     while active.size:
         dist, s_hit, hit, out, kinds = batch_collide(geometry, pos[active], dirs[active])
+        stalls = _count_stalls(stalls, dist, active)
         t_hit = t_now[active] + dist / speed
         collide = t_hit <= t_target
         idx = active[collide]
@@ -283,6 +295,28 @@ def advance_to(geometry: CavityGeometry, pos, dirs, t_now, t_target, speed: floa
         dirs[idx] = out[collide]
         t_now[idx] = t_hit[collide]
         active = idx
+        if stalls is not None:
+            stalls = stalls[collide]
     drift = (t_target - t_now)[:, None] * dirs * speed
     pos += drift
     t_now[:] = t_target
+
+
+def _count_stalls(stalls, dist, index):
+    """Consecutive zero-length flights per particle of the current batch.
+
+    ``stalls`` is row-aligned with ``dist`` (particle ids ``index``), or None
+    while no particle has stalled; as long as every flight is non-empty this
+    costs one reduction per step.  Raises ``NumericError`` once a particle
+    has stalled ``_MAX_STALLS`` times in a row.
+    """
+    if stalls is None and dist.all():
+        return None
+    stalls = np.where(dist > 0, 0, 1 if stalls is None else stalls + 1)
+    worst = int(np.argmax(stalls))
+    if stalls[worst] >= _MAX_STALLS:
+        raise NumericError(
+            f"particle {int(index[worst])} made no progress in {_MAX_STALLS} consecutive "
+            "collisions (no admissible boundary hit)"
+        )
+    return stalls if stalls.any() else None

@@ -189,13 +189,17 @@ def survival_curve(
     t_max = float(times[-1])
 
     chunks = [
-        (positions[i : i + _CHUNK], directions[i : i + _CHUNK])
+        (i, positions[i : i + _CHUNK], directions[i : i + _CHUNK])
         for i in range(0, spec.n_samples, _CHUNK)
     ]
 
     def work(args):
-        pos, dirs = args
-        esc, _ = escape_times(geometry, pos, dirs, spec.speed, t_max)
+        start, pos, dirs = args
+        try:
+            esc, _ = escape_times(geometry, pos, dirs, spec.speed, t_max)
+        except NumericError as exc:
+            raise NumericError(f"{exc} (index within the chunk from particle {start}; "
+                               f"seed {spec.seed})") from exc
         return esc
 
     if threads > 1 and len(chunks) > 1:
@@ -205,8 +209,9 @@ def survival_curve(
         parts = [work(c) for c in chunks]
     esc = np.concatenate(parts)
 
-    survival = (esc[None, :] > times[:, None]).mean(axis=1)
-    std_error = np.sqrt(survival * (1.0 - survival) / spec.n_samples)
+    n = spec.n_samples
+    survival = (n - np.searchsorted(np.sort(esc), times, side="right")) / n
+    std_error = np.sqrt(survival * (1.0 - survival) / n)
     return SurvivalCurve(
         times=times,
         survival=survival,

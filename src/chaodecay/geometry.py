@@ -11,8 +11,11 @@ Three boundaries are supported:
 Arclength runs counterclockwise; the inward unit normal is the tangent rotated
 by +90 degrees.  Ray intersection is exact for the circle and stadium
 (line/circle pieces) and reduces to a quartic for the cardioid, solved for the
-whole batch at once via companion-matrix eigenvalues plus a couple of Newton
-polishing steps.
+whole batch at once.  Rays starting on the boundary -- every ray after its
+first flight -- have an exact root at distance 0, so their quartic deflates to
+a cubic solved in closed form; only rays starting inside the cavity take all
+four roots from companion-matrix eigenvalues.  Both are polished by Newton
+steps on the full quartic.
 """
 
 from __future__ import annotations
@@ -123,10 +126,10 @@ class CavityGeometry:
     def _cardioid_point(self, s):
         a = self.scale
         phi = self._cardioid_angle_from_arclength(s)
-        rho = a * (1.0 + np.cos(phi))
-        pos = np.stack([rho * np.cos(phi), rho * np.sin(phi)], axis=-1)
-        nrm = _cardioid_normal(phi)
-        return pos, nrm
+        cos_phi, sin_phi = np.cos(phi), np.sin(phi)
+        rho = a * (1.0 + cos_phi)
+        pos = np.stack([rho * cos_phi, rho * sin_phi], axis=-1)
+        return pos, _cardioid_normal(cos_phi, sin_phi)
 
     def _cardioid_angle_from_arclength(self, s):
         # s(phi) = 4a sin(phi/2) on [0, pi], mirrored on [pi, 2pi]
@@ -210,10 +213,8 @@ class CavityGeometry:
         return dist, s_hit, hit + np.asarray(self.center), nrm, cusp
 
 
-def _cardioid_normal(phi):
-    """Inward unit normal of the unit cardioid at polar angle phi."""
-    phi = np.asarray(phi, dtype=float)
-    c, s = np.cos(phi), np.sin(phi)
+def _cardioid_normal(c, s):
+    """Inward unit normal of the unit cardioid at polar angle phi (c = cos phi, s = sin phi)."""
     rho, drho = 1.0 + c, -s
     tx = drho * c - rho * s
     ty = drho * s + rho * c
@@ -316,12 +317,22 @@ def _cardioid_hits(p, d, scale):
 
     In units of ``scale`` the boundary is |r| = 1 + cos(angle), equivalently
     (q - x)^2 = q with q = |r|^2 and the physical branch q - x >= 0.  Along
-    the ray r(tau) = p + tau*d that is a monic quartic in tau; we take all
-    four roots from the companion matrix, polish with Newton, and keep the
-    smallest admissible one.
+    the ray r(tau) = p + tau*d that is a monic quartic in tau.  Its constant
+    term c0 = (q0 - x0)^2 - q0 equals q0 * ((|p| - cos(angle))^2 - 1), so it
+    vanishes exactly when the start p lies on the boundary.  Rays are split
+    on it:
+
+    * boundary starts, |c0| <= 1e-12 q0 (p within about 5e-13 of the boundary
+      radially; every start after the first flight): the quartic is
+      tau * (tau^3 + c3 tau^2 + c2 tau + c1) + c0, so dropping the
+      rounding-level c0 removes exactly the tau ~ 0 root -- the start
+      itself, never admissible -- and leaves a cubic solved in closed form;
+    * interior starts: all four roots from companion-matrix eigenvalues.
+
+    Either way the candidate roots are polished by Newton steps on the full
+    quartic and the smallest admissible one is kept.
     """
     p = p / scale
-    n = len(p)
     b = np.einsum("ij,ij->i", p, d)
     q0 = np.einsum("ij,ij->i", p, p)
     b1 = 2.0 * b - d[:, 0]
@@ -331,33 +342,19 @@ def _cardioid_hits(p, d, scale):
     c2 = b1 * b1 + 2.0 * b0 - 1.0
     c1 = 2.0 * b1 * b0 - 2.0 * b
     c0 = b0 * b0 - q0
-
-    comp = np.zeros((n, 4, 4))
-    comp[:, 1, 0] = comp[:, 2, 1] = comp[:, 3, 2] = 1.0
-    comp[:, 0, 3] = -c0
-    comp[:, 1, 3] = -c1
-    comp[:, 2, 3] = -c2
-    comp[:, 3, 3] = -c3
-    roots = np.linalg.eigvals(comp)
-
-    tau = roots.real.copy()
-    near_real = np.abs(roots.imag) < 1e-6 * np.maximum(1.0, np.abs(tau))
-    for _ in range(3):  # Newton polish on the real axis
-        P = (((tau + c3[:, None]) * tau + c2[:, None]) * tau + c1[:, None]) * tau + c0[:, None]
-        dP = ((4.0 * tau + 3.0 * c3[:, None]) * tau + 2.0 * c2[:, None]) * tau + c1[:, None]
-        step = np.where(np.abs(dP) > 1e-300, P / np.where(dP == 0, 1.0, dP), 0.0)
-        tau = tau - step
-    P = (((tau + c3[:, None]) * tau + c2[:, None]) * tau + c1[:, None]) * tau + c0[:, None]
-
-    g = (tau + b1[:, None]) * tau + b0[:, None]  # q - x along the ray
-    admissible = (
-        near_real
-        & (tau > _TAU_MIN)
-        & (g >= -1e-9)
-        & (np.abs(P) <= 1e-8 * np.maximum(1.0, tau**4))
-    )
-    tau = np.where(admissible, tau, np.inf)
-    dist = tau.min(axis=1)
+    quartic = (c3, c2, c1, c0, b1, b0)
+    on_boundary = np.abs(c0) <= 1e-12 * q0
+    n_boundary = np.count_nonzero(on_boundary)
+    # a batch on one side only -- the common case, and every single ray --
+    # is solved whole, without masking
+    if n_boundary == len(p):
+        dist = _boundary_dist(*quartic)
+    elif n_boundary == 0:
+        dist = _interior_dist(*quartic)
+    else:
+        dist = np.empty(len(p))
+        for rows, solve in ((on_boundary, _boundary_dist), (~on_boundary, _interior_dist)):
+            dist[rows] = solve(*(c[rows] for c in quartic))
 
     # rays with no admissible root (numerically stuck at the cusp or exactly
     # grazing): treat as a cusp event; the caller will retroreflect in place
@@ -365,11 +362,91 @@ def _cardioid_hits(p, d, scale):
     dist = np.where(stuck, 0.0, dist)
 
     hit = p + dist[:, None] * d
-    phi = np.arctan2(hit[:, 1], hit[:, 0]) % (2.0 * math.pi)
-    rho_b = 1.0 + np.cos(phi)
+    phi = np.arctan2(hit[:, 1], hit[:, 0])
+    phi = np.where(phi < 0.0, phi + 2.0 * math.pi, phi)  # into [0, 2 pi)
+    # a hit on the cusp point itself has no polar angle of its own: pin it to
+    # the cusp's, so it is snapped there instead of onto the far side
+    on_cusp = hit[:, 0] ** 2 + hit[:, 1] ** 2 <= _CUSP_RADIUS**2
+    phi = np.where(on_cusp, math.pi, phi)
+    cos_phi, sin_phi = np.cos(phi), np.sin(phi)
+    rho_b = 1.0 + cos_phi
     cusp = stuck | (rho_b <= _CUSP_RADIUS)
-    hit = np.stack([rho_b * np.cos(phi), rho_b * np.sin(phi)], axis=-1)  # snap
-    half = 0.5 * phi
-    s_hit = np.where(phi <= math.pi, 4.0 * np.sin(half), 8.0 - 4.0 * np.sin(half))
-    nrm = _cardioid_normal(phi)
+    hit = np.stack([rho_b * cos_phi, rho_b * sin_phi], axis=-1)  # snap
+    s_half = 4.0 * np.sin(0.5 * phi)
+    s_hit = np.where(phi <= math.pi, s_half, 8.0 - s_half)
+    nrm = _cardioid_normal(cos_phi, sin_phi)
     return dist * scale, s_hit * scale, hit * scale, nrm, cusp
+
+
+def _interior_dist(c3, c2, c1, c0, b1, b0):
+    """Smallest admissible root from all four companion-matrix eigenvalues."""
+    comp = np.zeros((len(c0), 4, 4))
+    comp[:, 1, 0] = comp[:, 2, 1] = comp[:, 3, 2] = 1.0
+    comp[:, 0, 3] = -c0
+    comp[:, 1, 3] = -c1
+    comp[:, 2, 3] = -c2
+    comp[:, 3, 3] = -c3
+    roots = np.linalg.eigvals(comp).T
+    tau = roots.real.copy()
+    near_real = np.abs(roots.imag) < 1e-6 * np.maximum(1.0, np.abs(tau))
+    return _smallest_admissible(tau, near_real, c3, c2, c1, c0, b1, b0)
+
+
+def _boundary_dist(c3, c2, c1, c0, b1, b0):
+    """Smallest admissible root of the deflated cubic tau^3 + c3 tau^2 + c2 tau + c1.
+
+    In depressed form t^3 + pp t + qq (tau = t - c3/3) the three candidates
+    are, for rays with three real roots, the trigonometric roots
+    m cos(theta - 2 pi k / 3) with m = 2 sqrt(-pp/3); otherwise Cardano's
+    real root u + v and twice the real part -(u + v)/2 of the complex pair,
+    which count as real only where the pair is real up to 1e-6 relative (as
+    the eigenvalue path counts it).
+    """
+    shift = c3 / 3.0
+    pp = c2 - c3 * shift
+    qq = (2.0 * shift * shift - c2) * shift + c1
+    half_disc = 0.25 * qq * qq + pp * pp * pp / 27.0
+    three_real = half_disc < 0.0
+    with np.errstate(invalid="ignore", divide="ignore"):  # each form off its rays
+        # the larger cube root first, so that u + v does not cancel
+        u = np.cbrt(-0.5 * qq - np.copysign(np.sqrt(np.maximum(half_disc, 0.0)), qq))
+        # u = 0 only when qq = 0 and pp <= 0; the pp < 0 rays take the trig form
+        v = -pp / (3.0 * np.where(u == 0.0, 1.0, u))
+        m = 2.0 * np.sqrt(-pp / 3.0)
+        theta = np.arccos(np.minimum(np.maximum(3.0 * qq / (pp * m), -1.0), 1.0)) / 3.0
+    real = u + v
+    pair_imag = 0.5 * math.sqrt(3.0) * np.abs(u - v)
+    pair_real = three_real | (pair_imag < 1e-6 * np.maximum(1.0, np.abs(0.5 * real + shift)))
+    tau = np.where(three_real, m * np.cos(theta - _THIRDS), _CARDANO * real) - shift
+    near_real = np.stack([np.ones_like(pair_real), pair_real, pair_real])
+    return _smallest_admissible(tau, near_real, c3, c2, c1, c0, b1, b0)
+
+
+_THIRDS = (2.0 * math.pi / 3.0) * np.arange(3)[:, None]
+# Cardano's roots: u + v, then the pair's real part -(u + v)/2 twice
+_CARDANO = np.array([[1.0], [-0.5], [-0.5]])
+
+
+def _smallest_admissible(tau, near_real, c3, c2, c1, c0, b1, b0):
+    """Newton-polish candidate roots on the full quartic; keep the smallest admissible.
+
+    ``tau`` holds one candidate per row, rays along the columns.  A root is
+    admissible when it is (nearly) real, lies ahead of the start, is on the
+    physical branch q - x >= 0 and leaves a small quartic residual.  Rays
+    without one get ``inf``.
+    """
+    dc3, dc2 = 3.0 * c3, 2.0 * c2
+    for _ in range(3):  # Newton polish on the real axis; no step where dP vanishes
+        P = (((tau + c3) * tau + c2) * tau + c1) * tau + c0
+        dP = ((4.0 * tau + dc3) * tau + dc2) * tau + c1
+        tau = tau - P / np.where(np.abs(dP) > 1e-300, dP, np.inf)
+    P = (((tau + c3) * tau + c2) * tau + c1) * tau + c0
+
+    g = (tau + b1) * tau + b0  # q - x along the ray
+    admissible = (
+        near_real
+        & (tau > _TAU_MIN)
+        & (g >= -1e-9)
+        & (np.abs(P) <= 1e-8 * np.maximum(1.0, tau**4))
+    )
+    return np.where(admissible, tau, np.inf).min(axis=0)

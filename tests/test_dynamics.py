@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaodecay.dynamics import PhasePoint, next_collision, propagate, reflect
+from chaodecay.dynamics import (
+    PhasePoint,
+    advance_to,
+    escape_times,
+    next_collision,
+    propagate,
+    reflect,
+)
+from chaodecay.errors import NumericError
 from chaodecay.geometry import CavityGeometry
 
 
@@ -172,6 +180,79 @@ class TestPropagate:
             assert g.opening_contains(final.arclength)
             assert not any(g.opening_contains(c.arclength) for c in traj.collisions[:-1])
         assert seen >= 30  # nearly all escape within 500 time units
+
+
+class _StuckAt:
+    """Unit circle table on which rays from one point find no hit, as at a cusp."""
+
+    def __init__(self, point):
+        self.table = make()
+        self.point = np.asarray(point)
+
+    def ray_hits(self, pos, dirs):
+        dist, s_hit, hit, nrm, cusp = self.table.ray_hits(pos, dirs)
+        stuck = np.all(pos == self.point, axis=1)
+        dist[stuck] = 0.0
+        hit[stuck] = pos[stuck]
+        return dist, s_hit, hit, nrm, cusp | stuck
+
+    def opening_contains(self, s):
+        return self.table.opening_contains(s)
+
+
+class TestProgressGuarantee:
+    """The batch loops end: every step advances time or the particle is reported."""
+
+    def _cusp_rays(self):
+        g = make("cardioid")
+        starts, dirs = [], []
+        angles = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
+        # at the cusp point itself, in every direction (half of them point out)
+        for a in angles:
+            starts.append([0.0, 0.0])
+            dirs.append([math.cos(a), math.sin(a)])
+        # along the axis into the cusp, and from boundary points next to it
+        starts.append([2.0, 0.0])
+        dirs.append([-1.0, 0.0])
+        for s in (4.0 - 1e-6, 4.0 + 1e-6, 4.0 - 1e-9, 4.0 + 1e-9):
+            pos, _ = g.boundary_point(s)
+            for target in ([0.0, 0.0], [0.5, 0.0], [0.0, 0.5]):
+                starts.append(pos)
+                dirs.append((target - pos) / np.linalg.norm(target - pos))
+        # just inside, next to the cusp
+        for a in angles:
+            starts.append([1e-9, 0.0])
+            dirs.append([math.cos(a), math.sin(a)])
+        return np.array(starts), np.array(dirs)
+
+    def test_escape_from_cusp_terminates(self):
+        g = make("cardioid", opening_center=2.0 * math.sqrt(2.0))
+        pos, dirs = self._cusp_rays()
+        esc, n_coll = escape_times(g, pos, dirs, 1.0, 50.0)
+        assert n_coll >= len(pos)
+        assert np.all((esc > 0) & ((esc <= 50.0) | np.isinf(esc)))
+
+    def test_advance_from_cusp_terminates(self):
+        g = make("cardioid")
+        pos, dirs = self._cusp_rays()
+        t_now = np.zeros(len(pos))
+        advance_to(g, pos, dirs, t_now, 30.0, 1.0)
+        assert np.all(t_now == 30.0)
+        assert np.all(g.contains(pos, tol=1e-9))
+        np.testing.assert_allclose(np.linalg.norm(dirs, axis=-1), 1.0, atol=1e-12)
+
+    def test_stuck_particle_raises(self):
+        rng = np.random.default_rng(8)
+        pos = rng.uniform(-0.5, 0.5, (6, 2))
+        pos[3] = (0.25, 0.25)
+        theta = rng.uniform(0.0, 2.0 * math.pi, 6)
+        dirs = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+        table = _StuckAt(pos[3])
+        with pytest.raises(NumericError, match="particle 3 made no progress"):
+            escape_times(table, pos, dirs, 1.0, 1e3)
+        with pytest.raises(NumericError, match="particle 3 made no progress"):
+            advance_to(table, pos.copy(), dirs.copy(), np.zeros(6), 10.0, 1.0)
+        assert NumericError.exit_code == 4
 
 
 def test_acceptance_circle_oracle_bulk():

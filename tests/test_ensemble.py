@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from chaodecay.dynamics import PhasePoint, Trajectory, propagate
+from chaodecay.dynamics import PhasePoint, Trajectory, escape_times, propagate
 from chaodecay.ensemble import (
     EnsembleSpec,
     SurvivalCurve,
@@ -126,6 +126,21 @@ class TestSurvival:
         eight = survival_curve(g, spec, times, threads=8)
         np.testing.assert_array_equal(one.survival, eight.survival)
         np.testing.assert_array_equal(one.std_error, eight.std_error)
+
+    def test_equals_fraction_still_inside(self):
+        # survival(t) is the fraction of escape times > t, ties (escape
+        # exactly at a grid time) and survivors (inf) included
+        g = CavityGeometry(shape="stadium", scale=1.0, opening_center=1.0,
+                           opening_length=0.3)
+        spec = EnsembleSpec(n_samples=3000, seed=9)
+        pos, dirs = sample_ensemble(g, spec)
+        esc, _ = escape_times(g, pos, dirs, spec.speed, 60.0)
+        assert np.isinf(esc).any()
+        times = np.unique(np.concatenate([np.linspace(0.0, 60.0, 50), esc[:40]]))
+        times = times[np.isfinite(times)]
+        curve = survival_curve(g, spec, times)
+        expected = (esc[None, :] > times[:, None]).mean(axis=1)
+        np.testing.assert_array_equal(curve.survival, expected)
 
 
 class TestEscapeFit:

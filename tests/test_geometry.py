@@ -2,14 +2,20 @@
 
 The independent oracle throughout is a dense polygonal approximation of the
 boundary built directly from the defining polar/piecewise formulas, never
-from the module under test.
+from the module under test.  The cardioid root solve is also checked against
+a companion-matrix solve of the same ray quartic.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import Polynomial
 
+from chaodecay import geometry
+from chaodecay.dynamics import batch_collide
 from chaodecay.geometry import SHAPES, CavityGeometry
 
 
@@ -229,6 +235,172 @@ class TestRayHits:
         np.testing.assert_allclose(hit, pos_check, atol=1e-9)
         np.testing.assert_allclose(nrm, nrm_check, atol=1e-7)
         assert np.all(dist > 0)
+
+
+def _cardioid_quartic_oracle(p, d, on_boundary=True):
+    """First hit of a ray on the unit cardioid, by companion matrix.
+
+    The quartic F(tau) = (q - x)^2 - q along the ray (q = |r|^2) is formed
+    from the documented coefficients -- with b = p.d, q0 = p.p, b1 = 2b - dx
+    and b0 = q0 - px: c3 = 2 b1, c2 = b1^2 + 2 b0 - 1, c1 = 2 b1 b0 - 2b,
+    c0 = b0^2 - q0 -- rounded as the kernel rounds them.  That matters: for a
+    near-grazing ray the chord is ~1e-6 and the rounding of c0 alone moves
+    it by ~1e-5 relative, so only a solve of the same quartic can agree to
+    1e-9.  All four roots come from numpy's companion-matrix eigenvalues; for
+    a start ``on_boundary`` the root nearest 0 is the start itself and is
+    dropped.  The roots are Newton-polished to convergence and filtered by
+    the kernel's documented admissibility rules (real, ahead of the start,
+    on the branch q - x >= 0, small residual).  Returns ``(dist, kappa)``:
+    the smallest admissible root and its relative condition number
+    sum_k |c_k tau^k| / |tau F'(tau)|.
+    """
+    b = np.einsum("ij,ij->i", p[None], d[None])[0]
+    q0 = np.einsum("ij,ij->i", p[None], p[None])[0]
+    b1, b0 = 2.0 * b - d[0], q0 - p[0]
+    quartic = Polynomial([b0 * b0 - q0, 2.0 * b1 * b0 - 2.0 * b,
+                          b1 * b1 + 2.0 * b0 - 1.0, 2.0 * b1, 1.0])
+    roots = quartic.roots()
+    if on_boundary:
+        roots = np.delete(roots, np.argmin(np.abs(roots)))
+    tau = roots.real
+    near_real = np.abs(roots.imag) < 1e-6 * np.maximum(1.0, np.abs(tau))
+    slope = quartic.deriv()
+    for _ in range(8):
+        tau = tau - quartic(tau) / slope(tau)
+    ok = (near_real & (tau > 1e-10) & ((tau + b1) * tau + b0 >= -1e-9)
+          & (np.abs(quartic(tau)) <= 1e-8 * np.maximum(1.0, tau**4)))
+    assert ok.any(), "oracle found no admissible root"
+    dist = tau[ok].min()
+    terms = np.abs(quartic.coef) * dist ** np.arange(5)
+    return dist, terms.sum() / abs(dist * slope(dist))
+
+
+def _cardioid_arclength(xy):
+    phi = math.atan2(xy[1], xy[0]) % (2.0 * math.pi)
+    half = 4.0 * math.sin(0.5 * phi)
+    return half if phi <= math.pi else 8.0 - half
+
+
+class TestCardioidKernel:
+    """Cardioid rays against the companion-matrix quartic oracle.
+
+    Boundary starts take the deflated-cubic path, interior ones the
+    eigenvalue path.  Only well-conditioned roots are compared (relative
+    condition number below 1e5): where a ray passes close to the cusp, the
+    first hit is half of a near-double root that no double-precision solver
+    pins to 1e-9.
+    """
+
+    g = make("cardioid")
+
+    def _boundary_ray(self, s0, angle):
+        """Start at arclength s0, heading ``angle`` from the tangent into the cavity."""
+        pos, nrm = self.g.boundary_point(s0)
+        tangent = np.array([-nrm[1], nrm[0]])
+        return pos, math.cos(angle) * tangent + math.sin(angle) * nrm
+
+    def _aimed_ray(self, s0, s_target):
+        pos, _ = self.g.boundary_point(s0)
+        target, _ = self.g.boundary_point(s_target)
+        return pos, (target - pos) / np.linalg.norm(target - pos)
+
+    def _check(self, p, d):
+        oracle, kappa = _cardioid_quartic_oracle(p, d)
+        assume(kappa < 1e5)
+        dist, s_hit, hit, nrm, cusp = self.g.ray_hits(p[None], d[None])
+        assert dist[0] == pytest.approx(oracle, rel=1e-9)
+        ds = abs(s_hit[0] - _cardioid_arclength(p + oracle * d))
+        assert min(ds, self.g.perimeter - ds) < 1e-8
+        hit_oracle = p + oracle * d
+        assert cusp[0] == (1.0 + math.cos(math.atan2(hit_oracle[1], hit_oracle[0])) <= 1e-9)
+        # the hit lies on the ray and on the boundary, with the boundary's normal
+        np.testing.assert_allclose(hit[0], p + dist[0] * d, atol=1e-9)
+        pos_b, nrm_b = self.g.boundary_point(s_hit[0] % self.g.perimeter)
+        np.testing.assert_allclose(hit[0], pos_b, atol=1e-9)
+        np.testing.assert_allclose(nrm[0], nrm_b, atol=1e-7)
+        # batch_collide reflects specularly off that normal
+        _, _, _, out, kinds = batch_collide(self.g, p[None], d[None])
+        assert kinds[0] == 0
+        assert np.linalg.norm(out[0]) == pytest.approx(1.0, abs=1e-12)
+        assert out[0] @ nrm_b == pytest.approx(-(d @ nrm_b), abs=1e-7)
+        tangent = np.array([-nrm_b[1], nrm_b[0]])
+        assert out[0] @ tangent == pytest.approx(d @ tangent, abs=1e-7)
+
+    @given(st.floats(0.0, 8.0), st.floats(1e-3, math.pi - 1e-3))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_generic_chords(self, s0, angle):
+        assume(abs(s0 - 4.0) > 1e-2)
+        self._check(*self._boundary_ray(s0, angle))
+
+    @given(st.floats(0.0, 8.0), st.floats(1e-7, 1e-6), st.booleans())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_near_grazing(self, s0, eps, backwards):
+        # within 1e-6 rad of either tangent direction; the chord is ~2 R eps.
+        # Below ~1e-7 the chord meets the rounding-level root at the start.
+        assume(abs(s0 - 4.0) > 0.5)
+        self._check(*self._boundary_ray(s0, math.pi - eps if backwards else eps))
+
+    @given(st.floats(1e-3, 0.3), st.booleans(), st.floats(1e-3, math.pi - 1e-3))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_starts_near_cusp(self, delta, below, angle):
+        self._check(*self._boundary_ray(4.0 - delta if below else 4.0 + delta, angle))
+
+    @given(st.floats(0.0, 8.0), st.floats(1e-3, 0.3), st.booleans())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_targets_near_cusp(self, s0, delta, below):
+        assume(abs(s0 - 4.0) > 0.3)
+        self._check(*self._aimed_ray(s0, 4.0 - delta if below else 4.0 + delta))
+
+    @given(st.floats(0.0, 8.0), st.floats(1e-9, 1e-3), st.floats(-math.pi + 1e-3, -1e-3))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_interior_starts_next_to_boundary(self, s0, depth, angle):
+        # just inside, heading out: the first hit is the nearby root that a
+        # boundary start would drop, so these must take the quartic path
+        assume(abs(s0 - 4.0) > 1e-2)
+        pos, nrm = self.g.boundary_point(s0)
+        tangent = np.array([-nrm[1], nrm[0]])
+        p = pos + depth * nrm
+        d = math.cos(angle) * tangent + math.sin(angle) * nrm
+        oracle, kappa = _cardioid_quartic_oracle(p, d, on_boundary=False)
+        assume(kappa < 1e5)
+        dist = self.g.ray_hits(p[None], d[None])[0]
+        assert dist[0] == pytest.approx(oracle, rel=1e-9)
+
+    @pytest.mark.parametrize("roots", [(1.0, 1.0, 3.0), (0.5, 2.0, 2.0), (2.0, 2.0, 2.0)])
+    def test_deflated_cubic_repeated_roots(self, roots):
+        # a ray touching the boundary tangentially gives a double root; like
+        # a real eigenvalue pair it is a candidate, not a complex pair to skip
+        cubic = Polynomial.fromroots(roots)
+        c1, c2, c3 = (np.array([c]) for c in cubic.coef[:3])
+        one = np.ones(1)
+        dist = geometry._boundary_dist(c3, c2, c1, 0.0 * one, 0.0 * one, one)
+        assert dist[0] == pytest.approx(min(roots), rel=1e-7)
+
+    def test_mixed_batch_matches_single_rays(self):
+        # boundary and interior starts in one batch give each ray's own answer
+        rng = np.random.default_rng(4)
+        s = rng.uniform(0.0, 8.0, 64)
+        pos, nrm = self.g.boundary_point(s)
+        pos[::2] += 0.05 * nrm[::2]  # every other start moved inside
+        theta = rng.uniform(0.0, 2.0 * math.pi, 64)
+        dirs = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+        dirs = np.where((dirs * nrm).sum(-1)[:, None] < 0, -dirs, dirs)
+        batch = self.g.ray_hits(pos, dirs)
+        for i in range(64):
+            single = self.g.ray_hits(pos[i : i + 1], dirs[i : i + 1])
+            for b, one in zip(batch, single):
+                np.testing.assert_array_equal(b[i : i + 1], one)
+
+    def test_ray_into_cusp_along_axis(self):
+        # from (2, 0) along -x the deflated cubic is (tau - 2)^3; the hit lands
+        # on the cusp point: a cusp event there, not a point snapped onto the
+        # far side of the boundary
+        dist, s_hit, hit, _, cusp = self.g.ray_hits(np.array([[2.0, 0.0]]),
+                                                    np.array([[-1.0, 0.0]]))
+        assert cusp[0]
+        assert dist[0] == pytest.approx(2.0, rel=1e-12)
+        assert s_hit[0] == pytest.approx(4.0, abs=1e-12)
+        np.testing.assert_allclose(hit[0], 0.0, atol=1e-12)
 
 
 def test_geometry_hash_distinguishes_configs():
