@@ -41,13 +41,14 @@ from .formulas import (
     total_survival,
 )
 from .geometry import SHAPES, CavityGeometry
-from .dynamics import CollisionEvent, PhasePoint, Trajectory, propagate, reflect
+from .dynamics import advance_to, batch_collide, escape_times, sample_positions
 from .ensemble import (
     EnsembleSpec,
     EscapeFit,
     LyapunovResult,
     SurvivalCurve,
     VarianceResult,
+    area_variance,
     decoherence_functional,
     estimate_lyapunov,
     fit_escape_rate,

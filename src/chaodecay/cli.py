@@ -14,13 +14,14 @@ import os
 import sys
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from . import __version__
-from .config import DEFAULTS_TABLE, RunConfig, STOCHASTIC_COMMANDS, parse_config
-from .dynamics import PhasePoint, propagate
+from .config import DEFAULTS_TABLE, RunConfig, parse_config
+from .dynamics import sample_positions
 from .ensemble import (
     EnsembleSpec,
+    area_variance,
+    decoherence_functional,
     estimate_lyapunov,
     fit_escape_rate,
     hybrid_time_grid,
@@ -36,14 +37,15 @@ from .formulas import (
     correction_peak,
     classical_survival,
     decoherence_time,
+    dwell_time,
     ehrenfest_time,
     figure3_curves,
+    heisenberg_time,
     min_loop_time,
     total_survival,
 )
 from .io import write_csv, write_manifest
 from .quadrature import QuadratureSpec, convergence_study, semiclassical_ladder
-from .report import compare_report
 
 __all__ = ["main"]
 
@@ -132,9 +134,10 @@ def _geometry_derived(cfg: RunConfig) -> dict:
         "area": geom.area,
         "perimeter": geom.perimeter,
         "opening_length": geom.opening_length,
-        "dwell_time": math.pi * geom.area / (geom.opening_length * speed),
+        "dwell_time": dwell_time(geom.area, geom.opening_length, speed),
         "mean_free_time": mean_free_time(geom, speed),
-        "heisenberg_time": DEFAULTS_TABLE["mass"] * geom.area / DEFAULTS_TABLE["hbar"],
+        "heisenberg_time": heisenberg_time(geom.area, DEFAULTS_TABLE["mass"],
+                                           DEFAULTS_TABLE["hbar"]),
     }
 
 
@@ -280,22 +283,17 @@ def _run_pair_decoherence(cfg: RunConfig, out_dir: str, threads: int) -> None:
     t_end = n_steps * dt
 
     positions, directions = sample_ensemble(geom, spec)
-    # Running exponent alpha * int_0^t |r_a - r_b|^2 ds per pair, on the shared
-    # dt grid, so the CSV is a time series and the last row is the full budget.
-    running = np.zeros((n_pairs, n_steps + 1))
-    for i in range(n_pairs):
-        a = PhasePoint(positions[2 * i], ens["speed"] * directions[2 * i])
-        b = PhasePoint(positions[2 * i + 1], ens["speed"] * directions[2 * i + 1])
-        ta = propagate(geom, a, t_max=t_end, dt=dt, open_cavity=False)
-        tb = propagate(geom, b, t_max=t_end, dt=dt, open_cavity=False)
-        sq = ((ta.samples - tb.samples) ** 2).sum(axis=1)
-        running[i, 1:] = alpha * cumulative_trapezoid(sq, dx=dt)
+    # Running exponent alpha * int_0^t |r_a - r_b|^2 ds per pair (rows 2i and
+    # 2i + 1), on the shared dt grid, so the CSV is a time series and the last
+    # row is the full budget.
+    samples = sample_positions(geom, positions, directions, ens["speed"], dt, n_steps)
+    running = decoherence_functional(samples[0::2], samples[1::2], alpha, dt)
     times = dt * np.arange(n_steps + 1)
     mean_t = running.mean(axis=0)
     stderr_t = running.std(axis=0, ddof=1) / math.sqrt(n_pairs)
 
-    var = position_variance(geom, EnsembleSpec(n_samples=max(n_pairs * 10, 1000),
-                                               seed=ens["seed"], speed=ens["speed"]))
+    sigma2_area, _ = area_variance(geom, EnsembleSpec(n_samples=max(n_pairs * 10, 1000),
+                                                      seed=ens["seed"], speed=ens["speed"]))
     mean = float(mean_t[-1])
     manifest = _base_manifest(cfg)
     manifest["derived"] = _geometry_derived(cfg)
@@ -306,8 +304,8 @@ def _run_pair_decoherence(cfg: RunConfig, out_dir: str, threads: int) -> None:
         "mean_exponent": mean,
         "stderr_exponent": float(stderr_t[-1]),
         "exponent_rate_per_alpha": mean / (alpha * t_end),
-        "sigma2_area": var.sigma2_area,
-        "expected_rate_per_alpha": 2.0 * var.sigma2_area,
+        "sigma2_area": sigma2_area,
+        "expected_rate_per_alpha": 2.0 * sigma2_area,
     }
     line = {"command": cfg.command, "geometry": cfg.resolved["geometry"],
             "ensemble": cfg.resolved["ensemble"], "alpha": alpha,

@@ -1,16 +1,14 @@
 """Point-particle billiard dynamics: free flight, specular reflection, escape.
 
-The single-trajectory API (`propagate`) records every collision and uniform-dt
-position samples, which downstream statistics (pair decoherence, variance)
-consume.  Bulk work -- survival curves, Lyapunov pairs -- goes through the
-vectorized batch helpers at the bottom, which advance an entire ensemble one
-collision at a time.
+One batched engine: `batch_collide` moves every particle of a batch to its
+next boundary hit.  `escape_times` repeats it until each particle leaves
+through the opening (survival curves), `advance_to` brings a closed-cavity
+batch to a common time (Lyapunov pairs) and `sample_positions` records
+closed-cavity positions on a uniform time grid (pair decoherence, the
+variance time average).
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,12 +16,10 @@ from .errors import NumericError
 from .geometry import CavityGeometry
 
 __all__ = [
-    "PhasePoint",
-    "CollisionEvent",
-    "Trajectory",
-    "reflect",
-    "next_collision",
-    "propagate",
+    "batch_collide",
+    "escape_times",
+    "advance_to",
+    "sample_positions",
 ]
 
 # |v . n| / |v| below this counts as a grazing collision: the reflection is
@@ -33,188 +29,6 @@ _GRAZING_TOL = 1e-12
 # A particle whose collision step makes no progress this many times in a row
 # (no admissible boundary root: it is retroreflected in place) is stuck.
 _MAX_STALLS = 8
-
-
-@dataclass(frozen=True)
-class PhasePoint:
-    """Position and momentum of a unit-mass particle."""
-
-    position: np.ndarray
-    momentum: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "position", np.asarray(self.position, dtype=float).reshape(2))
-        object.__setattr__(self, "momentum", np.asarray(self.momentum, dtype=float).reshape(2))
-
-    @property
-    def speed(self) -> float:
-        return float(np.hypot(*self.momentum))
-
-
-@dataclass(frozen=True)
-class CollisionEvent:
-    """One boundary event along a trajectory."""
-
-    time: float
-    arclength: float
-    position: np.ndarray
-    incoming: np.ndarray
-    outgoing: np.ndarray
-    kind: str = "collision"  # collision | grazing | cusp | escape
-
-
-@dataclass
-class Trajectory:
-    """A propagated billiard orbit with uniform-dt samples.
-
-    ``samples[k]`` is the position at ``sample_times[k]``; sampling stops at
-    escape (open cavity) or at ``total_time``.  ``escape_time`` is None for
-    trajectories that never left.
-    """
-
-    initial: PhasePoint
-    dt: float
-    sample_times: np.ndarray
-    samples: np.ndarray
-    collisions: list[CollisionEvent] = field(default_factory=list)
-    escape_time: float | None = None
-    total_time: float = 0.0
-
-
-def reflect(velocity, normal):
-    """Specular reflection v - 2 (v.n) n off a unit inward normal.
-
-    Broadcasts over leading axes.  Energy conservation is exact up to
-    floating-point rounding because the normal component is flipped in a
-    single fused expression.
-    """
-    velocity = np.asarray(velocity, dtype=float)
-    normal = np.asarray(normal, dtype=float)
-    vn = np.sum(velocity * normal, axis=-1, keepdims=True)
-    return velocity - 2.0 * vn * normal
-
-
-def is_grazing(velocity, normal) -> bool:
-    """True when the normal velocity component is negligible."""
-    v = np.asarray(velocity, dtype=float)
-    n = np.asarray(normal, dtype=float)
-    speed = float(np.hypot(*v))
-    return abs(float(v @ n)) < _GRAZING_TOL * speed
-
-
-def next_collision(geometry: CavityGeometry, state: PhasePoint):
-    """First boundary hit from an interior phase point.
-
-    Returns ``(flight_time, event)`` where the event's ``outgoing`` momentum
-    already includes the reflection (or tangential/retroreflected
-    continuation for grazing/cusp hits).  The event time is the flight time
-    from the given state.
-    """
-    if not geometry.contains(state.position, tol=1e-9 * geometry.scale):
-        raise ValueError("next_collision requires a state inside the cavity")
-    speed = state.speed
-    if speed <= 0:
-        raise ValueError("momentum must be non-zero")
-    direction = state.momentum / speed
-    dist, s_hit, hit, nrm, cusp = geometry.ray_hits(state.position[None], direction[None])
-    flight = float(dist[0]) / speed
-    incoming = state.momentum.copy()
-    if cusp[0]:
-        outgoing = -incoming
-        kind = "cusp"
-    elif is_grazing(incoming, nrm[0]):
-        outgoing = incoming.copy()
-        kind = "grazing"
-    else:
-        outgoing = reflect(incoming, nrm[0])
-        kind = "collision"
-    event = CollisionEvent(
-        time=flight,
-        arclength=float(s_hit[0]),
-        position=hit[0],
-        incoming=incoming,
-        outgoing=outgoing,
-        kind=kind,
-    )
-    return flight, event
-
-
-def propagate(
-    geometry: CavityGeometry,
-    state: PhasePoint,
-    t_max: float,
-    dt: float,
-    open_cavity: bool = True,
-) -> Trajectory:
-    """Propagate to ``t_max`` (or escape), sampling positions every ``dt``.
-
-    With ``open_cavity`` the particle is absorbed the instant it hits the
-    opening interval; the escape collision is recorded with kind ``escape``
-    and sampling stops there.
-    """
-    if t_max <= 0 or dt <= 0:
-        raise ValueError("t_max and dt must be positive")
-    n_samples = int(math.floor(t_max / dt)) + 1
-    sample_times = dt * np.arange(n_samples)
-    samples = np.empty((n_samples, 2))
-    samples[0] = state.position
-
-    collisions: list[CollisionEvent] = []
-    escape_time = None
-    pos = state.position.copy()
-    mom = state.momentum.copy()
-    speed = state.speed
-    t_now = 0.0
-    filled = 1  # samples[:filled] are final
-
-    while t_now < t_max:
-        flight, event = next_collision(
-            geometry, PhasePoint(position=pos, momentum=mom)
-        )
-        t_hit = t_now + flight
-        seg_end = min(t_hit, t_max)
-        # fill samples on the straight segment [t_now, seg_end]
-        k_hi = int(math.floor(seg_end / dt + 1e-12))
-        while filled <= min(k_hi, n_samples - 1):
-            ts = sample_times[filled]
-            samples[filled] = pos + (ts - t_now) * mom  # unit mass: momentum = velocity
-            filled += 1
-        if t_hit > t_max:
-            t_now = t_max
-            break
-        escaped = open_cavity and bool(geometry.opening_contains(event.arclength))
-        collisions.append(
-            CollisionEvent(
-                time=t_hit,
-                arclength=event.arclength,
-                position=event.position,
-                incoming=event.incoming,
-                outgoing=event.incoming if escaped else event.outgoing,
-                kind="escape" if escaped else event.kind,
-            )
-        )
-        pos = event.position.copy()
-        mom = event.outgoing.copy()
-        t_now = t_hit
-        if escaped:
-            escape_time = t_hit
-            break
-
-    total_time = escape_time if escape_time is not None else t_max
-    return Trajectory(
-        initial=state,
-        dt=dt,
-        sample_times=sample_times[:filled],
-        samples=samples[:filled],
-        collisions=collisions,
-        escape_time=escape_time,
-        total_time=total_time,
-    )
-
-
-# ---------------------------------------------------------------------------
-# vectorized batch engine
-# ---------------------------------------------------------------------------
 
 
 def batch_collide(geometry: CavityGeometry, pos, dirs):
@@ -300,6 +114,62 @@ def advance_to(geometry: CavityGeometry, pos, dirs, t_now, t_target, speed: floa
     drift = (t_target - t_now)[:, None] * dirs * speed
     pos += drift
     t_now[:] = t_target
+
+
+def sample_positions(
+    geometry: CavityGeometry,
+    positions,
+    directions,
+    speed: float,
+    dt: float,
+    n_steps: int,
+) -> np.ndarray:
+    """Closed-cavity positions of a batch at the times ``k * dt``, ``k = 0..n_steps``.
+
+    Returns an ``(n, n_steps + 1, 2)`` array; row ``i`` starts at
+    ``positions[i]`` with unit direction ``directions[i]``.  Each flight fills
+    the samples of its time span at once, measured from its start on the
+    boundary, so the state is never drifted off the boundary.  Raises
+    ``NumericError`` for a particle stuck in place.
+    """
+    if dt <= 0 or n_steps < 1:
+        raise ValueError("dt must be positive and n_steps at least 1")
+    pos = np.array(positions, dtype=float)
+    dirs = np.array(directions, dtype=float)
+    n = len(pos)
+    times = dt * np.arange(n_steps + 1)
+    t_end = times[-1]
+    samples = np.empty((n, n_steps + 1, 2))
+    samples[:, 0] = pos
+    t_now = np.zeros(n)
+    filled = np.ones(n, dtype=np.intp)  # samples[i, :filled[i]] are final
+    active = np.arange(n)
+    stalls = None
+
+    while active.size:
+        pa, da = pos[active], dirs[active]
+        dist, _, hit, out, _ = batch_collide(geometry, pa, da)
+        stalls = _count_stalls(stalls, dist, active)
+        t0 = t_now[active]
+        t_hit = t0 + dist / speed
+        going = t_hit < t_end
+        # this flight covers the samples filled..last; the final one the rest
+        first = filled[active]
+        last = np.where(going, np.floor(t_hit / dt + 1e-12), n_steps).astype(np.intp)
+        count = np.maximum(last - first + 1, 0)
+        row = np.repeat(np.arange(active.size), count)
+        k = np.arange(count.sum()) + np.repeat(first + count - np.cumsum(count), count)
+        samples[active[row], k] = pa[row] + (times[k] - t0[row])[:, None] * (speed * da[row])
+        filled[active] = np.maximum(first, last + 1)
+
+        idx = active[going]
+        pos[idx] = hit[going]
+        dirs[idx] = out[going]
+        t_now[idx] = t_hit[going]
+        active = idx
+        if stalls is not None:
+            stalls = stalls[going]
+    return samples
 
 
 def _count_stalls(stalls, dist, index):

@@ -13,9 +13,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import trapezoid
 
-from .dynamics import PhasePoint, Trajectory, advance_to, escape_times, propagate
+from .dynamics import advance_to, escape_times, sample_positions
 from .errors import NumericError, StatsError
 from .geometry import CavityGeometry
 
@@ -30,6 +29,7 @@ __all__ = [
     "fit_escape_rate",
     "estimate_lyapunov",
     "position_variance",
+    "area_variance",
     "decoherence_functional",
     "hybrid_time_grid",
     "mean_free_time",
@@ -303,22 +303,25 @@ def estimate_lyapunov(
         [dirs[:, 0] * ca - dirs[:, 1] * sa, dirs[:, 0] * sa + dirs[:, 1] * ca], -1
     )
 
-    t_ref = np.zeros(n)
-    t_par = np.zeros(n)
+    # reference rows first, partners after, advanced as one batch per
+    # renormalisation step; pos/dirs and p_pos/p_dirs are views of that batch
+    state_pos = np.concatenate([pos, p_pos])
+    state_dirs = np.concatenate([dirs, p_dirs])
+    t_now = np.zeros(2 * n)
+    pos, p_pos = state_pos[:n], state_pos[n:]
+    dirs, p_dirs = state_dirs[:n], state_dirs[n:]
     prev_sep = _pair_separation(pos, dirs, p_pos, p_dirs, scale)
     log_sums = np.zeros((n_steps, n))
 
     for k in range(n_steps):
-        target = (k + 1) * dt
-        advance_to(geometry, pos, dirs, t_ref, target, v)
-        advance_to(geometry, p_pos, p_dirs, t_par, target, v)
+        advance_to(geometry, state_pos, state_dirs, t_now, (k + 1) * dt, v)
         sep = _pair_separation(pos, dirs, p_pos, p_dirs, scale)
         sep = np.maximum(sep, 1e-300)
         log_sums[k] = np.log(sep / prev_sep)
         # pull the partner back to separation d0 along the current offset
         shrink = (d0 / sep)[:, None]
-        p_pos = pos + shrink * (p_pos - pos)
-        p_dirs = dirs + shrink * (p_dirs - dirs)
+        p_pos[:] = pos + shrink * (p_pos - pos)
+        p_dirs[:] = dirs + shrink * (p_dirs - dirs)
         p_dirs /= np.hypot(p_dirs[:, 0], p_dirs[:, 1])[:, None]
         outside = ~geometry.contains(p_pos, tol=-1e-12 * scale)
         if np.any(outside):
@@ -352,6 +355,15 @@ def _pair_separation(pos, dirs, p_pos, p_dirs, scale):
     )
 
 
+def area_variance(geometry: CavityGeometry, spec: EnsembleSpec) -> tuple[float, float]:
+    """Area average <|r - <r>|^2> over the sampled positions, and its standard error."""
+    positions, _ = sample_ensemble(geometry, spec)
+    mean = positions.mean(axis=0)
+    dev2 = ((positions - mean) ** 2).sum(axis=1)
+    stderr = float(dev2.std(ddof=1) / math.sqrt(len(dev2))) if len(dev2) > 1 else float("inf")
+    return float(dev2.mean()), stderr
+
+
 def position_variance(
     geometry: CavityGeometry,
     spec: EnsembleSpec,
@@ -365,24 +377,16 @@ def position_variance(
     two disagree by more than 5% the result carries ``ergodic_warning`` (the
     circle, which is not ergodic, is expected to warn).
     """
-    positions, _ = sample_ensemble(geometry, spec)
-    mean = positions.mean(axis=0)
-    dev2 = ((positions - mean) ** 2).sum(axis=1)
-    sigma2_area = float(dev2.mean())
-    stderr = float(dev2.std(ddof=1) / math.sqrt(len(dev2))) if len(dev2) > 1 else float("inf")
+    sigma2_area, stderr = area_variance(geometry, spec)
 
     tcoll = mean_free_time(geometry, spec.speed)
     if t_obs is None:
         t_obs = 400.0 * tcoll
     dt = 0.1 * tcoll
-    samples = []
     n_traj = max(n_time_trajectories, 1)
     pos0, dirs0 = _sample_block(geometry, n_traj, _philox(spec.seed, _TAG_VARIANCE))
-    for i in range(n_traj):
-        state = PhasePoint(pos0[i], spec.speed * dirs0[i])
-        traj = propagate(geometry, state, t_max=t_obs, dt=dt, open_cavity=False)
-        samples.append(traj.samples)
-    allpos = np.vstack(samples)
+    n_steps = max(int(math.floor(t_obs / dt)), 1)
+    allpos = sample_positions(geometry, pos0, dirs0, spec.speed, dt, n_steps).reshape(-1, 2)
     tmean = allpos.mean(axis=0)
     sigma2_time = float(((allpos - tmean) ** 2).sum(axis=1).mean())
 
@@ -396,37 +400,25 @@ def position_variance(
     )
 
 
-def decoherence_functional(
-    traj_a: Trajectory,
-    traj_b: Trajectory,
-    coupling_strength: float,
-    t: float,
-    t0: float = 0.0,
-) -> float:
-    """coupling * integral_{t0}^{t} |r_a(s) - r_b(s)|^2 ds on the shared sample grid.
+def decoherence_functional(samples_a, samples_b, coupling_strength: float, dt: float) -> np.ndarray:
+    """Running exponent coupling * integral_0^t |r_a(s) - r_b(s)|^2 ds of trajectory pairs.
 
-    Both trajectories must be sampled with the same dt and cover [t0, t];
-    the integral is a trapezoid over their uniform samples, so splitting the
-    interval at a shared grid node is exactly additive.
+    ``samples_a`` and ``samples_b`` hold positions at the shared grid times
+    ``k * dt`` (shape ``(..., n_steps + 1, 2)``, as from `sample_positions`).
+    Returns the exponent at every grid time, shape ``(..., n_steps + 1)``,
+    starting at 0.  The integral is the cumulative trapezoid rule, so the
+    exponent over ``[t_j, t_k]`` is exactly the difference of the two nodes.
     """
     if coupling_strength < 0:
         raise ValueError("coupling_strength must be non-negative")
-    dt = traj_a.dt
-    if abs(traj_b.dt - dt) > 1e-12 * dt:
-        raise ValueError("trajectories must share the sampling interval dt")
-    k0 = _grid_index(t0, dt)
-    k1 = _grid_index(t, dt)
-    if not 0 <= k0 < k1:
-        raise ValueError("need 0 <= t0 < t on the sample grid")
-    if k1 >= min(len(traj_a.samples), len(traj_b.samples)):
-        raise ValueError("trajectories do not cover the requested interval")
-    diff = traj_a.samples[k0 : k1 + 1] - traj_b.samples[k0 : k1 + 1]
-    sq = (diff**2).sum(axis=1)
-    return float(coupling_strength * trapezoid(sq, dx=dt))
-
-
-def _grid_index(t: float, dt: float) -> int:
-    k = int(round(t / dt))
-    if abs(t - k * dt) > 1e-9 * max(dt, abs(t)):
-        raise ValueError(f"time {t!r} is not a node of the dt={dt!r} sample grid")
-    return k
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    a = np.asarray(samples_a, dtype=float)
+    b = np.asarray(samples_b, dtype=float)
+    if a.shape != b.shape or a.ndim < 2 or a.shape[-1] != 2 or a.shape[-2] < 2:
+        raise ValueError("samples must share one (..., n_steps + 1, 2) grid with n_steps >= 1")
+    sq = ((a - b) ** 2).sum(axis=-1)
+    running = np.zeros(sq.shape)
+    running[..., 1:] = coupling_strength * np.cumsum(dt * (sq[..., 1:] + sq[..., :-1]) / 2.0,
+                                                     axis=-1)
+    return running

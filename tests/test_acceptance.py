@@ -12,15 +12,15 @@ import numpy as np
 import pytest
 
 from chaodecay.cli import main
-from chaodecay.dynamics import PhasePoint, next_collision, propagate
+from chaodecay.dynamics import batch_collide, sample_positions
 from chaodecay.ensemble import (
     EnsembleSpec,
+    area_variance,
     decoherence_functional,
     estimate_lyapunov,
     fit_escape_rate,
     hybrid_time_grid,
     mean_free_time,
-    position_variance,
     sample_ensemble,
     survival_curve,
 )
@@ -188,15 +188,10 @@ def test_criterion_8_decoherence_ergodic_slope():
     n_steps = int(round(50.0 * t_coll / dt))
     t_end = n_steps * dt
     pos, dirs = sample_ensemble(g, EnsembleSpec(n_samples=400, seed=4242))
-    vals = np.empty(200)
-    for i in range(200):
-        a = propagate(g, PhasePoint(pos[2 * i], dirs[2 * i]),
-                      t_max=t_end, dt=dt, open_cavity=False)
-        b = propagate(g, PhasePoint(pos[2 * i + 1], dirs[2 * i + 1]),
-                      t_max=t_end, dt=dt, open_cavity=False)
-        vals[i] = decoherence_functional(a, b, alpha, t_end)
+    samples = sample_positions(g, pos, dirs, 1.0, dt, n_steps)
+    vals = decoherence_functional(samples[0::2], samples[1::2], alpha, dt)[:, -1]
     slope = float(vals.mean()) / (alpha * t_end)
-    sigma2 = position_variance(g, EnsembleSpec(n_samples=100_000, seed=4242)).sigma2_area
+    sigma2, _ = area_variance(g, EnsembleSpec(n_samples=100_000, seed=4242))
     rel = abs(slope - 2.0 * sigma2) / (2.0 * sigma2)
     elapsed = time.monotonic() - t0
     ok = rel <= 0.10 and elapsed <= 120.0
@@ -232,23 +227,23 @@ def test_criterion_10_circle_controls():
     lyap_ok = abs(res.value) <= 3.0 * res.std_error
 
     rng = np.random.default_rng(27182)
-    worst = 0.0
+    pos, mom = [], []
     for _ in range(1000):
         r = math.sqrt(rng.uniform(0, 0.98))
         th = rng.uniform(0, 2 * math.pi)
-        pos = np.array([r * math.cos(th), r * math.sin(th)])
+        pos.append([r * math.cos(th), r * math.sin(th)])
         phi = rng.uniform(0, 2 * math.pi)
-        mom = np.array([math.cos(phi), math.sin(phi)])
-        t, ev = next_collision(g, PhasePoint(pos, mom))
-        b = float(pos @ mom)
-        c = float(pos @ pos) - 1.0
-        t_exact = -b + math.sqrt(b * b - c)
-        hit = pos + t_exact * mom
-        out = mom - 2.0 * float(mom @ hit) * hit
-        worst = max(worst,
-                    abs(t - t_exact),
-                    float(np.max(np.abs(ev.position - hit))),
-                    float(np.max(np.abs(ev.outgoing - out))))
+        mom.append([math.cos(phi), math.sin(phi)])
+    pos, mom = np.array(pos), np.array(mom)
+    dist, _, hit, out, _ = batch_collide(g, pos, mom)
+    b = np.sum(pos * mom, axis=-1)
+    c = np.sum(pos * pos, axis=-1) - 1.0
+    t_exact = -b + np.sqrt(b * b - c)
+    hit_exact = pos + t_exact[:, None] * mom
+    out_exact = mom - 2.0 * np.sum(mom * hit_exact, axis=-1)[:, None] * hit_exact
+    worst = max(float(np.max(np.abs(dist - t_exact))),
+                float(np.max(np.abs(hit - hit_exact))),
+                float(np.max(np.abs(out - out_exact))))
     map_ok = worst <= 1e-12
     ok = lyap_ok and map_ok
     report(10, ok, f"lambda={res.value:.2e}+-{res.std_error:.2e} "

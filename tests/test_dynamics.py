@@ -1,4 +1,4 @@
-"""Billiard dynamics: reflection law, collision finding, propagation."""
+"""Billiard dynamics: reflection law, collision finding, sampling, escape."""
 
 import math
 
@@ -7,16 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaodecay.dynamics import (
-    PhasePoint,
-    advance_to,
-    escape_times,
-    next_collision,
-    propagate,
-    reflect,
-)
+from chaodecay.dynamics import advance_to, batch_collide, escape_times, sample_positions
+from chaodecay.ensemble import EnsembleSpec, mean_free_time, sample_ensemble
 from chaodecay.errors import NumericError
-from chaodecay.geometry import CavityGeometry
+from chaodecay.geometry import SHAPES, CavityGeometry
 
 
 def make(shape="circle", scale=1.0, opening_center=0.5, opening_length=0.1):
@@ -28,14 +22,54 @@ def make(shape="circle", scale=1.0, opening_center=0.5, opening_length=0.1):
 SQ2 = math.sqrt(0.5)
 
 
+class _Wall:
+    """A table on which every ray meets, at distance 1, a wall with one inward normal."""
+
+    def __init__(self, normal):
+        self.normal = np.asarray(normal, dtype=float)
+
+    def ray_hits(self, pos, dirs):
+        n = len(pos)
+        return (np.ones(n), np.zeros(n), pos + dirs, np.tile(self.normal, (n, 1)),
+                np.zeros(n, dtype=bool))
+
+
+def reflected(incoming, normal):
+    """Outgoing directions of `batch_collide` off a wall with the given normal."""
+    incoming = np.atleast_2d(np.asarray(incoming, dtype=float))
+    return batch_collide(_Wall(normal), np.zeros_like(incoming), incoming)[3]
+
+
+def flights(g, pos, direction, speed, t_end):
+    """Hit times, hit arclengths and outgoing directions of one ray up to ``t_end``.
+
+    A plain loop of one-ray `batch_collide` steps, the reference the batch
+    loops are checked against.
+    """
+    pos = np.asarray(pos, dtype=float)[None]
+    direction = np.asarray(direction, dtype=float)[None]
+    times, s_hits, outs = [], [], []
+    t = 0.0
+    while True:
+        dist, s_hit, pos, direction, _ = batch_collide(g, pos, direction)
+        t = t + dist[0] / speed
+        if t > t_end:
+            return np.array(times), np.array(s_hits), np.array(outs).reshape(-1, 2)
+        times.append(t)
+        s_hits.append(s_hit[0])
+        outs.append(direction[0])
+
+
 class TestReflect:
+    """`batch_collide` reflects specularly: v - 2 (v.n) n off the inward normal."""
+
     @pytest.mark.parametrize("incoming, normal, expected", [
         ((-1.0, 0.0), (1.0, 0.0), (1.0, 0.0)),      # normal incidence reverses
         ((0.0, 1.0), (1.0, 0.0), (0.0, 1.0)),       # tangential unchanged
         ((-SQ2, -SQ2), (1.0, 0.0), (SQ2, -SQ2)),    # 45 degrees
     ])
     def test_pinned_cases(self, incoming, normal, expected):
-        out = reflect(np.array(incoming), np.array(normal))
+        out = reflected(incoming, normal)[0]
         np.testing.assert_allclose(out, expected, atol=1e-15)
 
     @given(st.floats(0, 2 * math.pi), st.floats(0, 2 * math.pi))
@@ -43,40 +77,37 @@ class TestReflect:
     def test_involution_and_norm(self, a, b):
         v = np.array([math.cos(a), math.sin(a)])
         n = np.array([math.cos(b), math.sin(b)])
-        r = reflect(v, n)
+        r = reflected(v, n)[0]
         assert np.linalg.norm(r) == pytest.approx(1.0, abs=1e-15)
-        np.testing.assert_allclose(reflect(r, n), v, atol=1e-14)
+        np.testing.assert_allclose(reflected(r, n)[0], v, atol=1e-14)
 
     def test_broadcasts(self):
         v = np.tile([-1.0, 0.0], (5, 1))
-        n = np.tile([1.0, 0.0], (5, 1))
-        np.testing.assert_allclose(reflect(v, n), np.tile([1.0, 0.0], (5, 1)))
+        np.testing.assert_allclose(reflected(v, [1.0, 0.0]), np.tile([1.0, 0.0], (5, 1)))
 
 
 class TestNextCollision:
+    """`batch_collide` as the collision step: chord lengths and hit arclengths."""
+
     def test_radial_chord(self):
         g = make()
-        t, ev = next_collision(g, PhasePoint(np.zeros(2), np.array([1.0, 0.0])))
-        assert t == pytest.approx(1.0, rel=1e-14)
-        assert ev.arclength == pytest.approx(0.0, abs=1e-12)
+        dist, s_hit, *_ = batch_collide(g, np.zeros((1, 2)), np.array([[1.0, 0.0]]))
+        assert dist[0] == pytest.approx(1.0, rel=1e-14)
+        assert s_hit[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_offcenter_chord(self):
         # start (0.5, 0) moving straight up: flight sqrt(1 - 0.25), hit angle
         # atan2(sqrt(0.75), 0.5) = pi/3
         g = make()
-        t, ev = next_collision(g, PhasePoint(np.array([0.5, 0.0]), np.array([0.0, 1.0])))
-        assert t == pytest.approx(math.sqrt(0.75), rel=1e-14)
-        assert ev.arclength == pytest.approx(1.0471975511965976, rel=1e-13)
+        dist, s_hit, *_ = batch_collide(g, np.array([[0.5, 0.0]]), np.array([[0.0, 1.0]]))
+        assert dist[0] == pytest.approx(math.sqrt(0.75), rel=1e-14)
+        assert s_hit[0] == pytest.approx(1.0471975511965976, rel=1e-13)
 
     def test_speed_scales_flight_time(self):
-        g = make()
-        t1, _ = next_collision(g, PhasePoint(np.zeros(2), np.array([2.0, 0.0])))
-        assert t1 == pytest.approx(0.5, rel=1e-14)
-
-    def test_outside_start_rejected(self):
-        g = make()
-        with pytest.raises(ValueError):
-            next_collision(g, PhasePoint(np.array([2.0, 0.0]), np.array([1.0, 0.0])))
+        # the radial chord of length 1 ends in the opening: escape at 1 / speed
+        g = make(opening_center=0.0)
+        esc, _ = escape_times(g, np.zeros((1, 2)), np.array([[1.0, 0.0]]), 2.0, 10.0)
+        assert esc[0] == pytest.approx(0.5, rel=1e-14)
 
     def test_circle_map_oracle(self):
         # chord length and reflection angle of the circle map in closed form:
@@ -85,19 +116,21 @@ class TestNextCollision:
         # arclength advances by R (pi - 2 psi) each bounce.
         g = make()
         rng = np.random.default_rng(11)
+        pos, mom = [], []
         for _ in range(50):
             r = 0.9 * math.sqrt(rng.uniform())
             th = rng.uniform(0, 2 * math.pi)
-            pos = np.array([r * math.cos(th), r * math.sin(th)])
+            pos.append([r * math.cos(th), r * math.sin(th)])
             phi = rng.uniform(0, 2 * math.pi)
-            mom = np.array([math.cos(phi), math.sin(phi)])
-            t, ev = next_collision(g, PhasePoint(pos, mom))
-            n_hat = -ev.position / np.linalg.norm(ev.position)
-            cos_psi = -float(ev.incoming @ n_hat)
-            t2, ev2 = next_collision(
-                g, PhasePoint(ev.position + 1e-12 * n_hat, ev.outgoing))
-            assert t2 == pytest.approx(2.0 * cos_psi, abs=1e-9)
-            d_s = (ev2.arclength - ev.arclength) % g.perimeter
+            mom.append([math.cos(phi), math.sin(phi)])
+        pos, mom = np.array(pos), np.array(mom)
+        _, s1, hit, out, _ = batch_collide(g, pos, mom)
+        n_hat = -hit / np.linalg.norm(hit, axis=-1, keepdims=True)
+        t2, s2, *_ = batch_collide(g, hit + 1e-12 * n_hat, out)
+        for i in range(50):
+            cos_psi = -float(mom[i] @ n_hat[i])
+            assert t2[i] == pytest.approx(2.0 * cos_psi, abs=1e-9)
+            d_s = (s2[i] - s1[i]) % g.perimeter
             step = math.pi - 2.0 * math.acos(min(cos_psi, 1.0))
             assert min(d_s, g.perimeter - d_s) == pytest.approx(
                 min(step % (2 * math.pi), 2 * math.pi - step % (2 * math.pi)),
@@ -105,81 +138,113 @@ class TestNextCollision:
 
 
 class TestPropagate:
+    """Whole orbits: `sample_positions` in the closed cavity, `escape_times` in the open one."""
+
     def test_closed_circle_diameter_bounce(self):
         g = make()
-        traj = propagate(g, PhasePoint(np.zeros(2), np.array([1.0, 0.0])),
-                         t_max=10.0, dt=0.01, open_cavity=False)
+        dt, n_steps = 0.01, 1000
+        samples = sample_positions(g, np.zeros((1, 2)), np.array([[1.0, 0.0]]), 1.0,
+                                   dt, n_steps)[0]
         # analytic zig-zag: x(t) is a triangle wave between -1 and 1
-        t = traj.sample_times
+        t = dt * np.arange(n_steps + 1)
         phase = (t + 1.0) % 4.0
         x_exact = np.where(phase < 2.0, phase - 1.0, 3.0 - phase)
-        np.testing.assert_allclose(traj.samples[:, 0], x_exact, atol=1e-9)
-        np.testing.assert_allclose(traj.samples[:, 1], 0.0, atol=1e-12)
+        np.testing.assert_allclose(samples[:, 0], x_exact, atol=1e-9)
+        np.testing.assert_allclose(samples[:, 1], 0.0, atol=1e-12)
 
     def test_fully_open_escapes_first_hit(self):
         g = CavityGeometry(shape="circle", scale=1.0, opening_center=0.0,
                            opening_length=2.0 * math.pi - 1e-9)
-        traj = propagate(g, PhasePoint(np.zeros(2), np.array([0.6, 0.8])),
-                         t_max=50.0, dt=0.1)
-        assert traj.escape_time == pytest.approx(1.0, rel=1e-9)
-        assert len(traj.collisions) == 1
-        assert traj.collisions[0].kind == "escape"
+        esc, n_coll = escape_times(g, np.zeros((1, 2)), np.array([[0.6, 0.8]]), 1.0, 50.0)
+        assert esc[0] == pytest.approx(1.0, rel=1e-9)
+        assert n_coll == 1
 
     def test_deterministic_repeats(self):
         g = make("cardioid", opening_center=2.0 * math.sqrt(2.0))
-        start = PhasePoint(np.array([0.3, 0.1]), np.array([0.8, 0.6]))
-        a = propagate(g, start, t_max=40.0, dt=0.05)
-        b = propagate(g, start, t_max=40.0, dt=0.05)
-        np.testing.assert_array_equal(a.samples, b.samples)
-        assert a.escape_time == b.escape_time
+        pos, dirs = np.array([[0.3, 0.1]]), np.array([[0.8, 0.6]])
+        a = sample_positions(g, pos, dirs, 1.0, 0.05, 800)
+        b = sample_positions(g, pos, dirs, 1.0, 0.05, 800)
+        np.testing.assert_array_equal(a, b)
+        esc_a, _ = escape_times(g, pos, dirs, 1.0, 40.0)
+        esc_b, _ = escape_times(g, pos, dirs, 1.0, 40.0)
+        np.testing.assert_array_equal(esc_a, esc_b)
 
     @pytest.mark.parametrize("shape", ["cardioid", "stadium"])
     def test_speed_conserved(self, shape):
         g = make(shape)
-        traj = propagate(g, PhasePoint(np.array([0.2, 0.05]), np.array([0.28, -0.96])),
-                         t_max=200.0, dt=0.5, open_cavity=False)
-        speeds = [np.linalg.norm(c.outgoing) for c in traj.collisions]
+        _, _, outs = flights(g, [0.2, 0.05], [0.28, -0.96], 1.0, 200.0)
+        speeds = np.linalg.norm(outs, axis=-1)
+        assert len(speeds) > 50
         np.testing.assert_allclose(speeds, 1.0, rtol=1e-12)
 
     @pytest.mark.parametrize("shape", ["cardioid", "stadium"])
     def test_containment(self, shape):
         g = make(shape)
-        traj = propagate(g, PhasePoint(np.array([0.1, -0.2]), np.array([0.6, 0.8])),
-                         t_max=150.0, dt=0.21, open_cavity=False)
-        assert np.all(g.contains(traj.samples, tol=1e-9 * g.scale))
+        samples = sample_positions(g, np.array([[0.1, -0.2]]), np.array([[0.6, 0.8]]), 1.0,
+                                   0.21, int(150.0 / 0.21))
+        assert np.all(g.contains(samples[0], tol=1e-9 * g.scale))
 
     def test_time_reversal(self):
         g = make("cardioid")
-        start = PhasePoint(np.array([0.4, -0.3]), np.array([0.6, 0.8]))
+        start, direction = np.array([0.4, -0.3]), np.array([0.6, 0.8])
         t_span = 25.0  # roughly 10 / lambda for the unit cardioid
-        fwd = propagate(g, start, t_max=t_span, dt=0.5, open_cavity=False)
-        # place the reversed start exactly at the forward endpoint
-        end_pos = fwd.samples[-1]
-        # reconstruct the momentum at t_max from the last collision
-        last = fwd.collisions[-1]
-        back = propagate(g, PhasePoint(end_pos.copy(), -last.outgoing),
-                         t_max=t_span, dt=0.5, open_cavity=False)
-        np.testing.assert_allclose(back.samples[-1], start.position, atol=1e-6)
+        dt, n_steps = 0.5, 50
+        fwd = sample_positions(g, start[None], direction[None], 1.0, dt, n_steps)[0]
+        # place the reversed start exactly at the forward endpoint, moving
+        # back along the direction of the last collision
+        _, _, outs = flights(g, start, direction, 1.0, t_span)
+        back = sample_positions(g, fwd[-1:], -outs[-1:], 1.0, dt, n_steps)[0]
+        np.testing.assert_allclose(back[-1], start, atol=1e-6)
 
     def test_escape_point_in_opening(self):
         g = make("cardioid", opening_center=2.0 * math.sqrt(2.0), opening_length=0.8)
         rng = np.random.default_rng(5)
-        seen = 0
+        starts, dirs = [], []
         for _ in range(40):
             pos = rng.uniform([-0.2, -1.0], [1.8, 1.0], size=2)
             if not g.contains(pos):
                 continue
             th = rng.uniform(0, 2 * math.pi)
-            traj = propagate(g, PhasePoint(pos, np.array([math.cos(th), math.sin(th)])),
-                             t_max=500.0, dt=1.0)
-            if traj.escape_time is None:
+            starts.append(pos)
+            dirs.append([math.cos(th), math.sin(th)])
+        esc, _ = escape_times(g, np.array(starts), np.array(dirs), 1.0, 500.0)
+        seen = 0
+        for pos, direction, t_esc in zip(starts, dirs, esc):
+            if np.isinf(t_esc):
                 continue
             seen += 1
-            final = traj.collisions[-1]
-            assert final.kind == "escape"
-            assert g.opening_contains(final.arclength)
-            assert not any(g.opening_contains(c.arclength) for c in traj.collisions[:-1])
+            times, s_hits, _ = flights(g, pos, direction, 1.0, t_esc * (1.0 + 1e-9))
+            assert times[-1] == pytest.approx(t_esc, rel=1e-12)
+            assert g.opening_contains(s_hits[-1])
+            assert not any(g.opening_contains(s) for s in s_hits[:-1])
         assert seen >= 30  # nearly all escape within 500 time units
+
+
+@given(st.sampled_from(SHAPES), st.integers(0, 2**32 - 1), st.floats(0.5, 2.0))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_sampler_invariants(shape, seed, speed):
+    """Samples stay inside, flights are straight at constant speed, orbits reverse."""
+    g = make(shape)
+    pos, dirs = sample_ensemble(g, EnsembleSpec(n_samples=1, seed=seed))
+    dt, n_steps = 0.1 * mean_free_time(g, speed), 100
+    samples = sample_positions(g, pos, dirs, speed, dt, n_steps)[0]
+    assert np.all(g.contains(samples, tol=1e-9 * g.scale))
+
+    hits, _, outs = flights(g, pos[0], dirs[0], speed, n_steps * dt)
+    np.testing.assert_allclose(speed * np.linalg.norm(outs, axis=-1), speed, rtol=1e-12)
+    # consecutive samples of one flight: speed * dt apart and collinear
+    flight = np.searchsorted(hits, dt * np.arange(n_steps + 1))
+    step = np.diff(samples, axis=0)
+    one_flight = flight[1:] == flight[:-1]
+    np.testing.assert_allclose(np.linalg.norm(step[one_flight], axis=-1), speed * dt,
+                               rtol=1e-12)
+    cross = step[:-1, 0] * step[1:, 1] - step[:-1, 1] * step[1:, 0]
+    straight = one_flight[1:] & one_flight[:-1]
+    assert np.all(np.abs(cross[straight]) <= 1e-12 * (speed * dt) ** 2)
+
+    end_dir = outs[-1:] if len(outs) else dirs
+    back = sample_positions(g, samples[-1:], -end_dir, speed, dt, n_steps)[0]
+    np.testing.assert_allclose(back[-1], pos[0], atol=1e-6)
 
 
 class _StuckAt:
@@ -241,6 +306,13 @@ class TestProgressGuarantee:
         assert np.all(g.contains(pos, tol=1e-9))
         np.testing.assert_allclose(np.linalg.norm(dirs, axis=-1), 1.0, atol=1e-12)
 
+    def test_sample_from_cusp_terminates(self):
+        g = make("cardioid")
+        pos, dirs = self._cusp_rays()
+        samples = sample_positions(g, pos, dirs, 1.0, 0.1, 300)
+        assert samples.shape == (len(pos), 301, 2)
+        assert np.all(g.contains(samples.reshape(-1, 2), tol=1e-9))
+
     def test_stuck_particle_raises(self):
         rng = np.random.default_rng(8)
         pos = rng.uniform(-0.5, 0.5, (6, 2))
@@ -252,6 +324,8 @@ class TestProgressGuarantee:
             escape_times(table, pos, dirs, 1.0, 1e3)
         with pytest.raises(NumericError, match="particle 3 made no progress"):
             advance_to(table, pos.copy(), dirs.copy(), np.zeros(6), 10.0, 1.0)
+        with pytest.raises(NumericError, match="particle 3 made no progress"):
+            sample_positions(table, pos, dirs, 1.0, 0.1, 100)
         assert NumericError.exit_code == 4
 
 
@@ -265,16 +339,14 @@ def test_acceptance_circle_oracle_bulk():
     pos = np.stack([r * np.cos(th), r * np.sin(th)], axis=-1)
     phi = rng.uniform(0, 2 * math.pi, n)
     mom = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
-    worst = 0.0
-    for i in range(n):
-        t, ev = next_collision(g, PhasePoint(pos[i], mom[i]))
-        # closed-form chord: |p + t d| = 1 with t > 0
-        b = float(pos[i] @ mom[i])
-        c = float(pos[i] @ pos[i]) - 1.0
-        t_exact = -b + math.sqrt(b * b - c)
-        worst = max(worst, abs(t - t_exact))
-        hit_exact = pos[i] + t_exact * mom[i]
-        worst = max(worst, float(np.max(np.abs(ev.position - hit_exact))))
-        out_exact = mom[i] - 2.0 * float(mom[i] @ hit_exact) * hit_exact
-        worst = max(worst, float(np.max(np.abs(ev.outgoing - out_exact))))
+    dist, _, hit, out, _ = batch_collide(g, pos, mom)
+    # closed-form chord: |p + t d| = 1 with t > 0
+    b = np.sum(pos * mom, axis=-1)
+    c = np.sum(pos * pos, axis=-1) - 1.0
+    t_exact = -b + np.sqrt(b * b - c)
+    hit_exact = pos + t_exact[:, None] * mom
+    out_exact = mom - 2.0 * np.sum(mom * hit_exact, axis=-1)[:, None] * hit_exact
+    worst = max(float(np.max(np.abs(dist - t_exact))),
+                float(np.max(np.abs(hit - hit_exact))),
+                float(np.max(np.abs(out - out_exact))))
     assert worst <= 1e-12

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from chaodecay.dynamics import PhasePoint, Trajectory, escape_times, propagate
+from chaodecay.dynamics import escape_times, sample_positions
 from chaodecay.ensemble import (
     EnsembleSpec,
     SurvivalCurve,
@@ -242,65 +242,49 @@ class TestPositionVariance:
         assert a.sigma2_area == pytest.approx(b.sigma2_area, rel=1e-9)
 
 
-def _straight_line_trajectory(samples, dt):
-    """Stub trajectory carrying only what the functional reads."""
-    samples = np.asarray(samples, dtype=float)
-    n = len(samples)
-    return Trajectory(
-        initial=PhasePoint(samples[0], np.array([1.0, 0.0])),
-        dt=dt,
-        sample_times=dt * np.arange(n),
-        samples=samples,
-        collisions=[],
-        escape_time=None,
-        total_time=dt * (n - 1),
-    )
+def _orbit(g, pos, direction, t_max, dt):
+    """Closed-cavity samples of one unit-speed orbit on the grid k * dt up to t_max."""
+    return sample_positions(g, np.array([pos]), np.array([direction]), 1.0, dt,
+                            int(round(t_max / dt)))[0]
 
 
 class TestDecoherenceFunctional:
     def test_diagonal_pair_vanishes(self):
         g = cardioid()
-        traj = propagate(g, PhasePoint(np.array([0.3, 0.2]), np.array([0.6, 0.8])),
-                         t_max=20.0, dt=0.1, open_cavity=False)
-        assert decoherence_functional(traj, traj, 0.7, 20.0) == 0.0
+        orbit = _orbit(g, [0.3, 0.2], [0.6, 0.8], 20.0, 0.1)
+        assert np.all(decoherence_functional(orbit, orbit, 0.7, 0.1) == 0.0)
 
     def test_constant_offset_exact(self):
         dt, n, d = 0.05, 401, np.array([0.3, -0.4])
         base = np.cumsum(np.full((n, 2), 0.01), axis=0)
-        a = _straight_line_trajectory(base, dt)
-        b = _straight_line_trajectory(base + d, dt)
         t = dt * (n - 1)
         alpha = 0.9
         expected = alpha * float(d @ d) * t
-        assert decoherence_functional(a, b, alpha, t) == pytest.approx(expected, rel=1e-12)
+        running = decoherence_functional(base, base + d, alpha, dt)
+        assert running[0] == 0.0
+        assert running[-1] == pytest.approx(expected, rel=1e-12)
 
     def test_symmetry(self):
         g = cardioid()
-        pa = propagate(g, PhasePoint(np.array([0.3, 0.2]), np.array([0.6, 0.8])),
-                       t_max=15.0, dt=0.1, open_cavity=False)
-        pb = propagate(g, PhasePoint(np.array([1.1, -0.3]), np.array([0.0, 1.0])),
-                       t_max=15.0, dt=0.1, open_cavity=False)
-        ab = decoherence_functional(pa, pb, 0.4, 15.0)
-        ba = decoherence_functional(pb, pa, 0.4, 15.0)
-        assert ab == ba
-        assert ab >= 0.0
+        pa = _orbit(g, [0.3, 0.2], [0.6, 0.8], 15.0, 0.1)
+        pb = _orbit(g, [1.1, -0.3], [0.0, 1.0], 15.0, 0.1)
+        ab = decoherence_functional(pa, pb, 0.4, 0.1)
+        ba = decoherence_functional(pb, pa, 0.4, 0.1)
+        np.testing.assert_array_equal(ab, ba)
+        assert np.all(ab >= 0.0)
 
     def test_additivity_in_time(self):
         g = cardioid()
-        pa = propagate(g, PhasePoint(np.array([0.3, 0.2]), np.array([0.6, 0.8])),
-                       t_max=20.0, dt=0.1, open_cavity=False)
-        pb = propagate(g, PhasePoint(np.array([1.1, -0.3]), np.array([0.0, 1.0])),
-                       t_max=20.0, dt=0.1, open_cavity=False)
-        whole = decoherence_functional(pa, pb, 1.3, 20.0)
-        first = decoherence_functional(pa, pb, 1.3, 8.0)
-        second = decoherence_functional(pa, pb, 1.3, 20.0, t0=8.0)
+        pa = _orbit(g, [0.3, 0.2], [0.6, 0.8], 20.0, 0.1)
+        pb = _orbit(g, [1.1, -0.3], [0.0, 1.0], 20.0, 0.1)
+        running = decoherence_functional(pa, pb, 1.3, 0.1)
+        whole, first = running[200], running[80]
+        second = decoherence_functional(pa[80:], pb[80:], 1.3, 0.1)[-1]
         assert first + second == pytest.approx(whole, rel=1e-12)
 
     def test_grid_mismatch_rejected(self):
-        a = _straight_line_trajectory(np.zeros((11, 2)), 0.1)
-        b = _straight_line_trajectory(np.zeros((21, 2)), 0.05)
         with pytest.raises(ValueError):
-            decoherence_functional(a, b, 1.0, 1.0)
+            decoherence_functional(np.zeros((11, 2)), np.zeros((21, 2)), 1.0, 0.1)
 
     def test_ergodic_slope_small_ensemble(self):
         # scaled-down version of the acceptance run: 40 pairs, 30 collision times
@@ -311,12 +295,7 @@ class TestDecoherenceFunctional:
         n_steps = int(round(30.0 * t_coll / dt))
         t_end = n_steps * dt
         pos, dirs = sample_ensemble(g, EnsembleSpec(n_samples=80, seed=41))
-        vals = []
-        for i in range(40):
-            a = propagate(g, PhasePoint(pos[2 * i], dirs[2 * i]),
-                          t_max=t_end, dt=dt, open_cavity=False)
-            b = propagate(g, PhasePoint(pos[2 * i + 1], dirs[2 * i + 1]),
-                          t_max=t_end, dt=dt, open_cavity=False)
-            vals.append(decoherence_functional(a, b, alpha, t_end))
+        samples = sample_positions(g, pos, dirs, 1.0, dt, n_steps)
+        vals = decoherence_functional(samples[0::2], samples[1::2], alpha, dt)[:, -1]
         slope = np.mean(vals) / (alpha * t_end)
         assert slope == pytest.approx(2.0 * 55.0 / 72.0, rel=0.15)
