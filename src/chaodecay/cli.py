@@ -290,7 +290,10 @@ def _run_pair_decoherence(cfg: RunConfig, out_dir: str, threads: int) -> None:
     running = decoherence_functional(samples[0::2], samples[1::2], alpha, dt)
     times = dt * np.arange(n_steps + 1)
     mean_t = running.mean(axis=0)
-    stderr_t = running.std(axis=0, ddof=1) / math.sqrt(n_pairs)
+    if n_pairs > 1:
+        stderr_t = running.std(axis=0, ddof=1) / math.sqrt(n_pairs)
+    else:  # one pair has no spread to estimate
+        stderr_t = np.full(n_steps + 1, math.inf)
 
     sigma2_area, _ = area_variance(geom, EnsembleSpec(n_samples=max(n_pairs * 10, 1000),
                                                       seed=ens["seed"], speed=ens["speed"]))
@@ -364,9 +367,7 @@ def _run_quadrature(cfg: RunConfig, out_dir: str, threads: int) -> None:
     )
     spec = QuadratureSpec(
         su_grid=p["su_grid"],
-        t_grid=tuple(p["t_grid"]),
         su_cut=p["su_cut"],
-        oscillatory_method=p["oscillatory_method"],
         one_leg_convention=p["one_leg_convention"],
     )
     rows = convergence_study(ladder, p["t_over_tauD"], spec)

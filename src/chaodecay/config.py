@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from .errors import SyntaxUsageError, ValidationError
 from .formulas import BathSpec, alpha_from_bath
 from .geometry import SHAPES, CavityGeometry
+from .quadrature import ONE_LEG_CONVENTIONS
 
 __all__ = ["RunConfig", "parse_config", "COMMANDS", "STOCHASTIC_COMMANDS", "DEFAULTS_TABLE"]
 
@@ -75,9 +76,7 @@ _PARAMS_KEYS = {
         "t_over_tauD",
         "eta",
         "su_grid",
-        "t_grid",
         "su_cut",
-        "oscillatory_method",
         "one_leg_convention",
     ),
 }
@@ -383,12 +382,11 @@ def _quadrature_params(block: dict) -> dict:
         raise ValidationError(
             "config.params.ehrenfest_fractions: must match lambda_tauD in length"
         )
-    t_grid = block.get("t_grid", [32, 32])
-    if (not isinstance(t_grid, list) or len(t_grid) != 2
-            or not all(isinstance(v, int) and not isinstance(v, bool) for v in t_grid)):
-        raise ValidationError("config.params.t_grid: expected two integer node counts")
-    method = block.get("oscillatory_method", "substitution_1d")
     convention = block.get("one_leg_convention", "truncated_encounter")
+    if convention not in ONE_LEG_CONVENTIONS:
+        raise ValidationError(
+            f"config.params.one_leg_convention: must be one of {ONE_LEG_CONVENTIONS}"
+        )
     return {
         "lambda_tauD": [float(v) for v in lam_taus],
         "ehrenfest_fractions": [float(v) for v in fracs],
@@ -398,10 +396,8 @@ def _quadrature_params(block: dict) -> dict:
         "eta": _number(block, "eta", "config.params", default=DEFAULTS_TABLE["eta"],
                        minimum=0.0, strict_min=True),
         "su_grid": _integer(block, "su_grid", "config.params", default=64, minimum=16),
-        "t_grid": t_grid,
         "su_cut": _number(block, "su_cut", "config.params", default=1e-60,
                           minimum=0.0, strict_min=True),
-        "oscillatory_method": method,
         "one_leg_convention": convention,
     }
 

@@ -22,7 +22,6 @@ import warnings
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
-from scipy import optimize
 
 from .errors import NumericError
 
@@ -404,7 +403,7 @@ def correction_peak(params: SemiclassicalParams, regime: str = "plain") -> tuple
     """Location and value of the interior maximum of the bracket.
 
     Grid scan (log-spaced near the origin, linear beyond) to bracket the
-    maximum, then bounded scalar minimisation of the negated bracket.  For
+    maximum, then golden-section search inside the bracket.  For
     tau_d -> inf the peak sits at exactly 2*tau_D.
     """
     tau_D = params.dwell_time
@@ -432,15 +431,33 @@ def correction_peak(params: SemiclassicalParams, regime: str = "plain") -> tuple
             "no interior maximum found for the correction bracket "
             f"(argmax at grid index {k} of {len(grid)})"
         )
-    lo, hi = grid[k - 1], grid[k + 1]
-    res = optimize.minimize_scalar(
-        lambda t: -float(_bracket_for_regime(params, np.asarray(t), regime)),
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": 1e-12 * scale},
+    t_star = _golden_max(
+        lambda t: float(_bracket_for_regime(params, np.asarray(t), regime)),
+        float(grid[k - 1]), float(grid[k + 1]), 1e-12 * scale,
     )
-    t_star = float(res.x)
     return t_star, float(_bracket_for_regime(params, np.asarray(t_star), regime))
+
+
+def _golden_max(f, a: float, b: float, tol: float) -> float:
+    """Maximiser of a unimodal ``f`` on [a, b] by golden-section search.
+
+    Shrinks the bracket by the golden ratio per evaluation until it is at
+    most ``tol`` wide (a fixed step count, so it ends even where rounding
+    stalls the bracket) and returns its midpoint.
+    """
+    r = 0.5 * (math.sqrt(5.0) - 1.0)
+    c, d = b - r * (b - a), a + r * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(max(0, math.ceil(math.log(tol / (b - a)) / math.log(r)))):
+        if fc >= fd:  # the maximum lies in [a, d]
+            b, d, fd = d, c, fc
+            c = b - r * (b - a)
+            fc = f(c)
+        else:  # in [c, b]
+            a, c, fc = c, d, fd
+            d = a + r * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ abuts the start or end of the trajectory (``one_leg_head``/``one_leg_tail``)
 -- and lets tests verify convergence to the closed form as lambda*tau_D and
 c^2/hbar grow while coupling/lambda shrinks.
 
-Numerical strategy (``substitution_1d``, the default):
+Numerical strategy:
 
 * The inner t' and t_loop integrals are elementary (a window length times an
   exponential) and are done analytically.
@@ -28,17 +28,17 @@ Numerical strategy (``substitution_1d``, the default):
   By Cauchy's theorem, panels + end correction equals the same integral with
   its endpoint oscillation removed to all orders in hbar.
 
-``filon_2d`` evaluates the raw 4-fold product instead (tensor quadrature over
-(s, u) with explicit time grids) and keeps the sharp cutoff.  It is slower
-and carries the boundary artifact, but shares no code with the default path,
-which makes it a strong cross-check of the reduction at moderate c^2/hbar.
+The one-leg tail diagram is the time reverse of the head diagram, so it
+takes the head's numbers.  The test suite checks the reduction against the
+raw 4-fold tensor rule and the tail against a separately coded reversed
+envelope.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -52,12 +52,12 @@ __all__ = [
     "integrand_2leg",
     "integrate_2leg",
     "integrate_1leg",
+    "diagram_sum",
     "convergence_study",
     "semiclassical_ladder",
 ]
 
 ONE_LEG_CONVENTIONS = ("truncated_encounter", "excluded")
-OSCILLATORY_METHODS = ("substitution_1d", "filon_2d")
 DIAGRAMS = ("two_leg", "one_leg_head", "one_leg_tail")
 
 # Relative change between two refinements above which we refine once more,
@@ -69,28 +69,22 @@ _REFINE_RTOL = 0.05
 class QuadratureSpec:
     """Resolution and convention knobs for the diagram integrals.
 
-    ``su_grid`` is the node count per Gauss-Legendre panel (and per axis in
-    ``filon_2d`` mode); ``t_grid`` the node counts for the explicit t' and
-    t_loop integrals used only by ``filon_2d``; ``su_cut`` the smallest
-    |s*u|/c^2 resolved (the x -> 0 endpoint is benign: the raw integrand
-    vanishes like 1/t_enc there).
+    ``su_grid`` is the node count per Gauss-Legendre panel; ``su_cut`` the
+    smallest |s*u|/c^2 resolved (the x -> 0 endpoint is benign: the raw
+    integrand vanishes like 1/t_enc there); ``one_leg_convention`` either
+    keeps the one-leg diagrams (``truncated_encounter``) or drops them
+    (``excluded``).
     """
 
     su_grid: int = 64
-    t_grid: tuple[int, int] = (32, 32)
     su_cut: float = 1e-60
-    oscillatory_method: str = "substitution_1d"
     one_leg_convention: str = "truncated_encounter"
 
     def __post_init__(self) -> None:
         if self.su_grid < 16:
             raise ValueError("su_grid must be at least 16")
-        if len(self.t_grid) != 2 or min(self.t_grid) < 16:
-            raise ValueError("t_grid must be two node counts, each at least 16")
         if not 0.0 < self.su_cut < 1.0:
             raise ValueError("su_cut must lie in (0, 1)")
-        if self.oscillatory_method not in OSCILLATORY_METHODS:
-            raise ValueError(f"unknown oscillatory_method {self.oscillatory_method!r}")
         if self.one_leg_convention not in ONE_LEG_CONVENTIONS:
             raise ValueError(f"unknown one_leg_convention {self.one_leg_convention!r}")
 
@@ -247,34 +241,8 @@ def _phi_one_leg(tau, t: float, p: SemiclassicalParams, branch: str):
     return survival * np.exp(-0.5 * _encounter_exposure(tau, p)) * inner
 
 
-def _phi_one_leg_reversed(tau, t, p, branch):
-    """Tail variant: same construction integrated from the other end.
-
-    Algebraically identical to the head envelope (the diagram is the time
-    reverse), but evaluated through a different floating-point path so the
-    head/tail agreement is a genuine numerical check rather than a tautology.
-    """
-    tau_d = p.decoherence_time
-    xi_max = tau if branch == "enc" else t - tau
-    t_free = t - tau
-    a = 1.0 / p.dwell_time - _exposure_rate(tau, p)
-    # substitute xi -> xi_max - xi in the inner integral
-    if math.isinf(tau_d):
-        inner = np.exp(a * xi_max) * (
-            (t_free - xi_max) * _growing_exp_integral(-a, xi_max)
-            + _growing_exp_moment(-a, xi_max)
-        )
-    else:
-        inner = np.exp(a * xi_max) * tau_d * (
-            _growing_exp_integral(-a, xi_max)
-            - np.exp(-(t_free - xi_max) / tau_d) * _growing_exp_integral(-(a + 1.0 / tau_d), xi_max)
-        )
-    survival = np.exp(-t / p.dwell_time)
-    return survival * np.exp(-0.5 * _encounter_exposure(tau, p)) * inner
-
-
 # ---------------------------------------------------------------------------
-# substitution_1d machinery
+# substitution machinery
 # ---------------------------------------------------------------------------
 
 
@@ -287,7 +255,7 @@ def _phase_breakpoints(y_big: float, lam: float, tau_hi: float) -> list[float]:
         if 0.0 < tau < tau_hi:
             pts.append(tau)
         k += 1
-        if k > 4096:  #_phase guard; Y this large is outside any sane study
+        if k > 4096:  # guard: Y this large is outside any sane study
             break
     return pts
 
@@ -400,113 +368,6 @@ def _converge(eval_at, su_grid: int, diagram: str):
 
 
 # ---------------------------------------------------------------------------
-# filon_2d machinery (raw 4-fold product; sharp cutoff; cross-check only)
-# ---------------------------------------------------------------------------
-
-
-def _raw_two_leg(params: SemiclassicalParams, t: float, spec: QuadratureSpec,
-                 n_su: int, t_s_fraction: float = 0.5) -> complex:
-    p = params
-    c = math.sqrt(p.encounter_scale)
-    lam = p.lyapunov
-    sn, sw = np.polynomial.legendre.leggauss(n_su)
-    ntp, ntl = spec.t_grid
-    pn, pw = np.polynomial.legendre.leggauss(ntp)
-    ln, lw = np.polynomial.legendre.leggauss(ntl)
-    alpha = p.coupling_strength or 0.0
-    sigma2 = p.position_variance or 0.0
-    total = 0.0 + 0.0j
-    s_nodes = c * sn  # full [-c, c]
-    u_nodes = c * sn
-    for i, s in enumerate(s_nodes):
-        su = s * u_nodes
-        absu = np.abs(su)
-        keep = absu > spec.su_cut * p.encounter_scale
-        if not np.any(keep):
-            continue
-        su_k = su[keep]
-        t_enc = np.log(p.encounter_scale / np.abs(su_k)) / lam
-        t_s = t_s_fraction * t_enc
-        t_u = t_enc - t_s
-        tp_lo = t_s
-        tp_hi = t - 2.0 * t_u - t_s
-        live = tp_hi > tp_lo
-        if not np.any(live):
-            continue
-        idx = np.nonzero(keep)[0][live]
-        su_l = su_k[live]
-        te_l = t_enc[live]
-        lo = tp_lo[live]
-        hi = tp_hi[live]
-        # t' panel per (s,u) point: nodes shaped (n_pts, ntp)
-        mid = 0.5 * (lo + hi)[:, None]
-        half = 0.5 * (hi - lo)[:, None]
-        tp = mid + half * pn[None, :]
-        tl_hi = t - tp - (2.0 * t_u[live] + t_s[live])[:, None]
-        tl_hi = np.maximum(tl_hi, 0.0)
-        tl = 0.5 * tl_hi[:, :, None] * (1.0 + ln[None, None, :])
-        loop_w = np.exp(-2.0 * alpha * sigma2 * tl)
-        inner_tl = 0.5 * tl_hi * np.sum(loop_w * lw[None, None, :], axis=2)
-        inner_tp = np.sum(inner_tl * pw[None, :], axis=1) * half[:, 0]
-        enc_w = np.exp(
-            -alpha * p.encounter_shape_factor * (p.encounter_scale / lam)
-            * (1.0 - (su_l / p.encounter_scale) ** 2)
-        )
-        phase = np.exp(1j * su_l / p.hbar)
-        surv = np.exp(-(t - te_l) / p.dwell_time)
-        vals = phase * surv * enc_w * inner_tp / (_omega(p) * te_l)
-        total += sw[i] * np.sum(sw[idx] * vals)
-    return total * p.encounter_scale  # jacobian of s,u -> c*sn scaling: c * c
-
-
-def _raw_one_leg(params: SemiclassicalParams, t: float, spec: QuadratureSpec,
-                 n_su: int) -> complex:
-    p = params
-    c = math.sqrt(p.encounter_scale)
-    lam = p.lyapunov
-    sn, sw = np.polynomial.legendre.leggauss(n_su)
-    nxi, ntl = spec.t_grid
-    xn, xw = np.polynomial.legendre.leggauss(nxi)
-    ln, lw = np.polynomial.legendre.leggauss(ntl)
-    alpha = p.coupling_strength or 0.0
-    sigma2 = p.position_variance or 0.0
-    total = 0.0 + 0.0j
-    s_nodes = c * sn
-    u_nodes = c * sn
-    for i, s in enumerate(s_nodes):
-        su = s * u_nodes
-        keep = np.abs(su) > spec.su_cut * p.encounter_scale
-        if not np.any(keep):
-            continue
-        su_k = su[keep]
-        t_enc = np.log(p.encounter_scale / np.abs(su_k)) / lam
-        xi_max = np.minimum(t_enc, t - t_enc)
-        live = xi_max > 0
-        if not np.any(live):
-            continue
-        idx = np.nonzero(keep)[0][live]
-        su_l = su_k[live]
-        te_l = t_enc[live]
-        xm = xi_max[live]
-        xi = 0.5 * xm[:, None] * (1.0 + xn[None, :])
-        tl_hi = np.maximum(t - te_l[:, None] - xi, 0.0)
-        tl = 0.5 * tl_hi[:, :, None] * (1.0 + ln[None, None, :])
-        loop_w = np.exp(-2.0 * alpha * sigma2 * tl)
-        inner_tl = 0.5 * tl_hi * np.sum(loop_w * lw[None, None, :], axis=2)
-        surv = np.exp(-(t - xi) / p.dwell_time)
-        exposure = (
-            alpha * p.encounter_shape_factor * (p.encounter_scale / lam)
-            * (1.0 - (su_l[:, None] / p.encounter_scale) ** 2)
-            * 0.5 * (1.0 + xi / te_l[:, None])
-        )
-        inner = 0.5 * xm * np.sum(surv * np.exp(-exposure) * inner_tl * xw[None, :], axis=1)
-        phase = np.exp(1j * su_l / p.hbar)
-        vals = phase * inner / (_omega(p) * te_l)
-        total += sw[i] * np.sum(sw[idx] * vals)
-    return total * p.encounter_scale
-
-
-# ---------------------------------------------------------------------------
 # public entry points
 # ---------------------------------------------------------------------------
 
@@ -528,13 +389,6 @@ def integrate_2leg(params: SemiclassicalParams, t: float,
     if lam * t / 2.0 < 1e-14:  # gate x >= c^2 e^{-lambda t/2} leaves no room
         return DiagramResult(0.0, 0.0, 0.0, "two_leg", params, spec)
 
-    if spec.oscillatory_method == "filon_2d":
-        def eval_raw(n):
-            return _raw_two_leg(params, t, spec, n), 0.0
-        val, est = _converge(eval_raw, spec.su_grid, "two_leg")
-        return DiagramResult(float(val.real), float(est), float(abs(val.imag)),
-                             "two_leg", params, spec)
-
     def eval_at(n):
         k_plus, trunc = _reduced_integral(
             _phi_two_leg, t / 2.0, t, params, spec, n, [], None
@@ -551,49 +405,28 @@ def integrate_1leg(params: SemiclassicalParams, t: float,
                    spec: QuadratureSpec = QuadratureSpec()) -> tuple[DiagramResult, DiagramResult]:
     """One-leg diagrams (encounter truncated by the start / the end).
 
-    Returns (head, tail).  With ``one_leg_convention='excluded'`` both are
+    Returns (head, tail).  The tail is the time reverse of the head and
+    carries its numbers.  With ``one_leg_convention='excluded'`` both are
     identically zero by configuration.
     """
     _require_loop_params(params)
     if t <= 0:
         raise ValueError("t must be positive")
-    if spec.one_leg_convention == "excluded":
-        z = DiagramResult(0.0, 0.0, 0.0, "one_leg_head", params, spec)
-        return z, DiagramResult(0.0, 0.0, 0.0, "one_leg_tail", params, spec)
     lam = params.lyapunov
-    if lam * t < 1e-14:
-        z = DiagramResult(0.0, 0.0, 0.0, "one_leg_head", params, spec)
-        return z, DiagramResult(0.0, 0.0, 0.0, "one_leg_tail", params, spec)
+    if spec.one_leg_convention == "excluded" or lam * t < 1e-14:
+        head = DiagramResult(0.0, 0.0, 0.0, "one_leg_head", params, spec)
+    else:
+        def branch_at(tau_mid):
+            return "enc" if tau_mid < t / 2.0 else "rest"
 
-    if spec.oscillatory_method == "filon_2d":
-        def eval_raw(n):
-            return _raw_one_leg(params, t, spec, n), 0.0
-        val, est = _converge(eval_raw, spec.su_grid, "one_leg_head")
-        head = DiagramResult(float(val.real), float(est), float(abs(val.imag)),
-                             "one_leg_head", params, spec)
-        tail = DiagramResult(head.value, head.est_error, head.im_part,
-                             "one_leg_tail", params, spec)
-        return head, tail
+        def eval_head(n):
+            return _reduced_integral(_phi_one_leg, t, t, params, spec, n, [t / 2.0], branch_at)
 
-    def branch_at(tau_mid):
-        return "enc" if tau_mid < t / 2.0 else "rest"
-
-    def eval_head(n):
-        return _reduced_integral(_phi_one_leg, t, t, params, spec, n, [t / 2.0], branch_at)
-
-    def eval_tail(n):
-        return _reduced_integral(
-            _phi_one_leg_reversed, t, t, params, spec, n, [t / 2.0], branch_at
-        )
-
-    scale = 2.0 * lam / _omega(params)
-    kh, est_h = _converge(eval_head, spec.su_grid, "one_leg_head")
-    vh, imh = _sector_doubled(kh, params)
-    head = DiagramResult(vh, 2.0 * scale * est_h, imh, "one_leg_head", params, spec)
-    kt, est_t = _converge(eval_tail, spec.su_grid, "one_leg_tail")
-    vt, imt = _sector_doubled(kt, params)
-    tail = DiagramResult(vt, 2.0 * scale * est_t, imt, "one_leg_tail", params, spec)
-    return head, tail
+        scale = 2.0 * lam / _omega(params)
+        kh, est_h = _converge(eval_head, spec.su_grid, "one_leg_head")
+        vh, imh = _sector_doubled(kh, params)
+        head = DiagramResult(vh, 2.0 * scale * est_h, imh, "one_leg_head", params, spec)
+    return head, replace(head, diagram="one_leg_tail")
 
 
 def diagram_sum(params: SemiclassicalParams, t: float,

@@ -3,6 +3,9 @@
 import json
 import math
 import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -101,6 +104,12 @@ class TestParseConfig:
         assert cfg.geometry.scale == 1.0
         assert cfg.geometry.opening_length == 0.1
         assert cfg.geometry.opening_center == pytest.approx(2.0 * math.sqrt(2.0))
+
+    @pytest.mark.parametrize("convention", ["sometimes", 5, ["excluded"]])
+    def test_bad_one_leg_convention(self, convention):
+        doc = {"command": "quadrature", "params": {"one_leg_convention": convention}}
+        with pytest.raises(ValidationError, match="one_leg_convention"):
+            parse_config(json.dumps(doc))
 
     def test_correction_requires_core_times(self):
         doc = {"command": "correction", "params": {"tau_d": 0.1}}
@@ -297,6 +306,31 @@ class TestCommandLine:
         results = read_manifest(str(out / "manifest.json"))["results"]
         assert results["t_star_over_dwell"] == pytest.approx(2.0, rel=1e-5)
 
+    def test_pair_decoherence_one_pair(self, tmp_path):
+        # a single pair has no spread: the standard error is inf, not nan
+        doc = {"command": "pair-decoherence",
+               "geometry": {"shape": "cardioid", "opening_length": 0.2},
+               "ensemble": {"n_samples": 1, "seed": 5},
+               "params": {"alpha": 1e-3},
+               "grid": {"t_collisions": 5}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli(tmp_path, doc)
+        assert code == 0
+        _, _, rows = read_csv(str(out / "pair-decoherence.csv"))
+        assert all(r[2] == math.inf for r in rows)
+        assert all(math.isfinite(r[1]) for r in rows)
+
+    @pytest.mark.parametrize("key, value", [("oscillatory_method", "filon_2d"),
+                                            ("t_grid", [32, 32])])
+    def test_quadrature_retired_keys(self, tmp_path, capsys, key, value):
+        doc = {"command": "quadrature",
+               "params": {"lambda_tauD": [10.0], "ehrenfest_fractions": [0.05],
+                          "t_over_tauD": [2.0], key: value}}
+        code, _ = run_cli(tmp_path, doc)
+        assert code == ValidationError.exit_code
+        assert f"config.params.{key}: unknown key" in capsys.readouterr().err
+
     def test_quadrature_csv_columns(self, tmp_path):
         doc = {"command": "quadrature",
                "params": {"lambda_tauD": [10.0], "ehrenfest_fractions": [0.05],
@@ -392,3 +426,13 @@ class TestCompareReport:
         with pytest.raises(ValidationError):
             compare_report(path, SemiclassicalParams(dwell_time=1.0,
                                                      heisenberg_time=1.0))
+
+
+def test_cli_import_leaves_scipy_out():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run(
+        [sys.executable, "-c", "import chaodecay.cli, sys; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert res.stdout.strip() == "False"

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaodecay.dynamics import advance_to, batch_collide, escape_times, sample_positions
-from chaodecay.ensemble import EnsembleSpec, mean_free_time, sample_ensemble
+from chaodecay.ensemble import EnsembleSpec, mean_free_time, sample_ensemble, survival_curve
 from chaodecay.errors import NumericError
 from chaodecay.geometry import SHAPES, CavityGeometry
 
@@ -245,6 +245,37 @@ def test_sampler_invariants(shape, seed, speed):
     end_dir = outs[-1:] if len(outs) else dirs
     back = sample_positions(g, samples[-1:], -end_dir, speed, dt, n_steps)[0]
     np.testing.assert_allclose(back[-1], pos[0], atol=1e-6)
+
+
+@given(st.sampled_from(SHAPES), st.integers(0, 2**32 - 1), st.integers(1, 63))
+@settings(max_examples=15, deadline=None, derandomize=True)
+def test_escape_invariants(shape, seed, split):
+    """Escapes are censored at t_max, happen at the first opening hit, give a
+    monotone survival curve, and do not depend on how the batch is split."""
+    g = make(shape, opening_length=0.4)
+    spec = EnsembleSpec(n_samples=64, seed=seed)
+    pos, dirs = sample_ensemble(g, spec)
+    t_max = 30.0
+    esc, _ = escape_times(g, pos, dirs, 1.0, t_max)
+    escaped = np.flatnonzero(np.isfinite(esc))
+    assert np.all(esc[escaped] <= t_max)
+
+    for i in escaped:
+        times, s_hits, _ = flights(g, pos[i], dirs[i], 1.0, esc[i] * (1.0 + 1e-9))
+        assert times[-1] == pytest.approx(esc[i], rel=1e-12)
+        assert g.opening_contains(s_hits[-1])
+        assert not any(g.opening_contains(s) for s in s_hits[:-1])
+
+    surv = survival_curve(g, spec, np.linspace(0.0, t_max, 61)).survival
+    assert surv[0] == 1.0
+    assert np.all(np.diff(surv) <= 0.0)
+
+    halves = [escape_times(g, pos[sl], dirs[sl], 1.0, t_max)[0]
+              for sl in (slice(0, split), slice(split, None))]
+    assert np.array_equal(np.concatenate(halves), esc)
+    singles = [escape_times(g, pos[i:i + 1], dirs[i:i + 1], 1.0, t_max)[0]
+               for i in range(len(pos))]
+    assert np.array_equal(np.concatenate(singles), esc)
 
 
 class _StuckAt:

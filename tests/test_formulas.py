@@ -294,6 +294,24 @@ class TestPeak:
         t_oracle = t[np.argmax(loop_correction(p, t))]
         assert t_star == pytest.approx(t_oracle, abs=2e-5)
 
+    def test_gated_vanishing_coupling_peak(self):
+        # past the gate the bracket is e^{-(t - t_E)/tau_D} (t - gate)^2
+        p = params(ehrenfest_time=0.1, loop_formation_time=0.05)
+        gate = 2.0 * 0.1 + 2.0 * 0.05
+        t_star, value = correction_peak(p, regime="ehrenfest")
+        assert t_star == pytest.approx(gate + 2.0 * 0.3, rel=1e-6)
+        assert value > 0
+
+    def test_gated_finite_coupling_peak(self):
+        p = params(decoherence_time=0.1, ehrenfest_time=0.1, loop_formation_time=0.05)
+        gate = 2.0 * 0.1 + 2.0 * 0.05
+        t_star, _ = correction_peak(p, regime="ehrenfest")
+        assert gate < t_star < gate + 2.0 * 0.3
+        # dense-grid argmax oracle
+        t = np.linspace(gate + 1e-4, gate + 2.0, 200_001)
+        t_oracle = t[np.argmax(loop_correction_ehrenfest(p, t))]
+        assert t_star == pytest.approx(t_oracle, abs=2e-5)
+
     def test_scale_invariance(self):
         k = 5.0
         t1, _ = correction_peak(params(decoherence_time=0.1))
