@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .config import DEFAULTS_TABLE, RunConfig, parse_config
+from .config import COMMANDS, DEFAULTS_TABLE, RunConfig, parse_config
 from .dynamics import sample_positions
 from .ensemble import (
     EnsembleSpec,
@@ -55,10 +55,7 @@ def main(argv=None) -> int:
         prog="chaodecay",
         description="Open chaotic cavities: classical decay, loop corrections, decoherence.",
     )
-    parser.add_argument("command", choices=sorted(
-        ("simulate", "lyapunov", "variance", "pair-decoherence",
-         "correction", "fig3", "quadrature", "peak")
-    ))
+    parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", required=True, help="path to a JSON config document")
     parser.add_argument("--out", default=None, help="output directory (overrides config)")
     parser.add_argument("--threads", type=int, default=None,
@@ -176,6 +173,13 @@ def _params_derived(p: SemiclassicalParams, opening_length: float | None = None)
     return out
 
 
+def _ensemble_line(cfg: RunConfig, **extra) -> dict:
+    """Embedded CSV line of a Monte Carlo command: every block that sets its numbers."""
+    return {"command": cfg.command, "geometry": cfg.resolved["geometry"],
+            "ensemble": cfg.resolved["ensemble"], "grid": cfg.resolved["grid"],
+            "tool_version": __version__, **extra}
+
+
 @_runner("simulate")
 def _run_simulate(cfg: RunConfig, out_dir: str, threads: int) -> None:
     geom = cfg.geometry
@@ -202,13 +206,7 @@ def _run_simulate(cfg: RunConfig, out_dir: str, threads: int) -> None:
         "analytic_rate": 1.0 / tau_dwell,
         "rel_deviation": abs(fit.rate - 1.0 / tau_dwell) * tau_dwell,
     }
-    line = {
-        "command": cfg.command,
-        "geometry": cfg.resolved["geometry"],
-        "ensemble": cfg.resolved["ensemble"],
-        "geometry_hash": geom.geometry_hash(),
-        "tool_version": __version__,
-    }
+    line = _ensemble_line(cfg, geometry_hash=geom.geometry_hash())
     rows = zip(curve.times, curve.survival, curve.std_error)
     _emit(out_dir, cfg.command, ["time", "survival", "std_error"], rows, line, manifest)
 
@@ -231,8 +229,7 @@ def _run_lyapunov(cfg: RunConfig, out_dir: str, threads: int) -> None:
         "n_pairs": res.n_pairs,
         "t_obs": res.t_obs,
     }
-    line = {"command": cfg.command, "geometry": cfg.resolved["geometry"],
-            "ensemble": cfg.resolved["ensemble"], "tool_version": __version__}
+    line = _ensemble_line(cfg)
     header = ["lyapunov", "std_error", "n_pairs", "t_obs",
               "statistical_error", "stationarity_drift"]
     rows = [(res.value, res.std_error, res.n_pairs, res.t_obs,
@@ -261,8 +258,7 @@ def _run_variance(cfg: RunConfig, out_dir: str, threads: int) -> None:
             "area and time averages of the position variance disagree by "
             f"{res.rel_diff:.1%}; the dynamics may not be ergodic"
         )
-    line = {"command": cfg.command, "geometry": cfg.resolved["geometry"],
-            "ensemble": cfg.resolved["ensemble"], "tool_version": __version__}
+    line = _ensemble_line(cfg)
     header = ["sigma2_area", "sigma2_time", "rel_diff", "sigma2_area_stderr",
               "ergodic_warning"]
     rows = [(res.sigma2_area, res.sigma2_time, res.rel_diff, res.sigma2_area_stderr,
@@ -278,7 +274,7 @@ def _run_pair_decoherence(cfg: RunConfig, out_dir: str, threads: int) -> None:
     n_pairs = ens["n_samples"]
     spec = EnsembleSpec(n_samples=2 * n_pairs, seed=ens["seed"], speed=ens["speed"])
     t_coll = mean_free_time(geom, ens["speed"])
-    dt = cfg.grid.get("dt", ens.get("dt", 0.1 * t_coll))
+    dt = cfg.grid.get("dt", 0.1 * t_coll)
     n_steps = max(int(round(cfg.grid["t_collisions"] * t_coll / dt)), 1)
     t_end = n_steps * dt
 
@@ -310,9 +306,7 @@ def _run_pair_decoherence(cfg: RunConfig, out_dir: str, threads: int) -> None:
         "sigma2_area": sigma2_area,
         "expected_rate_per_alpha": 2.0 * sigma2_area,
     }
-    line = {"command": cfg.command, "geometry": cfg.resolved["geometry"],
-            "ensemble": cfg.resolved["ensemble"], "alpha": alpha,
-            "t_end": t_end, "tool_version": __version__}
+    line = _ensemble_line(cfg, alpha=alpha, t_end=t_end)
     rows = zip(times, mean_t, stderr_t)
     _emit(out_dir, cfg.command, ["time", "exponent", "std_error"], rows, line, manifest)
 

@@ -92,9 +92,6 @@ _GRID_KEYS = {
     "peak": (),
 }
 
-_NEEDS_GEOMETRY = ("simulate", "lyapunov", "variance", "pair-decoherence")
-
-
 @dataclass
 class RunConfig:
     """A validated, fully-defaulted run description."""
@@ -167,7 +164,7 @@ def _validate(doc: dict) -> RunConfig:
     warnings: list[str] = []
     geometry = None
     geometry_block = None
-    if command in _NEEDS_GEOMETRY:
+    if command in STOCHASTIC_COMMANDS:
         if "geometry" not in doc:
             raise ValidationError("config.geometry: required for this command")
         geometry, geometry_block = _validate_geometry(doc["geometry"])
@@ -237,18 +234,14 @@ def _validate_geometry(block) -> tuple[CavityGeometry, dict]:
 def _validate_ensemble(block) -> dict:
     if not isinstance(block, dict):
         raise ValidationError("config.ensemble: expected an object")
-    _reject_unknown(block, ("seed", "n_samples", "speed", "dt"), "config.ensemble")
+    _reject_unknown(block, ("seed", "n_samples", "speed"), "config.ensemble")
     seed = _integer(block, "seed", "config.ensemble", minimum=0, required=True)
     n_samples = _integer(block, "n_samples", "config.ensemble", default=10000, minimum=1)
     speed = _number(
         block, "speed", "config.ensemble", default=DEFAULTS_TABLE["speed"],
         minimum=0.0, strict_min=True,
     )
-    out = {"seed": seed, "n_samples": n_samples, "speed": speed}
-    dt = _number(block, "dt", "config.ensemble", minimum=0.0, strict_min=True)
-    if dt is not None:
-        out["dt"] = dt
-    return out
+    return {"seed": seed, "n_samples": n_samples, "speed": speed}
 
 
 def _validate_params(command: str, block, warnings: list) -> dict:

@@ -1,11 +1,13 @@
 """Point-particle billiard dynamics: free flight, specular reflection, escape.
 
 One batched engine: `batch_collide` moves every particle of a batch to its
-next boundary hit.  `escape_times` repeats it until each particle leaves
-through the opening (survival curves), `advance_to` brings a closed-cavity
-batch to a common time (Lyapunov pairs) and `sample_positions` records
-closed-cavity positions on a uniform time grid (pair decoherence, the
-variance time average).
+next boundary hit, and one loop, `_flights`, repeats it for the active rows
+up to a time horizon and compacts them in place.  Its three callers differ
+only in what they take from each flight: `escape_times` absorbs particles in
+the opening (survival curves), `advance_to` brings a closed-cavity batch to a
+common time (Lyapunov pairs) and `sample_positions` records closed-cavity
+positions on a uniform time grid (pair decoherence, the variance time
+average).
 """
 
 from __future__ import annotations
@@ -64,28 +66,13 @@ def escape_times(
     """
     pos = np.array(positions, dtype=float)
     dirs = np.array(directions, dtype=float)
-    n = len(pos)
-    t_now = np.zeros(n)
-    esc = np.full(n, np.inf)
-    alive = np.arange(n)
-    stalls = None
+    esc = np.full(len(pos), np.inf)
     total_collisions = 0
-
-    while alive.size:
-        dist, s_hit, hit, out, kinds = batch_collide(geometry, pos[alive], dirs[alive])
-        stalls = _count_stalls(stalls, dist, alive)
-        total_collisions += alive.size
-        t_hit = t_now[alive] + dist / speed
-        past = t_hit > t_max
-        escaped = geometry.opening_contains(s_hit) & ~past & (kinds != 2)
-        esc[alive[escaped]] = t_hit[escaped]
-        keep = ~(past | escaped)
-        pos[alive[keep]] = hit[keep]
-        dirs[alive[keep]] = out[keep]
-        t_now[alive[keep]] = t_hit[keep]
-        alive = alive[keep]
-        if stalls is not None:
-            stalls = stalls[keep]
+    for rows, _, _, _, t_hit, left in _flights(
+        geometry, pos, dirs, np.zeros(len(pos)), speed, t_max, absorbing=True
+    ):
+        total_collisions += rows.size
+        esc[rows[left]] = t_hit[left]
     return esc, total_collisions
 
 
@@ -97,22 +84,9 @@ def advance_to(geometry: CavityGeometry, pos, dirs, t_now, t_target, speed: floa
     drifts straight to it.  Raises ``NumericError`` for a particle stuck in
     place.
     """
-    active = np.arange(len(pos))
-    stalls = None
-    while active.size:
-        dist, s_hit, hit, out, kinds = batch_collide(geometry, pos[active], dirs[active])
-        stalls = _count_stalls(stalls, dist, active)
-        t_hit = t_now[active] + dist / speed
-        collide = t_hit <= t_target
-        idx = active[collide]
-        pos[idx] = hit[collide]
-        dirs[idx] = out[collide]
-        t_now[idx] = t_hit[collide]
-        active = idx
-        if stalls is not None:
-            stalls = stalls[collide]
-    drift = (t_target - t_now)[:, None] * dirs * speed
-    pos += drift
+    for _ in _flights(geometry, pos, dirs, t_now, speed, t_target):
+        pass
+    pos += (t_target - t_now)[:, None] * dirs * speed
     t_now[:] = t_target
 
 
@@ -138,38 +112,57 @@ def sample_positions(
     dirs = np.array(directions, dtype=float)
     n = len(pos)
     times = dt * np.arange(n_steps + 1)
-    t_end = times[-1]
     samples = np.empty((n, n_steps + 1, 2))
     samples[:, 0] = pos
-    t_now = np.zeros(n)
     filled = np.ones(n, dtype=np.intp)  # samples[i, :filled[i]] are final
-    active = np.arange(n)
-    stalls = None
 
-    while active.size:
-        pa, da = pos[active], dirs[active]
-        dist, _, hit, out, _ = batch_collide(geometry, pa, da)
-        stalls = _count_stalls(stalls, dist, active)
-        t0 = t_now[active]
-        t_hit = t0 + dist / speed
-        going = t_hit < t_end
-        # this flight covers the samples filled..last; the final one the rest
-        first = filled[active]
-        last = np.where(going, np.floor(t_hit / dt + 1e-12), n_steps).astype(np.intp)
+    for rows, pa, da, t0, t_hit, _ in _flights(
+        geometry, pos, dirs, np.zeros(n), speed, times[-1]
+    ):
+        # this flight covers the samples filled..last; one that ends past the
+        # last grid time has t_hit / dt > n_steps and so covers the rest
+        first = filled[rows]
+        last = np.minimum(np.floor(t_hit / dt + 1e-12), n_steps).astype(np.intp)
         count = np.maximum(last - first + 1, 0)
-        row = np.repeat(np.arange(active.size), count)
+        row = np.repeat(np.arange(rows.size), count)
         k = np.arange(count.sum()) + np.repeat(first + count - np.cumsum(count), count)
-        samples[active[row], k] = pa[row] + (times[k] - t0[row])[:, None] * (speed * da[row])
-        filled[active] = np.maximum(first, last + 1)
-
-        idx = active[going]
-        pos[idx] = hit[going]
-        dirs[idx] = out[going]
-        t_now[idx] = t_hit[going]
-        active = idx
-        if stalls is not None:
-            stalls = stalls[going]
+        samples[rows[row], k] = pa[row] + (times[k] - t0[row])[:, None] * (speed * da[row])
+        filled[rows] = np.maximum(first, last + 1)
     return samples
+
+
+def _flights(geometry: CavityGeometry, pos, dirs, t_now, speed: float, t_end: float,
+             absorbing: bool = False):
+    """Collide a batch, in place, until no particle's next hit is due by ``t_end``.
+
+    Each step yields ``(rows, start, heading, t_start, t_hit, left)`` for the
+    active particle ids ``rows``: the flight's start point, unit heading and
+    start time, and its hit time.  With ``absorbing`` set, ``left`` marks the
+    flights that end in the opening (cusp hits excepted) and those particles
+    stop there; otherwise it is None.  After the consumer has seen a step, the
+    particles whose hit is due by ``t_end`` are moved to it in
+    ``pos``/``dirs``/``t_now`` and stay active.  Raises ``NumericError`` for a
+    particle stuck in place.
+    """
+    active = np.arange(len(pos))
+    stalls = None
+    while active.size:
+        start, heading, t_start = pos[active], dirs[active], t_now[active]
+        dist, s_hit, hit, out, kinds = batch_collide(geometry, start, heading)
+        stalls = _count_stalls(stalls, dist, active)
+        t_hit = t_start + dist / speed
+        keep = t_hit <= t_end
+        left = None
+        if absorbing:
+            left = keep & geometry.opening_contains(s_hit) & (kinds != 2)
+            keep &= ~left
+        yield active, start, heading, t_start, t_hit, left
+        active = active[keep]
+        pos[active] = hit[keep]
+        dirs[active] = out[keep]
+        t_now[active] = t_hit[keep]
+        if stalls is not None:
+            stalls = stalls[keep]
 
 
 def _count_stalls(stalls, dist, index):

@@ -202,12 +202,8 @@ def survival_curve(
                                f"seed {spec.seed})") from exc
         return esc
 
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(work, chunks))
-    else:
-        parts = [work(c) for c in chunks]
-    esc = np.concatenate(parts)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        esc = np.concatenate(list(pool.map(work, chunks)))
 
     n = spec.n_samples
     survival = (n - np.searchsorted(np.sort(esc), times, side="right")) / n

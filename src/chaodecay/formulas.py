@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -196,7 +196,7 @@ class SemiclassicalParams:
                     f"position_variance: given {self.decoherence_time!r}, derived {derived!r}"
                 )
 
-    # informative regime checks; None when the needed inputs are absent
+    # informative regime check; None when the needed inputs are absent
     @property
     def deep_chaos(self) -> bool | None:
         """True when lyapunov * dwell_time >= 10 (many stretchings per dwell)."""
@@ -204,19 +204,9 @@ class SemiclassicalParams:
             return None
         return self.lyapunov * self.dwell_time >= 10.0
 
-    @property
-    def weak_coupling(self) -> bool | None:
-        """True when coupling/lyapunov <= 0.01 (environment slower than chaos)."""
-        if self.lyapunov is None or self.coupling_strength is None or self.lyapunov == 0:
-            return None
-        return self.coupling_strength / self.lyapunov <= 0.01
-
     def with_(self, **changes) -> "SemiclassicalParams":
         """Copy with fields replaced (decoherence_time re-derived if cleared)."""
         return replace(self, **changes)
-
-    def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 # ---------------------------------------------------------------------------

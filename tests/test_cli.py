@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaodecay.cli import main
-from chaodecay.config import parse_config
+from chaodecay.config import COMMANDS, STOCHASTIC_COMMANDS, parse_config
 from chaodecay.errors import (
     InputOutputError,
     SyntaxUsageError,
@@ -31,6 +32,9 @@ from chaodecay.io import (
 )
 from chaodecay.report import compare_report
 
+
+EXAMPLE_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "scripts" / "configs")
+                         .glob("*.json"))
 
 MINIMAL_FIG3 = json.dumps({
     "command": "fig3",
@@ -331,6 +335,43 @@ class TestCommandLine:
         assert code == ValidationError.exit_code
         assert f"config.params.{key}: unknown key" in capsys.readouterr().err
 
+    def test_ensemble_dt_rejected(self, tmp_path, capsys):
+        doc = {"command": "simulate",
+               "geometry": {"shape": "cardioid", "opening_length": 0.2},
+               "ensemble": {"seed": 5, "n_samples": 300, "dt": 123.0},
+               "grid": {"t_max": 60.0}}
+        code, out = run_cli(tmp_path, doc)
+        assert code == ValidationError.exit_code
+        assert "config.ensemble.dt: unknown key" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_pair_decoherence_grid_dt(self, tmp_path):
+        doc = {"command": "pair-decoherence",
+               "geometry": {"shape": "cardioid", "opening_length": 0.2},
+               "ensemble": {"n_samples": 4, "seed": 5},
+               "params": {"alpha": 1e-3},
+               "grid": {"t_collisions": 5, "dt": 0.25}}
+        code, out = run_cli(tmp_path, doc)
+        assert code == 0
+        _, _, rows = read_csv(str(out / "pair-decoherence.csv"))
+        times = np.array([r[0] for r in rows])
+        np.testing.assert_allclose(np.diff(times), 0.25, rtol=1e-12)
+        results = read_manifest(str(out / "manifest.json"))["results"]
+        assert results["t_end"] == times[-1] == pytest.approx(0.25 * (len(rows) - 1))
+
+    def test_variance_line_records_t_obs(self, tmp_path):
+        lines = []
+        for t_obs in (50.0, 400.0):
+            doc = {"command": "variance", "geometry": {"shape": "cardioid"},
+                   "ensemble": {"seed": 31, "n_samples": 200},
+                   "grid": {"t_obs": t_obs}}
+            code, out = run_cli(tmp_path, doc)
+            assert code == 0
+            line, _, _ = read_csv(str(out / "variance.csv"))
+            assert line["grid"] == {"t_obs": t_obs}
+            lines.append(line)
+        assert lines[0] != lines[1]
+
     def test_quadrature_csv_columns(self, tmp_path):
         doc = {"command": "quadrature",
                "params": {"lambda_tauD": [10.0], "ehrenfest_fractions": [0.05],
@@ -342,6 +383,23 @@ class TestCommandLine:
                           "t_over_tauD", "quad_value", "closed_form",
                           "rel_dev", "est_err", "im_part"]
         assert len(rows) == 1
+
+
+@pytest.mark.parametrize("path", EXAMPLE_CONFIGS, ids=lambda p: p.name)
+def test_bundled_example_runs(tmp_path, path):
+    command = json.loads(path.read_text())["command"]
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 0
+    line, _, _ = read_csv(str(out / f"{command}.csv"))
+    manifest = read_manifest(str(out / "manifest.json"))
+    # the embedded line carries the grid of every Monte Carlo command
+    if command in STOCHASTIC_COMMANDS:
+        assert line["grid"] == manifest["config"]["grid"]
+
+
+def test_bundled_examples_cover_every_command():
+    commands = {json.loads(p.read_text())["command"] for p in EXAMPLE_CONFIGS}
+    assert commands == set(COMMANDS)
 
 
 class TestReproducibility:

@@ -196,6 +196,20 @@ class TestPropagate:
         back = sample_positions(g, fwd[-1:], -outs[-1:], 1.0, dt, n_steps)[0]
         np.testing.assert_allclose(back[-1], start, atol=1e-6)
 
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("speed", [1.0, 1.7])
+    def test_advance_matches_last_sample(self, shape, speed):
+        g = make(shape)
+        pos, dirs = sample_ensemble(g, EnsembleSpec(n_samples=64, seed=3))
+        dt, n_steps = 0.1 * mean_free_time(g, speed), 300
+        last = sample_positions(g, pos, dirs, speed, dt, n_steps)[:, -1]
+        end, end_dirs = pos.copy(), dirs.copy()
+        advance_to(g, end, end_dirs, np.zeros(len(pos)), n_steps * dt, speed)
+        if speed == 1.0:
+            np.testing.assert_array_equal(end, last)
+        else:
+            np.testing.assert_allclose(end, last, rtol=0.0, atol=1e-12 * g.scale)
+
     def test_escape_point_in_opening(self):
         g = make("cardioid", opening_center=2.0 * math.sqrt(2.0), opening_length=0.8)
         rng = np.random.default_rng(5)
