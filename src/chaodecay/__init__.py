@@ -41,7 +41,7 @@ from .formulas import (
     total_survival,
 )
 from .geometry import SHAPES, CavityGeometry
-from .dynamics import advance_to, batch_collide, escape_times, sample_positions
+from .dynamics import batch_collide, escape_times, sample_positions
 from .ensemble import (
     EnsembleSpec,
     EscapeFit,

@@ -229,6 +229,7 @@ def _run_lyapunov(cfg: RunConfig, out_dir: str, threads: int) -> None:
         "n_pairs": res.n_pairs,
         "t_obs": res.t_obs,
     }
+    manifest["telemetry"] = res.telemetry
     line = _ensemble_line(cfg)
     header = ["lyapunov", "std_error", "n_pairs", "t_obs",
               "statistical_error", "stationarity_drift"]

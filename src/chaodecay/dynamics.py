@@ -4,10 +4,10 @@ One batched engine: `batch_collide` moves every particle of a batch to its
 next boundary hit, and one loop, `_flights`, repeats it for the active rows
 up to a time horizon and compacts them in place.  Its three callers differ
 only in what they take from each flight: `escape_times` absorbs particles in
-the opening (survival curves), `advance_to` brings a closed-cavity batch to a
-common time (Lyapunov pairs) and `sample_positions` records closed-cavity
+the opening (survival curves), `sample_positions` records closed-cavity
 positions on a uniform time grid (pair decoherence, the variance time
-average).
+average) and `ensemble.estimate_lyapunov` carries the wavefront curvature of
+each trajectory through its flights and reflections (the tangent map).
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .geometry import CavityGeometry
 __all__ = [
     "batch_collide",
     "escape_times",
-    "advance_to",
     "sample_positions",
 ]
 
@@ -68,26 +67,12 @@ def escape_times(
     dirs = np.array(directions, dtype=float)
     esc = np.full(len(pos), np.inf)
     total_collisions = 0
-    for rows, _, _, _, t_hit, left in _flights(
+    for rows, _, _, _, t_hit, left, *_ in _flights(
         geometry, pos, dirs, np.zeros(len(pos)), speed, t_max, absorbing=True
     ):
         total_collisions += rows.size
         esc[rows[left]] = t_hit[left]
     return esc, total_collisions
-
-
-def advance_to(geometry: CavityGeometry, pos, dirs, t_now, t_target, speed: float):
-    """Advance a closed-cavity batch in place to the common time ``t_target``.
-
-    ``pos``/``dirs``/``t_now`` are modified in place; collisions are resolved
-    until every particle's next hit lies beyond the target, then everyone
-    drifts straight to it.  Raises ``NumericError`` for a particle stuck in
-    place.
-    """
-    for _ in _flights(geometry, pos, dirs, t_now, speed, t_target):
-        pass
-    pos += (t_target - t_now)[:, None] * dirs * speed
-    t_now[:] = t_target
 
 
 def sample_positions(
@@ -116,7 +101,7 @@ def sample_positions(
     samples[:, 0] = pos
     filled = np.ones(n, dtype=np.intp)  # samples[i, :filled[i]] are final
 
-    for rows, pa, da, t0, t_hit, _ in _flights(
+    for rows, pa, da, t0, t_hit, *_ in _flights(
         geometry, pos, dirs, np.zeros(n), speed, times[-1]
     ):
         # this flight covers the samples filled..last; one that ends past the
@@ -135,14 +120,15 @@ def _flights(geometry: CavityGeometry, pos, dirs, t_now, speed: float, t_end: fl
              absorbing: bool = False):
     """Collide a batch, in place, until no particle's next hit is due by ``t_end``.
 
-    Each step yields ``(rows, start, heading, t_start, t_hit, left)`` for the
-    active particle ids ``rows``: the flight's start point, unit heading and
-    start time, and its hit time.  With ``absorbing`` set, ``left`` marks the
-    flights that end in the opening (cusp hits excepted) and those particles
-    stop there; otherwise it is None.  After the consumer has seen a step, the
-    particles whose hit is due by ``t_end`` are moved to it in
-    ``pos``/``dirs``/``t_now`` and stay active.  Raises ``NumericError`` for a
-    particle stuck in place.
+    Each step yields ``(rows, start, heading, t_start, t_hit, left, s_hit,
+    out, kinds)`` for the active particle ids ``rows``: the flight's start
+    point, unit heading and start time, its hit time, and the hit arclength,
+    outgoing direction and `batch_collide` kind of its hit.  With
+    ``absorbing`` set, ``left`` marks the flights that end in the opening
+    (cusp hits excepted) and those particles stop there; otherwise it is
+    None.  After the consumer has seen a step, the particles whose hit is due
+    by ``t_end`` are moved to it in ``pos``/``dirs``/``t_now`` and stay
+    active.  Raises ``NumericError`` for a particle stuck in place.
     """
     active = np.arange(len(pos))
     stalls = None
@@ -156,7 +142,7 @@ def _flights(geometry: CavityGeometry, pos, dirs, t_now, speed: float, t_end: fl
         if absorbing:
             left = keep & geometry.opening_contains(s_hit) & (kinds != 2)
             keep &= ~left
-        yield active, start, heading, t_start, t_hit, left
+        yield active, start, heading, t_start, t_hit, left, s_hit, out, kinds
         active = active[keep]
         pos[active] = hit[keep]
         dirs[active] = out[keep]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import advance_to, escape_times, sample_positions
+from .dynamics import _flights, escape_times, sample_positions
 from .errors import NumericError, StatsError
 from .geometry import CavityGeometry
 
@@ -35,31 +35,28 @@ __all__ = [
     "mean_free_time",
 ]
 
-SAMPLING_MODES = ("uniform_area_isotropic",)
-
 # Candidate (x, y) draws reserved per trajectory row for rejection sampling.
 # Acceptance is >= 0.78 for every supported shape, so the chance a row
 # exhausts its candidates is < 1e-16; if it happens anyway we raise.
 _REJECTION_TRIES = 24
 
-# Fixed work-chunk size for parallel ensemble propagation.  Chunk boundaries
-# never depend on the thread count, which keeps output byte-identical.
+# Rows per work chunk of parallel ensemble propagation.  Output does not
+# depend on it: a row is a pure function of (seed, index), and a particle's
+# escape time is bit-identical whatever batch it rides in.
 _CHUNK = 8192
 
 # stream tags for independent Philox substreams per purpose
 _TAG_SAMPLING = 0
-_TAG_LYAPUNOV = 1
 _TAG_VARIANCE = 2
 
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """Size, seed and sampling law of a Monte Carlo ensemble."""
+    """Size, seed and speed of a Monte Carlo ensemble (uniform in area, isotropic)."""
 
     n_samples: int
     seed: int
     speed: float = 1.0
-    sampling: str = "uniform_area_isotropic"
 
     def __post_init__(self) -> None:
         if self.n_samples < 1:
@@ -68,8 +65,6 @@ class EnsembleSpec:
             raise ValueError("seed must be a non-negative integer")
         if self.speed <= 0:
             raise ValueError("speed must be positive")
-        if self.sampling not in SAMPLING_MODES:
-            raise ValueError(f"unknown sampling mode {self.sampling!r}")
 
 
 @dataclass(frozen=True)
@@ -97,6 +92,7 @@ class LyapunovResult:
     t_obs: float
     statistical_error: float
     stationarity_drift: float
+    telemetry: dict  # collisions, cusp_events, grazing_events
 
 
 @dataclass(frozen=True)
@@ -178,9 +174,10 @@ def survival_curve(
 ) -> SurvivalCurve:
     """Fraction of the ensemble still inside at each grid time.
 
-    Work is split into fixed-size chunks processed by a thread pool; the
-    reduction is a chunk-ordered concatenation, so results are byte-identical
-    for any thread count.
+    Work is split into chunks processed by a thread pool.  Each row is a pure
+    function of ``(spec.seed, index)`` and its escape time is bit-identical
+    whatever batch it rides in, so results are byte-identical for any thread
+    count or chunk size.
     """
     times = np.asarray(times, dtype=float)
     if np.any(times < 0) or np.any(np.diff(times) <= 0):
@@ -260,14 +257,14 @@ def estimate_lyapunov(
     geometry: CavityGeometry,
     spec: EnsembleSpec,
     t_obs: float,
-    renorm_interval: float | None = None,
 ) -> LyapunovResult:
-    """Mean divergence rate of nearby trajectory pairs (closed cavity).
+    """Mean Lyapunov exponent of the closed cavity, one trajectory per sample.
 
-    Each reference trajectory carries a partner offset by 1e-9 in the
-    dimensionless phase-space metric |dr|^2/scale^2 + |dv|^2/v^2.  The pair
-    separation is measured and renormalised once per mean collision time;
-    per-step log stretchings telescope into the per-pair exponent.
+    A trajectory's exponent is the log stretch of a wavefront carried along
+    it by the billiard's tangent map (`_log_stretch`) over the window after a
+    burn-in of ``min(20, n_steps // 8)`` mean free times, divided by the
+    window's length.  ``telemetry`` counts the run's collisions and its cusp
+    and grazing hits.
 
     The returned ``std_error`` combines the ensemble standard error with a
     stationarity drift (full-window vs second-half estimate).  For integrable
@@ -276,60 +273,17 @@ def estimate_lyapunov(
     """
     if t_obs <= 0:
         raise ValueError("t_obs must be positive")
-    dt = renorm_interval or mean_free_time(geometry, spec.speed)
+    dt = mean_free_time(geometry, spec.speed)
     n_steps = max(int(round(t_obs / dt)), 8)
     burn = min(20, n_steps // 8)
-    d0 = 1e-9
-    scale, v = geometry.scale, spec.speed
+    half = (n_steps - burn) // 2
+    edges = dt * np.array([burn, burn + half, n_steps])
 
     pos, dirs = sample_ensemble(geometry, spec)
+    stretch, telemetry = _log_stretch(geometry, pos, dirs, spec.speed, edges)
+    lam_full = (stretch[2] - stretch[0]) / (edges[2] - edges[0])
+    lam_late = (stretch[2] - stretch[1]) / (edges[2] - edges[1])
     n = spec.n_samples
-    # initial offset: random phase-space direction, split between position
-    # (tangentially safe: tiny) and velocity angle
-    mix = _philox(spec.seed, _TAG_LYAPUNOV).random((n, 2))
-    theta = 2.0 * math.pi * mix[:, 0]
-    frac = mix[:, 1]
-    dr = (d0 * scale * np.sqrt(frac))[:, None] * np.stack([np.cos(theta), np.sin(theta)], -1)
-    dang = d0 * np.sqrt(1.0 - frac)
-    p_pos = pos + dr
-    outside = ~geometry.contains(p_pos, tol=-1e-12 * scale)
-    p_pos[outside] = pos[outside]
-    ca, sa = np.cos(dang), np.sin(dang)
-    p_dirs = np.stack(
-        [dirs[:, 0] * ca - dirs[:, 1] * sa, dirs[:, 0] * sa + dirs[:, 1] * ca], -1
-    )
-
-    # reference rows first, partners after, advanced as one batch per
-    # renormalisation step; pos/dirs and p_pos/p_dirs are views of that batch
-    state_pos = np.concatenate([pos, p_pos])
-    state_dirs = np.concatenate([dirs, p_dirs])
-    t_now = np.zeros(2 * n)
-    pos, p_pos = state_pos[:n], state_pos[n:]
-    dirs, p_dirs = state_dirs[:n], state_dirs[n:]
-    prev_sep = _pair_separation(pos, dirs, p_pos, p_dirs, scale)
-    log_sums = np.zeros((n_steps, n))
-
-    for k in range(n_steps):
-        advance_to(geometry, state_pos, state_dirs, t_now, (k + 1) * dt, v)
-        sep = _pair_separation(pos, dirs, p_pos, p_dirs, scale)
-        sep = np.maximum(sep, 1e-300)
-        log_sums[k] = np.log(sep / prev_sep)
-        # pull the partner back to separation d0 along the current offset
-        shrink = (d0 / sep)[:, None]
-        p_pos[:] = pos + shrink * (p_pos - pos)
-        p_dirs[:] = dirs + shrink * (p_dirs - dirs)
-        p_dirs /= np.hypot(p_dirs[:, 0], p_dirs[:, 1])[:, None]
-        outside = ~geometry.contains(p_pos, tol=-1e-12 * scale)
-        if np.any(outside):
-            p_pos[outside] = pos[outside]
-        prev_sep = _pair_separation(pos, dirs, p_pos, p_dirs, scale)
-        prev_sep = np.maximum(prev_sep, 1e-300)
-
-    window = log_sums[burn:]
-    t_window = dt * len(window)
-    lam_full = window.sum(axis=0) / t_window
-    half = len(window) // 2
-    lam_late = window[half:].sum(axis=0) / (dt * (len(window) - half))
     value = float(lam_full.mean())
     se = float(lam_full.std(ddof=1) / math.sqrt(n)) if n > 1 else float("inf")
     drift = abs(value - float(lam_late.mean()))
@@ -340,15 +294,49 @@ def estimate_lyapunov(
         t_obs=float(n_steps * dt),
         statistical_error=se,
         stationarity_drift=drift,
+        telemetry=telemetry,
     )
 
 
-def _pair_separation(pos, dirs, p_pos, p_dirs, scale):
-    dr = (p_pos - pos) / scale
-    dv = p_dirs - dirs  # unit directions: |dv| = velocity mismatch / speed
-    return np.sqrt(
-        dr[:, 0] ** 2 + dr[:, 1] ** 2 + dv[:, 0] ** 2 + dv[:, 1] ** 2
-    )
+def _log_stretch(geometry: CavityGeometry, pos, dirs, speed: float, edges):
+    """Log stretch of a wavefront along each closed-cavity trajectory up to each of ``edges``.
+
+    The tangent map (Chernov & Markarian, *Chaotic Billiards*, ch. 3;
+    Dellago, Posch & Hoover, PRE 53, 1485 (1996)) carries the front's
+    curvature ``B``, flat at the start.  A flight of length ``tau`` stretches
+    the front by ``|1 + tau B|`` and maps ``B -> B / (1 + tau B)``; a
+    reflection at incidence angle ``phi`` off boundary curvature ``kappa``
+    maps ``B -> B + 2 kappa / cos(phi)``.  A grazing hit, which the engine
+    treats as the identity, leaves ``B`` alone, and a cusp hit resets it.
+    A flight is cut exactly at each edge: the ``log|1 + tau B|`` of its
+    pieces sum to the whole flight's.
+
+    Returns ``(stretch, telemetry)``: ``stretch[k, i]`` is the log stretch of
+    row ``i`` from time 0 to ``edges[k]`` (increasing, the last one the end
+    of the run), and ``telemetry`` counts the collisions, cusp and grazing
+    hits made by then.
+    """
+    n = len(pos)
+    curv = np.zeros(n)  # B at the start of each row's flight
+    stretch = np.zeros((len(edges), n))
+    per_kind = np.zeros(3, dtype=np.int64)  # hits by `batch_collide` kind
+    t_end, edges = edges[-1], edges[:, None]
+    for rows, _, heading, t0, t_hit, _, s_hit, out, kinds in _flights(
+        geometry, pos, dirs, np.zeros(n), speed, t_end
+    ):
+        b = curv[rows]
+        flown = speed * (np.clip(edges, t0, t_hit) - t0)  # path length before each edge
+        stretch[:, rows] += np.log(np.abs(1.0 + flown * b))
+        b = b / (1.0 + speed * (t_hit - t0) * b)
+        regular = kinds == 0
+        # a specular reflection turns the heading by -2 (v . n) n
+        cos_phi = 0.5 * np.hypot(*(out[regular] - heading[regular]).T)
+        b[regular] += 2.0 * geometry.curvature(s_hit[regular]) / cos_phi
+        b[kinds == 2] = 0.0
+        curv[rows] = b
+        per_kind += np.bincount(kinds[t_hit <= t_end], minlength=3)
+    return stretch, {"collisions": int(per_kind.sum()), "grazing_events": int(per_kind[1]),
+                     "cusp_events": int(per_kind[2])}
 
 
 def area_variance(geometry: CavityGeometry, spec: EnsembleSpec) -> tuple[float, float]:

@@ -43,6 +43,7 @@ __all__ = [
     "ehrenfest_time",
     "min_loop_time",
     "total_survival",
+    "correction_curve",
     "correction_peak",
     "figure3_curves",
 ]

@@ -162,6 +162,25 @@ class CavityGeometry:
         nrm[left] = np.stack([-np.cos(th), -np.sin(th)], axis=-1)
         return pos, nrm
 
+    def curvature(self, s):
+        """Signed boundary curvature at arclength ``s`` in [0, perimeter] (broadcasts).
+
+        Negative where the boundary focuses (bends toward the interior): -1/a
+        on the circle and the stadium caps, 0 on the stadium straights and
+        -3 / (4a |cos(phi/2)|) on the cardioid, unbounded at its cusp.
+        """
+        a = self.scale
+        s = np.asarray(s, dtype=float)
+        if self.shape == "circle":
+            return np.full(s.shape, -1.0 / a)
+        if self.shape == "cardioid":
+            half_sin = np.minimum(s, 8.0 * a - s) / (4.0 * a)  # sin(phi/2)
+            with np.errstate(divide="ignore"):
+                return -0.75 / (a * np.sqrt(np.maximum(1.0 - half_sin * half_sin, 0.0)))
+        # straights [0, 2a) and [2a + pi a, 4a + pi a); caps in between
+        straight = (s < 2.0 * a) | ((s >= (2.0 + math.pi) * a) & (s < (4.0 + math.pi) * a))
+        return np.where(straight, 0.0, -1.0 / a)
+
     # -- interior test -------------------------------------------------------
 
     def contains(self, points, tol: float = 0.0):

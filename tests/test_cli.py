@@ -372,6 +372,19 @@ class TestCommandLine:
             lines.append(line)
         assert lines[0] != lines[1]
 
+    def test_lyapunov_telemetry_in_manifest_only(self, tmp_path):
+        doc = {"command": "lyapunov", "geometry": {"shape": "cardioid"},
+               "ensemble": {"seed": 21, "n_samples": 16}, "grid": {"t_obs": 40.0}}
+        code, out = run_cli(tmp_path, doc)
+        assert code == 0
+        _, header, _ = read_csv(str(out / "lyapunov.csv"))
+        assert header == ["lyapunov", "std_error", "n_pairs", "t_obs",
+                          "statistical_error", "stationarity_drift"]
+        telemetry = read_manifest(str(out / "manifest.json"))["telemetry"]
+        assert set(telemetry) == {"collisions", "cusp_events", "grazing_events"}
+        assert telemetry["collisions"] > 16 * 10  # about one per mean free time
+        assert telemetry["cusp_events"] >= 0 and telemetry["grazing_events"] >= 0
+
     def test_quadrature_csv_columns(self, tmp_path):
         doc = {"command": "quadrature",
                "params": {"lambda_tauD": [10.0], "ehrenfest_fractions": [0.05],

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaodecay.dynamics import advance_to, batch_collide, escape_times, sample_positions
+from chaodecay.dynamics import batch_collide, escape_times, sample_positions
 from chaodecay.ensemble import EnsembleSpec, mean_free_time, sample_ensemble, survival_curve
 from chaodecay.errors import NumericError
 from chaodecay.geometry import SHAPES, CavityGeometry
+
+from benettin import advance_to
 
 
 def make(shape="circle", scale=1.0, opening_center=0.5, opening_length=0.1):

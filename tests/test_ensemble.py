@@ -10,6 +10,7 @@ from chaodecay.ensemble import (
     EnsembleSpec,
     SurvivalCurve,
     decoherence_functional,
+    _log_stretch,
     estimate_lyapunov,
     fit_escape_rate,
     hybrid_time_grid,
@@ -19,7 +20,9 @@ from chaodecay.ensemble import (
     survival_curve,
 )
 from chaodecay.errors import StatsError
-from chaodecay.geometry import CavityGeometry
+from chaodecay.geometry import SHAPES, CavityGeometry
+
+from benettin import benettin_lyapunov
 
 CARDIOID_OPENING = 2.0 * math.sqrt(2.0)  # arclength of the (0, 1) boundary point
 
@@ -215,6 +218,34 @@ class TestLyapunov:
                                    EnsembleSpec(n_samples=48, seed=19, speed=2.0),
                                    t_obs=150.0)
         assert abs(base.value - scaled.value) < 2.0 * (base.std_error + scaled.std_error)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_agrees_with_benettin_oracle(self, shape):
+        # the bundled config's ensemble; on the stadium the two differ by 1.4
+        # combined standard errors
+        g = CavityGeometry(shape=shape, scale=1.0)
+        spec = EnsembleSpec(n_samples=256, seed=21)
+        res = estimate_lyapunov(g, spec, t_obs=400.0)
+        value, std_error = benettin_lyapunov(g, spec, t_obs=400.0)
+        assert abs(res.value - value) <= 3.0 * math.hypot(res.std_error, std_error)
+
+    def test_bouncing_ball_orbit_does_not_stretch(self):
+        # vertical flights between the stadium's straights (kappa = 0) keep a
+        # flat wavefront flat: every flight has log|1 + tau B| = log 1
+        g = CavityGeometry(shape="stadium", scale=1.0)
+        pos = np.array([[0.3, 0.0], [-0.7, 0.2]])
+        dirs = np.array([[0.0, 1.0], [0.0, -1.0]])
+        stretch, events = _log_stretch(g, pos, dirs, 1.0, np.array([10.0, 55.0, 100.0]))
+        assert np.all(stretch == 0.0)
+        assert events == {"collisions": 100, "cusp_events": 0, "grazing_events": 0}
+
+    def test_counts_collisions(self):
+        # about one collision per mean free time and trajectory
+        g = cardioid()
+        res = estimate_lyapunov(g, EnsembleSpec(n_samples=32, seed=3), t_obs=100.0)
+        expected = res.n_pairs * res.t_obs / mean_free_time(g)
+        assert abs(res.telemetry["collisions"] - expected) < 0.1 * expected
+        assert res.telemetry["cusp_events"] == res.telemetry["grazing_events"] == 0
 
 
 class TestPositionVariance:

@@ -125,6 +125,25 @@ class TestBoundaryPoint:
         probe = pos + 1e-7 * g.scale * nrm
         assert np.all(g.contains(probe))
 
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_curvature_matches_finite_differences(self, shape):
+        # kappa = -r''(s) . n(s): negative where the boundary bends toward
+        # the interior.  Skip the stadium joins, where kappa jumps, and the
+        # cardioid cusp, where it diverges.
+        g = make(shape, scale=1.3, center=(0.4, -2.0))
+        a, h = g.scale, 1e-4 * g.scale
+        s = np.linspace(h, g.perimeter - h, 2001)
+        joins = {"circle": [],
+                 "cardioid": [4.0 * a],
+                 "stadium": [0.0, 2.0 * a, (2.0 + math.pi) * a, (4.0 + math.pi) * a,
+                             g.perimeter]}[shape]
+        margin = 0.2 * a if shape == "cardioid" else 2.0 * h
+        s = s[np.all(np.abs(s[:, None] - np.array(joins)) > margin, axis=1)]
+        pos, nrm = g.boundary_point(s)
+        second = (g.boundary_point(s + h)[0] - 2.0 * pos + g.boundary_point(s - h)[0]) / h**2
+        kappa = -np.einsum("ij,ij->i", second, nrm)
+        np.testing.assert_allclose(g.curvature(s), kappa, rtol=1e-5, atol=1e-5 / a)
+
     def test_cardioid_positions_match_polygon(self):
         g = make("cardioid")
         _, xy, arclength = _cardioid_polygon()
