@@ -59,7 +59,9 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to a JSON config document")
     parser.add_argument("--out", default=None, help="output directory (overrides config)")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: CHAODECAY_THREADS or 1)")
+                        help="most worker threads for simulate; it starts at most one per "
+                             "usable CPU and per chunk, and output never depends on it "
+                             "(default: CHAODECAY_THREADS or 1)")
     args = parser.parse_args(argv)
 
     try:
@@ -206,6 +208,7 @@ def _run_simulate(cfg: RunConfig, out_dir: str, threads: int) -> None:
         "analytic_rate": 1.0 / tau_dwell,
         "rel_deviation": abs(fit.rate - 1.0 / tau_dwell) * tau_dwell,
     }
+    manifest["telemetry"] = curve.telemetry
     line = _ensemble_line(cfg, geometry_hash=geom.geometry_hash())
     rows = zip(curve.times, curve.survival, curve.std_error)
     _emit(out_dir, cfg.command, ["time", "survival", "std_error"], rows, line, manifest)

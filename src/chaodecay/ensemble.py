@@ -1,16 +1,18 @@
 """Monte Carlo ensembles over billiard cavities and the statistics built on them.
 
-Sampling is counter-based: one Philox stream per (seed, purpose), with a fixed
-block row per trajectory index.  Results therefore depend only on the seed and
-the trajectory index -- never on chunking, thread count, or ensemble size
-(point i of a 10^3-sample ensemble equals point i of a 10^5-sample one).
+Sampling is counter-based: one Philox stream per (seed, purpose), drawn in
+order with a fixed number of uniforms per trajectory row.  Row i is therefore
+a pure function of (seed, i) -- never of the sampler's block size, the work
+chunks, the thread count or the ensemble size (point i of a 10^3-sample
+ensemble equals point i of a 10^5-sample one).
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,10 +42,20 @@ __all__ = [
 # exhausts its candidates is < 1e-16; if it happens anyway we raise.
 _REJECTION_TRIES = 24
 
-# Rows per work chunk of parallel ensemble propagation.  Output does not
-# depend on it: a row is a pure function of (seed, index), and a particle's
-# escape time is bit-identical whatever batch it rides in.
-_CHUNK = 8192
+# Most rows per `_sample_block` draw.  The sampler's temporaries (49 uniforms
+# and 24 candidates per row) scale with this, not with the ensemble; drawing
+# the one Philox stream block by block, in order, gives the same rows as a
+# single draw.
+_SAMPLE_BLOCK = 8192
+
+# Most rows per work chunk of `survival_curve`, which otherwise cuts the
+# ensemble into one contiguous chunk per worker.  It bounds the propagation
+# temporaries; output does not depend on it, because a particle's escape time
+# is bit-identical whatever batch it rides in.  Chosen by measurement on a
+# 2-vCPU VM: for 100k cardioid rows over 2 workers, 16k- and 32k-row caps
+# took about 35% and 10% longer than 64k (more, shorter chunks, each with
+# its own tail of small steps) for about 40 and 30 MB less peak memory.
+_MAX_CHUNK_ROWS = 65536
 
 # stream tags for independent Philox substreams per purpose
 _TAG_SAMPLING = 0
@@ -74,6 +86,7 @@ class SurvivalCurve:
     std_error: np.ndarray
     n_samples: int
     geometry_hash: str
+    telemetry: dict = field(default_factory=dict)  # collisions, workers, chunks, rows_per_chunk
 
 
 @dataclass(frozen=True)
@@ -86,6 +99,13 @@ class EscapeFit:
 
 @dataclass(frozen=True)
 class LyapunovResult:
+    """Ensemble Lyapunov exponent and its error budget.
+
+    ``n_pairs`` counts the trajectories the mean is taken over (one tangent
+    map per trajectory, no partner rows); the name is kept because it is
+    the header of the ``lyapunov`` CSV column that carries it.
+    """
+
     value: float
     std_error: float
     n_pairs: int
@@ -127,9 +147,15 @@ def sample_ensemble(geometry: CavityGeometry, spec: EnsembleSpec):
 
     Returns ``(positions, directions)`` with unit direction vectors; momenta
     are ``spec.speed`` times the directions.  Row ``i`` is a pure function of
-    ``(spec.seed, i)``.
+    ``(spec.seed, i)``: the seed's Philox stream is drawn in order, at most
+    ``_SAMPLE_BLOCK`` rows per block, so the sampler's temporaries stay
+    bounded while the rows equal those of one whole-ensemble draw.
     """
-    return _sample_block(geometry, spec.n_samples, _philox(spec.seed, _TAG_SAMPLING))
+    rng = _philox(spec.seed, _TAG_SAMPLING)
+    n = spec.n_samples
+    blocks = [_sample_block(geometry, min(_SAMPLE_BLOCK, n - i), rng)
+              for i in range(0, n, _SAMPLE_BLOCK)]
+    return tuple(np.concatenate(part) for part in zip(*blocks))
 
 
 def _sample_block(geometry: CavityGeometry, n: int, rng: np.random.Generator):
@@ -174,44 +200,62 @@ def survival_curve(
 ) -> SurvivalCurve:
     """Fraction of the ensemble still inside at each grid time.
 
-    Work is split into chunks processed by a thread pool.  Each row is a pure
-    function of ``(spec.seed, index)`` and its escape time is bit-identical
-    whatever batch it rides in, so results are byte-identical for any thread
-    count or chunk size.
+    ``workers`` is ``threads`` but at most the usable CPUs.  The ensemble is
+    cut into contiguous chunks of equal size (the last one shorter), one per
+    worker, or whole rounds of one per worker when that would exceed
+    ``_MAX_CHUNK_ROWS`` rows; a thread pool runs them on at most one thread
+    per worker and per chunk.  Each row is a pure function of ``(spec.seed,
+    index)`` and its escape time is bit-identical whatever batch it rides in,
+    so results are byte-identical for any thread count, CPU count or chunk
+    size.  ``telemetry`` holds the run's collision total and that layout.
     """
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
     times = np.asarray(times, dtype=float)
     if np.any(times < 0) or np.any(np.diff(times) <= 0):
         raise ValueError("times must be non-negative and strictly increasing")
     positions, directions = sample_ensemble(geometry, spec)
     t_max = float(times[-1])
+    n = spec.n_samples
+    workers = min(threads, _usable_cpus())
+    # whole rounds of one chunk per worker, so that no worker is left with
+    # a full chunk after the others run out
+    rounds = -(-n // (workers * _MAX_CHUNK_ROWS))
+    rows = -(-n // (rounds * workers))
+    starts = range(0, n, rows)
 
-    chunks = [
-        (i, positions[i : i + _CHUNK], directions[i : i + _CHUNK])
-        for i in range(0, spec.n_samples, _CHUNK)
-    ]
-
-    def work(args):
-        start, pos, dirs = args
+    def work(start):
         try:
-            esc, _ = escape_times(geometry, pos, dirs, spec.speed, t_max)
+            return escape_times(geometry, positions[start : start + rows],
+                                directions[start : start + rows], spec.speed, t_max)
         except NumericError as exc:
             raise NumericError(f"{exc} (index within the chunk from particle {start}; "
                                f"seed {spec.seed})") from exc
-        return esc
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        esc = np.concatenate(list(pool.map(work, chunks)))
+    pool_size = min(workers, len(starts))
+    with ThreadPoolExecutor(max_workers=pool_size) as pool:
+        esc, collisions = zip(*pool.map(work, starts))
+    esc = np.concatenate(esc)
 
-    n = spec.n_samples
     survival = (n - np.searchsorted(np.sort(esc), times, side="right")) / n
     std_error = np.sqrt(survival * (1.0 - survival) / n)
     return SurvivalCurve(
         times=times,
         survival=survival,
         std_error=std_error,
-        n_samples=spec.n_samples,
+        n_samples=n,
         geometry_hash=geometry.geometry_hash(),
+        telemetry={"collisions": sum(collisions), "workers": pool_size,
+                   "chunks": len(starts), "rows_per_chunk": rows},
     )
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def fit_escape_rate(curve: SurvivalCurve, window: tuple[float, float]) -> EscapeFit:

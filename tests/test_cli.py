@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chaodecay import ensemble
 from chaodecay.cli import main
 from chaodecay.config import COMMANDS, STOCHASTIC_COMMANDS, parse_config
 from chaodecay.errors import (
@@ -384,6 +385,32 @@ class TestCommandLine:
         assert set(telemetry) == {"collisions", "cusp_events", "grazing_events"}
         assert telemetry["collisions"] > 16 * 10  # about one per mean free time
         assert telemetry["cusp_events"] >= 0 and telemetry["grazing_events"] >= 0
+
+    def test_simulate_telemetry_in_manifest_only(self, tmp_path, monkeypatch):
+        doc = {"command": "simulate",
+               "geometry": {"shape": "cardioid", "opening_length": 0.2},
+               "ensemble": {"seed": 99, "n_samples": 500}, "grid": {"t_max": 60.0}}
+        (tmp_path / "a").mkdir()
+        code, out_a = run_cli(tmp_path / "a", doc)
+        assert code == 0
+        # a different work layout changes the telemetry, not the CSV
+        monkeypatch.setattr(ensemble, "_MAX_CHUNK_ROWS", 64)
+        monkeypatch.setattr(ensemble, "_usable_cpus", lambda: 2)
+        (tmp_path / "b").mkdir()
+        code, out_b = run_cli(tmp_path / "b", doc, extra=["--threads", "2"])
+        assert code == 0
+        csv_a = (out_a / "simulate.csv").read_bytes()
+        assert (out_b / "simulate.csv").read_bytes() == csv_a
+        _, header, _ = read_csv(str(out_a / "simulate.csv"))
+        assert header == ["time", "survival", "std_error"]
+        assert b"telemetry" not in csv_a
+        one = read_manifest(str(out_a / "manifest.json"))["telemetry"]
+        two = read_manifest(str(out_b / "manifest.json"))["telemetry"]
+        assert one["collisions"] > 500 * 10  # about one per mean free time
+        assert one == {"collisions": one["collisions"], "workers": 1, "chunks": 1,
+                       "rows_per_chunk": 500}
+        assert two == {"collisions": one["collisions"], "workers": 2, "chunks": 8,
+                       "rows_per_chunk": 63}
 
     def test_quadrature_csv_columns(self, tmp_path):
         doc = {"command": "quadrature",

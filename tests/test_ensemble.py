@@ -1,16 +1,21 @@
 """Monte Carlo layer: sampling, survival, escape-rate fits, Lyapunov, sigma^2."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from chaodecay import ensemble
 from chaodecay.dynamics import escape_times, sample_positions
 from chaodecay.ensemble import (
+    _TAG_SAMPLING,
     EnsembleSpec,
     SurvivalCurve,
     decoherence_functional,
     _log_stretch,
+    _philox,
+    _sample_block,
     estimate_lyapunov,
     fit_escape_rate,
     hybrid_time_grid,
@@ -86,6 +91,27 @@ class TestSampling:
         pos, _ = sample_ensemble(g, EnsembleSpec(n_samples=20_000, seed=5))
         assert np.all(g.contains(pos))
 
+    @pytest.mark.parametrize("n", [1, 8191, 8193, 20001])
+    def test_blocks_equal_one_draw(self, n):
+        # the stream drawn block by block gives the rows of one whole draw
+        g = cardioid()
+        pos, dirs = sample_ensemble(g, EnsembleSpec(n_samples=n, seed=17))
+        whole_pos, whole_dirs = _sample_block(g, n, _philox(17, _TAG_SAMPLING))
+        np.testing.assert_array_equal(pos, whole_pos)
+        np.testing.assert_array_equal(dirs, whole_dirs)
+
+    def test_peak_memory_bounded(self):
+        # numpy reports its buffers to tracemalloc; one whole-ensemble draw of
+        # 100k cardioid rows peaks near 177 MB, for 3.2 MB of output
+        g = cardioid()
+        tracemalloc.start()
+        try:
+            sample_ensemble(g, EnsembleSpec(n_samples=100_000, seed=6))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
+
 
 class TestTimeGrid:
     def test_shape_and_monotone(self):
@@ -129,6 +155,30 @@ class TestSurvival:
         eight = survival_curve(g, spec, times, threads=8)
         np.testing.assert_array_equal(one.survival, eight.survival)
         np.testing.assert_array_equal(one.std_error, eight.std_error)
+
+    def test_chunk_layout_invariance(self, monkeypatch):
+        # sampler blocks, chunk caps, thread and CPU counts: same bytes, with
+        # 61 rows a multiple of none of the blocks or chunks
+        g = cardioid(opening=1.0)
+        times = hybrid_time_grid(12.0, 3.0, 40)
+        spec = EnsembleSpec(n_samples=61, seed=13)
+        ref = survival_curve(g, spec, times)
+        assert ref.telemetry == {"collisions": ref.telemetry["collisions"], "workers": 1,
+                                 "chunks": 1, "rows_per_chunk": 61}
+        for block, cap in ((8192, 65536), (16, 1), (7, 20), (10, 3)):
+            monkeypatch.setattr(ensemble, "_SAMPLE_BLOCK", block)
+            monkeypatch.setattr(ensemble, "_MAX_CHUNK_ROWS", cap)
+            for cpus in (1, 2, 8):
+                monkeypatch.setattr(ensemble, "_usable_cpus", lambda cpus=cpus: cpus)
+                for threads in (1, 2, 8):
+                    curve = survival_curve(g, spec, times, threads=threads)
+                    np.testing.assert_array_equal(curve.survival, ref.survival)
+                    np.testing.assert_array_equal(curve.std_error, ref.std_error)
+                    tel = curve.telemetry
+                    assert tel["collisions"] == ref.telemetry["collisions"]
+                    assert tel["rows_per_chunk"] <= cap
+                    assert tel["chunks"] == -(-61 // tel["rows_per_chunk"])
+                    assert tel["workers"] == min(threads, cpus, tel["chunks"])
 
     def test_equals_fraction_still_inside(self):
         # survival(t) is the fraction of escape times > t, ties (escape
@@ -239,6 +289,20 @@ class TestLyapunov:
         assert np.all(stretch == 0.0)
         assert events == {"collisions": 100, "cusp_events": 0, "grazing_events": 0}
 
+    def test_grazing_hit_keeps_curvature(self):
+        # a grazing hit inserted halfway along a flight is the identity: the
+        # two half flights stretch the front as the whole flight does
+        g = circle()
+        pos, dirs = sample_ensemble(g, EnsembleSpec(n_samples=3, seed=8))
+        edges = np.array([2.0, 5.0, 9.0])
+        plain, plain_events = _log_stretch(g, pos.copy(), dirs.copy(), 1.0, edges)
+        table = _GrazesOnce(g, call=4)
+        stretch, events = _log_stretch(table, pos, dirs, 1.0, edges)
+        assert table.calls > 4
+        np.testing.assert_allclose(stretch, plain, rtol=1e-9, atol=1e-12)
+        assert events == {**plain_events, "collisions": plain_events["collisions"] + 1,
+                          "grazing_events": 1}
+
     def test_counts_collisions(self):
         # about one collision per mean free time and trajectory
         g = cardioid()
@@ -246,6 +310,28 @@ class TestLyapunov:
         expected = res.n_pairs * res.t_obs / mean_free_time(g)
         assert abs(res.telemetry["collisions"] - expected) < 0.1 * expected
         assert res.telemetry["cusp_events"] == res.telemetry["grazing_events"] == 0
+
+
+class _GrazesOnce:
+    """Table that reports one extra hit halfway along row 0's flight on a chosen
+    `ray_hits` call, with the normal perpendicular to the ray (a grazing hit)."""
+
+    def __init__(self, table, call):
+        self.table = table
+        self.call = call
+        self.calls = 0
+
+    def ray_hits(self, pos, dirs):
+        dist, s_hit, hit, nrm, cusp = self.table.ray_hits(pos, dirs)
+        self.calls += 1
+        if self.calls == self.call:
+            dist[0] *= 0.5
+            hit[0] = pos[0] + dist[0] * dirs[0]
+            nrm[0] = (-dirs[0, 1], dirs[0, 0])
+        return dist, s_hit, hit, nrm, cusp
+
+    def curvature(self, s):
+        return self.table.curvature(s)
 
 
 class TestPositionVariance:
