@@ -33,7 +33,7 @@ def main() -> None:
         n_points=args.n_points,
     )
 
-    labels = table.labels()
+    labels = list(table.columns)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t_over_TH", "reference_inf", *labels])

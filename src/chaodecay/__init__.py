@@ -63,13 +63,10 @@ from .quadrature import (
     QuadratureSpec,
     convergence_study,
     diagram_sum,
-    encounter_time,
-    integrand_2leg,
     integrate_1leg,
     integrate_2leg,
     semiclassical_ladder,
 )
 from .config import RunConfig, parse_config
-from .report import compare_report
 
 __version__ = "0.1.0"

@@ -12,6 +12,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -141,6 +142,7 @@ def _geometry_derived(cfg: RunConfig) -> dict:
 
 
 def _semiclassical_from_config(params: dict) -> SemiclassicalParams:
+    """Parameters of a resolved ``params`` block; the config layer has filled its defaults."""
     return SemiclassicalParams(
         dwell_time=params["dwell_time"],
         heisenberg_time=params["heisenberg_time"],
@@ -149,10 +151,10 @@ def _semiclassical_from_config(params: dict) -> SemiclassicalParams:
         coupling_strength=params.get("alpha"),
         position_variance=params.get("sigma2"),
         decoherence_time=params.get("tau_d"),
-        encounter_shape_factor=params.get("eta", DEFAULTS_TABLE["eta"]),
-        hbar=params.get("hbar", DEFAULTS_TABLE["hbar"]),
-        ehrenfest_time=params.get("ehrenfest_time", 0.0),
-        loop_formation_time=params.get("loop_formation_time", 0.0),
+        encounter_shape_factor=params["eta"],
+        hbar=params["hbar"],
+        ehrenfest_time=params["ehrenfest_time"],
+        loop_formation_time=params["loop_formation_time"],
         cavity_size=params.get("cavity_size"),
     )
 
@@ -185,8 +187,7 @@ def _ensemble_line(cfg: RunConfig, **extra) -> dict:
 @_runner("simulate")
 def _run_simulate(cfg: RunConfig, out_dir: str, threads: int) -> None:
     geom = cfg.geometry
-    ens = cfg.ensemble
-    spec = EnsembleSpec(n_samples=ens["n_samples"], seed=ens["seed"], speed=ens["speed"])
+    spec = EnsembleSpec(**cfg.ensemble)
     derived = _geometry_derived(cfg)
     tau_dwell = derived["dwell_time"]
     t_coll = derived["mean_free_time"]
@@ -217,8 +218,7 @@ def _run_simulate(cfg: RunConfig, out_dir: str, threads: int) -> None:
 @_runner("lyapunov")
 def _run_lyapunov(cfg: RunConfig, out_dir: str, threads: int) -> None:
     geom = cfg.geometry
-    ens = cfg.ensemble
-    spec = EnsembleSpec(n_samples=ens["n_samples"], seed=ens["seed"], speed=ens["speed"])
+    spec = EnsembleSpec(**cfg.ensemble)
     derived = _geometry_derived(cfg)
     t_obs = cfg.grid.get("t_obs", 400.0 * derived["mean_free_time"])
     res = estimate_lyapunov(geom, spec, t_obs)
@@ -244,8 +244,7 @@ def _run_lyapunov(cfg: RunConfig, out_dir: str, threads: int) -> None:
 @_runner("variance")
 def _run_variance(cfg: RunConfig, out_dir: str, threads: int) -> None:
     geom = cfg.geometry
-    ens = cfg.ensemble
-    spec = EnsembleSpec(n_samples=ens["n_samples"], seed=ens["seed"], speed=ens["speed"])
+    spec = EnsembleSpec(**cfg.ensemble)
     t_obs = cfg.grid.get("t_obs")
     res = position_variance(geom, spec, t_obs=t_obs)
     manifest = _base_manifest(cfg)
@@ -273,20 +272,19 @@ def _run_variance(cfg: RunConfig, out_dir: str, threads: int) -> None:
 @_runner("pair-decoherence")
 def _run_pair_decoherence(cfg: RunConfig, out_dir: str, threads: int) -> None:
     geom = cfg.geometry
-    ens = cfg.ensemble
+    spec = EnsembleSpec(**cfg.ensemble)
     alpha = cfg.params["alpha"]
-    n_pairs = ens["n_samples"]
-    spec = EnsembleSpec(n_samples=2 * n_pairs, seed=ens["seed"], speed=ens["speed"])
-    t_coll = mean_free_time(geom, ens["speed"])
+    n_pairs = spec.n_samples
+    t_coll = mean_free_time(geom, spec.speed)
     dt = cfg.grid.get("dt", 0.1 * t_coll)
     n_steps = max(int(round(cfg.grid["t_collisions"] * t_coll / dt)), 1)
     t_end = n_steps * dt
 
-    positions, directions = sample_ensemble(geom, spec)
+    positions, directions = sample_ensemble(geom, replace(spec, n_samples=2 * n_pairs))
     # Running exponent alpha * int_0^t |r_a - r_b|^2 ds per pair (rows 2i and
     # 2i + 1), on the shared dt grid, so the CSV is a time series and the last
     # row is the full budget.
-    samples = sample_positions(geom, positions, directions, ens["speed"], dt, n_steps)
+    samples = sample_positions(geom, positions, directions, spec.speed, dt, n_steps)
     running = decoherence_functional(samples[0::2], samples[1::2], alpha, dt)
     times = dt * np.arange(n_steps + 1)
     mean_t = running.mean(axis=0)
@@ -295,8 +293,7 @@ def _run_pair_decoherence(cfg: RunConfig, out_dir: str, threads: int) -> None:
     else:  # one pair has no spread to estimate
         stderr_t = np.full(n_steps + 1, math.inf)
 
-    sigma2_area, _ = area_variance(geom, EnsembleSpec(n_samples=max(n_pairs * 10, 1000),
-                                                      seed=ens["seed"], speed=ens["speed"]))
+    sigma2_area, _ = area_variance(geom, replace(spec, n_samples=max(n_pairs * 10, 1000)))
     mean = float(mean_t[-1])
     manifest = _base_manifest(cfg)
     manifest["derived"] = _geometry_derived(cfg)
@@ -318,7 +315,7 @@ def _run_pair_decoherence(cfg: RunConfig, out_dir: str, threads: int) -> None:
 @_runner("correction")
 def _run_correction(cfg: RunConfig, out_dir: str, threads: int) -> None:
     params = _semiclassical_from_config(cfg.params)
-    regime = cfg.params.get("regime", "plain")
+    regime = cfg.params["regime"]
     t_max = cfg.grid.get("t_max", 3.0 * params.heisenberg_time)
     times = np.linspace(0.0, t_max, cfg.grid["n_points"])
     curve = correction_curve(params, times, regime=regime)
@@ -343,13 +340,12 @@ def _run_fig3(cfg: RunConfig, out_dir: str, threads: int) -> None:
         t_max_over_TH=p["t_max_over_TH"],
         n_points=p["n_points"],
     )
-    header = ["t_over_TH", "reference_inf", *table.labels()]
-    columns = [table.times, table.reference] + [table.columns[k] for k in table.labels()]
-    rows = zip(*columns)
+    header = ["t_over_TH", "reference_inf", *table.columns]
+    rows = zip(table.times, table.reference, *table.columns.values())
     manifest = _base_manifest(cfg)
     manifest["derived"] = {"dwell_over_heisenberg": table.dwell_over_heisenberg}
     manifest["results"] = {"columns": header[1:]}
-    line = {"command": cfg.command, "params": _jsonable(cfg.resolved["params"]),
+    line = {"command": cfg.command, "params": cfg.resolved["params"],
             "tool_version": __version__}
     _emit(out_dir, cfg.command, header, rows, line, manifest)
 
@@ -394,7 +390,7 @@ def _run_quadrature(cfg: RunConfig, out_dir: str, threads: int) -> None:
 @_runner("peak")
 def _run_peak(cfg: RunConfig, out_dir: str, threads: int) -> None:
     params = _semiclassical_from_config(cfg.params)
-    regime = cfg.params.get("regime", "plain")
+    regime = cfg.params["regime"]
     t_star, value = correction_peak(params, regime=regime)
     manifest = _base_manifest(cfg)
     manifest["derived"] = _params_derived(params)

@@ -57,6 +57,10 @@ _SAMPLE_BLOCK = 8192
 # its own tail of small steps) for about 40 and 30 MB less peak memory.
 _MAX_CHUNK_ROWS = 65536
 
+# Closed trajectories whose time average cross-checks the area average of
+# `position_variance`.
+_TIME_TRAJECTORIES = 4
+
 # stream tags for independent Philox substreams per purpose
 _TAG_SAMPLING = 0
 _TAG_VARIANCE = 2
@@ -85,7 +89,6 @@ class SurvivalCurve:
     survival: np.ndarray
     std_error: np.ndarray
     n_samples: int
-    geometry_hash: str
     telemetry: dict = field(default_factory=dict)  # collisions, workers, chunks, rows_per_chunk
 
 
@@ -244,7 +247,6 @@ def survival_curve(
         survival=survival,
         std_error=std_error,
         n_samples=n,
-        geometry_hash=geometry.geometry_hash(),
         telemetry={"collisions": sum(collisions), "workers": pool_size,
                    "chunks": len(starts), "rows_per_chunk": rows},
     )
@@ -358,8 +360,10 @@ def _log_stretch(geometry: CavityGeometry, pos, dirs, speed: float, edges):
     Returns ``(stretch, telemetry)``: ``stretch[k, i]`` is the log stretch of
     row ``i`` from time 0 to ``edges[k]`` (increasing, the last one the end
     of the run), and ``telemetry`` counts the collisions, cusp and grazing
-    hits made by then.
+    hits made by then.  ``pos`` and ``dirs`` are copied, not moved.
     """
+    pos = np.array(pos, dtype=float)
+    dirs = np.array(dirs, dtype=float)
     n = len(pos)
     curv = np.zeros(n)  # B at the start of each row's flight
     stretch = np.zeros((len(edges), n))
@@ -396,7 +400,6 @@ def position_variance(
     geometry: CavityGeometry,
     spec: EnsembleSpec,
     t_obs: float | None = None,
-    n_time_trajectories: int = 4,
 ) -> VarianceResult:
     """Spatial variance <|r - <r>|^2> of the ergodic measure.
 
@@ -411,8 +414,7 @@ def position_variance(
     if t_obs is None:
         t_obs = 400.0 * tcoll
     dt = 0.1 * tcoll
-    n_traj = max(n_time_trajectories, 1)
-    pos0, dirs0 = _sample_block(geometry, n_traj, _philox(spec.seed, _TAG_VARIANCE))
+    pos0, dirs0 = _sample_block(geometry, _TIME_TRAJECTORIES, _philox(spec.seed, _TAG_VARIANCE))
     n_steps = max(int(math.floor(t_obs / dt)), 1)
     allpos = sample_positions(geometry, pos0, dirs0, spec.speed, dt, n_steps).reshape(-1, 2)
     tmean = allpos.mean(axis=0)

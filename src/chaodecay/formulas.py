@@ -197,18 +197,6 @@ class SemiclassicalParams:
                     f"position_variance: given {self.decoherence_time!r}, derived {derived!r}"
                 )
 
-    # informative regime check; None when the needed inputs are absent
-    @property
-    def deep_chaos(self) -> bool | None:
-        """True when lyapunov * dwell_time >= 10 (many stretchings per dwell)."""
-        if self.lyapunov is None:
-            return None
-        return self.lyapunov * self.dwell_time >= 10.0
-
-    def with_(self, **changes) -> "SemiclassicalParams":
-        """Copy with fields replaced (decoherence_time re-derived if cleared)."""
-        return replace(self, **changes)
-
 
 # ---------------------------------------------------------------------------
 # survival probability pieces
@@ -270,19 +258,18 @@ def loop_correction(params: SemiclassicalParams, t):
     return decay * (tau_d * tau_d / (T_H * tau_D)) * loop_kernel(t / tau_d)
 
 
-def loop_correction_short_time(params: SemiclassicalParams, t, order: int = 3):
+def loop_correction_short_time(params: SemiclassicalParams, t):
     """Taylor expansion of the loop correction for t << min(tau_D, tau_d).
 
-    order=2 keeps t^2/(2 T_H tau_D); order=3 adds -t^3/(6 T_H tau_D tau_d).
-    The neglected term is O(t^4 / (tau_d^2 T_H tau_D)).
+    t^2/(2 T_H tau_D) - t^3/(6 T_H tau_D tau_d), times exp(-t/tau_D); the
+    first term alone is `bare_quantum_correction`.  The neglected term is
+    O(t^4 / (tau_d^2 T_H tau_D)).
     """
-    if order not in (2, 3):
-        raise ValueError("order must be 2 or 3")
     t = _check_times(t)
     tau_D, T_H, tau_d = params.dwell_time, params.heisenberg_time, params.decoherence_time
     decay = np.exp(-t / tau_D)
     out = t * t / (2.0 * T_H * tau_D)
-    if order >= 3 and not math.isinf(tau_d):
+    if not math.isinf(tau_d):
         out = out - t**3 / (6.0 * T_H * tau_D * tau_d)
     return decay * out
 
@@ -346,7 +333,7 @@ def _bracket_for_regime(params: SemiclassicalParams, t, regime: str):
     if regime == "plain":
         return loop_correction(params, t)
     if regime == "short_time":
-        return loop_correction_short_time(params, t, order=3)
+        return loop_correction_short_time(params, t)
     if regime == "ehrenfest":
         return loop_correction_ehrenfest(params, t)
     raise ValueError(f"unknown regime {regime!r}; expected one of {REGIMES}")
@@ -460,9 +447,6 @@ class CorrectionTable:
     reference: np.ndarray  # decoherence-free column
     dwell_over_heisenberg: float
 
-    def labels(self) -> list[str]:
-        return list(self.columns)
-
 
 def figure3_curves(
     taud_over_TH: list[float],
@@ -486,11 +470,11 @@ def figure3_curves(
     for ratio in taud_over_TH:
         if not (ratio > 0):
             raise ValueError("taud_over_TH entries must be positive (inf allowed)")
-        p = base.with_(decoherence_time=float(ratio))
+        p = replace(base, decoherence_time=float(ratio))
         label = "inf" if math.isinf(ratio) else f"{ratio:g}"
         columns[f"taud_{label}"] = np.asarray(loop_correction(p, times), dtype=float)
     reference = np.asarray(
-        loop_correction(base.with_(decoherence_time=math.inf), times), dtype=float
+        loop_correction(replace(base, decoherence_time=math.inf), times), dtype=float
     )
     return CorrectionTable(
         times=times,

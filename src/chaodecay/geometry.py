@@ -199,7 +199,7 @@ class CavityGeometry:
             x, y = p[:, 0], p[:, 1]
             in_rect = (np.abs(x) <= a + tol) & (np.abs(y) <= a + tol)
             in_caps = (np.hypot(np.abs(x) - a, y) <= a + tol) & (np.abs(x) > a)
-            inside = (in_rect & (np.abs(y) <= a + tol)) | in_caps
+            inside = in_rect | in_caps
         return bool(inside[0]) if scalar else inside
 
     def opening_contains(self, s):
@@ -210,14 +210,15 @@ class CavityGeometry:
     # -- first collision of a batch of rays ----------------------------------
 
     def ray_hits(self, pos, dirs):
-        """First boundary hit for interior starting points along unit directions.
+        """First boundary hit ahead of each start point along unit directions.
 
-        Returns ``(dist, s_hit, hit_pos, normal, cusp)`` where ``dist`` is the
-        chord length, ``s_hit`` the hit arclength, ``normal`` the inward unit
-        normal at the (snapped) hit and ``cusp`` marks hits effectively at the
-        cardioid cusp, where no normal exists and the caller should
-        retroreflect.  Positions within ``1e-9*scale`` outside the boundary
-        are tolerated (they occur transiently in perturbation bookkeeping).
+        A start lies inside the cavity or on its boundary (most rays start at
+        the previous hit).  Returns ``(dist, s_hit, hit_pos, normal, cusp)``
+        where ``dist`` is the chord length, ``s_hit`` the hit arclength,
+        ``normal`` the inward unit normal at the (snapped) hit and ``cusp``
+        marks hits effectively at the cardioid cusp, where no normal exists
+        and the caller should retroreflect.  Starts up to ``1e-9*scale``
+        outside the boundary are tolerated.
         """
         p = np.atleast_2d(np.asarray(pos, dtype=float)) - np.asarray(self.center)
         d = np.atleast_2d(np.asarray(dirs, dtype=float))

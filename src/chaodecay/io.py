@@ -18,20 +18,9 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .errors import InputOutputError, ValidationError
+from .errors import InputOutputError
 
-__all__ = [
-    "format_float",
-    "atomic_write_text",
-    "write_csv",
-    "read_csv",
-    "write_manifest",
-    "read_manifest",
-    "check_manifest_derived",
-]
-
-# Relative tolerance for re-derived manifest quantities on load.
-_DERIVED_RTOL = 1e-12
+__all__ = ["format_float", "atomic_write_text", "write_csv", "write_manifest"]
 
 
 def format_float(x) -> str:
@@ -77,74 +66,9 @@ def write_csv(path: str, header: list[str], rows, manifest_line: dict | None = N
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def read_csv(path: str):
-    """Returns (embedded manifest dict or None, header list, rows as float lists)."""
-    try:
-        with open(path) as handle:
-            raw = handle.read()
-    except OSError as exc:
-        raise InputOutputError(f"cannot read {path}: {exc}") from exc
-    lines = [ln for ln in raw.splitlines() if ln.strip()]
-    if not lines:
-        raise InputOutputError(f"{path}: empty CSV")
-    manifest = None
-    if lines[0].startswith("#"):
-        try:
-            manifest = json.loads(lines[0].lstrip("#").strip())
-        except json.JSONDecodeError as exc:
-            raise InputOutputError(f"{path}: malformed embedded manifest line: {exc}") from exc
-        lines = lines[1:]
-    if not lines:
-        raise InputOutputError(f"{path}: no header line")
-    header = lines[0].split(",")
-    rows = []
-    for i, ln in enumerate(lines[1:], start=2):
-        parts = ln.split(",")
-        if len(parts) != len(header):
-            raise InputOutputError(f"{path}:{i}: expected {len(header)} columns, got {len(parts)}")
-        try:
-            rows.append([float(v) for v in parts])
-        except ValueError as exc:
-            raise InputOutputError(f"{path}:{i}: non-numeric cell: {exc}") from exc
-    return manifest, header, rows
-
-
 def write_manifest(path: str, manifest: dict) -> None:
     payload = dict(manifest)
     payload.setdefault(
         "wall_clock_utc", datetime.now(timezone.utc).isoformat(timespec="seconds")
     )
     atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
-def read_manifest(path: str) -> dict:
-    try:
-        with open(path) as handle:
-            return json.load(handle)
-    except OSError as exc:
-        raise InputOutputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputOutputError(f"{path}: malformed manifest JSON: {exc}") from exc
-
-
-def check_manifest_derived(manifest: dict, recomputed: dict) -> None:
-    """Verify stored derived quantities against freshly recomputed ones.
-
-    Raises a validation error when any shared key disagrees beyond 1e-12
-    relative -- the manifest's self-consistency contract.
-    """
-    stored = manifest.get("derived", {})
-    for key, fresh in recomputed.items():
-        if key not in stored:
-            continue
-        old = stored[key]
-        if not isinstance(old, (int, float)) or not isinstance(fresh, (int, float)):
-            continue
-        if math.isinf(fresh) and math.isinf(old):
-            continue
-        scale = max(abs(old), abs(fresh), 1e-300)
-        if abs(old - fresh) > _DERIVED_RTOL * scale:
-            raise ValidationError(
-                f"manifest derived value {key!r} = {old!r} does not match "
-                f"recomputed {fresh!r}"
-            )

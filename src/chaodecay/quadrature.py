@@ -8,7 +8,8 @@ integral directly -- for the ordinary diagram with both encounter stretches in
 the interior (``two_leg``) and for the two boundary diagrams whose encounter
 abuts the start or end of the trajectory (``one_leg_head``/``one_leg_tail``)
 -- and lets tests verify convergence to the closed form as lambda*tau_D and
-c^2/hbar grow while coupling/lambda shrinks.
+c^2/hbar grow while coupling/lambda shrinks.  The one-leg diagrams follow
+Waltner, Gutierrez, Goussev & Richter, PRL 101, 174101 (2008).
 
 Numerical strategy:
 
@@ -18,7 +19,9 @@ Numerical strategy:
   the log-density of x exactly cancels the 1/t_enc weight of the encounter.
 * The remaining 1-D integral is parameterised by the encounter time itself,
   tau = ln(c^2/x)/lambda, and integrated with Gauss-Legendre panels split at
-  the phase breakpoints of e^{i x/hbar}.
+  the phase breakpoints of e^{i x/hbar}.  Each diagram hands the integrator
+  its reduced envelope as one closure ``phi(tau, tau_mid)``; ``tau_mid``, the
+  centre of the panel being summed, picks the one-leg envelope's branch.
 * The sharp upper cutoff |x| = c^2 injects a spurious boundary oscillation
   ~ hbar*sin(c^2/hbar) that exceeds the physical O(hbar) signal by a factor
   ~ lambda*tau_D.  Since c is an order-of-magnitude scale, not a hard wall,
@@ -29,8 +32,9 @@ Numerical strategy:
   its endpoint oscillation removed to all orders in hbar.
 
 The one-leg tail diagram is the time reverse of the head diagram, so it
-takes the head's numbers.  The test suite checks the reduction against the
-raw 4-fold tensor rule and the tail against a separately coded reversed
+takes the head's numbers.  The raw 4-fold integrands live only in the test
+suite: it checks the reduction against raw tensor rules for the two-leg and
+the one-leg head diagram, and the tail against a separately coded reversed
 envelope.
 """
 
@@ -48,8 +52,6 @@ from .formulas import SemiclassicalParams, loop_correction, loop_kernel
 __all__ = [
     "QuadratureSpec",
     "DiagramResult",
-    "encounter_time",
-    "integrand_2leg",
     "integrate_2leg",
     "integrate_1leg",
     "diagram_sum",
@@ -58,7 +60,6 @@ __all__ = [
 ]
 
 ONE_LEG_CONVENTIONS = ("truncated_encounter", "excluded")
-DIAGRAMS = ("two_leg", "one_leg_head", "one_leg_tail")
 
 # Relative change between two refinements above which we refine once more,
 # and then give up (non-convergence -> NumericError).
@@ -95,56 +96,17 @@ class DiagramResult:
     est_error: float
     im_part: float
     diagram: str
-    params: SemiclassicalParams
-    spec: QuadratureSpec
 
     def __post_init__(self) -> None:
-        if self.diagram not in DIAGRAMS:
-            raise ValueError(f"unknown diagram {self.diagram!r}")
         if not math.isfinite(self.value):
             raise ValueError("diagram value must be finite")
         if self.est_error < 0:
             raise ValueError("est_error must be non-negative")
 
 
-def encounter_time(s, u, lyapunov: float, encounter_scale: float):
-    """Duration of a self-encounter with action offsets (s, u): ln(c^2/|su|)/lambda."""
-    su = np.abs(np.asarray(s) * np.asarray(u))
-    if np.any(su == 0):
-        raise ValueError("encounter_time diverges at s*u = 0")
-    if np.any(su > encounter_scale * (1 + 1e-12)):
-        raise ValueError("|s*u| exceeds the encounter scale c^2")
-    out = np.log(encounter_scale / su) / lyapunov
-    return out if out.ndim else float(out)
-
-
 def _omega(p: SemiclassicalParams) -> float:
     # phase-space volume implied by the Heisenberg time
     return 2.0 * math.pi * p.hbar * p.heisenberg_time
-
-
-def integrand_2leg(s, u, t_prime, t_loop, t: float, params: SemiclassicalParams):
-    """Raw two-leg integrand at one or more (s, u, t', t_loop) points.
-
-    Windowing (the time limits) is the integrator's job; this is the bare
-    product of phase, survival, encounter weight and decoherence factors.
-    """
-    p = params
-    s = np.asarray(s, dtype=float)
-    u = np.asarray(u, dtype=float)
-    t_enc = encounter_time(s, u, p.lyapunov, p.encounter_scale)
-    su = s * u
-    phase = np.exp(1j * su / p.hbar)
-    survival = np.exp(-(t - t_enc) / p.dwell_time)
-    alpha = p.coupling_strength or 0.0
-    enc_weight = np.exp(
-        -alpha
-        * p.encounter_shape_factor
-        * (p.encounter_scale / p.lyapunov)
-        * (1.0 - (su / p.encounter_scale) ** 2)
-    )
-    loop_weight = np.exp(-2.0 * alpha * (p.position_variance or 0.0) * np.asarray(t_loop))
-    return phase * survival * enc_weight * loop_weight / (_omega(p) * t_enc)
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +243,12 @@ def _build_panels(tau_hi: float, lam: float, y_big: float, extra: list[float]) -
     return np.asarray(out)
 
 
-def _panel_sum(phi, tau_edges: np.ndarray, t: float, p: SemiclassicalParams, n: int, branch_at):
-    """Gauss-Legendre sum of e^{i x/hbar} phi over the real-axis panels (x-form)."""
+def _panel_sum(phi, tau_edges: np.ndarray, p: SemiclassicalParams, n: int):
+    """Gauss-Legendre sum of e^{i x/hbar} phi over the real-axis panels (x-form).
+
+    ``phi(tau, tau_mid)`` is the envelope at the nodes ``tau`` of the panel
+    centred on ``tau_mid``.
+    """
     nodes, weights = np.polynomial.legendre.leggauss(n)
     lam = p.lyapunov
     c2 = p.encounter_scale
@@ -293,30 +259,28 @@ def _panel_sum(phi, tau_edges: np.ndarray, t: float, p: SemiclassicalParams, n: 
         tau = mid + half * nodes
         phase = y_big * np.exp(-lam * tau)
         jac = lam * c2 * np.exp(-lam * tau)  # |dx/dtau|
-        vals = phi(tau, t, p, branch_at(mid)) if branch_at else phi(tau, t, p)
-        total += half * np.sum(weights * jac * np.exp(1j * phase) * vals)
+        total += half * np.sum(weights * jac * np.exp(1j * phase) * phi(tau, mid))
     return total
 
 
-def _end_correction(phi, t: float, p: SemiclassicalParams, n: int, branch: str | None):
+def _end_correction(phi, p: SemiclassicalParams, n: int):
     """Contour leg at x = c^2 removing the sharp-cutoff oscillation.
 
     i e^{i c^2/hbar} * integral_0^inf e^{-y/hbar} phi_analytic(c^2 + i y) dy,
     evaluated with Gauss-Laguerre after y = hbar*u; the envelope is continued
-    through tau = -Log(1 + i u / (c^2/hbar)) / lambda.
+    through tau = -Log(1 + i u / (c^2/hbar)) / lambda and taken with
+    tau_mid = 0, the x = c^2 end.
     """
     n = min(n, 96)
     u, w = np.polynomial.laguerre.laggauss(n)
     lam = p.lyapunov
     y_big = p.encounter_scale / p.hbar
     tau_c = -np.log(1.0 + 1j * u / y_big) / lam
-    vals = phi(tau_c, t, p) if branch is None else phi(tau_c, t, p, branch)
-    return 1j * cmath.exp(1j * y_big) * p.hbar * np.sum(w * vals)
+    return 1j * cmath.exp(1j * y_big) * p.hbar * np.sum(w * phi(tau_c, 0.0))
 
 
-def _reduced_integral(phi, tau_gate: float, t: float, p: SemiclassicalParams,
-                      spec: QuadratureSpec, n: int, extra_breaks: list[float],
-                      branch_at):
+def _reduced_integral(phi, tau_gate: float, p: SemiclassicalParams,
+                      spec: QuadratureSpec, n: int, extra_breaks: list[float]):
     """Smoothed-cutoff integral of e^{ix/hbar} phi over x in [x_gate, c^2].
 
     Returns (complex value over the positive-x sector, truncation bound)."""
@@ -326,13 +290,11 @@ def _reduced_integral(phi, tau_gate: float, t: float, p: SemiclassicalParams,
     if tau_hi <= 0.0:
         return 0.0 + 0.0j, 0.0
     edges = _build_panels(tau_hi, lam, p.encounter_scale / p.hbar, extra_breaks)
-    total = _panel_sum(phi, edges, t, p, n, branch_at)
-    total += _end_correction(phi, t, p, n, branch_at(0.0) if branch_at else None)
+    total = _panel_sum(phi, edges, p, n) + _end_correction(phi, p, n)
     trunc = 0.0
     if tau_hi < tau_gate:
         # dropped x-interval below the su_cut; bound by sup|phi| * interval length
-        phi_end = phi(tau_hi, t, p, branch_at(tau_hi)) if branch_at else phi(tau_hi, t, p)
-        trunc = abs(phi_end) * p.encounter_scale * math.exp(-lam * tau_hi)
+        trunc = abs(phi(tau_hi, tau_hi)) * p.encounter_scale * math.exp(-lam * tau_hi)
     return total, trunc
 
 
@@ -387,18 +349,17 @@ def integrate_2leg(params: SemiclassicalParams, t: float,
         raise ValueError("t must be positive")
     lam = params.lyapunov
     if lam * t / 2.0 < 1e-14:  # gate x >= c^2 e^{-lambda t/2} leaves no room
-        return DiagramResult(0.0, 0.0, 0.0, "two_leg", params, spec)
+        return DiagramResult(0.0, 0.0, 0.0, "two_leg")
 
-    def eval_at(n):
-        k_plus, trunc = _reduced_integral(
-            _phi_two_leg, t / 2.0, t, params, spec, n, [], None
-        )
-        return k_plus, trunc
+    def phi(tau, _tau_mid):
+        return _phi_two_leg(tau, t, params)
 
-    k_plus, est_k = _converge(eval_at, spec.su_grid, "two_leg")
+    k_plus, est_k = _converge(
+        lambda n: _reduced_integral(phi, t / 2.0, params, spec, n, []), spec.su_grid, "two_leg"
+    )
     val, im = _sector_doubled(k_plus, params)
     scale = 2.0 * lam / _omega(params)
-    return DiagramResult(val, 2.0 * scale * est_k, im, "two_leg", params, spec)
+    return DiagramResult(val, 2.0 * scale * est_k, im, "two_leg")
 
 
 def integrate_1leg(params: SemiclassicalParams, t: float,
@@ -414,18 +375,18 @@ def integrate_1leg(params: SemiclassicalParams, t: float,
         raise ValueError("t must be positive")
     lam = params.lyapunov
     if spec.one_leg_convention == "excluded" or lam * t < 1e-14:
-        head = DiagramResult(0.0, 0.0, 0.0, "one_leg_head", params, spec)
+        head = DiagramResult(0.0, 0.0, 0.0, "one_leg_head")
     else:
-        def branch_at(tau_mid):
-            return "enc" if tau_mid < t / 2.0 else "rest"
-
-        def eval_head(n):
-            return _reduced_integral(_phi_one_leg, t, t, params, spec, n, [t / 2.0], branch_at)
+        def phi(tau, tau_mid):
+            return _phi_one_leg(tau, t, params, "enc" if tau_mid < t / 2.0 else "rest")
 
         scale = 2.0 * lam / _omega(params)
-        kh, est_h = _converge(eval_head, spec.su_grid, "one_leg_head")
+        kh, est_h = _converge(
+            lambda n: _reduced_integral(phi, t, params, spec, n, [t / 2.0]),
+            spec.su_grid, "one_leg_head",
+        )
         vh, imh = _sector_doubled(kh, params)
-        head = DiagramResult(vh, 2.0 * scale * est_h, imh, "one_leg_head", params, spec)
+        head = DiagramResult(vh, 2.0 * scale * est_h, imh, "one_leg_head")
     return head, replace(head, diagram="one_leg_tail")
 
 

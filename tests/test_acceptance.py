@@ -116,7 +116,7 @@ def test_criterion_4_short_time_slope():
                             decoherence_time=0.7)
     scale = min(p.dwell_time, p.decoherence_time)
     t = np.geomspace(1e-4 * scale, 1e-2 * scale, 40)
-    resid = np.abs(loop_correction(p, t) - loop_correction_short_time(p, t, order=3))
+    resid = np.abs(loop_correction(p, t) - loop_correction_short_time(p, t))
     slope = float(np.polyfit(np.log(t), np.log(resid), 1)[0])
     elapsed = time.monotonic() - t0
     ok = abs(slope - 4.0) <= 0.1 and elapsed < 1.0

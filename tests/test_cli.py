@@ -21,17 +21,36 @@ from chaodecay.errors import (
     SyntaxUsageError,
     ValidationError,
 )
-from chaodecay.formulas import SemiclassicalParams
-from chaodecay.io import (
-    atomic_write_text,
-    check_manifest_derived,
-    format_float,
-    read_csv,
-    read_manifest,
-    write_csv,
-    write_manifest,
-)
-from chaodecay.report import compare_report
+from chaodecay.io import atomic_write_text, format_float, write_csv, write_manifest
+
+
+def read_csv(path):
+    """(embedded manifest line or None, header, rows of floats) of a written CSV."""
+    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
+    manifest = json.loads(lines.pop(0)[1:]) if lines[0].startswith("#") else None
+    header = lines[0].split(",")
+    rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
+    assert all(len(row) == len(header) for row in rows)
+    return manifest, header, rows
+
+
+def read_manifest(path):
+    return json.loads(Path(path).read_text())
+
+
+def check_manifest_derived(manifest, recomputed):
+    """Raise ValidationError where a stored derived number is more than 1e-12
+    relative away from its recomputed value (keys only one side has pass)."""
+    stored = manifest.get("derived", {})
+    for key, fresh in recomputed.items():
+        old = stored.get(key)
+        if not isinstance(old, (int, float)) or not isinstance(fresh, (int, float)):
+            continue
+        if math.isinf(fresh) and math.isinf(old):
+            continue
+        if abs(old - fresh) > 1e-12 * max(abs(old), abs(fresh), 1e-300):
+            raise ValidationError(f"manifest derived value {key!r} = {old!r} does not "
+                                  f"match recomputed {fresh!r}")
 
 
 EXAMPLE_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "scripts" / "configs")
@@ -494,36 +513,6 @@ class TestReproducibility:
         line, _, _ = read_csv(str(out / "fig3.csv"))
         assert "wall_clock_utc" not in json.dumps(line)
         assert "wall_clock_utc" in read_manifest(str(out / "manifest.json"))
-
-
-class TestCompareReport:
-    def test_synthetic_exponential(self, tmp_path):
-        tau = 2.0
-        t = np.linspace(0.0, 8.0, 200)
-        path = str(tmp_path / "synth.csv")
-        write_csv(path, ["time", "survival", "std_error"],
-                  zip(t, np.exp(-t / tau), np.full_like(t, 1e-6)),
-                  manifest_line={"ensemble": {"n_samples": 100000},
-                                 "geometry_hash": "synth"})
-        p = SemiclassicalParams(dwell_time=tau, heisenberg_time=10.0)
-        report = compare_report(path, p)
-        assert report["rel_deviation"] == pytest.approx(0.0, abs=1e-10)
-        assert report["peak"]["t_star_over_dwell"] == pytest.approx(2.0, rel=1e-4)
-
-    def test_schema_mismatch(self, tmp_path):
-        path = str(tmp_path / "wrong.csv")
-        write_csv(path, ["t", "s"], [(0.0, 1.0)],
-                  manifest_line={"ensemble": {"n_samples": 10}})
-        with pytest.raises(ValidationError):
-            compare_report(path, SemiclassicalParams(dwell_time=1.0,
-                                                     heisenberg_time=1.0))
-
-    def test_missing_embedded_manifest(self, tmp_path):
-        path = str(tmp_path / "bare.csv")
-        write_csv(path, ["time", "survival", "std_error"], [(0.0, 1.0, 0.0)])
-        with pytest.raises(ValidationError):
-            compare_report(path, SemiclassicalParams(dwell_time=1.0,
-                                                     heisenberg_time=1.0))
 
 
 def test_cli_import_leaves_scipy_out():

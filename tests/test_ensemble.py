@@ -202,7 +202,7 @@ class TestEscapeFit:
         s = np.exp(-t / 3.0)
         curve = SurvivalCurve(times=t, survival=s,
                               std_error=np.full_like(t, 1e-8),
-                              n_samples=10**9, geometry_hash="synthetic")
+                              n_samples=10**9)
         fit = fit_escape_rate(curve, (0.0, 12.0))
         assert fit.rate == pytest.approx(1.0 / 3.0, rel=1e-12)
 
@@ -214,7 +214,7 @@ class TestEscapeFit:
         s = np.minimum.accumulate(s)  # enforce the monotone invariant
         curve = SurvivalCurve(times=t, survival=s,
                               std_error=np.sqrt(np.maximum(s * (1 - s), 1e-12) / n),
-                              n_samples=n, geometry_hash="synthetic")
+                              n_samples=n)
         fit = fit_escape_rate(curve, (0.5, 9.0))
         assert abs(fit.rate - 1.0 / 3.0) < 3.0 * fit.std_error
 
@@ -222,7 +222,7 @@ class TestEscapeFit:
         t = np.linspace(0.0, 1.0, 5)
         curve = SurvivalCurve(times=t, survival=np.exp(-t),
                               std_error=np.full_like(t, 1e-3),
-                              n_samples=1000, geometry_hash="synthetic")
+                              n_samples=1000)
         with pytest.raises(StatsError):
             fit_escape_rate(curve, (0.0, 1.0))
 
@@ -295,13 +295,27 @@ class TestLyapunov:
         g = circle()
         pos, dirs = sample_ensemble(g, EnsembleSpec(n_samples=3, seed=8))
         edges = np.array([2.0, 5.0, 9.0])
-        plain, plain_events = _log_stretch(g, pos.copy(), dirs.copy(), 1.0, edges)
+        plain, plain_events = _log_stretch(g, pos, dirs, 1.0, edges)
         table = _GrazesOnce(g, call=4)
         stretch, events = _log_stretch(table, pos, dirs, 1.0, edges)
         assert table.calls > 4
         np.testing.assert_allclose(stretch, plain, rtol=1e-9, atol=1e-12)
         assert events == {**plain_events, "collisions": plain_events["collisions"] + 1,
                           "grazing_events": 1}
+
+    def test_log_stretch_leaves_inputs_alone(self):
+        # the trajectories are propagated on copies: a second call on the same
+        # arrays starts where the first did
+        g = cardioid()
+        pos, dirs = sample_ensemble(g, EnsembleSpec(n_samples=16, seed=4))
+        pos0, dirs0 = pos.copy(), dirs.copy()
+        edges = np.array([3.0, 6.0, 12.0])
+        first = _log_stretch(g, pos, dirs, 1.0, edges)
+        second = _log_stretch(g, pos, dirs, 1.0, edges)
+        np.testing.assert_array_equal(first[0], second[0])
+        assert first[1] == second[1]
+        np.testing.assert_array_equal(pos, pos0)
+        np.testing.assert_array_equal(dirs, dirs0)
 
     def test_counts_collisions(self):
         # about one collision per mean free time and trajectory

@@ -1,7 +1,10 @@
-"""Public names: every ``__all__`` entry exists, and the package re-exports only those."""
+"""Public names: every ``__all__`` entry exists, the package re-exports only those,
+and every ``chaodecay.<module>[.<name>]`` path the README quotes resolves."""
 
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -24,3 +27,21 @@ def test_package_reexports_are_exported():
     public = {name for name, value in vars(chaodecay).items()
               if not name.startswith("_") and value not in MODULES}
     assert public <= exported, sorted(public - exported)
+
+
+def test_readme_dotted_paths_resolve():
+    # MODULES imported every submodule, so each is an attribute of the package
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paths = sorted(set(re.findall(r"\bchaodecay(?:\.\w+)+", readme)))
+    assert paths
+
+    def resolves(dotted):
+        obj = chaodecay
+        for part in dotted.split(".")[1:]:
+            if not hasattr(obj, part):
+                return False
+            obj = getattr(obj, part)
+        return True
+
+    missing = [p for p in paths if not resolves(p)]
+    assert not missing, f"README names paths that do not exist: {missing}"

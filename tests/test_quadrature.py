@@ -1,12 +1,14 @@
 """Oscillatory diagram integrals vs the closed-form loop correction.
 
 Two oracles below are not shipped by the library: the raw 4-fold tensor
-rules, which share no code with its substitution path beyond the refinement
-loop, and the reversed one-leg envelope, which integrates the tail diagram
-from the other end through the library's reduction.
+rules, which code the bare integrand themselves and share no code with its
+substitution path beyond the refinement loop, and the reversed one-leg
+envelope, which integrates the tail diagram from the other end through the
+library's reduction.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,8 +32,6 @@ from chaodecay.quadrature import (
     _sector_doubled,
     convergence_study,
     diagram_sum,
-    encounter_time,
-    integrand_2leg,
     integrate_1leg,
     integrate_2leg,
     semiclassical_ladder,
@@ -51,7 +51,7 @@ def quad_params(lam_tau=20.0, ehrenfest_fraction=0.035, alpha_dwell_sigma2=0.1,
 
 def bracket_closed_form(p, t):
     """Closed form the quadrature should converge to (alpha > 0 variant)."""
-    return loop_correction(p.with_(ehrenfest_time=0.0), t)
+    return loop_correction(replace(p, ehrenfest_time=0.0), t)
 
 
 # ---------------------------------------------------------------------------
@@ -87,13 +87,11 @@ def _phi_one_leg_reversed(tau, t, p, branch):
 
 def reversed_tail(p, t, spec=QuadratureSpec()):
     """One-leg tail through the reversed envelope and the library's reduction."""
-    def branch_at(tau_mid):
-        return "enc" if tau_mid < t / 2.0 else "rest"
+    def phi(tau, tau_mid):
+        return _phi_one_leg_reversed(tau, t, p, "enc" if tau_mid < t / 2.0 else "rest")
 
     def eval_tail(n):
-        return _reduced_integral(
-            _phi_one_leg_reversed, t, t, p, spec, n, [t / 2.0], branch_at
-        )
+        return _reduced_integral(phi, t, p, spec, n, [t / 2.0])
 
     kt, _ = _converge(eval_tail, spec.su_grid, "one_leg_tail")
     return _sector_doubled(kt, p)[0]
@@ -214,80 +212,6 @@ def raw_converged(raw, p, t, su_grid):
     return float(val.real), float(est)
 
 
-class TestEncounterTime:
-    def test_zero_at_scale(self):
-        assert encounter_time(1.0, 1.0, 2.0, 1.0) == 0.0
-
-    def test_one_efold(self):
-        lam = 2.0
-        su = math.exp(-lam)  # |su| = c^2 / e^lambda
-        assert encounter_time(1.0, su, lam, 1.0) == pytest.approx(1.0, rel=1e-14)
-
-    def test_pinned_log(self):
-        # lambda = 2, c^2 = 1, su = 0.01: ln(100)/2
-        assert encounter_time(0.1, 0.1, 2.0, 1.0) == pytest.approx(
-            2.302585092994046, rel=1e-14)
-
-    def test_su_zero_rejected(self):
-        with pytest.raises(ValueError):
-            encounter_time(0.0, 1.0, 1.0, 1.0)
-
-    def test_su_above_scale_rejected(self):
-        with pytest.raises(ValueError):
-            encounter_time(2.0, 1.0, 1.0, 1.0)
-
-    def test_vectorized(self):
-        s = np.array([0.1, 0.2])
-        out = encounter_time(s, s, 1.0, 1.0)
-        np.testing.assert_allclose(out, np.log(1.0 / s**2), rtol=1e-14)
-
-
-class TestIntegrand:
-    def test_alpha_zero_reduction(self):
-        # without coupling the integrand is phase * survival / (Omega t_enc)
-        p = quad_params().with_(coupling_strength=None, position_variance=None,
-                                decoherence_time=math.inf)
-        t, su = 3.0 * p.dwell_time, 0.3 * p.encounter_scale
-        got = integrand_2leg(su, 1.0, 0.5, 1.0, t, p)
-        t_enc = math.log(p.encounter_scale / su) / p.lyapunov
-        omega = 2.0 * math.pi * p.hbar * p.heisenberg_time
-        expected = (np.exp(1j * su / p.hbar)
-                    * math.exp(-(t - t_enc) / p.dwell_time) / (omega * t_enc))
-        assert got == pytest.approx(expected, rel=1e-14)
-
-    def test_boundary_clipping(self):
-        p = quad_params()
-        with pytest.raises(ValueError):
-            integrand_2leg(2.0 * p.encounter_scale, 1.0, 0.5, 1.0, 1.0, p)
-
-    def test_against_mpmath_oracle(self):
-        # independent high-precision evaluation of every factor
-        mp = pytest.importorskip("mpmath")
-        mp.mp.dps = 40
-        p = quad_params()
-        t = 2.5 * p.dwell_time
-        rng = np.random.default_rng(8)
-        for _ in range(25):
-            s = float(rng.uniform(0.02, 1.0) * math.sqrt(p.encounter_scale))
-            u = float(rng.uniform(0.02, 1.0) * math.sqrt(p.encounter_scale))
-            t_loop = float(rng.uniform(0.0, t / 2))
-            su = mp.mpf(s) * mp.mpf(u)
-            c2 = mp.mpf(p.encounter_scale)
-            t_enc = mp.log(c2 / abs(su)) / mp.mpf(p.lyapunov)
-            omega = 2 * mp.pi * mp.mpf(p.hbar) * mp.mpf(p.heisenberg_time)
-            alpha = mp.mpf(p.coupling_strength)
-            oracle = (
-                mp.e**(1j * su / mp.mpf(p.hbar))
-                * mp.e**(-(mp.mpf(t) - t_enc) / mp.mpf(p.dwell_time))
-                / (omega * t_enc)
-                * mp.e**(-alpha * mp.mpf(p.encounter_shape_factor)
-                         * (c2 / mp.mpf(p.lyapunov)) * (1 - (su / c2)**2))
-                * mp.e**(-2 * alpha * mp.mpf(p.position_variance) * mp.mpf(t_loop))
-            )
-            got = integrand_2leg(s, u, 0.1, t_loop, t, p)
-            assert abs(got - complex(oracle)) <= 1e-13 * abs(complex(oracle))
-
-
 class TestSpecValidation:
     def test_grid_minimums(self):
         with pytest.raises(ValueError):
@@ -304,11 +228,10 @@ class TestSpecValidation:
             QuadratureSpec(one_leg_convention="sometimes")
 
     def test_result_validation(self):
-        p = quad_params()
         with pytest.raises(ValueError):
-            DiagramResult(math.nan, 0.0, 0.0, "two_leg", p, QuadratureSpec())
+            DiagramResult(math.nan, 0.0, 0.0, "two_leg")
         with pytest.raises(ValueError):
-            DiagramResult(1.0, -0.1, 0.0, "two_leg", p, QuadratureSpec())
+            DiagramResult(1.0, -0.1, 0.0, "two_leg")
 
 
 class TestTwoLeg:
@@ -336,9 +259,9 @@ class TestTwoLeg:
         # with coupling off, (2-leg + 1-leg) approaches the bare correction
         devs = []
         for lam_tau, frac in ((10.0, 0.05), (20.0, 0.035), (40.0, 0.02)):
-            p = quad_params(lam_tau, frac).with_(
-                coupling_strength=None, position_variance=None,
-                decoherence_time=math.inf)
+            p = replace(quad_params(lam_tau, frac),
+                        coupling_strength=None, position_variance=None,
+                        decoherence_time=math.inf)
             t = 3.0 * p.dwell_time
             total, _, _ = diagram_sum(p, t)
             bare = bare_quantum_correction(p, t)
@@ -373,8 +296,8 @@ class TestInvariants:
         values = []
         for alpha_scale in (0.0, 0.1, 0.3):
             p = quad_params(alpha_dwell_sigma2=alpha_scale) if alpha_scale else \
-                quad_params().with_(coupling_strength=None, position_variance=None,
-                                    decoherence_time=math.inf)
+                replace(quad_params(), coupling_strength=None, position_variance=None,
+                        decoherence_time=math.inf)
             total, _, _ = diagram_sum(p, t_over * p.dwell_time)
             values.append(total)
         assert values[0] > values[1] > values[2]
@@ -455,7 +378,7 @@ class TestFilonCrossCheck:
         p = quad_params(lam_tau=10.0, ehrenfest_fraction=0.05)
         t = 2.0 * p.dwell_time
         edges = _build_panels(t / 2.0, p.lyapunov, p.encounter_scale / p.hbar, [])
-        k_sharp = _panel_sum(_phi_two_leg, edges, t, p, 96, None)
+        k_sharp = _panel_sum(lambda tau, _: _phi_two_leg(tau, t, p), edges, p, 96)
         sharp, _ = _sector_doubled(k_sharp, p)
         raw, raw_err = raw_converged(_raw_two_leg, p, t, su_grid=48)
         assert abs(raw - sharp) <= max(2.0 * raw_err, 1e-6)
@@ -467,8 +390,9 @@ class TestFilonCrossCheck:
         p = quad_params(lam_tau=10.0, ehrenfest_fraction=0.05)
         t = 2.0 * p.dwell_time
         edges = _build_panels(t, p.lyapunov, p.encounter_scale / p.hbar, [t / 2.0])
-        k_sharp = _panel_sum(_phi_one_leg, edges, t, p, 96,
-                             lambda tau_mid: "enc" if tau_mid < t / 2.0 else "rest")
+        k_sharp = _panel_sum(
+            lambda tau, tau_mid: _phi_one_leg(tau, t, p, "enc" if tau_mid < t / 2.0 else "rest"),
+            edges, p, 96)
         sharp, _ = _sector_doubled(k_sharp, p)
         raw, _ = raw_converged(_raw_one_leg, p, t, su_grid=48)
         assert abs(raw - sharp) <= 5e-3 * abs(sharp)
@@ -486,8 +410,11 @@ class TestFilonCrossCheck:
         t = 2.0 * p.dwell_time
         lam, c2, hbar = p.lyapunov, p.encounter_scale, p.hbar
         edges = _build_panels(t / 2.0, lam, c2 / hbar, [])
-        closed = _panel_sum(_phi_two_leg, edges, t, p, 96, None) \
-            + _end_correction(_phi_two_leg, t, p, 96, None)
+
+        def phi(tau, _tau_mid):
+            return _phi_two_leg(tau, t, p)
+
+        closed = _panel_sum(phi, edges, p, 96) + _end_correction(phi, p, 96)
         # leg at the gate x_g = c^2 e^{-lambda t / 2}, assembled by hand
         x_g = c2 * math.exp(-lam * t / 2.0)
         u, w = np.polynomial.laguerre.laggauss(96)
