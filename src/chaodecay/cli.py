@@ -364,7 +364,8 @@ def _run_quadrature(cfg: RunConfig, out_dir: str, threads: int) -> None:
         su_cut=p["su_cut"],
         one_leg_convention=p["one_leg_convention"],
     )
-    rows = convergence_study(ladder, p["t_over_tauD"], spec)
+    telemetry = {}
+    rows = convergence_study(ladder, p["t_over_tauD"], spec, telemetry)
     header = ["lambda_tauD", "c2_over_hbar", "alpha_over_lambda", "t_over_tauD",
               "quad_value", "closed_form", "rel_dev", "est_err", "im_part"]
     data = [[r[k] for k in header] for r in rows]
@@ -382,6 +383,7 @@ def _run_quadrature(cfg: RunConfig, out_dir: str, threads: int) -> None:
                                  if r["lambda_tauD"] == p["lambda_tauD"][-1]),
         "max_im_part": max(r["im_part"] for r in rows),
     }
+    manifest["telemetry"] = telemetry
     line = {"command": cfg.command, "params": cfg.resolved["params"],
             "tool_version": __version__}
     _emit(out_dir, cfg.command, header, data, line, manifest)
@@ -391,7 +393,8 @@ def _run_quadrature(cfg: RunConfig, out_dir: str, threads: int) -> None:
 def _run_peak(cfg: RunConfig, out_dir: str, threads: int) -> None:
     params = _semiclassical_from_config(cfg.params)
     regime = cfg.params["regime"]
-    t_star, value = correction_peak(params, regime=regime)
+    telemetry = {}
+    t_star, value = correction_peak(params, regime=regime, telemetry=telemetry)
     manifest = _base_manifest(cfg)
     manifest["derived"] = _params_derived(params)
     manifest["results"] = {
@@ -400,6 +403,7 @@ def _run_peak(cfg: RunConfig, out_dir: str, threads: int) -> None:
         "value": value,
         "t_star_over_dwell": t_star / params.dwell_time,
     }
+    manifest["telemetry"] = telemetry
     line = {"command": cfg.command, "params": cfg.resolved["params"],
             "regime": regime, "tool_version": __version__}
     rows = [(t_star, value, t_star / params.dwell_time)]

@@ -377,12 +377,15 @@ def correction_curve(params: SemiclassicalParams, times, regime: str = "plain") 
     )
 
 
-def correction_peak(params: SemiclassicalParams, regime: str = "plain") -> tuple[float, float]:
+def correction_peak(params: SemiclassicalParams, regime: str = "plain",
+                    telemetry: dict | None = None) -> tuple[float, float]:
     """Location and value of the interior maximum of the bracket.
 
     Grid scan (log-spaced near the origin, linear beyond) to bracket the
     maximum, then golden-section search inside the bracket.  For
-    tau_d -> inf the peak sits at exactly 2*tau_D.
+    tau_d -> inf the peak sits at exactly 2*tau_D.  A ``telemetry`` dict, if
+    given, receives ``evaluations``: the bracket evaluations of the
+    golden-section search.
     """
     tau_D = params.dwell_time
     tau_d = params.decoherence_time
@@ -409,24 +412,28 @@ def correction_peak(params: SemiclassicalParams, regime: str = "plain") -> tuple
             "no interior maximum found for the correction bracket "
             f"(argmax at grid index {k} of {len(grid)})"
         )
-    t_star = _golden_max(
+    t_star, evaluations = _golden_max(
         lambda t: float(_bracket_for_regime(params, np.asarray(t), regime)),
         float(grid[k - 1]), float(grid[k + 1]), 1e-12 * scale,
     )
+    if telemetry is not None:
+        telemetry["evaluations"] = evaluations
     return t_star, float(_bracket_for_regime(params, np.asarray(t_star), regime))
 
 
-def _golden_max(f, a: float, b: float, tol: float) -> float:
+def _golden_max(f, a: float, b: float, tol: float) -> tuple[float, int]:
     """Maximiser of a unimodal ``f`` on [a, b] by golden-section search.
 
     Shrinks the bracket by the golden ratio per evaluation until it is at
     most ``tol`` wide (a fixed step count, so it ends even where rounding
-    stalls the bracket) and returns its midpoint.
+    stalls the bracket).  Returns its midpoint and the number of ``f``
+    evaluations.
     """
     r = 0.5 * (math.sqrt(5.0) - 1.0)
     c, d = b - r * (b - a), a + r * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(max(0, math.ceil(math.log(tol / (b - a)) / math.log(r)))):
+    steps = max(0, math.ceil(math.log(tol / (b - a)) / math.log(r)))
+    for _ in range(steps):
         if fc >= fd:  # the maximum lies in [a, d]
             b, d, fd = d, c, fc
             c = b - r * (b - a)
@@ -435,7 +442,7 @@ def _golden_max(f, a: float, b: float, tol: float) -> float:
             a, c, fc = c, d, fd
             d = a + r * (b - a)
             fd = f(d)
-    return 0.5 * (a + b)
+    return 0.5 * (a + b), 2 + steps
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,13 @@ Numerical strategy:
   tau = ln(c^2/x)/lambda, and integrated with Gauss-Legendre panels split at
   the phase breakpoints of e^{i x/hbar}.  Each diagram hands the integrator
   its reduced envelope as one closure ``phi(tau, tau_mid)``; ``tau_mid``, the
-  centre of the panel being summed, picks the one-leg envelope's branch.
+  centre of the panel each node belongs to, picks the one-leg envelope's
+  branch.
+* Each Gauss rule is built once per node count and cached read-only.  The
+  envelope is called once per block of whole panels (a ``(panels, n)`` node
+  matrix of at most ``_BLOCK_NODES`` nodes, with the panel centres as a
+  column), not once per panel; the panel sums are still added in panel
+  order, so the result does not depend on the block size.
 * The sharp upper cutoff |x| = c^2 injects a spurious boundary oscillation
   ~ hbar*sin(c^2/hbar) that exceeds the physical O(hbar) signal by a factor
   ~ lambda*tau_D.  Since c is an order-of-magnitude scale, not a hard wall,
@@ -41,8 +47,9 @@ envelope.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -64,6 +71,14 @@ ONE_LEG_CONVENTIONS = ("truncated_encounter", "excluded")
 # Relative change between two refinements above which we refine once more,
 # and then give up (non-convergence -> NumericError).
 _REFINE_RTOL = 0.05
+
+# Most Gauss-Legendre nodes per envelope call in _panel_sum; bounds its
+# memory whatever the panel count.
+_BLOCK_NODES = 1 << 14
+
+# What one diagram's quadrature did (DiagramResult.telemetry): the node count
+# the refinement stopped at, panels summed, envelope calls, 4n refinements.
+_TELEMETRY_KEYS = ("nodes", "panels", "envelope_calls", "refinements")
 
 
 @dataclass(frozen=True)
@@ -92,10 +107,20 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class DiagramResult:
+    """One diagram's value and diagnostics.
+
+    ``telemetry`` counts what the quadrature did: ``nodes`` (where the
+    refinement stopped, 2n or 4n; 0 if no quadrature ran), ``panels`` (summed
+    over all refinement levels), ``envelope_calls`` and ``refinements``
+    (1 if the 4n level ran).
+    """
+
     value: float
     est_error: float
     im_part: float
     diagram: str
+    telemetry: dict = field(default_factory=lambda: dict.fromkeys(_TELEMETRY_KEYS, 0),
+                            compare=False)
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.value):
@@ -179,17 +204,18 @@ def _phi_two_leg(tau, t: float, p: SemiclassicalParams):
     return survival * np.exp(-_encounter_exposure(tau, p)) * _scaled_loop_area(window, p.decoherence_time)
 
 
-def _phi_one_leg(tau, t: float, p: SemiclassicalParams, branch: str):
+def _phi_one_leg(tau, t: float, p: SemiclassicalParams, enc):
     """Reduced one-leg envelope: encounter truncated by the trajectory endpoint.
 
     The exposed stretch xi runs over [0, min(tau, t - tau)]; survival counts
     the re-traversed portion once (exponent t - xi) and the encounter
-    decoherence scales with the traversed fraction, (1 + xi/tau)/2.  ``branch``
-    selects which of the two xi_max branches applies ('enc': xi_max = tau,
-    'rest': xi_max = t - tau); the two meet smoothly (C^1) at tau = t/2.
+    decoherence scales with the traversed fraction, (1 + xi/tau)/2.  The
+    boolean mask ``enc`` (broadcast against ``tau``) selects which of the two
+    xi_max branches applies (True: xi_max = tau, False: xi_max = t - tau);
+    the two meet smoothly (C^1) at tau = t/2.
     """
     tau_d = p.decoherence_time
-    xi_max = tau if branch == "enc" else t - tau
+    xi_max = np.where(enc, tau, t - tau)
     t_free = t - tau
     a = 1.0 / p.dwell_time - _exposure_rate(tau, p)
     if math.isinf(tau_d):
@@ -243,23 +269,49 @@ def _build_panels(tau_hi: float, lam: float, y_big: float, extra: list[float]) -
     return np.asarray(out)
 
 
+@functools.lru_cache(maxsize=None)
+def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``leggauss(n)`` (nodes, weights), built once per n."""
+    return _read_only(np.polynomial.legendre.leggauss(n))
+
+
+@functools.lru_cache(maxsize=None)
+def _laguerre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``laggauss(n)`` (nodes, weights), built once per n."""
+    return _read_only(np.polynomial.laguerre.laggauss(n))
+
+
+def _read_only(arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def _panel_sum(phi, tau_edges: np.ndarray, p: SemiclassicalParams, n: int):
     """Gauss-Legendre sum of e^{i x/hbar} phi over the real-axis panels (x-form).
 
-    ``phi(tau, tau_mid)`` is the envelope at the nodes ``tau`` of the panel
-    centred on ``tau_mid``.
+    ``phi(tau, tau_mid)`` is the envelope at a ``(panels, n)`` matrix of
+    nodes ``tau``, one row per panel, with ``tau_mid`` the column of the
+    panel centres.  It is called once per block of at most ``_BLOCK_NODES``
+    nodes; the per-panel sums are added to the total in panel order.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes, weights = _legendre_rule(n)
     lam = p.lyapunov
     c2 = p.encounter_scale
     y_big = c2 / p.hbar
+    mids = 0.5 * (tau_edges[:-1] + tau_edges[1:])
+    halves = 0.5 * (tau_edges[1:] - tau_edges[:-1])
+    step = max(1, _BLOCK_NODES // n)
     total = 0.0 + 0.0j
-    for a, b in zip(tau_edges[:-1], tau_edges[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        tau = mid + half * nodes
-        phase = y_big * np.exp(-lam * tau)
-        jac = lam * c2 * np.exp(-lam * tau)  # |dx/dtau|
-        total += half * np.sum(weights * jac * np.exp(1j * phase) * phi(tau, mid))
+    for lo in range(0, len(mids), step):
+        mid = mids[lo:lo + step, None]
+        half = halves[lo:lo + step]
+        tau = mid + half[:, None] * nodes
+        decay = np.exp(-lam * tau)
+        phase = y_big * decay
+        jac = lam * c2 * decay  # |dx/dtau|
+        for panel in half * np.sum(weights * jac * np.exp(1j * phase) * phi(tau, mid), axis=1):
+            total += panel
     return total
 
 
@@ -271,8 +323,7 @@ def _end_correction(phi, p: SemiclassicalParams, n: int):
     through tau = -Log(1 + i u / (c^2/hbar)) / lambda and taken with
     tau_mid = 0, the x = c^2 end.
     """
-    n = min(n, 96)
-    u, w = np.polynomial.laguerre.laggauss(n)
+    u, w = _laguerre_rule(min(n, 96))
     lam = p.lyapunov
     y_big = p.encounter_scale / p.hbar
     tau_c = -np.log(1.0 + 1j * u / y_big) / lam
@@ -329,6 +380,30 @@ def _converge(eval_at, su_grid: int, diagram: str):
     return fine, est
 
 
+def _converged_diagram(phi, tau_gate: float, p: SemiclassicalParams, spec: QuadratureSpec,
+                       extra_breaks: list[float], diagram: str):
+    """_converge over _reduced_integral; returns (value, est, telemetry).
+
+    The telemetry is that of ``DiagramResult``: a panel is counted for each
+    row of the ``(panels, n)`` node blocks that reach the envelope.
+    """
+    telemetry = dict.fromkeys(_TELEMETRY_KEYS, 0)
+
+    def counted(tau, tau_mid):
+        telemetry["envelope_calls"] += 1
+        if np.ndim(tau) == 2:
+            telemetry["panels"] += len(tau)
+        return phi(tau, tau_mid)
+
+    def eval_at(n):
+        telemetry["nodes"] = n
+        return _reduced_integral(counted, tau_gate, p, spec, n, extra_breaks)
+
+    value, est = _converge(eval_at, spec.su_grid, diagram)
+    telemetry["refinements"] = int(telemetry["nodes"] > 2 * spec.su_grid)
+    return value, est, telemetry
+
+
 # ---------------------------------------------------------------------------
 # public entry points
 # ---------------------------------------------------------------------------
@@ -354,12 +429,10 @@ def integrate_2leg(params: SemiclassicalParams, t: float,
     def phi(tau, _tau_mid):
         return _phi_two_leg(tau, t, params)
 
-    k_plus, est_k = _converge(
-        lambda n: _reduced_integral(phi, t / 2.0, params, spec, n, []), spec.su_grid, "two_leg"
-    )
+    k_plus, est_k, telemetry = _converged_diagram(phi, t / 2.0, params, spec, [], "two_leg")
     val, im = _sector_doubled(k_plus, params)
     scale = 2.0 * lam / _omega(params)
-    return DiagramResult(val, 2.0 * scale * est_k, im, "two_leg")
+    return DiagramResult(val, 2.0 * scale * est_k, im, "two_leg", telemetry)
 
 
 def integrate_1leg(params: SemiclassicalParams, t: float,
@@ -378,44 +451,55 @@ def integrate_1leg(params: SemiclassicalParams, t: float,
         head = DiagramResult(0.0, 0.0, 0.0, "one_leg_head")
     else:
         def phi(tau, tau_mid):
-            return _phi_one_leg(tau, t, params, "enc" if tau_mid < t / 2.0 else "rest")
+            return _phi_one_leg(tau, t, params, tau_mid < t / 2.0)
 
         scale = 2.0 * lam / _omega(params)
-        kh, est_h = _converge(
-            lambda n: _reduced_integral(phi, t, params, spec, n, [t / 2.0]),
-            spec.su_grid, "one_leg_head",
-        )
+        kh, est_h, telemetry = _converged_diagram(phi, t, params, spec, [t / 2.0],
+                                                  "one_leg_head")
         vh, imh = _sector_doubled(kh, params)
-        head = DiagramResult(vh, 2.0 * scale * est_h, imh, "one_leg_head")
+        head = DiagramResult(vh, 2.0 * scale * est_h, imh, "one_leg_head", telemetry)
     return head, replace(head, diagram="one_leg_tail")
 
 
 def diagram_sum(params: SemiclassicalParams, t: float,
-                spec: QuadratureSpec = QuadratureSpec()):
-    """Convenience: (two_leg + head + tail) with pooled error and realness."""
+                spec: QuadratureSpec = QuadratureSpec(), telemetry: dict | None = None):
+    """Convenience: (two_leg + head + tail) with pooled error and realness.
+
+    A ``telemetry`` dict, if given, receives the ``two_leg`` and
+    ``one_leg_head`` counts of ``DiagramResult.telemetry``; the tail takes
+    the head's numbers and does no quadrature of its own.
+    """
     two = integrate_2leg(params, t, spec)
     head, tail = integrate_1leg(params, t, spec)
+    if telemetry is not None:
+        telemetry.update(two_leg=two.telemetry, one_leg_head=head.telemetry)
     value = two.value + head.value + tail.value
     est = two.est_error + head.est_error + tail.est_error
     im = max(two.im_part, head.im_part, tail.im_part)
     return value, est, im
 
 
-def convergence_study(params_sequence, times, spec: QuadratureSpec = QuadratureSpec()):
+def convergence_study(params_sequence, times, spec: QuadratureSpec = QuadratureSpec(),
+                      telemetry: dict | None = None):
     """Quadrature vs closed form along a semiclassical parameter ladder.
 
     ``params_sequence`` must be ordered by increasing lyapunov * dwell_time;
     ``times`` is shared across the ladder.  Returns one row per (params, t)
-    with the columns of the convergence-table CSV.
+    with the columns of the convergence-table CSV.  A ``telemetry`` dict, if
+    given, receives ``converged_nodes`` (per row, the node count each of
+    ``two_leg`` and ``one_leg_head`` stopped at; 0 where none ran) and the
+    run's ``panels``, ``envelope_calls`` and ``refinements``.
     """
     seq = list(params_sequence)
     lam_taus = [p.lyapunov * p.dwell_time for p in seq]
     if any(b <= a for a, b in zip(lam_taus, lam_taus[1:])):
         raise ValueError("params_sequence must be ordered by increasing lambda*dwell_time")
     rows = []
+    counts = []
     for p in seq:
         for t in np.asarray(times, dtype=float):
-            quad, est, im = diagram_sum(p, float(t), spec)
+            counts.append({})
+            quad, est, im = diagram_sum(p, float(t), spec, counts[-1])
             closed = float(loop_correction(p, float(t)))
             rel = abs(quad - closed) / abs(closed) if closed != 0 else math.inf
             rows.append(
@@ -431,6 +515,10 @@ def convergence_study(params_sequence, times, spec: QuadratureSpec = QuadratureS
                     "im_part": im,
                 }
             )
+    if telemetry is not None:
+        telemetry["converged_nodes"] = [{d: c[d]["nodes"] for d in c} for c in counts]
+        for key in _TELEMETRY_KEYS[1:]:
+            telemetry[key] = sum(c[d][key] for c in counts for d in c)
     return rows
 
 

@@ -21,7 +21,9 @@ from chaodecay.errors import (
     SyntaxUsageError,
     ValidationError,
 )
+from chaodecay.formulas import SemiclassicalParams, correction_peak
 from chaodecay.io import atomic_write_text, format_float, write_csv, write_manifest
+from chaodecay.quadrature import convergence_study, semiclassical_ladder
 
 
 def read_csv(path):
@@ -442,6 +444,52 @@ class TestCommandLine:
                           "t_over_tauD", "quad_value", "closed_form",
                           "rel_dev", "est_err", "im_part"]
         assert len(rows) == 1
+
+
+    def test_quadrature_telemetry_in_manifest_only(self, tmp_path):
+        doc = {"command": "quadrature",
+               "params": {"lambda_tauD": [10.0, 20.0], "ehrenfest_fractions": [0.05, 0.035],
+                          "t_over_tauD": [2.0, 3.0]}}
+        code, out = run_cli(tmp_path, doc)
+        assert code == 0
+        telemetry = read_manifest(str(out / "manifest.json"))["telemetry"]
+        assert set(telemetry) == {"converged_nodes", "panels", "envelope_calls",
+                                  "refinements"}
+        assert len(telemetry["converged_nodes"]) == 4
+        for nodes in telemetry["converged_nodes"]:
+            assert set(nodes) == {"two_leg", "one_leg_head"}
+            assert set(nodes.values()) <= {128, 256}  # 2n or 4n of su_grid 64
+        assert telemetry["panels"] > 0
+        assert telemetry["envelope_calls"] >= 2 * 2 * 2 * 4  # 2 levels x 2 diagrams x 4 rows
+        assert telemetry["refinements"] == sum(
+            n == 256 for row in telemetry["converged_nodes"] for n in row.values())
+        # the CSV is what the library's rows give without telemetry
+        csv = (out / "quadrature.csv").read_bytes()
+        assert b"telemetry" not in csv
+        line, header, _ = read_csv(str(out / "quadrature.csv"))
+        ladder = semiclassical_ladder((10.0, 20.0), (0.05, 0.035))
+        rows = convergence_study(ladder, [2.0, 3.0])
+        write_csv(str(tmp_path / "plain.csv"), header,
+                  [[r[k] for k in header] for r in rows], manifest_line=line)
+        assert (tmp_path / "plain.csv").read_bytes() == csv
+
+    def test_peak_telemetry_in_manifest_only(self, tmp_path):
+        doc = {"command": "peak",
+               "params": {"dwell_time": 0.3, "heisenberg_time": 1.0, "tau_d": 0.1}}
+        code, out = run_cli(tmp_path, doc)
+        assert code == 0
+        telemetry = read_manifest(str(out / "manifest.json"))["telemetry"]
+        assert set(telemetry) == {"evaluations"}
+        assert telemetry["evaluations"] > 2
+        # the CSV is what the library's peak gives without telemetry
+        csv = (out / "peak.csv").read_bytes()
+        assert b"telemetry" not in csv
+        line, header, _ = read_csv(str(out / "peak.csv"))
+        t_star, value = correction_peak(SemiclassicalParams(
+            dwell_time=0.3, heisenberg_time=1.0, decoherence_time=0.1))
+        write_csv(str(tmp_path / "plain.csv"), header, [(t_star, value, t_star / 0.3)],
+                  manifest_line=line)
+        assert (tmp_path / "plain.csv").read_bytes() == csv
 
 
 @pytest.mark.parametrize("path", EXAMPLE_CONFIGS, ids=lambda p: p.name)

@@ -301,6 +301,17 @@ class TestPeak:
         t_oracle = t[np.argmax(loop_correction_ehrenfest(p, t))]
         assert t_star == pytest.approx(t_oracle, abs=2e-5)
 
+    def test_telemetry_counts_golden_evaluations(self):
+        p = params(decoherence_time=0.1)
+        telemetry = {}
+        assert correction_peak(p, telemetry=telemetry) == correction_peak(p)
+        # two starting points, then one evaluation per golden-ratio step from
+        # a two-grid-cell bracket (at most 2 * 20 * tau_D / 2047) down to
+        # 1e-12 * tau_D
+        steps = math.log(1e-12 / (40.0 / 2047)) / math.log(0.5 * (math.sqrt(5.0) - 1.0))
+        assert set(telemetry) == {"evaluations"}
+        assert 2 < telemetry["evaluations"] <= 2 + math.ceil(steps)
+
     def test_scale_invariance(self):
         k = 5.0
         t1, _ = correction_peak(params(decoherence_time=0.1))

@@ -1,18 +1,21 @@
 """Oscillatory diagram integrals vs the closed-form loop correction.
 
-Two oracles below are not shipped by the library: the raw 4-fold tensor
+Three oracles below are not shipped by the library: the raw 4-fold tensor
 rules, which code the bare integrand themselves and share no code with its
-substitution path beyond the refinement loop, and the reversed one-leg
+substitution path beyond the refinement loop; the reversed one-leg
 envelope, which integrates the tail diagram from the other end through the
-library's reduction.
+library's reduction; and a per-panel loop that the library's blocked panel
+sum must match bit for bit.
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from chaodecay import quadrature
 from chaodecay.errors import NumericError
 from chaodecay.formulas import (
     SemiclassicalParams,
@@ -22,12 +25,18 @@ from chaodecay.formulas import (
 from chaodecay.quadrature import (
     DiagramResult,
     QuadratureSpec,
+    _build_panels,
     _converge,
     _encounter_exposure,
     _exposure_rate,
     _growing_exp_integral,
     _growing_exp_moment,
+    _laguerre_rule,
+    _legendre_rule,
     _omega,
+    _panel_sum,
+    _phi_one_leg,
+    _phi_two_leg,
     _reduced_integral,
     _sector_doubled,
     convergence_study,
@@ -59,7 +68,7 @@ def bracket_closed_form(p, t):
 # ---------------------------------------------------------------------------
 
 
-def _phi_one_leg_reversed(tau, t, p, branch):
+def _phi_one_leg_reversed(tau, t, p, enc):
     """Tail variant: same construction integrated from the other end.
 
     Algebraically identical to the head envelope (the diagram is the time
@@ -67,7 +76,7 @@ def _phi_one_leg_reversed(tau, t, p, branch):
     head/tail agreement is a genuine numerical check rather than a tautology.
     """
     tau_d = p.decoherence_time
-    xi_max = tau if branch == "enc" else t - tau
+    xi_max = np.where(enc, tau, t - tau)
     t_free = t - tau
     a = 1.0 / p.dwell_time - _exposure_rate(tau, p)
     # substitute xi -> xi_max - xi in the inner integral
@@ -88,7 +97,7 @@ def _phi_one_leg_reversed(tau, t, p, branch):
 def reversed_tail(p, t, spec=QuadratureSpec()):
     """One-leg tail through the reversed envelope and the library's reduction."""
     def phi(tau, tau_mid):
-        return _phi_one_leg_reversed(tau, t, p, "enc" if tau_mid < t / 2.0 else "rest")
+        return _phi_one_leg_reversed(tau, t, p, tau_mid < t / 2.0)
 
     def eval_tail(n):
         return _reduced_integral(phi, t, p, spec, n, [t / 2.0])
@@ -203,6 +212,34 @@ def _raw_one_leg(params: SemiclassicalParams, t: float, spec: QuadratureSpec,
         vals = phase * inner / (_omega(p) * te_l)
         total += sw[i] * np.sum(sw[idx] * vals)
     return total * p.encounter_scale
+
+
+def panel_sum_per_panel(phi, tau_edges, p, n):
+    """The panel sum one panel at a time: one envelope call and one rule
+    application per panel, with the rule rebuilt on every call."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    lam = p.lyapunov
+    c2 = p.encounter_scale
+    y_big = c2 / p.hbar
+    total = 0.0 + 0.0j
+    for a, b in zip(tau_edges[:-1], tau_edges[1:]):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        tau = mid + half * nodes
+        phase = y_big * np.exp(-lam * tau)
+        jac = lam * c2 * np.exp(-lam * tau)
+        total += half * np.sum(weights * jac * np.exp(1j * phase) * phi(tau, mid))
+    return total
+
+
+def diagram_setup(diagram, p, t, spec=QuadratureSpec()):
+    """(envelope closure, panel edges) of a diagram, as the library builds them."""
+    tau_cut = math.log(1.0 / spec.su_cut) / p.lyapunov
+    y_big = p.encounter_scale / p.hbar
+    if diagram == "two_leg":
+        edges = _build_panels(min(t / 2.0, tau_cut), p.lyapunov, y_big, [])
+        return (lambda tau, _tau_mid: _phi_two_leg(tau, t, p)), edges
+    edges = _build_panels(min(t, tau_cut), p.lyapunov, y_big, [t / 2.0])
+    return (lambda tau, tau_mid: _phi_one_leg(tau, t, p, tau_mid < t / 2.0)), edges
 
 
 def raw_converged(raw, p, t, su_grid):
@@ -391,7 +428,7 @@ class TestFilonCrossCheck:
         t = 2.0 * p.dwell_time
         edges = _build_panels(t, p.lyapunov, p.encounter_scale / p.hbar, [t / 2.0])
         k_sharp = _panel_sum(
-            lambda tau, tau_mid: _phi_one_leg(tau, t, p, "enc" if tau_mid < t / 2.0 else "rest"),
+            lambda tau, tau_mid: _phi_one_leg(tau, t, p, tau_mid < t / 2.0),
             edges, p, 96)
         sharp, _ = _sector_doubled(k_sharp, p)
         raw, _ = raw_converged(_raw_one_leg, p, t, su_grid=48)
@@ -431,3 +468,128 @@ class TestFilonCrossCheck:
         a = _raw_two_leg(p, t, QuadratureSpec(su_grid=32), 32, t_s_fraction=0.5)
         b = _raw_two_leg(p, t, QuadratureSpec(su_grid=32), 32, t_s_fraction=0.3)
         assert a == pytest.approx(b, rel=1e-12)
+
+
+class TestBlockedPanelSum:
+    """The blocked panel sum against the per-panel loop, and its cost bounds."""
+
+    @pytest.mark.parametrize("diagram", ["two_leg", "one_leg_head"])
+    @pytest.mark.parametrize("n", [64, 128, 256])
+    def test_bitwise_per_panel_on_ladder_edges(self, diagram, n):
+        p = quad_params(lam_tau=80.0, ehrenfest_fraction=0.012)
+        phi, edges = diagram_setup(diagram, p, 6.0 * p.dwell_time)
+        assert _panel_sum(phi, edges, p, n) == panel_sum_per_panel(phi, edges, p, n)
+
+    @pytest.mark.parametrize("diagram", ["two_leg", "one_leg_head"])
+    def test_bitwise_per_panel_on_many_panels(self, diagram):
+        # 4,112 panels at 256 nodes: many blocks, the last one partial
+        (p,) = semiclassical_ladder([400.0], [0.05], 0.1)
+        t = 2.0
+        edges = _build_panels(t / 2.0, p.lyapunov, p.encounter_scale / p.hbar, [])
+        assert len(edges) - 1 == 4112
+        phi, _ = diagram_setup(diagram, p, t)
+        tracemalloc.start()
+        try:
+            blocked = _panel_sum(phi, edges, p, 256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert blocked == panel_sum_per_panel(phi, edges, p, 256)
+        assert peak < 8 * 2**20  # bounded by the block, not the panel count
+
+    @pytest.mark.parametrize("block_nodes", [64, 4 * 64, 5 * 64 + 1])  # 13 panels: 13, 4, 3 blocks
+    def test_block_size_does_not_change_bits(self, monkeypatch, block_nodes):
+        # every panel carries weight here (x stays above e^{-20} c^2), so a
+        # lost or repeated panel shows in the bits
+        p = quad_params(lam_tau=10.0, ehrenfest_fraction=0.05)
+        phi, edges = diagram_setup("one_leg_head", p, 2.0 * p.dwell_time)
+        whole = _panel_sum(phi, edges, p, 64)
+        monkeypatch.setattr(quadrature, "_BLOCK_NODES", block_nodes)
+        assert _panel_sum(phi, edges, p, 64) == whole
+
+    @pytest.mark.parametrize("rule, numpy_rule, n", [
+        *((_legendre_rule, np.polynomial.legendre.leggauss, n) for n in (16, 64, 128, 256)),
+        # the end leg caps its Laguerre rule at 96 nodes
+        *((_laguerre_rule, np.polynomial.laguerre.laggauss, n) for n in (16, 64, 96)),
+    ])
+    def test_cached_rules_are_the_numpy_rules_read_only(self, rule, numpy_rule, n):
+        for cached, fresh in zip(rule(n), numpy_rule(n)):
+            assert np.array_equal(cached, fresh)
+            with pytest.raises(ValueError):
+                cached[0] = 0.0
+
+    @pytest.mark.parametrize("diagram", ["two_leg", "one_leg_head"])
+    def test_one_envelope_call_per_block(self, monkeypatch, diagram):
+        # a ladder-sized integral: one call for all its panels, one for the
+        # end leg (no su_cut truncation at this rung)
+        p = quad_params(lam_tau=40.0, ehrenfest_fraction=0.02)
+        t = 3.0 * p.dwell_time
+        envelope = "_phi_two_leg" if diagram == "two_leg" else "_phi_one_leg"
+        calls = []
+        real = getattr(quadrature, envelope)
+
+        def counted(tau, *args):
+            calls.append(np.shape(tau))
+            return real(tau, *args)
+
+        monkeypatch.setattr(quadrature, envelope, counted)
+        spec = QuadratureSpec(su_grid=128)
+        integrate = quadrature.integrate_2leg if diagram == "two_leg" else quadrature.integrate_1leg
+        integrate(p, t, spec)
+        # n, 2n and maybe 4n nodes; each level is one block plus the end leg
+        levels = len(calls) // 2
+        assert 2 <= levels <= 3 and len(calls) == 2 * levels
+        _, edges = diagram_setup(diagram, p, t)
+        for k, n in enumerate((128, 256, 512)[:levels]):
+            assert calls[2 * k] == (len(edges) - 1, n)  # every panel in one call
+            assert calls[2 * k + 1] == (min(n, 96),)  # the end leg
+
+
+class TestTelemetry:
+    def test_diagram_counts(self):
+        p = quad_params()
+        t = 2.0 * p.dwell_time
+        spec = QuadratureSpec()
+        two = integrate_2leg(p, t, spec)
+        head, tail = integrate_1leg(p, t, spec)
+        for res in (two, head):
+            tel = res.telemetry
+            assert tel["nodes"] in (2 * spec.su_grid, 4 * spec.su_grid)
+            levels = 2 + tel["refinements"]
+            assert tel["refinements"] == int(tel["nodes"] == 4 * spec.su_grid)
+            # per level: one panel block and the end leg (no truncation here)
+            assert tel["envelope_calls"] == 2 * levels
+            assert tel["panels"] > 0 and tel["panels"] % levels == 0
+        assert tail.telemetry == head.telemetry
+
+    def test_no_quadrature_counts_zero(self):
+        p = quad_params()
+        zeros = {"nodes": 0, "panels": 0, "envelope_calls": 0, "refinements": 0}
+        head, _ = integrate_1leg(p, 2.0, QuadratureSpec(one_leg_convention="excluded"))
+        assert head.telemetry == zeros
+        assert integrate_2leg(p, 1e-16).telemetry == zeros
+
+    def test_study_telemetry_leaves_rows_unchanged(self):
+        ladder = semiclassical_ladder(lam_tau_values=(10.0, 20.0),
+                                      ehrenfest_fractions=(0.05, 0.035))
+        times = [2.0, 3.0]
+        telemetry = {}
+        rows = convergence_study(ladder, times, telemetry=telemetry)
+        assert rows == convergence_study(ladder, times)
+        assert set(telemetry) == {"converged_nodes", "panels", "envelope_calls",
+                                  "refinements"}
+        assert len(telemetry["converged_nodes"]) == len(rows)
+        panels = calls = refinements = 0
+        for k, p in enumerate(q for q in ladder for _ in times):
+            t = times[k % len(times)]
+            two = integrate_2leg(p, t)
+            head, _ = integrate_1leg(p, t)
+            expected = {"two_leg": two.telemetry["nodes"],
+                        "one_leg_head": head.telemetry["nodes"]}
+            assert telemetry["converged_nodes"][k] == expected
+            for res in (two, head):
+                panels += res.telemetry["panels"]
+                calls += res.telemetry["envelope_calls"]
+                refinements += res.telemetry["refinements"]
+        assert (telemetry["panels"], telemetry["envelope_calls"],
+                telemetry["refinements"]) == (panels, calls, refinements)
