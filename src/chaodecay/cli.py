@@ -59,14 +59,15 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", required=True, help="path to a JSON config document")
     parser.add_argument("--out", default=None, help="output directory (overrides config)")
-    parser.add_argument("--threads", type=int, default=None,
+    parser.add_argument("--threads", type=int, default=1,
                         help="most worker threads for simulate; it starts at most one per "
                              "usable CPU and per chunk, and output never depends on it "
-                             "(default: CHAODECAY_THREADS or 1)")
+                             "(default: 1)")
     args = parser.parse_args(argv)
 
     try:
-        threads = _resolve_threads(args.threads)
+        if args.threads < 1:
+            raise SyntaxUsageError("thread count must be at least 1")
         try:
             with open(args.config) as handle:
                 text = handle.read()
@@ -79,25 +80,11 @@ def main(argv=None) -> int:
             )
         out_dir = args.out or cfg.output
         cfg.resolved["output"] = out_dir
-        _run(cfg, out_dir, threads)
+        _run(cfg, out_dir, args.threads)
         return 0
     except ChaodecayError as exc:
         print(f"chaodecay: error: {exc}", file=sys.stderr)
         return exc.exit_code
-
-
-def _resolve_threads(cli_value) -> int:
-    if cli_value is None:
-        env = os.environ.get("CHAODECAY_THREADS")
-        if env is None:
-            return 1
-        try:
-            cli_value = int(env)
-        except ValueError as exc:
-            raise SyntaxUsageError(f"CHAODECAY_THREADS={env!r} is not an integer") from exc
-    if cli_value < 1:
-        raise SyntaxUsageError("thread count must be at least 1")
-    return cli_value
 
 
 _RUNNERS = {}

@@ -1,10 +1,12 @@
 """JSON run configurations: parsing, validation, defaults.
 
 A config document selects one command and supplies the blocks that command
-needs.  Validation is strict: unknown keys are rejected with their full field
-path, so a typo never silently falls back to a default.  ``resolve`` returns
-the fully-defaulted document; feeding that resolved document back in
-reproduces the identical run (the manifest round-trip property).
+needs.  Each block is checked against one field table, which names every key
+the block accepts with its kind, default, bound and whether it is required.
+Validation is strict: unknown keys are rejected with their full field path,
+so a typo never silently falls back to a default, and every number must be
+finite.  ``RunConfig.resolved`` is the fully-defaulted document; feeding it
+back in (it is the manifest's ``config``) reproduces the identical run.
 """
 
 from __future__ import annotations
@@ -12,9 +14,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import SyntaxUsageError, ValidationError
-from .formulas import BathSpec, alpha_from_bath
+from .formulas import REGIMES, BathSpec, alpha_from_bath
 from .geometry import SHAPES, CavityGeometry
 from .quadrature import ONE_LEG_CONVENTIONS
 
@@ -44,53 +47,108 @@ _OPENING_CENTER_DEFAULT = {
     "stadium": lambda a: 0.5 * a,
 }
 
-_SEMICLASSICAL_KEYS = (
-    "dwell_time",
-    "heisenberg_time",
-    "lyapunov",
-    "encounter_scale",
-    "alpha",
-    "sigma2",
-    "tau_d",
-    "eta",
-    "hbar",
-    "ehrenfest_time",
-    "loop_formation_time",
-    "cavity_size",
-    "regime",
-    "bath",
-)
 
-_PARAMS_KEYS = {
-    "simulate": (),
-    "lyapunov": (),
-    "variance": (),
-    "pair-decoherence": ("alpha", "bath"),
-    "correction": _SEMICLASSICAL_KEYS,
-    "peak": _SEMICLASSICAL_KEYS,
-    "fig3": ("tauD_over_TH", "taud_over_TH", "t_max_over_TH", "n_points"),
-    "quadrature": (
-        "lambda_tauD",
-        "ehrenfest_fractions",
-        "alpha_tauD_sigma2",
-        "t_over_tauD",
-        "eta",
-        "su_grid",
-        "su_cut",
-        "one_leg_convention",
-    ),
+class _Field(NamedTuple):
+    """One key of a config block."""
+
+    # number, integer, choice, positives (a non-empty list of positive
+    # numbers), fit_window, taud_over_TH, or block (a nested object)
+    kind: str
+    default: object = None  # None: left out of the resolved block when absent
+    minimum: float | None = None
+    strict: bool = False  # the value must exceed the minimum, not just reach it
+    required: bool = False
+    options: tuple | dict = ()  # the choices of a choice, the fields of a block
+
+
+def _positive(default=None, required=False) -> _Field:
+    return _Field("number", default, 0.0, strict=True, required=required)
+
+
+def _nonnegative(default=None) -> _Field:
+    return _Field("number", default, 0.0)
+
+
+_GEOMETRY = {
+    "shape": _Field("choice", required=True, options=SHAPES),
+    "scale": _positive(1.0),
+    "opening_center": _Field("number"),  # default depends on the shape
+    "opening_length": _positive(0.1),
 }
 
-_GRID_KEYS = {
-    "simulate": ("t_max", "n_points", "dense_until", "fit_window"),
-    "lyapunov": ("t_obs",),
-    "variance": ("t_obs",),
-    "pair-decoherence": ("t_collisions", "dt"),
-    "correction": ("t_max", "n_points"),
-    "fig3": (),
-    "quadrature": (),
-    "peak": (),
+_ENSEMBLE = {
+    "seed": _Field("integer", minimum=0, required=True),
+    "n_samples": _Field("integer", 10000, 1),
+    "speed": _positive(DEFAULTS_TABLE["speed"]),
 }
+
+_BATH = {
+    "damping": _Field("number", minimum=0.0, required=True),
+    "inverse_temperature": _positive(required=True),
+    "hbar": _positive(DEFAULTS_TABLE["hbar"]),
+    "characteristic_frequency": _positive(),
+}
+
+_ALPHA = {"alpha": _nonnegative(), "bath": _Field("block", options=_BATH)}
+
+_SEMICLASSICAL = {
+    "dwell_time": _positive(required=True),
+    "heisenberg_time": _positive(required=True),
+    "lyapunov": _nonnegative(),
+    "encounter_scale": _positive(),
+    **_ALPHA,
+    "sigma2": _positive(),
+    "tau_d": _positive(),
+    "eta": _positive(DEFAULTS_TABLE["eta"]),
+    "hbar": _positive(DEFAULTS_TABLE["hbar"]),
+    "ehrenfest_time": _nonnegative(0.0),
+    "loop_formation_time": _nonnegative(0.0),
+    "cavity_size": _positive(),
+    "regime": _Field("choice", "plain", options=REGIMES),
+}
+
+_PARAMS = {
+    "simulate": {},
+    "lyapunov": {},
+    "variance": {},
+    "pair-decoherence": _ALPHA,
+    "correction": _SEMICLASSICAL,
+    "peak": _SEMICLASSICAL,
+    "fig3": {
+        "tauD_over_TH": _positive(0.3),
+        "taud_over_TH": _Field("taud_over_TH", required=True),
+        "t_max_over_TH": _positive(3.0),
+        "n_points": _Field("integer", 301, 16),
+    },
+    "quadrature": {
+        "lambda_tauD": _Field("positives", [10.0, 20.0, 40.0]),
+        "ehrenfest_fractions": _Field("positives", [0.05, 0.035, 0.02]),
+        "alpha_tauD_sigma2": _nonnegative(0.1),
+        "t_over_tauD": _Field("positives", [2.0, 2.5, 3.0, 4.0, 5.0]),
+        "eta": _positive(DEFAULTS_TABLE["eta"]),
+        "su_grid": _Field("integer", 64, 16),
+        "su_cut": _positive(1e-60),
+        "one_leg_convention": _Field("choice", "truncated_encounter",
+                                     options=ONE_LEG_CONVENTIONS),
+    },
+}
+
+_GRID = {
+    "simulate": {
+        "t_max": _positive(),
+        "n_points": _Field("integer", 200, 16),
+        "dense_until": _positive(),
+        "fit_window": _Field("fit_window"),
+    },
+    "lyapunov": {"t_obs": _positive()},
+    "variance": {"t_obs": _positive()},
+    "pair-decoherence": {"t_collisions": _positive(50.0), "dt": _positive()},
+    "correction": {"t_max": _positive(), "n_points": _Field("integer", 301, 16)},
+    "fig3": {},
+    "quadrature": {},
+    "peak": {},
+}
+
 
 @dataclass
 class RunConfig:
@@ -119,40 +177,6 @@ def parse_config(text: str) -> RunConfig:
     return _validate(doc)
 
 
-def _reject_unknown(block: dict, allowed, path: str) -> None:
-    for key in block:
-        if key not in allowed:
-            raise ValidationError(f"{path}.{key}: unknown key")
-
-
-def _number(block, key, path, default=None, minimum=None, strict_min=False, required=False):
-    if key not in block or block[key] is None:
-        if required:
-            raise ValidationError(f"{path}.{key}: required")
-        return default
-    val = block[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ValidationError(f"{path}.{key}: expected a number, got {val!r}")
-    val = float(val)
-    if minimum is not None and (val <= minimum if strict_min else val < minimum):
-        op = ">" if strict_min else ">="
-        raise ValidationError(f"{path}.{key}: must be {op} {minimum}")
-    return val
-
-
-def _integer(block, key, path, default=None, minimum=None, required=False):
-    if key not in block or block[key] is None:
-        if required:
-            raise ValidationError(f"{path}.{key}: required")
-        return default
-    val = block[key]
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise ValidationError(f"{path}.{key}: expected an integer, got {val!r}")
-    if minimum is not None and val < minimum:
-        raise ValidationError(f"{path}.{key}: must be >= {minimum}")
-    return val
-
-
 def _validate(doc: dict) -> RunConfig:
     _reject_unknown(doc, ("command", "geometry", "ensemble", "params", "grid", "output"), "config")
     command = doc.get("command")
@@ -161,39 +185,52 @@ def _validate(doc: dict) -> RunConfig:
     if command not in COMMANDS:
         raise ValidationError(f"config.command: unknown command {command!r}")
 
-    warnings: list[str] = []
+    resolved = {"command": command}
+    for name, fields in (("geometry", _GEOMETRY), ("ensemble", _ENSEMBLE)):
+        if command not in STOCHASTIC_COMMANDS:
+            if name in doc:
+                raise ValidationError(f"config.{name}: not accepted by this command")
+        elif name not in doc:
+            raise ValidationError(f"config.{name}: required for this command")
+        else:
+            resolved[name] = _block(doc[name], fields, f"config.{name}")
     geometry = None
-    geometry_block = None
-    if command in STOCHASTIC_COMMANDS:
-        if "geometry" not in doc:
-            raise ValidationError("config.geometry: required for this command")
-        geometry, geometry_block = _validate_geometry(doc["geometry"])
-    elif "geometry" in doc:
-        raise ValidationError("config.geometry: not accepted by this command")
+    if "geometry" in resolved:
+        block = resolved["geometry"]
+        if "opening_center" not in block:
+            block["opening_center"] = _OPENING_CENTER_DEFAULT[block["shape"]](block["scale"])
+        try:
+            geometry = CavityGeometry(**block)
+        except ValueError as exc:
+            raise ValidationError(f"config.geometry: {exc}") from exc
 
-    ensemble = None
-    if command in STOCHASTIC_COMMANDS:
-        if "ensemble" not in doc:
-            raise ValidationError("config.ensemble: required for this command")
-        ensemble = _validate_ensemble(doc["ensemble"])
-    elif "ensemble" in doc:
-        raise ValidationError("config.ensemble: not accepted by this command")
+    warnings: list[str] = []
+    params = _block(doc.get("params", {}), _PARAMS[command], "config.params")
+    if "bath" in params:
+        bath_alpha = alpha_from_bath(BathSpec(**params["bath"]))
+        if "alpha" in params:
+            warnings.append(
+                "params.alpha and params.bath both given; the direct alpha "
+                f"({params['alpha']!r}) takes precedence over the bath-derived value "
+                f"({bath_alpha!r})"
+            )
+        else:
+            params["alpha"] = bath_alpha
+    if command == "pair-decoherence" and "alpha" not in params:
+        raise ValidationError("config.params.alpha: required (directly or via params.bath)")
+    if command == "quadrature" and (len(params["ehrenfest_fractions"])
+                                    != len(params["lambda_tauD"])):
+        raise ValidationError("config.params.ehrenfest_fractions: must match lambda_tauD in length")
 
-    params = _validate_params(command, doc.get("params", {}), warnings)
-    grid = _validate_grid(command, doc.get("grid", {}))
+    grid = _block(doc.get("grid", {}), _GRID[command], "config.grid")
     output = doc.get("output", f"out-{command}")
     if not isinstance(output, str) or not output:
         raise ValidationError("config.output: expected a non-empty string")
-
-    resolved = {"command": command, "params": params, "grid": grid, "output": output}
-    if geometry_block is not None:
-        resolved["geometry"] = geometry_block
-    if ensemble is not None:
-        resolved["ensemble"] = ensemble
+    resolved.update(params=params, grid=grid, output=output)
     return RunConfig(
         command=command,
         geometry=geometry,
-        ensemble=ensemble,
+        ensemble=resolved.get("ensemble"),
         params=params,
         grid=grid,
         output=output,
@@ -202,235 +239,73 @@ def _validate(doc: dict) -> RunConfig:
     )
 
 
-def _validate_geometry(block) -> tuple[CavityGeometry, dict]:
+def _reject_unknown(block: dict, allowed, path: str) -> None:
+    for key in block:
+        if key not in allowed:
+            raise ValidationError(f"{path}.{key}: unknown key")
+
+
+def _block(block, fields: dict, path: str) -> dict:
+    """Check a block against its field table; the resolved block, defaults filled in.
+
+    A key given as ``null`` counts as absent.
+    """
     if not isinstance(block, dict):
-        raise ValidationError("config.geometry: expected an object")
-    _reject_unknown(block, ("shape", "scale", "opening_center", "opening_length"), "config.geometry")
-    shape = block.get("shape")
-    if shape not in SHAPES:
-        raise ValidationError(f"config.geometry.shape: must be one of {SHAPES}")
-    scale = _number(block, "scale", "config.geometry", default=1.0, minimum=0.0, strict_min=True)
-    opening_length = _number(
-        block, "opening_length", "config.geometry", default=0.1, minimum=0.0, strict_min=True
-    )
-    center = _number(block, "opening_center", "config.geometry")
-    if center is None:
-        center = _OPENING_CENTER_DEFAULT[shape](scale)
-    try:
-        geom = CavityGeometry(
-            shape=shape, scale=scale, opening_center=center, opening_length=opening_length
-        )
-    except ValueError as exc:
-        raise ValidationError(f"config.geometry: {exc}") from exc
-    resolved = {
-        "shape": shape,
-        "scale": scale,
-        "opening_center": center,
-        "opening_length": opening_length,
-    }
-    return geom, resolved
-
-
-def _validate_ensemble(block) -> dict:
-    if not isinstance(block, dict):
-        raise ValidationError("config.ensemble: expected an object")
-    _reject_unknown(block, ("seed", "n_samples", "speed"), "config.ensemble")
-    seed = _integer(block, "seed", "config.ensemble", minimum=0, required=True)
-    n_samples = _integer(block, "n_samples", "config.ensemble", default=10000, minimum=1)
-    speed = _number(
-        block, "speed", "config.ensemble", default=DEFAULTS_TABLE["speed"],
-        minimum=0.0, strict_min=True,
-    )
-    return {"seed": seed, "n_samples": n_samples, "speed": speed}
-
-
-def _validate_params(command: str, block, warnings: list) -> dict:
-    if not isinstance(block, dict):
-        raise ValidationError("config.params: expected an object")
-    allowed = _PARAMS_KEYS[command]
-    _reject_unknown(block, allowed, "config.params")
-    if command in ("correction", "peak"):
-        return _semiclassical_params(block, warnings, require_core=True)
-    if command == "pair-decoherence":
-        out = _semiclassical_params(block, warnings, require_core=False)
-        if out.get("alpha") is None:
-            raise ValidationError(
-                "config.params.alpha: required (directly or via params.bath)"
-            )
-        return out
-    if command == "fig3":
-        taud = block.get("taud_over_TH")
-        if taud is None:
-            raise ValidationError("config.params.taud_over_TH: required")
-        if not isinstance(taud, list) or not taud:
-            raise ValidationError("config.params.taud_over_TH: expected a non-empty list")
-        cleaned = []
-        for i, v in enumerate(taud):
-            if v in ("inf", "Infinity") or v == math.inf:
-                cleaned.append(math.inf)
-                continue
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or v <= 0:
-                raise ValidationError(
-                    f"config.params.taud_over_TH[{i}]: expected a positive number or 'inf'"
-                )
-            cleaned.append(float(v))
-        return {
-            "tauD_over_TH": _number(block, "tauD_over_TH", "config.params", default=0.3,
-                                    minimum=0.0, strict_min=True),
-            "taud_over_TH": cleaned,
-            "t_max_over_TH": _number(block, "t_max_over_TH", "config.params", default=3.0,
-                                     minimum=0.0, strict_min=True),
-            "n_points": _integer(block, "n_points", "config.params", default=301, minimum=16),
-        }
-    if command == "quadrature":
-        return _quadrature_params(block)
-    return {}
-
-
-def _semiclassical_params(block: dict, warnings: list, require_core: bool) -> dict:
-    bath_out = None
-    alpha = _number(block, "alpha", "config.params", minimum=0.0)
-    if "bath" in block and block["bath"] is not None:
-        bath = block["bath"]
-        if not isinstance(bath, dict):
-            raise ValidationError("config.params.bath: expected an object")
-        _reject_unknown(
-            bath,
-            ("damping", "inverse_temperature", "hbar", "characteristic_frequency"),
-            "config.params.bath",
-        )
-        spec = BathSpec(
-            damping=_number(bath, "damping", "config.params.bath", minimum=0.0, required=True),
-            inverse_temperature=_number(
-                bath, "inverse_temperature", "config.params.bath",
-                minimum=0.0, strict_min=True, required=True,
-            ),
-            hbar=_number(bath, "hbar", "config.params.bath",
-                         default=DEFAULTS_TABLE["hbar"], minimum=0.0, strict_min=True),
-            characteristic_frequency=_number(
-                bath, "characteristic_frequency", "config.params.bath",
-                minimum=0.0, strict_min=True,
-            ),
-        )
-        bath_out = {
-            "damping": spec.damping,
-            "inverse_temperature": spec.inverse_temperature,
-            "hbar": spec.hbar,
-        }
-        if spec.characteristic_frequency is not None:
-            bath_out["characteristic_frequency"] = spec.characteristic_frequency
-        bath_alpha = alpha_from_bath(spec)
-        if alpha is not None:
-            warnings.append(
-                "params.alpha and params.bath both given; the direct alpha "
-                f"({alpha!r}) takes precedence over the bath-derived value ({bath_alpha!r})"
-            )
-        else:
-            alpha = bath_alpha
-
-    out = {
-        "dwell_time": _number(block, "dwell_time", "config.params",
-                              minimum=0.0, strict_min=True, required=require_core),
-        "heisenberg_time": _number(block, "heisenberg_time", "config.params",
-                                   minimum=0.0, strict_min=True, required=require_core),
-        "lyapunov": _number(block, "lyapunov", "config.params", minimum=0.0),
-        "encounter_scale": _number(block, "encounter_scale", "config.params",
-                                   minimum=0.0, strict_min=True),
-        "alpha": alpha,
-        "sigma2": _number(block, "sigma2", "config.params", minimum=0.0, strict_min=True),
-        "tau_d": _number(block, "tau_d", "config.params", minimum=0.0, strict_min=True),
-        "eta": _number(block, "eta", "config.params", default=DEFAULTS_TABLE["eta"],
-                       minimum=0.0, strict_min=True),
-        "hbar": _number(block, "hbar", "config.params", default=DEFAULTS_TABLE["hbar"],
-                        minimum=0.0, strict_min=True),
-        "ehrenfest_time": _number(block, "ehrenfest_time", "config.params", default=0.0,
-                                  minimum=0.0),
-        "loop_formation_time": _number(block, "loop_formation_time", "config.params",
-                                       default=0.0, minimum=0.0),
-        "cavity_size": _number(block, "cavity_size", "config.params",
-                               minimum=0.0, strict_min=True),
-    }
-    regime = block.get("regime", "plain")
-    if regime not in ("plain", "short_time", "ehrenfest"):
-        raise ValidationError(
-            "config.params.regime: must be one of ('plain', 'short_time', 'ehrenfest')"
-        )
-    out["regime"] = regime
-    if bath_out is not None:
-        out["bath"] = bath_out
-    return {k: v for k, v in out.items() if v is not None}
-
-
-def _quadrature_params(block: dict) -> dict:
-    lam_taus = block.get("lambda_tauD", [10.0, 20.0, 40.0])
-    fracs = block.get("ehrenfest_fractions", [0.05, 0.035, 0.02])
-    times = block.get("t_over_tauD", [2.0, 2.5, 3.0, 4.0, 5.0])
-    for name, seq in (("lambda_tauD", lam_taus), ("ehrenfest_fractions", fracs),
-                      ("t_over_tauD", times)):
-        if not isinstance(seq, list) or not seq or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0 for v in seq
-        ):
-            raise ValidationError(f"config.params.{name}: expected a list of positive numbers")
-    if len(fracs) != len(lam_taus):
-        raise ValidationError(
-            "config.params.ehrenfest_fractions: must match lambda_tauD in length"
-        )
-    convention = block.get("one_leg_convention", "truncated_encounter")
-    if convention not in ONE_LEG_CONVENTIONS:
-        raise ValidationError(
-            f"config.params.one_leg_convention: must be one of {ONE_LEG_CONVENTIONS}"
-        )
-    return {
-        "lambda_tauD": [float(v) for v in lam_taus],
-        "ehrenfest_fractions": [float(v) for v in fracs],
-        "alpha_tauD_sigma2": _number(block, "alpha_tauD_sigma2", "config.params",
-                                     default=0.1, minimum=0.0),
-        "t_over_tauD": [float(v) for v in times],
-        "eta": _number(block, "eta", "config.params", default=DEFAULTS_TABLE["eta"],
-                       minimum=0.0, strict_min=True),
-        "su_grid": _integer(block, "su_grid", "config.params", default=64, minimum=16),
-        "su_cut": _number(block, "su_cut", "config.params", default=1e-60,
-                          minimum=0.0, strict_min=True),
-        "one_leg_convention": convention,
-    }
-
-
-def _validate_grid(command: str, block) -> dict:
-    if not isinstance(block, dict):
-        raise ValidationError("config.grid: expected an object")
-    allowed = _GRID_KEYS[command]
-    _reject_unknown(block, allowed, "config.grid")
-    out: dict = {}
-    if command == "simulate":
-        t_max = _number(block, "t_max", "config.grid", minimum=0.0, strict_min=True)
-        if t_max is not None:
-            out["t_max"] = t_max
-        out["n_points"] = _integer(block, "n_points", "config.grid", default=200, minimum=16)
-        dense = _number(block, "dense_until", "config.grid", minimum=0.0, strict_min=True)
-        if dense is not None:
-            out["dense_until"] = dense
-        window = block.get("fit_window")
-        if window is not None:
-            if (not isinstance(window, list) or len(window) != 2
-                    or not all(isinstance(v, (int, float)) for v in window)
-                    or not 0 <= window[0] < window[1]):
-                raise ValidationError(
-                    "config.grid.fit_window: expected [t_lo, t_hi] with 0 <= t_lo < t_hi"
-                )
-            out["fit_window"] = [float(window[0]), float(window[1])]
-    elif command in ("lyapunov", "variance"):
-        t_obs = _number(block, "t_obs", "config.grid", minimum=0.0, strict_min=True)
-        if t_obs is not None:
-            out["t_obs"] = t_obs
-    elif command == "pair-decoherence":
-        out["t_collisions"] = _number(block, "t_collisions", "config.grid", default=50.0,
-                                      minimum=0.0, strict_min=True)
-        dt = _number(block, "dt", "config.grid", minimum=0.0, strict_min=True)
-        if dt is not None:
-            out["dt"] = dt
-    elif command == "correction":
-        out["t_max"] = _number(block, "t_max", "config.grid", minimum=0.0, strict_min=True)
-        out["n_points"] = _integer(block, "n_points", "config.grid", default=301, minimum=16)
-        if out["t_max"] is None:
-            del out["t_max"]
+        raise ValidationError(f"{path}: expected an object")
+    _reject_unknown(block, fields, path)
+    out = {}
+    for key, spec in fields.items():
+        value = block.get(key)
+        if value is None:
+            if spec.required:
+                raise ValidationError(f"{path}.{key}: required")
+            value = spec.default  # checked like a given value, so default lists are copies
+        if value is not None:
+            out[key] = _value(value, spec, f"{path}.{key}")
     return out
+
+
+def _finite(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _value(v, spec: _Field, name: str):
+    """The checked, converted value of one field."""
+    if spec.kind == "block":
+        return _block(v, spec.options, name)
+    if spec.kind == "choice":
+        if v not in spec.options:
+            raise ValidationError(f"{name}: must be one of {spec.options}")
+        return v
+    if spec.kind == "positives":
+        if not isinstance(v, list) or not v or not all(_finite(x) and x > 0 for x in v):
+            raise ValidationError(f"{name}: expected a list of positive numbers")
+        return [float(x) for x in v]
+    if spec.kind == "fit_window":
+        if not (isinstance(v, list) and len(v) == 2 and all(map(_finite, v))
+                and 0 <= v[0] < v[1]):
+            raise ValidationError(f"{name}: expected [t_lo, t_hi] with 0 <= t_lo < t_hi")
+        return [float(x) for x in v]
+    if spec.kind == "taud_over_TH":
+        if not isinstance(v, list) or not v:
+            raise ValidationError(f"{name}: expected a non-empty list")
+        out = []
+        for i, x in enumerate(v):
+            # infinity is the decoherence-free reference curve
+            if x in ("inf", "Infinity") or x == math.inf:
+                out.append(math.inf)
+            elif _finite(x) and x > 0:
+                out.append(float(x))
+            else:
+                raise ValidationError(f"{name}[{i}]: expected a positive number or 'inf'")
+        return out
+    if spec.kind == "integer":
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ValidationError(f"{name}: expected an integer, got {v!r}")
+    elif not _finite(v):
+        raise ValidationError(f"{name}: expected a finite number, got {v!r}")
+    else:
+        v = float(v)
+    if spec.minimum is not None and (v <= spec.minimum if spec.strict else v < spec.minimum):
+        raise ValidationError(f"{name}: must be {'>' if spec.strict else '>='} {spec.minimum}")
+    return v

@@ -25,6 +25,16 @@ from chaodecay.formulas import SemiclassicalParams, correction_peak
 from chaodecay.io import atomic_write_text, format_float, write_csv, write_manifest
 from chaodecay.quadrature import convergence_study, semiclassical_ladder
 
+from golden import (
+    EXAMPLE_CONFIGS,
+    GOLDEN_CASES,
+    GOLDEN_FILE,
+    case_name,
+    csv_sha256,
+    numpy_key,
+    run_bundled,
+)
+
 
 def read_csv(path):
     """(embedded manifest line or None, header, rows of floats) of a written CSV."""
@@ -54,9 +64,6 @@ def check_manifest_derived(manifest, recomputed):
             raise ValidationError(f"manifest derived value {key!r} = {old!r} does not "
                                   f"match recomputed {fresh!r}")
 
-
-EXAMPLE_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "scripts" / "configs")
-                         .glob("*.json"))
 
 MINIMAL_FIG3 = json.dumps({
     "command": "fig3",
@@ -314,14 +321,21 @@ class TestCommandLine:
         cfg.write_text(MINIMAL_FIG3)
         assert main(["fig3", "--config", str(cfg), "--threads", "0"]) == 2
 
-    def test_threads_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CHAODECAY_THREADS", "2")
-        doc = {"command": "simulate",
-               "geometry": {"shape": "cardioid", "opening_length": 0.2},
-               "ensemble": {"seed": 5, "n_samples": 300},
-               "grid": {"t_max": 60.0}}
+    @pytest.mark.parametrize("config, block, key, value", [
+        ("correction.json", "params", "dwell_time", math.nan),
+        ("simulate.json", "grid", "t_max", math.nan),
+        ("fig3.json", "params", "taud_over_TH", [math.nan]),
+        ("quadrature.json", "params", "alpha_tauD_sigma2", math.nan),
+        ("correction.json", "grid", "t_max", math.inf),
+    ])
+    def test_non_finite_number_exit_3(self, tmp_path, capsys, config, block, key, value):
+        # json reads NaN and Infinity, which pass every bound check
+        doc = json.loads((EXAMPLE_CONFIGS[0].parent / config).read_text())
+        doc[block][key] = value
         code, out = run_cli(tmp_path, doc)
-        assert code == 0
+        assert code == ValidationError.exit_code
+        assert f"config.{block}.{key}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_peak_reference_value(self, tmp_path):
         doc = {"command": "peak",
@@ -492,16 +506,42 @@ class TestCommandLine:
         assert (tmp_path / "plain.csv").read_bytes() == csv
 
 
+@pytest.fixture(scope="module")
+def bundled_run(tmp_path_factory):
+    """Each bundled config's (exit code, CSV path), run once per thread count."""
+    runs = {}
+
+    def run(path, threads=1):
+        if (path, threads) not in runs:
+            runs[path, threads] = run_bundled(path, threads,
+                                              tmp_path_factory.mktemp("bundled"))
+        return runs[path, threads]
+    return run
+
+
 @pytest.mark.parametrize("path", EXAMPLE_CONFIGS, ids=lambda p: p.name)
-def test_bundled_example_runs(tmp_path, path):
-    command = json.loads(path.read_text())["command"]
-    out = tmp_path / "out"
-    assert main([command, "--config", str(path), "--out", str(out)]) == 0
-    line, _, _ = read_csv(str(out / f"{command}.csv"))
-    manifest = read_manifest(str(out / "manifest.json"))
+def test_bundled_example_runs(bundled_run, path):
+    code, csv_path = bundled_run(path)
+    assert code == 0
+    line, _, _ = read_csv(str(csv_path))
+    manifest = read_manifest(str(csv_path.with_name("manifest.json")))
     # the embedded line carries the grid of every Monte Carlo command
-    if command in STOCHASTIC_COMMANDS:
+    if manifest["command"] in STOCHASTIC_COMMANDS:
         assert line["grid"] == manifest["config"]["grid"]
+
+
+@pytest.mark.parametrize("path, threads", GOLDEN_CASES,
+                         ids=[case_name(p, n) for p, n in GOLDEN_CASES])
+def test_golden_output_bytes(bundled_run, path, threads):
+    golden = json.loads(GOLDEN_FILE.read_text())
+    if golden["key"] != numpy_key():
+        pytest.skip(f"{GOLDEN_FILE.name} holds the bytes of {golden['key']}, "
+                    f"not of this build, {numpy_key()}")
+    code, csv_path = bundled_run(path, threads)
+    assert code == 0
+    name = case_name(path, threads)
+    assert csv_sha256(csv_path) == golden["sha256"][name], \
+        f"{name}: CSV bytes differ from {GOLDEN_FILE.name}"
 
 
 def test_bundled_examples_cover_every_command():
@@ -522,17 +562,19 @@ class TestReproducibility:
         assert code == 0
         assert (out2 / "simulate.csv").read_bytes() == csv1
 
-    def test_manifest_config_round_trip(self, tmp_path):
-        doc = {"command": "fig3",
-               "params": {"tauD_over_TH": 0.3, "taud_over_TH": [0.1, "inf"],
-                          "n_points": 31}}
-        _, out1 = run_cli(tmp_path, doc)
-        manifest = read_manifest(str(out1 / "manifest.json"))
+    @pytest.mark.parametrize("path", EXAMPLE_CONFIGS, ids=lambda p: p.name)
+    def test_manifest_config_round_trip(self, tmp_path, bundled_run, path):
+        code, csv_path = bundled_run(path)
+        assert code == 0
+        manifest = read_manifest(str(csv_path.with_name("manifest.json")))
         rerun_cfg = tmp_path / "rerun.json"
         rerun_cfg.write_text(json.dumps(manifest["config"]))
         out2 = tmp_path / "out2"
-        assert main(["fig3", "--config", str(rerun_cfg), "--out", str(out2)]) == 0
-        assert (out2 / "fig3.csv").read_bytes() == (out1 / "fig3.csv").read_bytes()
+        assert main([manifest["command"], "--config", str(rerun_cfg), "--out", str(out2)]) == 0
+        assert (out2 / csv_path.name).read_bytes() == csv_path.read_bytes()
+        # the resolved config is a fixed point of resolving
+        again = read_manifest(str(out2 / "manifest.json"))["config"]
+        assert again == {**manifest["config"], "output": str(out2)}
 
     def test_manifest_derived_recompute(self, tmp_path):
         doc = {"command": "simulate",

@@ -13,6 +13,7 @@ from chaodecay.errors import NumericError
 from chaodecay.geometry import SHAPES, CavityGeometry
 
 from benettin import advance_to
+from boundary import boundary_point
 
 
 def make(shape="circle", scale=1.0, opening_center=0.5, opening_length=0.1):
@@ -327,7 +328,7 @@ class TestProgressGuarantee:
         starts.append([2.0, 0.0])
         dirs.append([-1.0, 0.0])
         for s in (4.0 - 1e-6, 4.0 + 1e-6, 4.0 - 1e-9, 4.0 + 1e-9):
-            pos, _ = g.boundary_point(s)
+            pos, _ = boundary_point(g, s)
             for target in ([0.0, 0.0], [0.5, 0.0], [0.0, 0.5]):
                 starts.append(pos)
                 dirs.append((target - pos) / np.linalg.norm(target - pos))

@@ -18,6 +18,8 @@ from chaodecay import geometry
 from chaodecay.dynamics import batch_collide
 from chaodecay.geometry import SHAPES, CavityGeometry
 
+from boundary import boundary_point
+
 
 def _cardioid_polygon(a=1.0, n=400_000):
     """Dense polyline from the polar form rho(phi) = a (1 + cos phi)."""
@@ -86,22 +88,22 @@ class TestValidation:
 class TestBoundaryPoint:
     def test_circle_start(self):
         g = make("circle")
-        pos, nrm = g.boundary_point(0.0)
+        pos, nrm = boundary_point(g, 0.0)
         assert pos == pytest.approx([1.0, 0.0], abs=1e-15)
         assert nrm == pytest.approx([-1.0, 0.0], abs=1e-15)
 
     def test_circle_quarter_arc(self):
         g = make("circle")
-        pos, nrm = g.boundary_point(0.5 * math.pi)
+        pos, nrm = boundary_point(g, 0.5 * math.pi)
         assert pos == pytest.approx([0.0, 1.0], abs=1e-15)
         assert nrm == pytest.approx([0.0, -1.0], abs=1e-15)
 
     def test_out_of_range_arclength(self):
         g = make("circle")
         with pytest.raises(ValueError):
-            g.boundary_point(-0.1)
+            boundary_point(g, -0.1)
         with pytest.raises(ValueError):
-            g.boundary_point(g.perimeter + 0.1)
+            boundary_point(g, g.perimeter + 0.1)
 
     def test_cardioid_at_quarter_angle(self):
         # Independent arclength inversion: find s(phi = pi/2) on the dense
@@ -112,7 +114,7 @@ class TestBoundaryPoint:
         phi, xy, arclength = _cardioid_polygon()
         s_oracle = np.interp(0.5 * math.pi, phi, arclength)
         assert s_oracle == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-9)
-        pos, nrm = g.boundary_point(2.0 * math.sqrt(2.0))
+        pos, nrm = boundary_point(g, 2.0 * math.sqrt(2.0))
         assert pos == pytest.approx([0.0, 1.0], abs=1e-12)
         assert nrm == pytest.approx([math.sqrt(0.5), -math.sqrt(0.5)], abs=1e-12)
 
@@ -120,7 +122,7 @@ class TestBoundaryPoint:
     def test_normals_unit_and_inward(self, shape):
         g = make(shape)
         s = np.linspace(0.0, g.perimeter, 733, endpoint=False)
-        pos, nrm = g.boundary_point(s)
+        pos, nrm = boundary_point(g, s)
         np.testing.assert_allclose(np.linalg.norm(nrm, axis=-1), 1.0, atol=1e-12)
         probe = pos + 1e-7 * g.scale * nrm
         assert np.all(g.contains(probe))
@@ -139,8 +141,8 @@ class TestBoundaryPoint:
                              g.perimeter]}[shape]
         margin = 0.2 * a if shape == "cardioid" else 2.0 * h
         s = s[np.all(np.abs(s[:, None] - np.array(joins)) > margin, axis=1)]
-        pos, nrm = g.boundary_point(s)
-        second = (g.boundary_point(s + h)[0] - 2.0 * pos + g.boundary_point(s - h)[0]) / h**2
+        pos, nrm = boundary_point(g, s)
+        second = (boundary_point(g, s + h)[0] - 2.0 * pos + boundary_point(g, s - h)[0]) / h**2
         kappa = -np.einsum("ij,ij->i", second, nrm)
         np.testing.assert_allclose(g.curvature(s), kappa, rtol=1e-5, atol=1e-5 / a)
 
@@ -148,7 +150,7 @@ class TestBoundaryPoint:
         g = make("cardioid")
         _, xy, arclength = _cardioid_polygon()
         for s in (0.5, 1.7, 3.0, 5.2, 7.4):
-            pos, _ = g.boundary_point(s)
+            pos, _ = boundary_point(g, s)
             i = np.searchsorted(arclength, s)
             assert pos == pytest.approx(xy[i], abs=1e-4)
 
@@ -224,7 +226,7 @@ class TestRayHits:
             _, xy, _ = _cardioid_polygon(n=200_000)
         else:
             s = np.linspace(0.0, g.perimeter, 200_001)
-            xy, _ = g.boundary_point(np.minimum(s, g.perimeter))
+            xy, _ = boundary_point(g, np.minimum(s, g.perimeter))
         rng = np.random.default_rng(7)
         hits = 0
         while hits < 40:
@@ -250,7 +252,7 @@ class TestRayHits:
                 pts.append(p)
                 dirs.append([math.cos(th), math.sin(th)])
         dist, s_hit, hit, nrm, _ = g.ray_hits(np.array(pts), np.array(dirs))
-        pos_check, nrm_check = g.boundary_point(s_hit % g.perimeter)
+        pos_check, nrm_check = boundary_point(g, s_hit % g.perimeter)
         np.testing.assert_allclose(hit, pos_check, atol=1e-9)
         np.testing.assert_allclose(nrm, nrm_check, atol=1e-7)
         assert np.all(dist > 0)
@@ -314,13 +316,13 @@ class TestCardioidKernel:
 
     def _boundary_ray(self, s0, angle):
         """Start at arclength s0, heading ``angle`` from the tangent into the cavity."""
-        pos, nrm = self.g.boundary_point(s0)
+        pos, nrm = boundary_point(self.g, s0)
         tangent = np.array([-nrm[1], nrm[0]])
         return pos, math.cos(angle) * tangent + math.sin(angle) * nrm
 
     def _aimed_ray(self, s0, s_target):
-        pos, _ = self.g.boundary_point(s0)
-        target, _ = self.g.boundary_point(s_target)
+        pos, _ = boundary_point(self.g, s0)
+        target, _ = boundary_point(self.g, s_target)
         return pos, (target - pos) / np.linalg.norm(target - pos)
 
     def _check(self, p, d):
@@ -334,7 +336,7 @@ class TestCardioidKernel:
         assert cusp[0] == (1.0 + math.cos(math.atan2(hit_oracle[1], hit_oracle[0])) <= 1e-9)
         # the hit lies on the ray and on the boundary, with the boundary's normal
         np.testing.assert_allclose(hit[0], p + dist[0] * d, atol=1e-9)
-        pos_b, nrm_b = self.g.boundary_point(s_hit[0] % self.g.perimeter)
+        pos_b, nrm_b = boundary_point(self.g, s_hit[0] % self.g.perimeter)
         np.testing.assert_allclose(hit[0], pos_b, atol=1e-9)
         np.testing.assert_allclose(nrm[0], nrm_b, atol=1e-7)
         # batch_collide reflects specularly off that normal
@@ -376,7 +378,7 @@ class TestCardioidKernel:
         # just inside, heading out: the first hit is the nearby root that a
         # boundary start would drop, so these must take the quartic path
         assume(abs(s0 - 4.0) > 1e-2)
-        pos, nrm = self.g.boundary_point(s0)
+        pos, nrm = boundary_point(self.g, s0)
         tangent = np.array([-nrm[1], nrm[0]])
         p = pos + depth * nrm
         d = math.cos(angle) * tangent + math.sin(angle) * nrm
@@ -399,7 +401,7 @@ class TestCardioidKernel:
         # boundary and interior starts in one batch give each ray's own answer
         rng = np.random.default_rng(4)
         s = rng.uniform(0.0, 8.0, 64)
-        pos, nrm = self.g.boundary_point(s)
+        pos, nrm = boundary_point(self.g, s)
         pos[::2] += 0.05 * nrm[::2]  # every other start moved inside
         theta = rng.uniform(0.0, 2.0 * math.pi, 64)
         dirs = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
