@@ -9,13 +9,14 @@ Three boundaries are supported:
                   segments of length 2*scale; fully chaotic, piecewise smooth.
 
 Arclength runs counterclockwise; the inward unit normal is the tangent rotated
-by +90 degrees.  Ray intersection is exact for the circle and stadium
-(line/circle pieces) and reduces to a quartic for the cardioid, solved for the
+by +90 degrees.  Ray intersection solves only for the hit it returns.  It is
+exact for the circle and the stadium, where the heading picks the one piece
+a ray leaves by, and reduces to a quartic for the cardioid, solved for the
 whole batch at once.  Rays starting on the boundary -- every ray after its
-first flight -- have an exact root at distance 0, so their quartic deflates to
-a cubic solved in closed form; only rays starting inside the cavity take all
-four roots from companion-matrix eigenvalues.  Both are polished by Newton
-steps on the full quartic.
+first flight -- have an exact root at distance 0, so their quartic deflates
+to a cubic solved in closed form; only rays starting inside the cavity take
+all four roots from companion-matrix eigenvalues.  Only the smallest
+admissible root is polished, by Newton steps on the full quartic.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+from .errors import NumericError
 
 __all__ = ["CavityGeometry", "SHAPES"]
 
@@ -149,7 +152,8 @@ class CavityGeometry:
         ``normal`` the inward unit normal at the (snapped) hit and ``cusp``
         marks hits effectively at the cardioid cusp, where no normal exists
         and the caller should retroreflect.  Starts up to ``1e-9*scale``
-        outside the boundary are tolerated.
+        outside the boundary are tolerated.  A stadium ray with no exit ahead
+        of it (a start outside, a tangent ray, a NaN) raises ``NumericError``.
         """
         p = np.atleast_2d(np.asarray(pos, dtype=float)) - np.asarray(self.center)
         d = np.atleast_2d(np.asarray(dirs, dtype=float))
@@ -193,73 +197,53 @@ def _circle_hits(p, d, radius):
 
 
 def _stadium_hits(p, d, a):
-    n = len(p)
+    """Exit of each ray, solved on the one piece it leaves the convex stadium by.
+
+    A ray leaves the strip |y| <= a through the line of the straight it heads
+    for, y = copysign(a, dy).  If it meets it at |x| <= a that is the exit;
+    otherwise the ray left earlier through the cap on that side (the side of
+    dx when dy == 0 or it starts on the line), at the far root of its circle.
+    """
     tau_min = _TAU_MIN * a
-    tol = 1e-9 * a
-    x, y = p[:, 0], p[:, 1]
-    dx, dy = d[:, 0], d[:, 1]
-    INF = np.inf
-    cand = np.full((4, n), INF)
+    edge = np.copysign(a, d[:, 1])  # y of the straight each ray heads for
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        dist = (edge - p[:, 1]) / d[:, 1]
+        hit = p + dist[:, None] * d
+    ahead = dist > tau_min
+    cap = np.flatnonzero(~(ahead & (np.abs(hit[:, 0]) <= a + 1e-9 * a)))
 
-    # bottom (piece 0) and top (piece 1) straight segments
-    for k, ysign in ((0, -1.0), (1, 1.0)):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tau = (ysign * a - y) / dy
-        xh = x + tau * dx
-        ok = (dy != 0) & (tau > tau_min) & (np.abs(xh) <= a + tol)
-        cand[k] = np.where(ok, tau, INF)
+    # every row as a straight hit first; the cap rows are overwritten below
+    hit[:, 1] = edge
+    nrm = np.zeros((len(p), 2))
+    nrm[:, 1] = -edge / a
+    s_hit = np.clip(hit[:, 0] * nrm[:, 1] + a, 0.0, 2 * a)  # x + a (bottom), a - x (top)
+    np.add(s_hit, 2 * a + math.pi * a, out=s_hit, where=edge > 0)  # where the top starts
 
-    # right (piece 2) and left (piece 3) caps
-    for k, xsign in ((2, 1.0), (3, -1.0)):
-        px = x - xsign * a
-        b = px * dx + y * dy
-        c0 = px * px + y * y - a * a
-        disc = b * b - c0
-        ok_disc = disc >= 0
-        sq = np.sqrt(np.maximum(disc, 0.0))
-        best = np.full(n, INF)
-        for tau in (-b - sq, -b + sq):
-            xh = px + tau * dx
-            ok = ok_disc & (tau > tau_min) & (xsign * xh >= -tol)
-            best = np.where(ok & (tau < best), tau, best)
-        cand[k] = best
-
-    piece = np.argmin(cand, axis=0)
-    dist = cand[piece, np.arange(n)]
-    if not np.all(np.isfinite(dist)):
-        raise ArithmeticError("stadium ray intersection found no boundary hit")
-
-    hit = p + dist[:, None] * d
-    s_hit = np.empty(n)
-    nrm = np.empty((n, 2))
-    s0, s1, s2 = 2 * a, 2 * a + math.pi * a, 4 * a + math.pi * a
-
-    m = piece == 0
-    hit[m, 1] = -a
-    s_hit[m] = np.clip(hit[m, 0] + a, 0.0, 2 * a)
-    nrm[m] = (0.0, 1.0)
-    m = piece == 1
-    hit[m, 1] = a
-    s_hit[m] = s1 + np.clip(a - hit[m, 0], 0.0, 2 * a)
-    nrm[m] = (0.0, -1.0)
-    for pc, xsign, s_base in ((2, 1.0, s0), (3, -1.0, s2)):
-        m = piece == pc
-        if not np.any(m):
-            continue
-        px = hit[m, 0] - xsign * a
-        py = hit[m, 1]
-        rr = np.hypot(px, py)
-        px, py = a * px / rr, a * py / rr  # snap radially onto the cap
-        hit[m, 0] = px + xsign * a
-        hit[m, 1] = py
-        th = np.arctan2(py, px)
-        if pc == 2:
-            s_hit[m] = s_base + (th + 0.5 * math.pi) * a
-        else:
-            th = th % (2.0 * math.pi)  # left-cap angles in [pi/2, 3pi/2]
-            s_hit[m] = s_base + (th - 0.5 * math.pi) * a
-        nrm[m, 0] = -px / a
-        nrm[m, 1] = -py / a
+    pc, dc = p[cap], d[cap]
+    xc = np.copysign(a, np.where(ahead[cap], hit[cap, 0], dc[:, 0]))  # cap centre x
+    px = pc[:, 0] - xc
+    b = px * dc[:, 0] + pc[:, 1] * dc[:, 1]
+    c0 = px * px + pc[:, 1] * pc[:, 1] - a * a
+    with np.errstate(invalid="ignore"):
+        tau = -b + np.sqrt(b * b - c0)
+    bad = cap[~((tau > tau_min) & (tau < np.inf))]
+    if bad.size:
+        raise NumericError(f"stadium ray from {p[bad[0]].tolist()} (centre at the origin) "
+                           f"along {d[bad[0]].tolist()} has no boundary exit ahead of it")
+    dist[cap] = tau
+    px = pc[:, 0] + tau * dc[:, 0] - xc
+    py = pc[:, 1] + tau * dc[:, 1]
+    rr = np.hypot(px, py)
+    px, py = a * px / rr, a * py / rr  # snap radially onto the cap
+    hit[cap, 0] = px + xc
+    hit[cap, 1] = py
+    th = np.arctan2(py, px)
+    right = xc > 0
+    np.mod(th, 2.0 * math.pi, out=th, where=~right)  # left-cap angles in [pi/2, 3pi/2]
+    s_base = np.where(right, 2 * a, 4 * a + math.pi * a)
+    s_hit[cap] = s_base + (th + np.copysign(0.5 * math.pi, xc)) * a
+    nrm[cap, 0] = -px / a
+    nrm[cap, 1] = -py / a
     return dist, s_hit, hit, nrm
 
 
@@ -280,8 +264,8 @@ def _cardioid_hits(p, d, scale):
       itself, never admissible -- and leaves a cubic solved in closed form;
     * interior starts: all four roots from companion-matrix eigenvalues.
 
-    Either way the candidate roots are polished by Newton steps on the full
-    quartic and the smallest admissible one is kept.
+    Either way the smallest admissible candidate is kept and only it is
+    polished by Newton steps on the full quartic.
     """
     p = p / scale
     b = np.einsum("ij,ij->i", p, d)
@@ -379,20 +363,14 @@ _CARDANO = np.array([[1.0], [-0.5], [-0.5]])
 
 
 def _smallest_admissible(tau, near_real, c3, c2, c1, c0, b1, b0):
-    """Newton-polish candidate roots on the full quartic; keep the smallest admissible.
+    """Pick the smallest admissible candidate root, then Newton-polish only it.
 
-    ``tau`` holds one candidate per row, rays along the columns.  A root is
-    admissible when it is (nearly) real, lies ahead of the start, is on the
+    ``tau`` holds one candidate per row, rays along the columns.  A candidate
+    is admissible when it is (nearly) real, lies ahead of the start, is on the
     physical branch q - x >= 0 and leaves a small quartic residual.  Rays
-    without one get ``inf``.
+    without one get a non-finite distance.
     """
-    dc3, dc2 = 3.0 * c3, 2.0 * c2
-    for _ in range(3):  # Newton polish on the real axis; no step where dP vanishes
-        P = (((tau + c3) * tau + c2) * tau + c1) * tau + c0
-        dP = ((4.0 * tau + dc3) * tau + dc2) * tau + c1
-        tau = tau - P / np.where(np.abs(dP) > 1e-300, dP, np.inf)
     P = (((tau + c3) * tau + c2) * tau + c1) * tau + c0
-
     g = (tau + b1) * tau + b0  # q - x along the ray
     admissible = (
         near_real
@@ -400,4 +378,11 @@ def _smallest_admissible(tau, near_real, c3, c2, c1, c0, b1, b0):
         & (g >= -1e-9)
         & (np.abs(P) <= 1e-8 * np.maximum(1.0, tau**4))
     )
-    return np.where(admissible, tau, np.inf).min(axis=0)
+    tau = np.where(admissible, tau, np.inf).min(axis=0)
+    dc3, dc2 = 3.0 * c3, 2.0 * c2
+    with np.errstate(invalid="ignore"):  # inf - inf on rays without a root
+        for _ in range(2):  # no step where dP vanishes
+            P = (((tau + c3) * tau + c2) * tau + c1) * tau + c0
+            dP = ((4.0 * tau + dc3) * tau + dc2) * tau + c1
+            tau = tau - P / np.where(np.abs(dP) > 1e-300, dP, np.inf)
+    return tau

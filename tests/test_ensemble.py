@@ -91,7 +91,7 @@ class TestSampling:
         pos, _ = sample_ensemble(g, EnsembleSpec(n_samples=20_000, seed=5))
         assert np.all(g.contains(pos))
 
-    @pytest.mark.parametrize("n", [1, 8191, 8193, 20001])
+    @pytest.mark.parametrize("n", [1, 2047, 2049, 8191, 8193, 20001])
     def test_blocks_equal_one_draw(self, n):
         # the stream drawn block by block gives the rows of one whole draw
         g = cardioid()

@@ -3,7 +3,8 @@
 The independent oracle throughout is a dense polygonal approximation of the
 boundary built directly from the defining polar/piecewise formulas, never
 from the module under test.  The cardioid root solve is also checked against
-a companion-matrix solve of the same ray quartic.
+a companion-matrix solve of the same ray quartic, and the stadium's exit-piece
+choice against a solve of all four of its pieces.
 """
 
 import math
@@ -16,9 +17,11 @@ from numpy.polynomial import Polynomial
 
 from chaodecay import geometry
 from chaodecay.dynamics import batch_collide
+from chaodecay.errors import NumericError
 from chaodecay.geometry import SHAPES, CavityGeometry
 
 from boundary import boundary_point
+from stadium_oracle import stadium_hits
 
 
 def _cardioid_polygon(a=1.0, n=400_000):
@@ -258,6 +261,101 @@ class TestRayHits:
         assert np.all(dist > 0)
 
 
+def _boundary_ray(g, s0, angle):
+    """Start at arclength s0, heading ``angle`` from the tangent into the cavity."""
+    pos, nrm = boundary_point(g, s0)
+    tangent = np.array([-nrm[1], nrm[0]])
+    return pos, math.cos(angle) * tangent + math.sin(angle) * nrm
+
+
+class TestStadiumKernel:
+    """Stadium rays against the four-piece oracle, bit for bit.
+
+    The kernel solves only the piece a ray leaves by; the oracle solves all
+    four and keeps the nearest hit.  They share every formula, so wherever
+    they pick the same piece all four outputs agree to the last bit.  The
+    stadium is off-centre and of non-unit scale, so that every offset and
+    factor of ``a`` is exercised.
+    """
+
+    g = make("stadium", scale=1.5, center=(0.3, -0.2))
+    JUNCTIONS = (0.0, 2.0, 2.0 + math.pi, 4.0 + math.pi)  # arclengths / scale
+
+    def _check(self, p, d):
+        p, d = np.atleast_2d(p), np.atleast_2d(d)
+        centre = np.asarray(self.g.center)
+        want = list(stadium_hits(p - centre, d, self.g.scale))
+        want[2] = want[2] + centre
+        for got, ref in zip(self.g.ray_hits(p, d), want):
+            np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+    @given(st.floats(-2.0, 2.0), st.floats(-1.0, 1.0), st.floats(0.0, 2.0 * math.pi))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_interior_starts(self, x, y, theta):
+        p = np.array(self.g.center) + self.g.scale * np.array([x, y])
+        assume(self.g.contains(p, tol=-1e-9))
+        self._check(p, np.array([math.cos(theta), math.sin(theta)]))
+
+    @given(st.floats(0.0, 1.0), st.floats(1e-5, math.pi - 1e-5))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_boundary_starts(self, frac, angle):
+        self._check(*_boundary_ray(self.g, frac * self.g.perimeter, angle))
+
+    @given(st.integers(0, 3), st.floats(0.0, 1e-9), st.floats(0.0, 2.0 * math.pi),
+           st.floats(1e-5, math.pi - 1e-5))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_starts_at_junctions(self, k, offset, beta, angle):
+        # inside, within 1e-9 * scale of a straight/cap junction, heading
+        # inward.  (From a start just outside, the oracle can take the point
+        # where the ray enters the cavity for its hit.)
+        p, d = _boundary_ray(self.g, self.JUNCTIONS[k] * self.g.scale, angle)
+        p = p + offset * self.g.scale * np.array([math.cos(beta), math.sin(beta)])
+        assume(self.g.contains(p))
+        self._check(p, d)
+
+    @given(st.sampled_from([(1.0, 0.0), (1.0, -0.0), (-1.0, 0.0), (-1.0, -0.0),
+                            (0.0, 1.0), (-0.0, 1.0), (0.0, -1.0), (-0.0, -1.0)]),
+           st.floats(-2.0, 2.0), st.floats(-1.0, 1.0), st.floats(0.0, 1.0), st.booleans())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_axis_parallel_rays(self, d, x, y, frac, on_boundary):
+        d = np.array(d)
+        if on_boundary:
+            p, nrm = boundary_point(self.g, frac * self.g.perimeter)
+            assume(d @ nrm >= math.sin(1e-5))
+        else:
+            p = np.array(self.g.center) + self.g.scale * np.array([x, y])
+            assume(self.g.contains(p, tol=-1e-9))
+        self._check(p, d)
+
+    @given(st.floats(1e-3, 1.0 - 1e-3), st.booleans(), st.floats(1e-7, 1e-5), st.booleans())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_near_tangent_cap_chords(self, frac, left, angle, backwards):
+        # Within about 1e-5 rad of a cap's tangent the oracle can take the
+        # near root, which is rounding noise at the start (here, at 1e-6 rad,
+        # 2.96e-10 where the chord is 3.0e-6), so these rays are checked
+        # against the exact chord 2a sin(angle) instead of the oracle.  The kernel's error is the
+        # rounding of the start's squared radius, ~1e-16 a^2, over
+        # b = a sin(angle).
+        a = self.g.scale
+        s0 = (2.0 + frac * math.pi + (2.0 + math.pi) * left) * a
+        p, d = _boundary_ray(self.g, s0, math.pi - angle if backwards else angle)
+        dist, _, hit, _, _ = self.g.ray_hits(p[None], d[None])
+        assert abs(dist[0] - 2.0 * a * math.sin(angle)) <= 1e-15 * a / angle
+        ds = np.linalg.norm(hit[0] - boundary_point(self.g, s0)[0])
+        assert ds == pytest.approx(2.0 * a * math.sin(angle), abs=1e-15 * a / angle)
+
+    @pytest.mark.parametrize("p, d", [
+        ((10.0, 0.0), (1.0, 0.0)),          # outside: the far cap root is -8 a
+        ((0.0, 0.0), (math.nan, 0.0)),      # non-finite direction
+        ((0.5, 0.5), (0.6, math.nan)),
+        ((2.0, 0.0), (0.0, 1.0)),           # exactly tangent to the right cap
+    ])
+    def test_no_exit_is_a_numeric_error(self, p, d):
+        g = make("stadium")
+        with pytest.raises(NumericError, match="no boundary exit"):
+            g.ray_hits(np.array([p]), np.array([d]))
+
+
 def _cardioid_quartic_oracle(p, d, on_boundary=True):
     """First hit of a ray on the unit cardioid, by companion matrix.
 
@@ -314,12 +412,6 @@ class TestCardioidKernel:
 
     g = make("cardioid")
 
-    def _boundary_ray(self, s0, angle):
-        """Start at arclength s0, heading ``angle`` from the tangent into the cavity."""
-        pos, nrm = boundary_point(self.g, s0)
-        tangent = np.array([-nrm[1], nrm[0]])
-        return pos, math.cos(angle) * tangent + math.sin(angle) * nrm
-
     def _aimed_ray(self, s0, s_target):
         pos, _ = boundary_point(self.g, s0)
         target, _ = boundary_point(self.g, s_target)
@@ -351,7 +443,7 @@ class TestCardioidKernel:
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_generic_chords(self, s0, angle):
         assume(abs(s0 - 4.0) > 1e-2)
-        self._check(*self._boundary_ray(s0, angle))
+        self._check(*_boundary_ray(self.g, s0, angle))
 
     @given(st.floats(0.0, 8.0), st.floats(1e-7, 1e-6), st.booleans())
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -359,12 +451,12 @@ class TestCardioidKernel:
         # within 1e-6 rad of either tangent direction; the chord is ~2 R eps.
         # Below ~1e-7 the chord meets the rounding-level root at the start.
         assume(abs(s0 - 4.0) > 0.5)
-        self._check(*self._boundary_ray(s0, math.pi - eps if backwards else eps))
+        self._check(*_boundary_ray(self.g, s0, math.pi - eps if backwards else eps))
 
     @given(st.floats(1e-3, 0.3), st.booleans(), st.floats(1e-3, math.pi - 1e-3))
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_starts_near_cusp(self, delta, below, angle):
-        self._check(*self._boundary_ray(4.0 - delta if below else 4.0 + delta, angle))
+        self._check(*_boundary_ray(self.g, 4.0 - delta if below else 4.0 + delta, angle))
 
     @given(st.floats(0.0, 8.0), st.floats(1e-3, 0.3), st.booleans())
     @settings(max_examples=200, deadline=None, derandomize=True)
