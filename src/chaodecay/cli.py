@@ -13,11 +13,12 @@ import math
 import os
 import sys
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .config import COMMANDS, DEFAULTS_TABLE, RunConfig, parse_config
+from .config import COMMANDS, DEFAULTS_TABLE, STOCHASTIC_COMMANDS, RunConfig, parse_config
 from .dynamics import sample_positions
 from .ensemble import (
     EnsembleSpec,
@@ -42,8 +43,6 @@ from .formulas import (
     ehrenfest_time,
     figure3_curves,
     heisenberg_time,
-    min_loop_time,
-    total_survival,
 )
 from .io import write_csv, write_manifest
 from .quadrature import QuadratureSpec, convergence_study, semiclassical_ladder
@@ -80,38 +79,50 @@ def main(argv=None) -> int:
             )
         out_dir = args.out or cfg.output
         cfg.resolved["output"] = out_dir
-        _run(cfg, out_dir, args.threads)
+        _write(cfg, out_dir, _RUNNERS[cfg.command](cfg, args.threads))
         return 0
     except ChaodecayError as exc:
         print(f"chaodecay: error: {exc}", file=sys.stderr)
         return exc.exit_code
 
 
-_RUNNERS = {}
+class _Output(NamedTuple):
+    """A runner's CSV table, manifest blocks, CSV-line extras and run warnings."""
+
+    header: list
+    rows: object
+    results: dict
+    derived: dict
+    telemetry: dict | None = None
+    line: dict | None = None
+    warnings: tuple = ()
 
 
-def _runner(name):
-    def deco(fn):
-        _RUNNERS[name] = fn
-        return fn
-    return deco
-
-
-def _run(cfg: RunConfig, out_dir: str, threads: int) -> None:
-    _RUNNERS[cfg.command](cfg, out_dir, threads)
-
-
-def _base_manifest(cfg: RunConfig) -> dict:
+def _write(cfg: RunConfig, out_dir: str, out: _Output) -> None:
+    """Write ``<command>.csv``, whose line holds the config blocks that set the
+    numbers plus the runner's extras, and ``manifest.json``."""
+    monte_carlo = cfg.command in STOCHASTIC_COMMANDS
+    blocks = ("geometry", "ensemble", "grid") if monte_carlo else ("params",)
+    line = {"command": cfg.command, "tool_version": __version__,
+            **{name: cfg.resolved[name] for name in blocks}, **(out.line or {})}
     manifest = {
         "command": cfg.command,
         "config": cfg.resolved,
         "defaults": DEFAULTS_TABLE,
         "tool_version": __version__,
-        "warnings": list(cfg.warnings),
+        "warnings": [*cfg.warnings, *out.warnings],
+        "derived": out.derived,
+        "results": out.results,
     }
-    if cfg.ensemble is not None:
+    if monte_carlo:
         manifest["seed"] = cfg.ensemble["seed"]
-    return manifest
+    if out.telemetry is not None:
+        manifest["telemetry"] = out.telemetry
+    if "geometry_hash" in line:
+        manifest["geometry_hash"] = line["geometry_hash"]
+    write_csv(os.path.join(out_dir, f"{cfg.command}.csv"), out.header, out.rows,
+              manifest_line=line)
+    write_manifest(os.path.join(out_dir, "manifest.json"), manifest)
 
 
 def _geometry_derived(cfg: RunConfig) -> dict:
@@ -146,7 +157,7 @@ def _semiclassical_from_config(params: dict) -> SemiclassicalParams:
     )
 
 
-def _params_derived(p: SemiclassicalParams, opening_length: float | None = None) -> dict:
+def _params_derived(p: SemiclassicalParams) -> dict:
     out = {"dwell_time": p.dwell_time, "heisenberg_time": p.heisenberg_time}
     if p.coupling_strength is not None and p.position_variance is not None:
         out["tau_d"] = decoherence_time(p.coupling_strength, p.position_variance)
@@ -156,39 +167,21 @@ def _params_derived(p: SemiclassicalParams, opening_length: float | None = None)
         out["lyapunov"] = p.lyapunov
         if p.encounter_scale is not None and p.encounter_scale >= p.hbar:
             out["ehrenfest_time"] = ehrenfest_time(p.lyapunov, p.encounter_scale, p.hbar)
-        if p.cavity_size is not None and opening_length is not None \
-                and p.cavity_size >= opening_length:
-            out["min_loop_time"] = min_loop_time(p.lyapunov, p.cavity_size, opening_length)
     if p.position_variance is not None:
         out["sigma2"] = p.position_variance
     return out
 
 
-def _ensemble_line(cfg: RunConfig, **extra) -> dict:
-    """Embedded CSV line of a Monte Carlo command: every block that sets its numbers."""
-    return {"command": cfg.command, "geometry": cfg.resolved["geometry"],
-            "ensemble": cfg.resolved["ensemble"], "grid": cfg.resolved["grid"],
-            "tool_version": __version__, **extra}
-
-
-@_runner("simulate")
-def _run_simulate(cfg: RunConfig, out_dir: str, threads: int) -> None:
-    geom = cfg.geometry
-    spec = EnsembleSpec(**cfg.ensemble)
+def _run_simulate(cfg: RunConfig, threads: int) -> _Output:
     derived = _geometry_derived(cfg)
     tau_dwell = derived["dwell_time"]
     t_coll = derived["mean_free_time"]
     t_max = cfg.grid.get("t_max", 4.0 * tau_dwell)
     dense = cfg.grid.get("dense_until", 3.0 * t_coll)
     times = hybrid_time_grid(t_max, dense, cfg.grid["n_points"])
-    curve = survival_curve(geom, spec, times, threads=threads)
-    window = tuple(cfg.grid.get("fit_window", (3.0 * t_coll, t_max)))
-    fit = fit_escape_rate(curve, window)
-
-    manifest = _base_manifest(cfg)
-    manifest["derived"] = derived
-    manifest["geometry_hash"] = geom.geometry_hash()
-    manifest["results"] = {
+    curve = survival_curve(cfg.geometry, EnsembleSpec(**cfg.ensemble), times, threads=threads)
+    fit = fit_escape_rate(curve, tuple(cfg.grid.get("fit_window", (3.0 * t_coll, t_max))))
+    results = {
         "fitted_rate": fit.rate,
         "fitted_rate_stderr": fit.std_error,
         "fit_window": list(fit.window),
@@ -196,68 +189,44 @@ def _run_simulate(cfg: RunConfig, out_dir: str, threads: int) -> None:
         "analytic_rate": 1.0 / tau_dwell,
         "rel_deviation": abs(fit.rate - 1.0 / tau_dwell) * tau_dwell,
     }
-    manifest["telemetry"] = curve.telemetry
-    line = _ensemble_line(cfg, geometry_hash=geom.geometry_hash())
-    rows = zip(curve.times, curve.survival, curve.std_error)
-    _emit(out_dir, cfg.command, ["time", "survival", "std_error"], rows, line, manifest)
+    return _Output(["time", "survival", "std_error"],
+                   zip(curve.times, curve.survival, curve.std_error), results, derived,
+                   curve.telemetry, {"geometry_hash": cfg.geometry.geometry_hash()})
 
 
-@_runner("lyapunov")
-def _run_lyapunov(cfg: RunConfig, out_dir: str, threads: int) -> None:
-    geom = cfg.geometry
-    spec = EnsembleSpec(**cfg.ensemble)
+def _run_lyapunov(cfg: RunConfig, threads: int) -> _Output:
     derived = _geometry_derived(cfg)
     t_obs = cfg.grid.get("t_obs", 400.0 * derived["mean_free_time"])
-    res = estimate_lyapunov(geom, spec, t_obs)
-    manifest = _base_manifest(cfg)
-    manifest["derived"] = derived
-    manifest["results"] = {
+    res = estimate_lyapunov(cfg.geometry, EnsembleSpec(**cfg.ensemble), t_obs)
+    results = {  # in CSV column order
         "lyapunov": res.value,
         "std_error": res.std_error,
-        "statistical_error": res.statistical_error,
-        "stationarity_drift": res.stationarity_drift,
         "n_pairs": res.n_pairs,
         "t_obs": res.t_obs,
+        "statistical_error": res.statistical_error,
+        "stationarity_drift": res.stationarity_drift,
     }
-    manifest["telemetry"] = res.telemetry
-    line = _ensemble_line(cfg)
-    header = ["lyapunov", "std_error", "n_pairs", "t_obs",
-              "statistical_error", "stationarity_drift"]
-    rows = [(res.value, res.std_error, res.n_pairs, res.t_obs,
-             res.statistical_error, res.stationarity_drift)]
-    _emit(out_dir, cfg.command, header, rows, line, manifest)
+    return _Output(list(results), [list(results.values())], results, derived, res.telemetry)
 
 
-@_runner("variance")
-def _run_variance(cfg: RunConfig, out_dir: str, threads: int) -> None:
-    geom = cfg.geometry
-    spec = EnsembleSpec(**cfg.ensemble)
-    t_obs = cfg.grid.get("t_obs")
-    res = position_variance(geom, spec, t_obs=t_obs)
-    manifest = _base_manifest(cfg)
-    manifest["derived"] = _geometry_derived(cfg)
-    manifest["results"] = {
+def _run_variance(cfg: RunConfig, threads: int) -> _Output:
+    res = position_variance(cfg.geometry, EnsembleSpec(**cfg.ensemble),
+                            t_obs=cfg.grid.get("t_obs"))
+    results = {  # in CSV column order
         "sigma2_area": res.sigma2_area,
-        "sigma2_area_stderr": res.sigma2_area_stderr,
         "sigma2_time": res.sigma2_time,
         "rel_diff": res.rel_diff,
+        "sigma2_area_stderr": res.sigma2_area_stderr,
         "ergodic_warning": res.ergodic_warning,
     }
-    if res.ergodic_warning:
-        manifest["warnings"].append(
-            "area and time averages of the position variance disagree by "
-            f"{res.rel_diff:.1%}; the dynamics may not be ergodic"
-        )
-    line = _ensemble_line(cfg)
-    header = ["sigma2_area", "sigma2_time", "rel_diff", "sigma2_area_stderr",
-              "ergodic_warning"]
-    rows = [(res.sigma2_area, res.sigma2_time, res.rel_diff, res.sigma2_area_stderr,
-             int(res.ergodic_warning))]
-    _emit(out_dir, cfg.command, header, rows, line, manifest)
+    row = [*results.values()][:-1] + [int(res.ergodic_warning)]  # the CSV flag is 0/1
+    warnings = (("area and time averages of the position variance disagree by "
+                 f"{res.rel_diff:.1%}; the dynamics may not be ergodic",)
+                if res.ergodic_warning else ())
+    return _Output(list(results), [row], results, _geometry_derived(cfg), warnings=warnings)
 
 
-@_runner("pair-decoherence")
-def _run_pair_decoherence(cfg: RunConfig, out_dir: str, threads: int) -> None:
+def _run_pair_decoherence(cfg: RunConfig, threads: int) -> _Output:
     geom = cfg.geometry
     spec = EnsembleSpec(**cfg.ensemble)
     alpha = cfg.params["alpha"]
@@ -282,9 +251,7 @@ def _run_pair_decoherence(cfg: RunConfig, out_dir: str, threads: int) -> None:
 
     sigma2_area, _ = area_variance(geom, replace(spec, n_samples=max(n_pairs * 10, 1000)))
     mean = float(mean_t[-1])
-    manifest = _base_manifest(cfg)
-    manifest["derived"] = _geometry_derived(cfg)
-    manifest["results"] = {
+    results = {
         "n_pairs": n_pairs,
         "t_end": t_end,
         "alpha": alpha,
@@ -294,51 +261,34 @@ def _run_pair_decoherence(cfg: RunConfig, out_dir: str, threads: int) -> None:
         "sigma2_area": sigma2_area,
         "expected_rate_per_alpha": 2.0 * sigma2_area,
     }
-    line = _ensemble_line(cfg, alpha=alpha, t_end=t_end)
-    rows = zip(times, mean_t, stderr_t)
-    _emit(out_dir, cfg.command, ["time", "exponent", "std_error"], rows, line, manifest)
+    return _Output(["time", "exponent", "std_error"], zip(times, mean_t, stderr_t), results,
+                   _geometry_derived(cfg), line={"alpha": alpha, "t_end": t_end})
 
 
-@_runner("correction")
-def _run_correction(cfg: RunConfig, out_dir: str, threads: int) -> None:
+def _run_correction(cfg: RunConfig, threads: int) -> _Output:
     params = _semiclassical_from_config(cfg.params)
     regime = cfg.params["regime"]
     t_max = cfg.grid.get("t_max", 3.0 * params.heisenberg_time)
     times = np.linspace(0.0, t_max, cfg.grid["n_points"])
-    curve = correction_curve(params, times, regime=regime)
+    bracket = correction_curve(params, times, regime=regime).bracket
     classical = classical_survival(params, times)
-    total = total_survival(params, times, regime=regime)
-    manifest = _base_manifest(cfg)
-    manifest["derived"] = _params_derived(params)
-    manifest["results"] = {"regime": regime, "t_max": t_max}
-    line = {"command": cfg.command, "params": cfg.resolved["params"],
-            "regime": regime, "tool_version": __version__}
-    rows = zip(times, classical, curve.bracket, total)
-    _emit(out_dir, cfg.command, ["time", "classical", "correction", "total"],
-          rows, line, manifest)
+    return _Output(["time", "classical", "correction", "total"],
+                   zip(times, classical, bracket, classical + bracket),
+                   {"regime": regime, "t_max": t_max}, _params_derived(params),
+                   line={"regime": regime})
 
 
-@_runner("fig3")
-def _run_fig3(cfg: RunConfig, out_dir: str, threads: int) -> None:
+def _run_fig3(cfg: RunConfig, threads: int) -> _Output:
     p = cfg.params
-    table = figure3_curves(
-        p["taud_over_TH"],
-        tauD_over_TH=p["tauD_over_TH"],
-        t_max_over_TH=p["t_max_over_TH"],
-        n_points=p["n_points"],
-    )
+    table = figure3_curves(p["taud_over_TH"], tauD_over_TH=p["tauD_over_TH"],
+                           t_max_over_TH=p["t_max_over_TH"], n_points=p["n_points"])
     header = ["t_over_TH", "reference_inf", *table.columns]
-    rows = zip(table.times, table.reference, *table.columns.values())
-    manifest = _base_manifest(cfg)
-    manifest["derived"] = {"dwell_over_heisenberg": table.dwell_over_heisenberg}
-    manifest["results"] = {"columns": header[1:]}
-    line = {"command": cfg.command, "params": cfg.resolved["params"],
-            "tool_version": __version__}
-    _emit(out_dir, cfg.command, header, rows, line, manifest)
+    return _Output(header, zip(table.times, table.reference, *table.columns.values()),
+                   {"columns": header[1:]},
+                   {"dwell_over_heisenberg": table.dwell_over_heisenberg})
 
 
-@_runner("quadrature")
-def _run_quadrature(cfg: RunConfig, out_dir: str, threads: int) -> None:
+def _run_quadrature(cfg: RunConfig, threads: int) -> _Output:
     p = cfg.params
     ladder = semiclassical_ladder(
         lam_tau_values=p["lambda_tauD"],
@@ -346,18 +296,13 @@ def _run_quadrature(cfg: RunConfig, out_dir: str, threads: int) -> None:
         alpha_dwell_sigma2=p["alpha_tauD_sigma2"],
         eta=p["eta"],
     )
-    spec = QuadratureSpec(
-        su_grid=p["su_grid"],
-        su_cut=p["su_cut"],
-        one_leg_convention=p["one_leg_convention"],
-    )
+    spec = QuadratureSpec(su_grid=p["su_grid"], su_cut=p["su_cut"],
+                          one_leg_convention=p["one_leg_convention"])
     telemetry = {}
     rows = convergence_study(ladder, p["t_over_tauD"], spec, telemetry)
     header = ["lambda_tauD", "c2_over_hbar", "alpha_over_lambda", "t_over_tauD",
               "quad_value", "closed_form", "rel_dev", "est_err", "im_part"]
-    data = [[r[k] for k in header] for r in rows]
-    manifest = _base_manifest(cfg)
-    manifest["derived"] = {
+    derived = {
         "ladder": [
             {"lambda_tauD": q.lyapunov * q.dwell_time, "hbar": q.hbar,
              "encounter_scale": q.encounter_scale, "ehrenfest_time": q.ehrenfest_time,
@@ -365,53 +310,35 @@ def _run_quadrature(cfg: RunConfig, out_dir: str, threads: int) -> None:
             for q in ladder
         ]
     }
-    manifest["results"] = {
+    results = {
         "max_rel_dev_final": max(r["rel_dev"] for r in rows
                                  if r["lambda_tauD"] == p["lambda_tauD"][-1]),
         "max_im_part": max(r["im_part"] for r in rows),
     }
-    manifest["telemetry"] = telemetry
-    line = {"command": cfg.command, "params": cfg.resolved["params"],
-            "tool_version": __version__}
-    _emit(out_dir, cfg.command, header, data, line, manifest)
+    return _Output(header, [[r[k] for k in header] for r in rows], results, derived,
+                   telemetry)
 
 
-@_runner("peak")
-def _run_peak(cfg: RunConfig, out_dir: str, threads: int) -> None:
+def _run_peak(cfg: RunConfig, threads: int) -> _Output:
     params = _semiclassical_from_config(cfg.params)
     regime = cfg.params["regime"]
     telemetry = {}
     t_star, value = correction_peak(params, regime=regime, telemetry=telemetry)
-    manifest = _base_manifest(cfg)
-    manifest["derived"] = _params_derived(params)
-    manifest["results"] = {
-        "regime": regime,
-        "t_star": t_star,
-        "value": value,
-        "t_star_over_dwell": t_star / params.dwell_time,
-    }
-    manifest["telemetry"] = telemetry
-    line = {"command": cfg.command, "params": cfg.resolved["params"],
-            "regime": regime, "tool_version": __version__}
-    rows = [(t_star, value, t_star / params.dwell_time)]
-    _emit(out_dir, cfg.command, ["t_star", "value", "t_star_over_dwell"], rows, line, manifest)
+    table = {"t_star": t_star, "value": value, "t_star_over_dwell": t_star / params.dwell_time}
+    return _Output(list(table), [list(table.values())], {"regime": regime, **table},
+                   _params_derived(params), telemetry, {"regime": regime})
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf" if obj > 0 else "-inf"
-    return obj
-
-
-def _emit(out_dir, command, header, rows, line, manifest) -> None:
-    csv_path = os.path.join(out_dir, f"{command}.csv")
-    write_csv(csv_path, header, rows, manifest_line=_jsonable(line))
-    manifest = _jsonable(manifest)
-    write_manifest(os.path.join(out_dir, "manifest.json"), manifest)
+_RUNNERS = {
+    "simulate": _run_simulate,
+    "lyapunov": _run_lyapunov,
+    "variance": _run_variance,
+    "pair-decoherence": _run_pair_decoherence,
+    "correction": _run_correction,
+    "fig3": _run_fig3,
+    "quadrature": _run_quadrature,
+    "peak": _run_peak,
+}
 
 
 if __name__ == "__main__":

@@ -182,12 +182,12 @@ def _sample_block(geometry: CavityGeometry, n: int, rng: np.random.Generator):
 
 
 def hybrid_time_grid(t_max: float, dense_until: float, n_points: int = 200) -> np.ndarray:
-    """Geometric spacing up to ``dense_until`` then linear to ``t_max``, starting at 0."""
-    if t_max <= 0 or dense_until <= 0:
-        raise ValueError("t_max and dense_until must be positive")
+    """``n_points`` times: 0, geometric spacing up to ``dense_until``, then linear to ``t_max``."""
+    if t_max <= 0 or dense_until <= 0 or n_points < 16:
+        raise ValueError("t_max and dense_until must be positive and n_points at least 16")
     dense_until = min(dense_until, 0.5 * t_max)
     n_geo = max(n_points // 4, 8)
-    n_lin = max(n_points - n_geo - 1, 8)  # the leading zero is one of the points
+    n_lin = n_points - 1 - n_geo  # the leading zero is one of the points
     geo = np.geomspace(dense_until / 64.0, dense_until, n_geo)
     lin = np.linspace(dense_until, t_max, n_lin + 1)[1:]
     return np.concatenate([[0.0], geo, lin])

@@ -129,14 +129,14 @@ def decoherence_time(coupling_strength: float, position_variance: float) -> floa
     return 1.0 / denom
 
 
-def dwell_time(area: float, opening_length: float, speed: float = 1.0, mass: float = 1.0) -> float:
+def dwell_time(area: float, opening_length: float, speed: float = 1.0) -> float:
     """Mean escape time pi*A/(l*v) of a 2-D cavity with a small opening.
 
-    Equals (phase-space shell volume) / (2 * opening * momentum) with shell
-    volume 2*pi*m*A for a free particle in two dimensions.
+    Equals (phase-space shell volume 2*pi*m*A) / (2 * opening * momentum m*v)
+    for a free particle in two dimensions, so the mass cancels.
     """
-    if area <= 0 or opening_length <= 0 or speed <= 0 or mass <= 0:
-        raise ValueError("area, opening_length, speed and mass must be positive")
+    if area <= 0 or opening_length <= 0 or speed <= 0:
+        raise ValueError("area, opening_length and speed must be positive")
     return math.pi * area / (opening_length * speed)
 
 

@@ -30,8 +30,6 @@ def format_float(x) -> str:
         if math.isinf(x):
             return "inf" if x > 0 else "-inf"
         return repr(x)
-    if isinstance(x, np.integer):
-        return str(int(x))
     return str(x)
 
 
@@ -53,11 +51,22 @@ def atomic_write_text(path: str, text: str) -> None:
         raise InputOutputError(f"cannot write {path}: {exc}") from exc
 
 
+def _jsonable(obj):
+    """``obj`` with every infinite float spelled ``"inf"`` or ``"-inf"``: JSON has no infinity."""
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, float) and math.isinf(obj):
+        return "inf" if obj > 0 else "-inf"
+    return obj
+
+
 def write_csv(path: str, header: list[str], rows, manifest_line: dict | None = None) -> None:
     """Comma-separated values with optional embedded JSON manifest line."""
     lines = []
     if manifest_line is not None:
-        lines.append("# " + json.dumps(manifest_line, sort_keys=True))
+        lines.append("# " + json.dumps(_jsonable(manifest_line), sort_keys=True))
     lines.append(",".join(header))
     for row in rows:
         if len(row) != len(header):
@@ -67,7 +76,7 @@ def write_csv(path: str, header: list[str], rows, manifest_line: dict | None = N
 
 
 def write_manifest(path: str, manifest: dict) -> None:
-    payload = dict(manifest)
+    payload = _jsonable(manifest)
     payload.setdefault(
         "wall_clock_utc", datetime.now(timezone.utc).isoformat(timespec="seconds")
     )

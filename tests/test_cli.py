@@ -408,6 +408,17 @@ class TestCommandLine:
             lines.append(line)
         assert lines[0] != lines[1]
 
+    def test_variance_ergodic_warning(self, tmp_path):
+        doc = {"command": "variance", "geometry": {"shape": "circle"},
+               "ensemble": {"seed": 31, "n_samples": 200}}
+        code, out = run_cli(tmp_path, doc)
+        assert code == 0
+        _, header, rows = read_csv(str(out / "variance.csv"))
+        manifest = read_manifest(str(out / "manifest.json"))
+        assert manifest["results"]["ergodic_warning"] is True  # the circle is not ergodic
+        assert rows[0][header.index("ergodic_warning")] == 1.0
+        assert any("may not be ergodic" in w for w in manifest["warnings"])
+
     def test_lyapunov_telemetry_in_manifest_only(self, tmp_path):
         doc = {"command": "lyapunov", "geometry": {"shape": "cardioid"},
                "ensemble": {"seed": 21, "n_samples": 16}, "grid": {"t_obs": 40.0}}
@@ -519,15 +530,39 @@ def bundled_run(tmp_path_factory):
     return run
 
 
+# keys a command adds to the CSV's embedded line and to its manifest
+LINE_EXTRAS = {"simulate": {"geometry_hash"}, "pair-decoherence": {"alpha", "t_end"},
+               "correction": {"regime"}, "peak": {"regime"}}
+MANIFEST_EXTRAS = {"simulate": {"geometry_hash", "telemetry"}, "lyapunov": {"telemetry"},
+                   "quadrature": {"telemetry"}, "peak": {"telemetry"}}
+
+
 @pytest.mark.parametrize("path", EXAMPLE_CONFIGS, ids=lambda p: p.name)
 def test_bundled_example_runs(bundled_run, path):
     code, csv_path = bundled_run(path)
     assert code == 0
     line, _, _ = read_csv(str(csv_path))
     manifest = read_manifest(str(csv_path.with_name("manifest.json")))
-    # the embedded line carries the grid of every Monte Carlo command
-    if manifest["command"] in STOCHASTIC_COMMANDS:
-        assert line["grid"] == manifest["config"]["grid"]
+    command = manifest["command"]
+    monte_carlo = command in STOCHASTIC_COMMANDS
+    # the embedded line holds the config blocks that set the numbers
+    blocks = {"geometry", "ensemble", "grid"} if monte_carlo else {"params"}
+    assert set(line) == {"command", "tool_version", *blocks, *LINE_EXTRAS.get(command, ())}
+    assert all(line[name] == manifest["config"][name] for name in blocks)
+    assert set(manifest) == {"command", "config", "defaults", "tool_version", "warnings",
+                             "derived", "results", "wall_clock_utc",
+                             *({"seed"} if monte_carlo else ()),
+                             *MANIFEST_EXTRAS.get(command, ())}
+    if "geometry_hash" in manifest:
+        assert manifest["geometry_hash"] == line["geometry_hash"]
+
+
+def test_correction_total_is_exact_sum(bundled_run):
+    code, csv_path = bundled_run(EXAMPLE_CONFIGS[0].with_name("correction.json"))
+    assert code == 0
+    _, header, rows = read_csv(str(csv_path))
+    assert header == ["time", "classical", "correction", "total"]
+    assert all(total == classical + correction for _, classical, correction, total in rows)
 
 
 @pytest.mark.parametrize("path, threads", GOLDEN_CASES,

@@ -126,6 +126,12 @@ class TestTimeGrid:
         head = np.sum(t <= 5.0)
         assert head >= 40  # geometric head resolves the transient
 
+    def test_length_is_n_points(self):
+        for n in range(16, 65):
+            assert len(hybrid_time_grid(100.0, 5.0, n)) == n
+        with pytest.raises(ValueError, match="n_points"):
+            hybrid_time_grid(100.0, 5.0, 15)
+
 
 class TestSurvival:
     def test_starts_at_one_and_monotone(self):
