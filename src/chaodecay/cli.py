@@ -87,10 +87,10 @@ def main(argv=None) -> int:
 
 
 class _Output(NamedTuple):
-    """A runner's CSV table, manifest blocks, CSV-line extras and run warnings."""
+    """A runner's CSV table (column name -> column, or scalar for one row),
+    manifest blocks, CSV-line extras and run warnings."""
 
-    header: list
-    rows: object
+    table: dict
     results: dict
     derived: dict
     telemetry: dict | None = None
@@ -120,8 +120,7 @@ def _write(cfg: RunConfig, out_dir: str, out: _Output) -> None:
         manifest["telemetry"] = out.telemetry
     if "geometry_hash" in line:
         manifest["geometry_hash"] = line["geometry_hash"]
-    write_csv(os.path.join(out_dir, f"{cfg.command}.csv"), out.header, out.rows,
-              manifest_line=line)
+    write_csv(os.path.join(out_dir, f"{cfg.command}.csv"), out.table, manifest_line=line)
     write_manifest(os.path.join(out_dir, "manifest.json"), manifest)
 
 
@@ -189,9 +188,9 @@ def _run_simulate(cfg: RunConfig, threads: int) -> _Output:
         "analytic_rate": 1.0 / tau_dwell,
         "rel_deviation": abs(fit.rate - 1.0 / tau_dwell) * tau_dwell,
     }
-    return _Output(["time", "survival", "std_error"],
-                   zip(curve.times, curve.survival, curve.std_error), results, derived,
-                   curve.telemetry, {"geometry_hash": cfg.geometry.geometry_hash()})
+    table = {"time": curve.times, "survival": curve.survival, "std_error": curve.std_error}
+    return _Output(table, results, derived, curve.telemetry,
+                   {"geometry_hash": cfg.geometry.geometry_hash()})
 
 
 def _run_lyapunov(cfg: RunConfig, threads: int) -> _Output:
@@ -206,7 +205,7 @@ def _run_lyapunov(cfg: RunConfig, threads: int) -> _Output:
         "statistical_error": res.statistical_error,
         "stationarity_drift": res.stationarity_drift,
     }
-    return _Output(list(results), [list(results.values())], results, derived, res.telemetry)
+    return _Output(results, results, derived, res.telemetry)
 
 
 def _run_variance(cfg: RunConfig, threads: int) -> _Output:
@@ -219,11 +218,11 @@ def _run_variance(cfg: RunConfig, threads: int) -> _Output:
         "sigma2_area_stderr": res.sigma2_area_stderr,
         "ergodic_warning": res.ergodic_warning,
     }
-    row = [*results.values()][:-1] + [int(res.ergodic_warning)]  # the CSV flag is 0/1
+    table = {**results, "ergodic_warning": int(res.ergodic_warning)}  # the CSV flag is 0/1
     warnings = (("area and time averages of the position variance disagree by "
                  f"{res.rel_diff:.1%}; the dynamics may not be ergodic",)
                 if res.ergodic_warning else ())
-    return _Output(list(results), [row], results, _geometry_derived(cfg), warnings=warnings)
+    return _Output(table, results, _geometry_derived(cfg), warnings=warnings)
 
 
 def _run_pair_decoherence(cfg: RunConfig, threads: int) -> _Output:
@@ -261,7 +260,7 @@ def _run_pair_decoherence(cfg: RunConfig, threads: int) -> _Output:
         "sigma2_area": sigma2_area,
         "expected_rate_per_alpha": 2.0 * sigma2_area,
     }
-    return _Output(["time", "exponent", "std_error"], zip(times, mean_t, stderr_t), results,
+    return _Output({"time": times, "exponent": mean_t, "std_error": stderr_t}, results,
                    _geometry_derived(cfg), line={"alpha": alpha, "t_end": t_end})
 
 
@@ -272,8 +271,8 @@ def _run_correction(cfg: RunConfig, threads: int) -> _Output:
     times = np.linspace(0.0, t_max, cfg.grid["n_points"])
     bracket = correction_curve(params, times, regime=regime).bracket
     classical = classical_survival(params, times)
-    return _Output(["time", "classical", "correction", "total"],
-                   zip(times, classical, bracket, classical + bracket),
+    return _Output({"time": times, "classical": classical, "correction": bracket,
+                    "total": classical + bracket},
                    {"regime": regime, "t_max": t_max}, _params_derived(params),
                    line={"regime": regime})
 
@@ -282,9 +281,8 @@ def _run_fig3(cfg: RunConfig, threads: int) -> _Output:
     p = cfg.params
     table = figure3_curves(p["taud_over_TH"], tauD_over_TH=p["tauD_over_TH"],
                            t_max_over_TH=p["t_max_over_TH"], n_points=p["n_points"])
-    header = ["t_over_TH", "reference_inf", *table.columns]
-    return _Output(header, zip(table.times, table.reference, *table.columns.values()),
-                   {"columns": header[1:]},
+    columns = {"reference_inf": table.reference, **table.columns}
+    return _Output({"t_over_TH": table.times, **columns}, {"columns": list(columns)},
                    {"dwell_over_heisenberg": table.dwell_over_heisenberg})
 
 
@@ -300,8 +298,7 @@ def _run_quadrature(cfg: RunConfig, threads: int) -> _Output:
                           one_leg_convention=p["one_leg_convention"])
     telemetry = {}
     rows = convergence_study(ladder, p["t_over_tauD"], spec, telemetry)
-    header = ["lambda_tauD", "c2_over_hbar", "alpha_over_lambda", "t_over_tauD",
-              "quad_value", "closed_form", "rel_dev", "est_err", "im_part"]
+    table = {key: [r[key] for r in rows] for key in rows[0]}
     derived = {
         "ladder": [
             {"lambda_tauD": q.lyapunov * q.dwell_time, "hbar": q.hbar,
@@ -313,10 +310,9 @@ def _run_quadrature(cfg: RunConfig, threads: int) -> _Output:
     results = {
         "max_rel_dev_final": max(r["rel_dev"] for r in rows
                                  if r["lambda_tauD"] == p["lambda_tauD"][-1]),
-        "max_im_part": max(r["im_part"] for r in rows),
+        "max_im_part": max(table["im_part"]),
     }
-    return _Output(header, [[r[k] for k in header] for r in rows], results, derived,
-                   telemetry)
+    return _Output(table, results, derived, telemetry)
 
 
 def _run_peak(cfg: RunConfig, threads: int) -> _Output:
@@ -325,8 +321,8 @@ def _run_peak(cfg: RunConfig, threads: int) -> _Output:
     telemetry = {}
     t_star, value = correction_peak(params, regime=regime, telemetry=telemetry)
     table = {"t_star": t_star, "value": value, "t_star_over_dwell": t_star / params.dwell_time}
-    return _Output(list(table), [list(table.values())], {"regime": regime, **table},
-                   _params_derived(params), telemetry, {"regime": regime})
+    return _Output(table, {"regime": regime, **table}, _params_derived(params), telemetry,
+                   {"regime": regime})
 
 
 _RUNNERS = {

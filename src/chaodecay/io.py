@@ -1,8 +1,12 @@
 """Atomic CSV/JSON emission with reproducible manifests.
 
-Data files carry a ``#``-prefixed JSON line above the header with everything
-needed to reproduce them -- but deliberately no wall-clock, so a rerun with
-the same config and seed is byte-identical.  The wall-clock lives only in the
+A CSV is written from a table: an ordered dict that maps each column name to a
+1-D array or list, or to a scalar for a one-row table.  Each value is spelled
+by ``repr``: the shortest decimal that reads back to the same float, ``inf``
+and ``-inf`` for the infinities, and integers without a decimal point.  Above
+the header, a data file carries a ``#``-prefixed JSON line with everything
+needed to reproduce it -- but deliberately no wall-clock, so a rerun with the
+same config and seed is byte-identical.  The wall-clock lives only in the
 standalone ``manifest.json``.  All writes go through a temp file in the target
 directory followed by an atomic rename: an interrupted run never leaves a
 partial file at the final path.
@@ -20,17 +24,7 @@ import numpy as np
 
 from .errors import InputOutputError
 
-__all__ = ["format_float", "atomic_write_text", "write_csv", "write_manifest"]
-
-
-def format_float(x) -> str:
-    """Shortest decimal string that round-trips to the same float."""
-    if isinstance(x, (float, np.floating)):
-        x = float(x)
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return repr(x)
-    return str(x)
+__all__ = ["atomic_write_text", "write_csv", "write_manifest"]
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -62,16 +56,19 @@ def _jsonable(obj):
     return obj
 
 
-def write_csv(path: str, header: list[str], rows, manifest_line: dict | None = None) -> None:
-    """Comma-separated values with optional embedded JSON manifest line."""
-    lines = []
-    if manifest_line is not None:
-        lines.append("# " + json.dumps(_jsonable(manifest_line), sort_keys=True))
-    lines.append(",".join(header))
-    for row in rows:
-        if len(row) != len(header):
-            raise ValueError(f"row width {len(row)} != header width {len(header)}")
-        lines.append(",".join(format_float(v) for v in row))
+def write_csv(path: str, table: dict, manifest_line: dict | None = None) -> None:
+    """Comma-separated values of ``table``, one column per entry, with an
+    optional embedded JSON manifest line."""
+    columns = [np.atleast_1d(column).tolist() for column in table.values()]
+    if len({len(column) for column in columns}) > 1:
+        raise ValueError("table columns differ in length: "
+                         + ", ".join(f"{name} {len(column)}"
+                                     for name, column in zip(table, columns)))
+    lines = [] if manifest_line is None else [
+        "# " + json.dumps(_jsonable(manifest_line), sort_keys=True)]
+    lines.append(",".join(table))
+    # each row is joined from the per-column value strings as it is needed
+    lines.extend(map(",".join, zip(*(map(repr, column) for column in columns))))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -22,7 +22,7 @@ from chaodecay.errors import (
     ValidationError,
 )
 from chaodecay.formulas import SemiclassicalParams, correction_peak
-from chaodecay.io import atomic_write_text, format_float, write_csv, write_manifest
+from chaodecay.io import atomic_write_text, write_csv, write_manifest
 from chaodecay.quadrature import convergence_study, semiclassical_ladder
 
 from golden import (
@@ -162,27 +162,33 @@ class TestParseConfig:
         assert cfg.resolved["output"] == "out-fig3"  # per-command default dir
 
 
-class TestFormatFloat:
-    @given(st.floats(allow_nan=False, allow_infinity=False))
+class TestCsvValues:
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1))
     @settings(max_examples=300, deadline=None)
-    def test_round_trip(self, x):
-        assert float(format_float(x)) == x
+    def test_round_trip(self, tmp_path_factory, xs):
+        path = str(tmp_path_factory.mktemp("csv") / "x.csv")
+        write_csv(path, {"x": np.array(xs)})
+        _, header, data = read_csv(path)
+        assert header == ["x"]
+        assert [row[0] for row in data] == xs
 
-    def test_infinities(self):
-        assert format_float(math.inf) == "inf"
-        assert format_float(-math.inf) == "-inf"
+    def test_infinities(self, tmp_path):
+        path = tmp_path / "x.csv"
+        write_csv(str(path), {"x": [math.inf, -math.inf]})
+        assert path.read_text() == "x\ninf\n-inf\n"
 
-    def test_numpy_scalars(self):
-        assert float(format_float(np.float64(0.1))) == 0.1
-        assert format_float(np.int64(3)) == "3"
+    def test_numpy_scalars(self, tmp_path):
+        path = tmp_path / "x.csv"
+        write_csv(str(path), {"f": np.float64(0.1), "i": np.int64(3), "n": np.arange(3)[2:]})
+        assert path.read_text() == "f,i,n\n0.1,3,2\n"
 
 
 class TestCsvManifest:
     def test_csv_round_trip(self, tmp_path):
         path = str(tmp_path / "x.csv")
         line = {"seed": 7, "geometry": {"shape": "circle"}}
-        rows = [(0.0, 1.0), (0.5, 0.25), (math.inf, 1e-300)]
-        write_csv(path, ["a", "b"], rows, manifest_line=line)
+        table = {"a": [0.0, 0.5, math.inf], "b": np.array([1.0, 0.25, 1e-300])}
+        write_csv(path, table, manifest_line=line)
         manifest, header, data = read_csv(path)
         assert manifest == line
         assert header == ["a", "b"]
@@ -191,14 +197,18 @@ class TestCsvManifest:
 
     def test_csv_without_manifest_line(self, tmp_path):
         path = str(tmp_path / "plain.csv")
-        write_csv(path, ["v"], [(1.25,)])
+        write_csv(path, {"v": 1.25})
         manifest, header, data = read_csv(path)
         assert manifest is None
         assert data == [[1.25]]
 
     def test_row_width_mismatch(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_csv(str(tmp_path / "bad.csv"), ["a", "b"], [(1.0,)])
+        # columns of unequal length cannot form rows of one width
+        with pytest.raises(ValueError, match="differ in length"):
+            write_csv(str(tmp_path / "bad.csv"), {"a": [1.0, 2.0], "b": [1.0]})
+        with pytest.raises(ValueError, match="differ in length"):
+            write_csv(str(tmp_path / "bad.csv"), {"a": np.zeros(2), "b": 1.0})
+        assert not (tmp_path / "bad.csv").exists()
 
     def test_atomic_write_leaves_no_temp(self, tmp_path):
         path = tmp_path / "out.txt"
@@ -494,8 +504,8 @@ class TestCommandLine:
         line, header, _ = read_csv(str(out / "quadrature.csv"))
         ladder = semiclassical_ladder((10.0, 20.0), (0.05, 0.035))
         rows = convergence_study(ladder, [2.0, 3.0])
-        write_csv(str(tmp_path / "plain.csv"), header,
-                  [[r[k] for k in header] for r in rows], manifest_line=line)
+        write_csv(str(tmp_path / "plain.csv"), {k: [r[k] for r in rows] for k in header},
+                  manifest_line=line)
         assert (tmp_path / "plain.csv").read_bytes() == csv
 
     def test_peak_telemetry_in_manifest_only(self, tmp_path):
@@ -512,8 +522,8 @@ class TestCommandLine:
         line, header, _ = read_csv(str(out / "peak.csv"))
         t_star, value = correction_peak(SemiclassicalParams(
             dwell_time=0.3, heisenberg_time=1.0, decoherence_time=0.1))
-        write_csv(str(tmp_path / "plain.csv"), header, [(t_star, value, t_star / 0.3)],
-                  manifest_line=line)
+        write_csv(str(tmp_path / "plain.csv"),
+                  dict(zip(header, (t_star, value, t_star / 0.3))), manifest_line=line)
         assert (tmp_path / "plain.csv").read_bytes() == csv
 
 
