@@ -37,7 +37,6 @@ from .formulas import (
     loop_correction_ehrenfest,
     loop_correction_short_time,
     loop_kernel,
-    min_loop_time,
     total_survival,
 )
 from .geometry import SHAPES, CavityGeometry

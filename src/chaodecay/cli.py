@@ -138,9 +138,19 @@ def _geometry_derived(cfg: RunConfig) -> dict:
     }
 
 
+def _from_params(build, **kwargs):
+    """``build(**kwargs)`` from ``params`` values, its ``ValueError`` a ``ValidationError``:
+    the values passed the field table but not the library's own checks."""
+    try:
+        return build(**kwargs)
+    except ValueError as exc:
+        raise ValidationError(f"config.params: {exc}") from exc
+
+
 def _semiclassical_from_config(params: dict) -> SemiclassicalParams:
     """Parameters of a resolved ``params`` block; the config layer has filled its defaults."""
-    return SemiclassicalParams(
+    return _from_params(
+        SemiclassicalParams,
         dwell_time=params["dwell_time"],
         heisenberg_time=params["heisenberg_time"],
         lyapunov=params.get("lyapunov"),
@@ -152,7 +162,6 @@ def _semiclassical_from_config(params: dict) -> SemiclassicalParams:
         hbar=params["hbar"],
         ehrenfest_time=params["ehrenfest_time"],
         loop_formation_time=params["loop_formation_time"],
-        cavity_size=params.get("cavity_size"),
     )
 
 
@@ -288,14 +297,15 @@ def _run_fig3(cfg: RunConfig, threads: int) -> _Output:
 
 def _run_quadrature(cfg: RunConfig, threads: int) -> _Output:
     p = cfg.params
-    ladder = semiclassical_ladder(
+    ladder = _from_params(
+        semiclassical_ladder,
         lam_tau_values=p["lambda_tauD"],
         ehrenfest_fractions=p["ehrenfest_fractions"],
         alpha_dwell_sigma2=p["alpha_tauD_sigma2"],
         eta=p["eta"],
     )
-    spec = QuadratureSpec(su_grid=p["su_grid"], su_cut=p["su_cut"],
-                          one_leg_convention=p["one_leg_convention"])
+    spec = _from_params(QuadratureSpec, su_grid=p["su_grid"], su_cut=p["su_cut"],
+                        one_leg_convention=p["one_leg_convention"])
     telemetry = {}
     rows = convergence_study(ladder, p["t_over_tauD"], spec, telemetry)
     table = {key: [r[key] for r in rows] for key in rows[0]}

@@ -103,7 +103,6 @@ _SEMICLASSICAL = {
     "hbar": _positive(DEFAULTS_TABLE["hbar"]),
     "ehrenfest_time": _nonnegative(0.0),
     "loop_formation_time": _nonnegative(0.0),
-    "cavity_size": _positive(),
     "regime": _Field("choice", "plain", options=REGIMES),
 }
 

@@ -41,7 +41,6 @@ __all__ = [
     "loop_correction_short_time",
     "loop_correction_ehrenfest",
     "ehrenfest_time",
-    "min_loop_time",
     "total_survival",
     "correction_curve",
     "correction_peak",
@@ -168,7 +167,6 @@ class SemiclassicalParams:
     hbar: float = 1.0
     ehrenfest_time: float = 0.0
     loop_formation_time: float = 0.0
-    cavity_size: float | None = None
 
     def __post_init__(self) -> None:
         if self.dwell_time <= 0:
@@ -281,15 +279,6 @@ def ehrenfest_time(lyapunov: float, encounter_scale: float, hbar: float) -> floa
     if encounter_scale < hbar:
         raise ValueError("encounter_scale below hbar gives a negative time")
     return math.log(encounter_scale / hbar) / lyapunov
-
-
-def min_loop_time(lyapunov: float, cavity_size: float, opening_length: float) -> float:
-    """log(cavity_size/opening)/lyapunov: minimal time to close a loop."""
-    if lyapunov <= 0 or cavity_size <= 0 or opening_length <= 0:
-        raise ValueError("lyapunov, cavity_size and opening_length must be positive")
-    if cavity_size < opening_length:
-        raise ValueError("cavity_size below opening_length gives a negative time")
-    return math.log(cavity_size / opening_length) / lyapunov
 
 
 def loop_correction_ehrenfest(params: SemiclassicalParams, t):

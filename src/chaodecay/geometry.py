@@ -224,8 +224,13 @@ def _stadium_hits(p, d, a):
     px = pc[:, 0] - xc
     b = px * dc[:, 0] + pc[:, 1] * dc[:, 1]
     c0 = px * px + pc[:, 1] * pc[:, 1] - a * a
+    disc = b * b - c0
     with np.errstate(invalid="ignore"):
-        tau = -b + np.sqrt(b * b - c0)
+        tau = -b + np.sqrt(disc)
+    # A start on the cap's circle leaving within ~3e-8 rad of its tangent has
+    # b^2 below the rounding of c0 (~1e-16 a^2), so disc < 0; the roots on
+    # the start's exact circle are 0 and the far root -2b.
+    np.copyto(tau, -2.0 * b, where=(disc < 0) & (np.abs(c0) <= 1e-12 * a * a))
     bad = cap[~((tau > tau_min) & (tau < np.inf))]
     if bad.size:
         raise NumericError(f"stadium ray from {p[bad[0]].tolist()} (centre at the origin) "

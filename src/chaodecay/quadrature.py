@@ -541,6 +541,8 @@ def semiclassical_ladder(
     """
     if len(ehrenfest_fractions) != len(lam_tau_values):
         raise ValueError("need one ehrenfest fraction per lambda*tau_D value")
+    if any(b <= a for a, b in zip(lam_tau_values, lam_tau_values[1:])):
+        raise ValueError("lambda*tau_D values must increase along the ladder")
     seq = []
     for lam_tau, fr in zip(lam_tau_values, ehrenfest_fractions):
         if not 0.0 < fr <= 0.05:
@@ -562,7 +564,6 @@ def semiclassical_ladder(
                 encounter_shape_factor=eta,
                 hbar=hbar,
                 ehrenfest_time=t_e,
-                cavity_size=1.0,
             )
         )
     return seq

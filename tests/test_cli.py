@@ -381,6 +381,31 @@ class TestCommandLine:
         assert code == ValidationError.exit_code
         assert f"config.params.{key}: unknown key" in capsys.readouterr().err
 
+    def test_cavity_size_retired(self, tmp_path, capsys):
+        doc = {"command": "correction",
+               "params": {"dwell_time": 0.3, "heisenberg_time": 1.0, "cavity_size": 1.0}}
+        code, _ = run_cli(tmp_path, doc)
+        assert code == ValidationError.exit_code
+        assert "config.params.cavity_size: unknown key" in capsys.readouterr().err
+
+    # values that pass the field table but not the library's own checks
+    @pytest.mark.parametrize("command, params", [
+        ("quadrature", {"lambda_tauD": [20.0, 10.0], "ehrenfest_fractions": [0.05, 0.035]}),
+        ("quadrature", {"lambda_tauD": [10.0], "ehrenfest_fractions": [0.2]}),
+        ("quadrature", {"su_cut": 2.0}),
+        ("correction", {"alpha": 1.0, "sigma2": 1.0, "tau_d": 3.0}),
+        ("peak", {"alpha": 1.0, "sigma2": 1.0, "tau_d": 3.0}),
+    ], ids=["unordered_ladder", "ehrenfest_fraction", "su_cut", "correction_tau_d",
+            "peak_tau_d"])
+    def test_library_rejection_exit_3(self, tmp_path, capsys, command, params):
+        base = ({"t_over_tauD": [2.0]} if command == "quadrature"
+                else {"dwell_time": 0.3, "heisenberg_time": 1.0})
+        code, out = run_cli(tmp_path, {"command": command, "params": {**base, **params}})
+        assert code == ValidationError.exit_code
+        err = capsys.readouterr().err
+        assert "config.params: " in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_ensemble_dt_rejected(self, tmp_path, capsys):
         doc = {"command": "simulate",
                "geometry": {"shape": "cardioid", "opening_length": 0.2},

@@ -26,7 +26,6 @@ from chaodecay.formulas import (
     loop_correction_ehrenfest,
     loop_correction_short_time,
     loop_kernel,
-    min_loop_time,
     total_survival,
 )
 
@@ -90,12 +89,6 @@ class TestParameterMaps:
         assert ehrenfest_time(1.0, math.exp(10.0), 1.0) == pytest.approx(10.0)
         with pytest.raises(ValueError):
             ehrenfest_time(1.0, 0.5, 1.0)
-
-    def test_min_loop_time(self):
-        assert min_loop_time(2.0, 1.0, 1.0) == 0.0
-        assert min_loop_time(1.0, math.e, 1.0) == pytest.approx(1.0)
-        with pytest.raises(ValueError):
-            min_loop_time(1.0, 0.5, 1.0)
 
 
 class TestParams:

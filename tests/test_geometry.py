@@ -344,6 +344,21 @@ class TestStadiumKernel:
         ds = np.linalg.norm(hit[0] - boundary_point(self.g, s0)[0])
         assert ds == pytest.approx(2.0 * a * math.sin(angle), abs=1e-15 * a / angle)
 
+    @given(st.floats(0.0, 1.0), st.booleans(), st.floats(1e-9, 3e-8), st.booleans())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_grazing_cap_starts(self, frac, left, angle, backwards):
+        # Below about 3e-8 rad the rounding of the start's squared radius can
+        # exceed b^2 and turn the discriminant negative; such a ray takes the
+        # far root -2b of the start's exact circle and stays on its cap.
+        a = self.g.scale
+        cap_start = (2.0 + (2.0 + math.pi) * left) * a
+        s0 = cap_start + (1e-3 + frac * (math.pi - 2e-3)) * a
+        p, d = _boundary_ray(self.g, s0, math.pi - angle if backwards else angle)
+        dist, s_hit, hit, _, _ = self.g.ray_hits(p[None], d[None])
+        assert cap_start <= s_hit[0] <= cap_start + math.pi * a
+        assert self.g.contains(hit[0], tol=1e-9)
+        assert abs(dist[0] - 2.0 * a * math.sin(angle)) <= 1e-15 * a / angle
+
     @pytest.mark.parametrize("p, d", [
         ((10.0, 0.0), (1.0, 0.0)),          # outside: the far cap root is -8 a
         ((0.0, 0.0), (math.nan, 0.0)),      # non-finite direction

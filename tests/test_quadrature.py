@@ -388,6 +388,8 @@ class TestConvergenceStudy:
         ladder = list(semiclassical_ladder())
         with pytest.raises(ValueError):
             convergence_study(ladder[::-1], [2.0])
+        with pytest.raises(ValueError, match="increase"):
+            semiclassical_ladder(lam_tau_values=(20.0, 10.0), ehrenfest_fractions=(0.05, 0.035))
 
     def test_rows_and_monotonicity(self):
         ladder = semiclassical_ladder(lam_tau_values=(10.0, 20.0),
