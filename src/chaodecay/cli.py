@@ -102,7 +102,9 @@ def _write(cfg: RunConfig, out_dir: str, out: _Output) -> None:
     """Write ``<command>.csv``, whose line holds the config blocks that set the
     numbers plus the runner's extras, and ``manifest.json``."""
     monte_carlo = cfg.command in STOCHASTIC_COMMANDS
-    blocks = ("geometry", "ensemble", "grid") if monte_carlo else ("params",)
+    # of the other commands only correction has a grid
+    blocks = (("geometry", "ensemble", "grid") if monte_carlo
+              else ("params", "grid") if cfg.grid else ("params",))
     line = {"command": cfg.command, "tool_version": __version__,
             **{name: cfg.resolved[name] for name in blocks}, **(out.line or {})}
     manifest = {

@@ -581,7 +581,8 @@ def test_bundled_example_runs(bundled_run, path):
     command = manifest["command"]
     monte_carlo = command in STOCHASTIC_COMMANDS
     # the embedded line holds the config blocks that set the numbers
-    blocks = {"geometry", "ensemble", "grid"} if monte_carlo else {"params"}
+    blocks = ({"geometry", "ensemble", "grid"} if monte_carlo
+              else {"params", "grid"} if manifest["config"]["grid"] else {"params"})
     assert set(line) == {"command", "tool_version", *blocks, *LINE_EXTRAS.get(command, ())}
     assert all(line[name] == manifest["config"][name] for name in blocks)
     assert set(manifest) == {"command", "config", "defaults", "tool_version", "warnings",
@@ -590,6 +591,19 @@ def test_bundled_example_runs(bundled_run, path):
                              *MANIFEST_EXTRAS.get(command, ())}
     if "geometry_hash" in manifest:
         assert manifest["geometry_hash"] == line["geometry_hash"]
+
+
+def test_correction_line_records_grid(tmp_path):
+    lines = []
+    for t_max in (5.0, 9.0):
+        doc = {"command": "correction", "params": {"dwell_time": 0.3, "heisenberg_time": 1.0},
+               "grid": {"t_max": t_max, "n_points": 21}}
+        (tmp_path / str(t_max)).mkdir()
+        code, out = run_cli(tmp_path / str(t_max), doc)
+        assert code == 0
+        lines.append(read_csv(str(out / "correction.csv"))[0])
+    assert [line["grid"] for line in lines] == [{"t_max": 5.0, "n_points": 21},
+                                                {"t_max": 9.0, "n_points": 21}]
 
 
 def test_correction_total_is_exact_sum(bundled_run):
