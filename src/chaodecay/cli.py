@@ -87,8 +87,8 @@ def main(argv=None) -> int:
 
 
 class _Output(NamedTuple):
-    """A runner's CSV table (column name -> column, or scalar for one row),
-    manifest blocks, CSV-line extras and run warnings."""
+    """A runner's CSV table (name -> column, or scalar for one row), manifest
+    blocks, CSV-line extras and run warnings."""
 
     table: dict
     results: dict

@@ -217,9 +217,6 @@ def _validate(doc: dict) -> RunConfig:
             params["alpha"] = bath_alpha
     if command == "pair-decoherence" and "alpha" not in params:
         raise ValidationError("config.params.alpha: required (directly or via params.bath)")
-    if command == "quadrature" and (len(params["ehrenfest_fractions"])
-                                    != len(params["lambda_tauD"])):
-        raise ValidationError("config.params.ehrenfest_fractions: must match lambda_tauD in length")
 
     grid = _block(doc.get("grid", {}), _GRID[command], "config.grid")
     output = doc.get("output", f"out-{command}")

@@ -227,9 +227,8 @@ def _stadium_hits(p, d, a):
     disc = b * b - c0
     with np.errstate(invalid="ignore"):
         tau = -b + np.sqrt(disc)
-    # A start on the cap's circle leaving within ~3e-8 rad of its tangent has
-    # b^2 below the rounding of c0 (~1e-16 a^2), so disc < 0; the roots on
-    # the start's exact circle are 0 and the far root -2b.
+    # within ~3e-8 rad of the tangent, b^2 can fall below the rounding of c0
+    # (~1e-16 a^2): on the start's exact circle the roots are 0 and -2b
     np.copyto(tau, -2.0 * b, where=(disc < 0) & (np.abs(c0) <= 1e-12 * a * a))
     bad = cap[~((tau > tau_min) & (tau < np.inf))]
     if bad.size:

@@ -18,24 +18,26 @@ import json
 import math
 import os
 import tempfile
+from contextlib import contextmanager
 from datetime import datetime, timezone
 
 import numpy as np
 
 from .errors import InputOutputError
 
-__all__ = ["atomic_write_text", "write_csv", "write_manifest"]
+__all__ = ["atomic_open", "write_csv", "write_manifest"]
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write text to path via temp-file-then-rename in the same directory."""
+@contextmanager
+def atomic_open(path: str):
+    """Text handle on a temp file in path's directory, renamed onto path on success."""
     directory = os.path.dirname(os.path.abspath(path))
     try:
         os.makedirs(directory, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
         try:
             with os.fdopen(fd, "w") as handle:
-                handle.write(text)
+                yield handle
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -57,19 +59,18 @@ def _jsonable(obj):
 
 
 def write_csv(path: str, table: dict, manifest_line: dict | None = None) -> None:
-    """Comma-separated values of ``table``, one column per entry, with an
-    optional embedded JSON manifest line."""
+    """CSV of ``table``, one column per entry, below an optional JSON manifest line."""
     columns = [np.atleast_1d(column).tolist() for column in table.values()]
     if len({len(column) for column in columns}) > 1:
-        raise ValueError("table columns differ in length: "
-                         + ", ".join(f"{name} {len(column)}"
-                                     for name, column in zip(table, columns)))
-    lines = [] if manifest_line is None else [
-        "# " + json.dumps(_jsonable(manifest_line), sort_keys=True)]
-    lines.append(",".join(table))
-    # each row is joined from the per-column value strings as it is needed
-    lines.extend(map(",".join, zip(*(map(repr, column) for column in columns))))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+        lengths = {name: len(column) for name, column in zip(table, columns)}
+        raise ValueError(f"table columns differ in length: {lengths}")
+    with atomic_open(path) as handle:
+        if manifest_line is not None:
+            handle.write("# " + json.dumps(_jsonable(manifest_line), sort_keys=True) + "\n")
+        handle.write(",".join(table) + "\n")
+        # each row is joined from the per-column strings as it is written
+        for row in zip(*(map(repr, column) for column in columns)):
+            handle.write(",".join(row) + "\n")
 
 
 def write_manifest(path: str, manifest: dict) -> None:
@@ -77,4 +78,5 @@ def write_manifest(path: str, manifest: dict) -> None:
     payload.setdefault(
         "wall_clock_utc", datetime.now(timezone.utc).isoformat(timespec="seconds")
     )
-    atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    with atomic_open(path) as handle:
+        handle.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")

@@ -22,7 +22,7 @@ from chaodecay.errors import (
     ValidationError,
 )
 from chaodecay.formulas import SemiclassicalParams, correction_peak
-from chaodecay.io import atomic_write_text, write_csv, write_manifest
+from chaodecay.io import atomic_open, write_csv, write_manifest
 from chaodecay.quadrature import convergence_study, semiclassical_ladder
 
 from golden import (
@@ -212,13 +212,22 @@ class TestCsvManifest:
 
     def test_atomic_write_leaves_no_temp(self, tmp_path):
         path = tmp_path / "out.txt"
-        atomic_write_text(str(path), "hello")
+        with atomic_open(str(path)) as handle:
+            handle.write("hello")
         assert path.read_text() == "hello"
         assert os.listdir(tmp_path) == ["out.txt"]
 
     def test_atomic_write_bad_target(self):
         with pytest.raises(InputOutputError):
-            atomic_write_text("/proc/definitely/not/writable.txt", "x")
+            with atomic_open("/proc/definitely/not/writable.txt") as handle:
+                handle.write("x")
+
+    def test_atomic_write_interrupted(self, tmp_path):
+        with pytest.raises(RuntimeError):
+            with atomic_open(str(tmp_path / "out.txt")) as handle:
+                handle.write("partial")
+                raise RuntimeError("interrupted")
+        assert os.listdir(tmp_path) == []
 
     def test_manifest_round_trip(self, tmp_path):
         path = str(tmp_path / "manifest.json")
@@ -392,10 +401,11 @@ class TestCommandLine:
     @pytest.mark.parametrize("command, params", [
         ("quadrature", {"lambda_tauD": [20.0, 10.0], "ehrenfest_fractions": [0.05, 0.035]}),
         ("quadrature", {"lambda_tauD": [10.0], "ehrenfest_fractions": [0.2]}),
+        ("quadrature", {"lambda_tauD": [10.0, 20.0], "ehrenfest_fractions": [0.05]}),
         ("quadrature", {"su_cut": 2.0}),
         ("correction", {"alpha": 1.0, "sigma2": 1.0, "tau_d": 3.0}),
         ("peak", {"alpha": 1.0, "sigma2": 1.0, "tau_d": 3.0}),
-    ], ids=["unordered_ladder", "ehrenfest_fraction", "su_cut", "correction_tau_d",
+    ], ids=["unordered_ladder", "ehrenfest_fraction", "fraction_count", "su_cut", "correction_tau_d",
             "peak_tau_d"])
     def test_library_rejection_exit_3(self, tmp_path, capsys, command, params):
         base = ({"t_over_tauD": [2.0]} if command == "quadrature"
