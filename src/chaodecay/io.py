@@ -68,7 +68,7 @@ def write_csv(path: str, table: dict, manifest_line: dict | None = None) -> None
         if manifest_line is not None:
             handle.write("# " + json.dumps(_jsonable(manifest_line), sort_keys=True) + "\n")
         handle.write(",".join(table) + "\n")
-        # each row is joined from the per-column strings as it is written
+        # row by row, so no table's whole text is held in memory at once
         for row in zip(*(map(repr, column) for column in columns)):
             handle.write(",".join(row) + "\n")
 
