@@ -227,8 +227,9 @@ def _stadium_hits(p, d, a):
     disc = b * b - c0
     with np.errstate(invalid="ignore"):
         tau = -b + np.sqrt(disc)
-    # within ~3e-8 rad of the tangent, b^2 can fall below the rounding of c0
-    # (~1e-16 a^2): on the start's exact circle the roots are 0 and -2b
+    # a start on the cap's circle heading within ~3e-8 rad of its tangent can
+    # have b^2 below the rounding of c0 (~1e-16 a^2); on the exact circle its
+    # roots are 0 and -2b
     np.copyto(tau, -2.0 * b, where=(disc < 0) & (np.abs(c0) <= 1e-12 * a * a))
     bad = cap[~((tau > tau_min) & (tau < np.inf))]
     if bad.size:
