@@ -224,13 +224,14 @@ def _stadium_hits(p, d, a):
     px = pc[:, 0] - xc
     b = px * dc[:, 0] + pc[:, 1] * dc[:, 1]
     c0 = px * px + pc[:, 1] * pc[:, 1] - a * a
-    disc = b * b - c0
     with np.errstate(invalid="ignore"):
-        tau = -b + np.sqrt(disc)
+        tau = -b + np.sqrt(b * b - c0)
     # a start on the cap's circle heading within ~3e-8 rad of its tangent can
-    # have b^2 below the rounding of c0 (~1e-16 a^2); on the exact circle its
-    # roots are 0 and -2b
-    np.copyto(tau, -2.0 * b, where=(disc < 0) & (np.abs(c0) <= 1e-12 * a * a))
+    # have b^2 below the rounding of c0 (~1e-16 a^2), so tau is nan; on the
+    # exact circle its roots are 0 and -2b
+    grazing = np.flatnonzero(np.isnan(tau))
+    grazing = grazing[np.abs(c0[grazing]) <= 1e-12 * a * a]
+    tau[grazing] = -2.0 * b[grazing]
     bad = cap[~((tau > tau_min) & (tau < np.inf))]
     if bad.size:
         raise NumericError(f"stadium ray from {p[bad[0]].tolist()} (centre at the origin) "
