@@ -1,8 +1,8 @@
 """Point-particle billiard dynamics: free flight, specular reflection, escape.
 
 One batched engine: `batch_collide` moves every particle of a batch to its
-next boundary hit, and one loop, `_flights`, repeats it for the active rows
-up to a time horizon and compacts them in place.  Its three callers differ
+next boundary hit, and one loop, `_flights`, repeats it on arrays that hold
+only the live particles up to a time horizon.  Its three callers differ
 only in what they take from each flight: `escape_times` absorbs particles in
 the opening (survival curves), `sample_positions` records closed-cavity
 positions on a uniform time grid (pair decoherence, the variance time
@@ -63,8 +63,8 @@ def escape_times(
     are absorbed at the collision instant when the hit arclength falls inside
     the opening.  Raises ``NumericError`` for a particle stuck in place.
     """
-    pos = np.array(positions, dtype=float)
-    dirs = np.array(directions, dtype=float)
+    pos = np.asarray(positions, dtype=float)
+    dirs = np.asarray(directions, dtype=float)
     esc = np.full(len(pos), np.inf)
     total_collisions = 0
     for rows, _, _, _, t_hit, left, *_ in _flights(
@@ -93,8 +93,8 @@ def sample_positions(
     """
     if dt <= 0 or n_steps < 1:
         raise ValueError("dt must be positive and n_steps at least 1")
-    pos = np.array(positions, dtype=float)
-    dirs = np.array(directions, dtype=float)
+    pos = np.asarray(positions, dtype=float)
+    dirs = np.asarray(directions, dtype=float)
     n = len(pos)
     times = dt * np.arange(n_steps + 1)
     samples = np.empty((n, n_steps + 1, 2))
@@ -118,35 +118,31 @@ def sample_positions(
 
 def _flights(geometry: CavityGeometry, pos, dirs, t_now, speed: float, t_end: float,
              absorbing: bool = False):
-    """Collide a batch, in place, until no particle's next hit is due by ``t_end``.
+    """Collide a batch until no particle's next hit is due by ``t_end``.
 
-    Each step yields ``(rows, start, heading, t_start, t_hit, left, s_hit,
-    out, kinds)`` for the active particle ids ``rows``: the flight's start
-    point, unit heading and start time, its hit time, and the hit arclength,
-    outgoing direction and `batch_collide` kind of its hit.  With
-    ``absorbing`` set, ``left`` marks the flights that end in the opening
+    ``pos``/``dirs``/``t_now`` are the particles' start states; they are read,
+    never written.  Each step yields ``(rows, start, heading, t_start, t_hit,
+    left, s_hit, out, kinds)`` for the live particle ids ``rows``: the
+    flight's start point, unit heading and start time, its hit time, and the
+    hit arclength, outgoing direction and `batch_collide` kind of its hit.
+    With ``absorbing`` set, ``left`` marks the flights that end in the opening
     (cusp hits excepted) and those particles stop there; otherwise it is
-    None.  After the consumer has seen a step, the particles whose hit is due
-    by ``t_end`` are moved to it in ``pos``/``dirs``/``t_now`` and stay
-    active.  Raises ``NumericError`` for a particle stuck in place.
+    None.  The particles whose hit is due by ``t_end`` go on from it; the
+    others drop out.  Raises ``NumericError`` for a particle stuck in place.
     """
-    active = np.arange(len(pos))
+    rows = np.arange(len(pos))
     stalls = None
-    while active.size:
-        start, heading, t_start = pos[active], dirs[active], t_now[active]
-        dist, s_hit, hit, out, kinds = batch_collide(geometry, start, heading)
-        stalls = _count_stalls(stalls, dist, active)
-        t_hit = t_start + dist / speed
+    while rows.size:
+        dist, s_hit, hit, out, kinds = batch_collide(geometry, pos, dirs)
+        stalls = _count_stalls(stalls, dist, rows)
+        t_hit = t_now + dist / speed
         keep = t_hit <= t_end
         left = None
         if absorbing:
             left = keep & geometry.opening_contains(s_hit) & (kinds != 2)
             keep &= ~left
-        yield active, start, heading, t_start, t_hit, left, s_hit, out, kinds
-        active = active[keep]
-        pos[active] = hit[keep]
-        dirs[active] = out[keep]
-        t_now[active] = t_hit[keep]
+        yield rows, pos, dirs, t_now, t_hit, left, s_hit, out, kinds
+        rows, pos, dirs, t_now = rows[keep], hit[keep], out[keep], t_hit[keep]
         if stalls is not None:
             stalls = stalls[keep]
 

@@ -363,10 +363,10 @@ def _log_stretch(geometry: CavityGeometry, pos, dirs, speed: float, edges):
     Returns ``(stretch, telemetry)``: ``stretch[k, i]`` is the log stretch of
     row ``i`` from time 0 to ``edges[k]`` (increasing, the last one the end
     of the run), and ``telemetry`` counts the collisions, cusp and grazing
-    hits made by then.  ``pos`` and ``dirs`` are copied, not moved.
+    hits made by then.
     """
-    pos = np.array(pos, dtype=float)
-    dirs = np.array(dirs, dtype=float)
+    pos = np.asarray(pos, dtype=float)
+    dirs = np.asarray(dirs, dtype=float)
     n = len(pos)
     curv = np.zeros(n)  # B at the start of each row's flight
     stretch = np.zeros((len(edges), n))

@@ -29,8 +29,11 @@ def advance_to(geometry, pos, dirs, t_now, t_target, speed):
     drifts straight to it.  Raises ``NumericError`` for a particle stuck in
     place.
     """
-    for _ in _flights(geometry, pos, dirs, t_now, speed, t_target):
-        pass
+    # a row's last flight is the one that ends past the target: its start is
+    # the state to drift from
+    for rows, start, heading, t_start, *_ in _flights(geometry, pos, dirs, t_now, speed,
+                                                       t_target):
+        pos[rows], dirs[rows], t_now[rows] = start, heading, t_start
     pos += (t_target - t_now)[:, None] * dirs * speed
     t_now[:] = t_target
 

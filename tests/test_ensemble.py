@@ -309,20 +309,6 @@ class TestLyapunov:
         assert events == {**plain_events, "collisions": plain_events["collisions"] + 1,
                           "grazing_events": 1}
 
-    def test_log_stretch_leaves_inputs_alone(self):
-        # the trajectories are propagated on copies: a second call on the same
-        # arrays starts where the first did
-        g = cardioid()
-        pos, dirs = sample_ensemble(g, EnsembleSpec(n_samples=16, seed=4))
-        pos0, dirs0 = pos.copy(), dirs.copy()
-        edges = np.array([3.0, 6.0, 12.0])
-        first = _log_stretch(g, pos, dirs, 1.0, edges)
-        second = _log_stretch(g, pos, dirs, 1.0, edges)
-        np.testing.assert_array_equal(first[0], second[0])
-        assert first[1] == second[1]
-        np.testing.assert_array_equal(pos, pos0)
-        np.testing.assert_array_equal(dirs, dirs0)
-
     def test_counts_collisions(self):
         # about one collision per mean free time and trajectory
         g = cardioid()
@@ -330,6 +316,25 @@ class TestLyapunov:
         expected = res.n_pairs * res.t_obs / mean_free_time(g)
         assert abs(res.telemetry["collisions"] - expected) < 0.1 * expected
         assert res.telemetry["cusp_events"] == res.telemetry["grazing_events"] == 0
+
+
+_ENGINE_CALLS = {
+    "escape_times": lambda g, pos, dirs: escape_times(g, pos, dirs, 1.0, 12.0),
+    "sample_positions": lambda g, pos, dirs: sample_positions(g, pos, dirs, 1.0, 0.1, 120),
+    "_log_stretch": lambda g, pos, dirs: _log_stretch(g, pos, dirs, 1.0,
+                                                      np.array([3.0, 6.0, 12.0])),
+}
+
+
+@pytest.mark.parametrize("run", list(_ENGINE_CALLS.values()), ids=list(_ENGINE_CALLS))
+def test_engine_leaves_inputs_alone(run):
+    # read-only inputs turn any write into an error, and a second call on
+    # the same arrays starts where the first did
+    g = cardioid()
+    pos, dirs = sample_ensemble(g, EnsembleSpec(n_samples=16, seed=4))
+    pos.setflags(write=False)
+    dirs.setflags(write=False)
+    np.testing.assert_equal(run(g, pos, dirs), run(g, pos, dirs))
 
 
 class _GrazesOnce:
