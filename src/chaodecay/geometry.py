@@ -185,8 +185,7 @@ def _cardioid_normal(c, s):
 def _circle_hits(p, d, radius):
     b = np.einsum("ij,ij->i", p, d)
     c0 = np.einsum("ij,ij->i", p, p) - radius * radius
-    disc = np.maximum(b * b - c0, 0.0)
-    dist = -b + np.sqrt(disc)
+    dist = _far_root(b, np.maximum(b * b - c0, 0.0), c0, radius)
     hit = p + dist[:, None] * d
     # snap radially onto the circle
     hit *= radius / np.hypot(hit[:, 0], hit[:, 1])[:, None]
@@ -194,6 +193,18 @@ def _circle_hits(p, d, radius):
     s_hit = radius * phi
     nrm = -hit / radius
     return dist, s_hit, hit, nrm
+
+
+def _far_root(b, disc, c0, radius):
+    """Far root ``-b + sqrt(disc)`` of a ray from p along d on a circle (b = p.d).
+
+    A start on the circle (c0 = |p|^2 - radius^2 is rounding noise, about
+    1e-16 radius^2) heading within about 1e-6 rad of its tangent has b^2 near
+    or below that noise, so the sign of the rounding would pick the root.
+    Those rows take the exact circle's far root, -2b.
+    """
+    tol = 1e-12 * radius * radius
+    return np.where((np.abs(c0) <= tol) & (b * b <= tol), -2.0 * b, -b + np.sqrt(disc))
 
 
 def _stadium_hits(p, d, a):
@@ -225,13 +236,7 @@ def _stadium_hits(p, d, a):
     b = px * dc[:, 0] + pc[:, 1] * dc[:, 1]
     c0 = px * px + pc[:, 1] * pc[:, 1] - a * a
     with np.errstate(invalid="ignore"):
-        tau = -b + np.sqrt(b * b - c0)
-    # a start on the cap's circle heading within ~3e-8 rad of its tangent can
-    # have b^2 below the rounding of c0 (~1e-16 a^2), so tau is nan; on the
-    # exact circle its roots are 0 and -2b
-    grazing = np.flatnonzero(np.isnan(tau))
-    grazing = grazing[np.abs(c0[grazing]) <= 1e-12 * a * a]
-    tau[grazing] = -2.0 * b[grazing]
+        tau = _far_root(b, b * b - c0, c0, a)
     bad = cap[~((tau > tau_min) & (tau < np.inf))]
     if bad.size:
         raise NumericError(f"stadium ray from {p[bad[0]].tolist()} (centre at the origin) "

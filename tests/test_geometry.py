@@ -371,6 +371,34 @@ class TestStadiumKernel:
             g.ray_hits(np.array([p]), np.array([d]))
 
 
+@pytest.mark.parametrize("shape", ["circle", "stadium"])
+def test_near_tangent_circle_starts(shape):
+    # Within about 1e-7 rad of the tangent, b^2 lies below the rounding of
+    # c0 = |p - centre|^2 - R^2 of a start on a circle or a stadium cap.
+    # Whatever the sign of that rounding, the flight is the exact chord.
+    g = make(shape, scale=1.3 if shape == "circle" else 1.5, center=(0.3, -0.2))
+    a = g.scale
+    rng = np.random.default_rng(11)
+    n = 4000
+    if shape == "circle":
+        s0 = rng.uniform(0.0, g.perimeter, n)
+    else:  # on either cap, away from its ends
+        s0 = (2.0 + (2.0 + math.pi) * (rng.random(n) < 0.5)) * a
+        s0 += rng.uniform(1e-3, math.pi - 1e-3, n) * a
+    angle = 10.0 ** rng.uniform(-9.0, -7.0, n)
+    heading = np.where(rng.random(n) < 0.5, angle, math.pi - angle)
+    pos, nrm = boundary_point(g, s0)
+    dirs = (np.cos(heading)[:, None] * np.stack([-nrm[:, 1], nrm[:, 0]], axis=-1)
+            + np.sin(heading)[:, None] * nrm)
+    rel = pos - np.asarray(g.center)
+    if shape == "stadium":
+        rel[:, 0] -= np.copysign(a, rel[:, 0])  # from the cap's centre
+    c0 = rel[:, 0] * rel[:, 0] + rel[:, 1] * rel[:, 1] - a * a
+    assert np.any(c0 > 0) and np.any(c0 < 0)
+    dist = g.ray_hits(pos, dirs)[0]
+    np.testing.assert_allclose(dist, 2.0 * a * np.sin(angle), rtol=1e-6, atol=0.0)
+
+
 def _cardioid_quartic_oracle(p, d, on_boundary=True):
     """First hit of a ray on the unit cardioid, by companion matrix.
 
