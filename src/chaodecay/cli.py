@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from dataclasses import replace
 from typing import NamedTuple
@@ -140,31 +141,37 @@ def _geometry_derived(cfg: RunConfig) -> dict:
     }
 
 
+# SemiclassicalParams field -> key of the config's params block
+_PARAMS_KEYS = {
+    "dwell_time": "dwell_time",
+    "heisenberg_time": "heisenberg_time",
+    "lyapunov": "lyapunov",
+    "encounter_scale": "encounter_scale",
+    "coupling_strength": "alpha",
+    "position_variance": "sigma2",
+    "decoherence_time": "tau_d",
+    "encounter_shape_factor": "eta",
+    "hbar": "hbar",
+    "ehrenfest_time": "ehrenfest_time",
+    "loop_formation_time": "loop_formation_time",
+}
+
+
 def _from_params(build, **kwargs):
-    """``build(**kwargs)`` from ``params`` values, its ``ValueError`` a ``ValidationError``:
-    the values passed the field table but not the library's own checks."""
+    """``build(**kwargs)`` from ``params`` values, its ``ValueError`` a ``ValidationError``
+    that names the config's keys: the values passed the field table but not the
+    library's own checks."""
     try:
         return build(**kwargs)
     except ValueError as exc:
-        raise ValidationError(f"config.params: {exc}") from exc
+        message = re.sub(r"\w+", lambda word: _PARAMS_KEYS.get(word[0], word[0]), str(exc))
+        raise ValidationError(f"config.params: {message}") from exc
 
 
 def _semiclassical_from_config(params: dict) -> SemiclassicalParams:
     """Parameters of a resolved ``params`` block; the config layer has filled its defaults."""
-    return _from_params(
-        SemiclassicalParams,
-        dwell_time=params["dwell_time"],
-        heisenberg_time=params["heisenberg_time"],
-        lyapunov=params.get("lyapunov"),
-        encounter_scale=params.get("encounter_scale"),
-        coupling_strength=params.get("alpha"),
-        position_variance=params.get("sigma2"),
-        decoherence_time=params.get("tau_d"),
-        encounter_shape_factor=params["eta"],
-        hbar=params["hbar"],
-        ehrenfest_time=params["ehrenfest_time"],
-        loop_formation_time=params["loop_formation_time"],
-    )
+    return _from_params(SemiclassicalParams,
+                        **{name: params.get(key) for name, key in _PARAMS_KEYS.items()})
 
 
 def _params_derived(p: SemiclassicalParams) -> dict:

@@ -416,6 +416,15 @@ class TestCommandLine:
         assert "config.params: " in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_library_rejection_names_config_keys(self, tmp_path, capsys):
+        doc = {"command": "peak", "params": {"dwell_time": 0.3, "heisenberg_time": 1.0,
+                                             "alpha": 1.0, "sigma2": 1.0, "tau_d": 3.0}}
+        code, _ = run_cli(tmp_path, doc)
+        assert code == ValidationError.exit_code
+        err = capsys.readouterr().err
+        assert "config.params: tau_d inconsistent with alpha and sigma2" in err
+        assert "decoherence_time" not in err
+
     def test_ensemble_dt_rejected(self, tmp_path, capsys):
         doc = {"command": "simulate",
                "geometry": {"shape": "cardioid", "opening_length": 0.2},
