@@ -291,8 +291,7 @@ def _run_correction(cfg: RunConfig, threads: int) -> _Output:
     classical = classical_survival(params, times)
     return _Output({"time": times, "classical": classical, "correction": bracket,
                     "total": classical + bracket},
-                   {"regime": regime, "t_max": t_max}, _params_derived(params),
-                   line={"regime": regime})
+                   {"regime": regime, "t_max": t_max}, _params_derived(params))
 
 
 def _run_fig3(cfg: RunConfig, threads: int) -> _Output:
@@ -340,8 +339,7 @@ def _run_peak(cfg: RunConfig, threads: int) -> _Output:
     telemetry = {}
     t_star, value = correction_peak(params, regime=regime, telemetry=telemetry)
     table = {"t_star": t_star, "value": value, "t_star_over_dwell": t_star / params.dwell_time}
-    return _Output(table, {"regime": regime, **table}, _params_derived(params), telemetry,
-                   {"regime": regime})
+    return _Output(table, {"regime": regime, **table}, _params_derived(params), telemetry)
 
 
 _RUNNERS = {

@@ -585,8 +585,7 @@ def bundled_run(tmp_path_factory):
 
 
 # keys a command adds to the CSV's embedded line and to its manifest
-LINE_EXTRAS = {"simulate": {"geometry_hash"}, "pair-decoherence": {"alpha", "t_end"},
-               "correction": {"regime"}, "peak": {"regime"}}
+LINE_EXTRAS = {"simulate": {"geometry_hash"}, "pair-decoherence": {"alpha", "t_end"}}
 MANIFEST_EXTRAS = {"simulate": {"geometry_hash", "telemetry"}, "lyapunov": {"telemetry"},
                    "quadrature": {"telemetry"}, "peak": {"telemetry"}}
 
