@@ -143,16 +143,10 @@ def _geometry_derived(cfg: RunConfig) -> dict:
 
 # SemiclassicalParams field -> key of the config's params block
 _PARAMS_KEYS = {
-    "dwell_time": "dwell_time",
-    "heisenberg_time": "heisenberg_time",
-    "lyapunov": "lyapunov",
-    "encounter_scale": "encounter_scale",
-    "coupling_strength": "alpha",
-    "position_variance": "sigma2",
-    "decoherence_time": "tau_d",
-    "encounter_shape_factor": "eta",
-    "hbar": "hbar",
-    "ehrenfest_time": "ehrenfest_time",
+    "dwell_time": "dwell_time", "heisenberg_time": "heisenberg_time", "lyapunov": "lyapunov",
+    "encounter_scale": "encounter_scale", "coupling_strength": "alpha",
+    "position_variance": "sigma2", "decoherence_time": "tau_d", "encounter_shape_factor": "eta",
+    "hbar": "hbar", "ehrenfest_time": "ehrenfest_time",
     "loop_formation_time": "loop_formation_time",
 }
 

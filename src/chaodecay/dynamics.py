@@ -63,12 +63,10 @@ def escape_times(
     are absorbed at the collision instant when the hit arclength falls inside
     the opening.  Raises ``NumericError`` for a particle stuck in place.
     """
-    pos = np.asarray(positions, dtype=float)
-    dirs = np.asarray(directions, dtype=float)
-    esc = np.full(len(pos), np.inf)
+    esc = np.full(len(positions), np.inf)
     total_collisions = 0
     for rows, _, _, _, t_hit, left, *_ in _flights(
-        geometry, pos, dirs, np.zeros(len(pos)), speed, t_max, absorbing=True
+        geometry, positions, directions, np.zeros(len(esc)), speed, t_max, absorbing=True
     ):
         total_collisions += rows.size
         esc[rows[left]] = t_hit[left]
@@ -93,16 +91,14 @@ def sample_positions(
     """
     if dt <= 0 or n_steps < 1:
         raise ValueError("dt must be positive and n_steps at least 1")
-    pos = np.asarray(positions, dtype=float)
-    dirs = np.asarray(directions, dtype=float)
-    n = len(pos)
+    n = len(positions)
     times = dt * np.arange(n_steps + 1)
     samples = np.empty((n, n_steps + 1, 2))
-    samples[:, 0] = pos
+    samples[:, 0] = positions
     filled = np.ones(n, dtype=np.intp)  # samples[i, :filled[i]] are final
 
     for rows, pa, da, t0, t_hit, *_ in _flights(
-        geometry, pos, dirs, np.zeros(n), speed, times[-1]
+        geometry, positions, directions, np.zeros(n), speed, times[-1]
     ):
         # this flight covers the samples filled..last; one that ends past the
         # last grid time has t_hit / dt > n_steps and so covers the rest
@@ -130,6 +126,7 @@ def _flights(geometry: CavityGeometry, pos, dirs, t_now, speed: float, t_end: fl
     None.  The particles whose hit is due by ``t_end`` go on from it; the
     others drop out.  Raises ``NumericError`` for a particle stuck in place.
     """
+    pos, dirs = np.asarray(pos, dtype=float), np.asarray(dirs, dtype=float)
     rows = np.arange(len(pos))
     stalls = None
     while rows.size:

@@ -365,8 +365,6 @@ def _log_stretch(geometry: CavityGeometry, pos, dirs, speed: float, edges):
     of the run), and ``telemetry`` counts the collisions, cusp and grazing
     hits made by then.
     """
-    pos = np.asarray(pos, dtype=float)
-    dirs = np.asarray(dirs, dtype=float)
     n = len(pos)
     curv = np.zeros(n)  # B at the start of each row's flight
     stretch = np.zeros((len(edges), n))

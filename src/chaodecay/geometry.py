@@ -198,10 +198,9 @@ def _circle_hits(p, d, radius):
 def _far_root(b, disc, c0, radius):
     """Far root ``-b + sqrt(disc)`` of a ray from p along d on a circle (b = p.d).
 
-    A start on the circle (c0 = |p|^2 - radius^2 is rounding noise, about
-    1e-16 radius^2) heading within about 1e-6 rad of its tangent has b^2 near
-    or below that noise, so the sign of the rounding would pick the root.
-    Those rows take the exact circle's far root, -2b.
+    Where c0 = |p|^2 - radius^2 is rounding noise (a start on the circle) and
+    b^2 is no larger (within ~1e-6 rad of the tangent), the sign of that noise
+    would pick the root; those rows take the exact circle's far root, -2b.
     """
     tol = 1e-12 * radius * radius
     return np.where((np.abs(c0) <= tol) & (b * b <= tol), -2.0 * b, -b + np.sqrt(disc))
