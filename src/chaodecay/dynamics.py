@@ -66,7 +66,7 @@ def escape_times(
     esc = np.full(len(positions), np.inf)
     total_collisions = 0
     for rows, _, _, _, t_hit, left, *_ in _flights(
-        geometry, positions, directions, np.zeros(len(esc)), speed, t_max, absorbing=True
+        geometry, positions, directions, np.zeros(len(positions)), speed, t_max, absorbing=True
     ):
         total_collisions += rows.size
         esc[rows[left]] = t_hit[left]
