@@ -60,14 +60,14 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to a JSON config document")
     parser.add_argument("--out", default=None, help="output directory (overrides config)")
     parser.add_argument("--threads", type=int, default=1,
-                        help="most worker threads for simulate; it starts at most one per "
-                             "usable CPU and per chunk, and output never depends on it "
-                             "(default: 1)")
+                        help="most worker processes for simulate (forked; one runs in this "
+                             "process); it uses at most one per usable CPU and per chunk, and "
+                             "output never depends on it (default: 1)")
     args = parser.parse_args(argv)
 
     try:
         if args.threads < 1:
-            raise SyntaxUsageError("thread count must be at least 1")
+            raise SyntaxUsageError("--threads must be at least 1")
         try:
             with open(args.config) as handle:
                 text = handle.read()

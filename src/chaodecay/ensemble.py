@@ -3,7 +3,7 @@
 Sampling is counter-based: one Philox stream per (seed, purpose), drawn in
 order with a fixed number of uniforms per trajectory row.  Row i is therefore
 a pure function of (seed, i) -- never of the sampler's block size, the work
-chunks, the thread count or the ensemble size (point i of a 10^3-sample
+chunks, the worker count or the ensemble size (point i of a 10^3-sample
 ensemble equals point i of a 10^5-sample one).
 """
 
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,14 +47,16 @@ _REJECTION_TRIES = 24
 # single draw.  On 65,536 rows (2-vCPU Xeon VM) 2048 rows beat 8192: 236 ->
 # 167 ms (stadium), 240 -> 186 ms (cardioid), and a stadium `simulate` peak
 # RSS of 62.5 MB, not 68.4 MB (the sampler's high-water mark is not returned
-# to the OS before the escape threads allocate).
+# to the OS before the escape loop allocates; measured when the escape
+# workers were threads of this process).
 _SAMPLE_BLOCK = 2048
 
 # Most rows per work chunk of `survival_curve`, which otherwise cuts the
-# ensemble into one contiguous chunk per worker.  It bounds the propagation
-# temporaries; output does not depend on it, because a particle's escape time
-# is bit-identical whatever batch it rides in.  Chosen by measurement on a
-# 2-vCPU VM: for 100k cardioid rows over 2 workers, 16k- and 32k-row caps
+# ensemble into one contiguous chunk per worker process.  It bounds the
+# propagation temporaries of each process; output does not depend on it,
+# because a particle's escape time is bit-identical whatever batch it rides
+# in.  Chosen by measurement on a 2-vCPU VM, when the workers were threads of
+# one process: for 100k cardioid rows over 2 workers, 16k- and 32k-row caps
 # took about 35% and 10% longer than 64k (more, shorter chunks, each with
 # its own tail of small steps) for about 40 and 30 MB less peak memory.
 _MAX_CHUNK_ROWS = 65536
@@ -206,14 +207,16 @@ def survival_curve(
 ) -> SurvivalCurve:
     """Fraction of the ensemble still inside at each grid time.
 
-    ``workers`` is ``threads`` but at most the usable CPUs.  The ensemble is
+    ``workers`` is ``threads`` but at most the usable CPUs, and 1 where the
+    platform has no ``fork`` start method.  The ensemble is sampled here and
     cut into contiguous chunks of equal size (the last one shorter), one per
     worker, or whole rounds of one per worker when that would exceed
-    ``_MAX_CHUNK_ROWS`` rows; a thread pool runs them on at most one thread
-    per worker and per chunk.  Each row is a pure function of ``(spec.seed,
-    index)`` and its escape time is bit-identical whatever batch it rides in,
-    so results are byte-identical for any thread count, CPU count or chunk
-    size.  ``telemetry`` holds the run's collision total and that layout.
+    ``_MAX_CHUNK_ROWS`` rows.  One worker runs the chunks in this process;
+    more run them in a pool of at most one forked process per worker and per
+    chunk.  Each row is a pure function of ``(spec.seed, index)`` and its
+    escape time is bit-identical whatever batch it rides in, so results are
+    byte-identical for any worker count, CPU count or chunk size.
+    ``telemetry`` holds the run's collision total and that layout.
     """
     if threads < 1:
         raise ValueError("threads must be at least 1")
@@ -224,23 +227,27 @@ def survival_curve(
     t_max = float(times[-1])
     n = spec.n_samples
     workers = min(threads, _usable_cpus())
+    if workers > 1:
+        import multiprocessing  # here, so that importing the package does not pay for it
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            workers = 1
     # whole rounds of one chunk per worker, so that no worker is left with
     # a full chunk after the others run out
     rounds = -(-n // (workers * _MAX_CHUNK_ROWS))
     rows = -(-n // (rounds * workers))
-    starts = range(0, n, rows)
+    chunks = [(geometry, positions[start : start + rows], directions[start : start + rows],
+               spec.speed, t_max, start, spec.seed) for start in range(0, n, rows)]
 
-    def work(start):
-        try:
-            return escape_times(geometry, positions[start : start + rows],
-                                directions[start : start + rows], spec.speed, t_max)
-        except NumericError as exc:
-            raise NumericError(f"{exc} (index within the chunk from particle {start}; "
-                               f"seed {spec.seed})") from exc
+    pool_size = min(workers, len(chunks))
+    if pool_size == 1:
+        esc, collisions = zip(*map(_escape_chunk, chunks))
+    else:
+        from concurrent.futures import ProcessPoolExecutor
 
-    pool_size = min(workers, len(starts))
-    with ThreadPoolExecutor(max_workers=pool_size) as pool:
-        esc, collisions = zip(*pool.map(work, starts))
+        fork = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(pool_size, mp_context=fork) as pool:
+            esc, collisions = zip(*pool.map(_escape_chunk, chunks))
     esc = np.concatenate(esc)
 
     survival = (n - np.searchsorted(np.sort(esc), times, side="right")) / n
@@ -251,8 +258,18 @@ def survival_curve(
         std_error=std_error,
         n_samples=n,
         telemetry={"collisions": sum(collisions), "workers": pool_size,
-                   "chunks": len(starts), "rows_per_chunk": rows},
+                   "chunks": len(chunks), "rows_per_chunk": rows},
     )
+
+
+def _escape_chunk(args):
+    """`escape_times` of one `survival_curve` chunk; a failure names its first row and seed."""
+    geometry, positions, directions, speed, t_max, start, seed = args
+    try:
+        return escape_times(geometry, positions, directions, speed, t_max)
+    except NumericError as exc:
+        raise NumericError(f"{exc} (index within the chunk from particle {start}; "
+                           f"seed {seed})") from exc
 
 
 def _usable_cpus() -> int:

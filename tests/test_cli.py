@@ -2,6 +2,7 @@
 
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -13,11 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaodecay import ensemble
+from chaodecay import dynamics, ensemble
 from chaodecay.cli import main
 from chaodecay.config import COMMANDS, STOCHASTIC_COMMANDS, parse_config
 from chaodecay.errors import (
     InputOutputError,
+    NumericError,
     SyntaxUsageError,
     ValidationError,
 )
@@ -707,11 +709,61 @@ class TestReproducibility:
         assert "wall_clock_utc" in read_manifest(str(out / "manifest.json"))
 
 
-def test_cli_import_leaves_scipy_out():
+def test_escape_worker_failure(tmp_path, monkeypatch, capsys):
+    # a particle stuck in a forked escape worker: the error names the chunk's
+    # first particle and the seed, simulate exits 4, and no worker process
+    # outlives a failing or a passing run
+    doc = {"command": "simulate",
+           "geometry": {"shape": "cardioid", "opening_length": 0.2},
+           "ensemble": {"seed": 17, "n_samples": 500}, "grid": {"t_max": 60.0}}
+    cfg = parse_config(json.dumps(doc))
+    pos, dirs = ensemble.sample_ensemble(cfg.geometry, ensemble.EnsembleSpec(**cfg.ensemble))
+    # the second chunk's first flight; a row's flights do not depend on its batch
+    first_flight = dynamics.batch_collide(cfg.geometry, pos[250:251], dirs[250:251])[0][0]
+    parent, count_stalls = os.getpid(), dynamics._count_stalls
+
+    def stuck_in_second_chunk(stalls, dist, index):
+        if os.getpid() != parent and dist[0] == first_flight:
+            raise NumericError("particle 0 made no progress")
+        return count_stalls(stalls, dist, index)
+
+    monkeypatch.setattr(dynamics, "_count_stalls", stuck_in_second_chunk)
+    monkeypatch.setattr(ensemble, "_usable_cpus", lambda: 2)
+    times = ensemble.hybrid_time_grid(60.0, 5.0, 48)
+    with pytest.raises(NumericError, match=r"from particle 250; seed 17\)$"):
+        ensemble.survival_curve(cfg.geometry, ensemble.EnsembleSpec(**cfg.ensemble), times,
+                                threads=2)
+    assert multiprocessing.active_children() == []
+    capsys.readouterr()
+    (tmp_path / "a").mkdir()
+    assert run_cli(tmp_path / "a", doc, extra=["--threads", "2"])[0] == 4
+    assert "from particle 250; seed 17)" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+
+    monkeypatch.setattr(dynamics, "_count_stalls", count_stalls)
+    (tmp_path / "b").mkdir()
+    code, out = run_cli(tmp_path / "b", doc, extra=["--threads", "2"])
+    assert code == 0
+    assert read_manifest(str(out / "manifest.json"))["telemetry"]["workers"] == 2
+    assert multiprocessing.active_children() == []
+
+
+def _modules_after_cli_import(*names):
+    """Which of ``names`` a fresh interpreter holds after ``import chaodecay.cli``."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
     res = subprocess.run(
-        [sys.executable, "-c", "import chaodecay.cli, sys; print('scipy' in sys.modules)"],
+        [sys.executable, "-c",
+         f"import chaodecay.cli, sys; print(*[n for n in {names!r} if n in sys.modules])"],
         env=env, capture_output=True, text=True, check=True,
     )
-    assert res.stdout.strip() == "False"
+    return res.stdout.split()
+
+
+def test_cli_import_leaves_scipy_out():
+    assert _modules_after_cli_import("scipy") == []
+
+
+def test_cli_import_leaves_process_pool_out():
+    # only simulate on more than one worker imports them
+    assert _modules_after_cli_import("multiprocessing", "concurrent.futures") == []

@@ -1,6 +1,8 @@
 """Monte Carlo layer: sampling, survival, escape-rate fits, Lyapunov, sigma^2."""
 
+import concurrent.futures
 import math
+import multiprocessing
 import tracemalloc
 
 import numpy as np
@@ -185,6 +187,27 @@ class TestSurvival:
                     assert tel["rows_per_chunk"] <= cap
                     assert tel["chunks"] == -(-61 // tel["rows_per_chunk"])
                     assert tel["workers"] == min(threads, cpus, tel["chunks"])
+
+    def test_one_worker_starts_no_process(self, monkeypatch):
+        # one thread, or no fork start method: the chunks run in this process
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(ensemble, "_usable_cpus", lambda: 8)
+        g = cardioid(opening=1.0)
+        times = hybrid_time_grid(12.0, 3.0, 40)
+        spec = EnsembleSpec(n_samples=61, seed=13)
+        with pytest.raises(AssertionError, match="pool was started"):
+            survival_curve(g, spec, times, threads=2)
+        ref = survival_curve(g, spec, times, threads=1)
+        assert ref.telemetry["workers"] == 1
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        curve = survival_curve(g, spec, times, threads=8)
+        assert curve.telemetry == ref.telemetry
+        np.testing.assert_array_equal(curve.survival, ref.survival)
+        np.testing.assert_array_equal(curve.std_error, ref.std_error)
+        assert multiprocessing.active_children() == []
 
     def test_equals_fraction_still_inside(self):
         # survival(t) is the fraction of escape times > t, ties (escape
