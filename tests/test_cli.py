@@ -717,7 +717,8 @@ def test_escape_worker_failure(tmp_path, monkeypatch, capsys):
            "geometry": {"shape": "cardioid", "opening_length": 0.2},
            "ensemble": {"seed": 17, "n_samples": 500}, "grid": {"t_max": 60.0}}
     cfg = parse_config(json.dumps(doc))
-    pos, dirs = ensemble.sample_ensemble(cfg.geometry, ensemble.EnsembleSpec(**cfg.ensemble))
+    spec = ensemble.EnsembleSpec(**cfg.ensemble)
+    pos, dirs = ensemble.sample_ensemble(cfg.geometry, spec)
     # the second chunk's first flight; a row's flights do not depend on its batch
     first_flight = dynamics.batch_collide(cfg.geometry, pos[250:251], dirs[250:251])[0][0]
     parent, count_stalls = os.getpid(), dynamics._count_stalls
@@ -731,8 +732,7 @@ def test_escape_worker_failure(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(ensemble, "_usable_cpus", lambda: 2)
     times = ensemble.hybrid_time_grid(60.0, 5.0, 48)
     with pytest.raises(NumericError, match=r"from particle 250; seed 17\)$"):
-        ensemble.survival_curve(cfg.geometry, ensemble.EnsembleSpec(**cfg.ensemble), times,
-                                threads=2)
+        ensemble.survival_curve(cfg.geometry, spec, times, threads=2)
     assert multiprocessing.active_children() == []
     capsys.readouterr()
     (tmp_path / "a").mkdir()
