@@ -4,12 +4,15 @@
 The fitted rate carries a positive finite-opening bias that shrinks roughly
 linearly with the opening, so the table printed here is the quickest way to
 see how small the opening has to be before the closed-form dwell time is
-trustworthy at the few-percent level.
+trustworthy at the few-percent level.  Each opening is centred where
+``CavityGeometry`` puts it by default, as in a ``simulate`` config that
+leaves ``opening_center`` out.
 """
 
 import argparse
 
 from chaodecay import (
+    SHAPES,
     CavityGeometry,
     EnsembleSpec,
     dwell_time,
@@ -23,7 +26,7 @@ OPENINGS = (0.4, 0.2, 0.1, 0.05)
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--shape", default="cardioid", choices=("circle", "cardioid", "stadium"))
+    ap.add_argument("--shape", default="cardioid", choices=SHAPES)
     ap.add_argument("--n-samples", type=int, default=40000)
     ap.add_argument("--seed", type=int, default=12345)
     ap.add_argument("--threads", type=int, default=4)

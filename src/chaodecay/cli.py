@@ -190,8 +190,12 @@ def _run_simulate(cfg: RunConfig, threads: int) -> _Output:
     t_max = cfg.grid.get("t_max", 4.0 * tau_dwell)
     dense = cfg.grid.get("dense_until", 3.0 * t_coll)
     times = hybrid_time_grid(t_max, dense, cfg.grid["n_points"])
+    window = tuple(cfg.grid.get("fit_window", (3.0 * t_coll, t_max)))
+    if window[0] >= window[1]:  # the default window starts at 3 mean free times
+        raise ValidationError(f"config.grid.t_max: {t_max!r} ends before the default "
+                              f"fit_window starts, at {window[0]!r}")
     curve = survival_curve(cfg.geometry, EnsembleSpec(**cfg.ensemble), times, threads=threads)
-    fit = fit_escape_rate(curve, tuple(cfg.grid.get("fit_window", (3.0 * t_coll, t_max))))
+    fit = fit_escape_rate(curve, window)
     results = {
         "fitted_rate": fit.rate,
         "fitted_rate_stderr": fit.std_error,
@@ -250,9 +254,11 @@ def _run_pair_decoherence(cfg: RunConfig, threads: int) -> _Output:
     positions, directions = sample_ensemble(geom, replace(spec, n_samples=2 * n_pairs))
     # Running exponent alpha * int_0^t |r_a - r_b|^2 ds per pair (rows 2i and
     # 2i + 1), on the shared dt grid, so the CSV is a time series and the last
-    # row is the full budget.
+    # row is the full budget.  It is taken per unit alpha first, so that
+    # alpha = 0 has a rate per alpha too.
     samples = sample_positions(geom, positions, directions, spec.speed, dt, n_steps)
-    running = decoherence_functional(samples[0::2], samples[1::2], alpha, dt)
+    per_alpha = decoherence_functional(samples[0::2], samples[1::2], 1.0, dt)
+    running = alpha * per_alpha
     times = dt * np.arange(n_steps + 1)
     mean_t = running.mean(axis=0)
     if n_pairs > 1:
@@ -268,7 +274,7 @@ def _run_pair_decoherence(cfg: RunConfig, threads: int) -> _Output:
         "alpha": alpha,
         "mean_exponent": mean,
         "stderr_exponent": float(stderr_t[-1]),
-        "exponent_rate_per_alpha": mean / (alpha * t_end),
+        "exponent_rate_per_alpha": float(per_alpha[:, -1].mean()) / t_end,
         "sigma2_area": sigma2_area,
         "expected_rate_per_alpha": 2.0 * sigma2_area,
     }

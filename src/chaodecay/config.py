@@ -39,14 +39,6 @@ STOCHASTIC_COMMANDS = ("simulate", "lyapunov", "variance", "pair-decoherence")
 # manifest so no unit assumption stays silent.
 DEFAULTS_TABLE = {"mass": 1.0, "speed": 1.0, "eta": 1.0, "hbar": 1.0}
 
-# opening_center defaults per shape: circle at the top of the circle,
-# cardioid opposite the cusp, stadium on the lower straight segment
-_OPENING_CENTER_DEFAULT = {
-    "circle": lambda a: 0.25 * (2.0 * math.pi * a),
-    "cardioid": lambda a: 2.0 * math.sqrt(2.0) * a,
-    "stadium": lambda a: 0.5 * a,
-}
-
 
 class _Field(NamedTuple):
     """One key of a config block."""
@@ -72,7 +64,7 @@ def _nonnegative(default=None) -> _Field:
 _GEOMETRY = {
     "shape": _Field("choice", required=True, options=SHAPES),
     "scale": _positive(1.0),
-    "opening_center": _Field("number"),  # default depends on the shape
+    "opening_center": _Field("number"),  # default: the shape's, from CavityGeometry
     "opening_length": _positive(0.1),
 }
 
@@ -196,12 +188,11 @@ def _validate(doc: dict) -> RunConfig:
     geometry = None
     if "geometry" in resolved:
         block = resolved["geometry"]
-        if "opening_center" not in block:
-            block["opening_center"] = _OPENING_CENTER_DEFAULT[block["shape"]](block["scale"])
         try:
             geometry = CavityGeometry(**block)
         except ValueError as exc:
             raise ValidationError(f"config.geometry: {exc}") from exc
+        block["opening_center"] = geometry.opening_center  # the shape's default when absent
 
     warnings: list[str] = []
     params = _block(doc.get("params", {}), _PARAMS[command], "config.params")

@@ -135,20 +135,6 @@ def _philox(seed: int, tag: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(tag << 64) | seed))
 
 
-def _bounding_box(geometry: CavityGeometry):
-    a = geometry.scale
-    cx, cy = geometry.center
-    if geometry.shape == "circle":
-        lo, hi = (-a, -a), (a, a)
-    elif geometry.shape == "cardioid":
-        # x in [-a/4, 2a]; |y| <= 3*sqrt(3)/4 * a
-        ymax = 0.75 * math.sqrt(3.0) * a
-        lo, hi = (-0.25 * a, -ymax), (2.0 * a, ymax)
-    else:
-        lo, hi = (-2.0 * a, -a), (2.0 * a, a)
-    return np.array([lo[0] + cx, lo[1] + cy]), np.array([hi[0] + cx, hi[1] + cy])
-
-
 def sample_ensemble(geometry: CavityGeometry, spec: EnsembleSpec):
     """Initial conditions: positions uniform over the area, directions isotropic.
 
@@ -167,7 +153,7 @@ def sample_ensemble(geometry: CavityGeometry, spec: EnsembleSpec):
 
 def _sample_block(geometry: CavityGeometry, n: int, rng: np.random.Generator):
     block = rng.random((n, 2 * _REJECTION_TRIES + 1))
-    lo, hi = _bounding_box(geometry)
+    lo, hi = geometry.bounding_box()
     cand = lo + (hi - lo) * block[:, : 2 * _REJECTION_TRIES].reshape(n, _REJECTION_TRIES, 2)
     inside = geometry.contains(cand.reshape(-1, 2)).reshape(n, _REJECTION_TRIES)
     if not np.all(inside.any(axis=1)):
@@ -426,8 +412,11 @@ def position_variance(
     The canonical estimate samples uniformly over the area.  A time-average
     along a few long closed trajectories cross-checks ergodicity; when the
     two disagree by more than 5% the result carries ``ergodic_warning`` (the
-    circle, which is not ergodic, is expected to warn).
+    circle, which is not ergodic, is expected to warn).  Fewer than 2
+    samples, which have no spread to compare with, are a statistics error.
     """
+    if spec.n_samples < 2:
+        raise StatsError(f"the position variance needs at least 2 samples, got {spec.n_samples}")
     sigma2_area, stderr = area_variance(geometry, spec)
 
     tcoll = mean_free_time(geometry, spec.speed)

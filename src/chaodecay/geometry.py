@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -32,7 +33,23 @@ from .errors import NumericError
 
 __all__ = ["CavityGeometry", "SHAPES"]
 
-SHAPES = ("circle", "cardioid", "stadium")
+# Every per-shape fact, at scale 1 (lengths scale with ``scale``, the area with
+# its square): the area, the perimeter, a box ((x_lo, y_lo), (x_hi, y_hi))
+# around the cavity, and the arclength of the default opening's centre.
+_Shape = namedtuple("_Shape", "area perimeter box opening_center")
+
+_SHAPE_FACTS = {
+    # opening at (0, a), the top of the circle
+    "circle": _Shape(math.pi, 2.0 * math.pi, ((-1.0, -1.0), (1.0, 1.0)), 0.5 * math.pi),
+    # x in [-a/4, 2a], |y| <= 3*sqrt(3)/4 * a; opening at (0, a), polar angle pi/2
+    "cardioid": _Shape(1.5 * math.pi, 8.0,
+                       ((-0.25, -0.75 * math.sqrt(3.0)), (2.0, 0.75 * math.sqrt(3.0))),
+                       2.0 * math.sqrt(2.0)),
+    # 2a x 2a rectangle + two caps; opening at (-a/2, -a), on the lower straight
+    "stadium": _Shape(4.0 + math.pi, 4.0 + 2.0 * math.pi, ((-2.0, -1.0), (2.0, 1.0)), 0.5),
+}
+
+SHAPES = tuple(_SHAPE_FACTS)
 
 # Minimal admissible flight distance, in units of scale.  Filters the tau=0
 # root produced by a particle sitting exactly on the boundary.
@@ -49,21 +66,24 @@ class CavityGeometry:
 
     The opening is the arclength interval of length ``opening_length``
     centred at ``opening_center`` (wrapping around the perimeter is fine).
-    ``center`` translates the whole cavity; dynamics and statistics are
-    translation invariant.
+    Without an ``opening_center`` it is centred at the point (0, scale) of
+    the circle and of the cardioid, and at (-scale/2, -scale) on the
+    stadium's lower straight.
     """
 
     shape: str
     scale: float = 1.0
-    opening_center: float = 0.0
+    opening_center: float | None = None
     opening_length: float = 0.1
-    center: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self) -> None:
         if self.shape not in SHAPES:
             raise ValueError(f"unknown shape {self.shape!r}; expected one of {SHAPES}")
         if not (self.scale > 0):
             raise ValueError("scale must be positive")
+        if self.opening_center is None:
+            object.__setattr__(self, "opening_center",
+                               _SHAPE_FACTS[self.shape].opening_center * self.scale)
         if not (0 < self.opening_length < self.perimeter):
             raise ValueError("opening_length must lie strictly between 0 and the perimeter")
         if not math.isfinite(self.opening_center):
@@ -73,26 +93,22 @@ class CavityGeometry:
 
     @cached_property
     def area(self) -> float:
-        a = self.scale
-        if self.shape == "circle":
-            return math.pi * a * a
-        if self.shape == "cardioid":
-            return 1.5 * math.pi * a * a
-        return (4.0 + math.pi) * a * a  # stadium: 2a x 2a rectangle + two caps
+        return _SHAPE_FACTS[self.shape].area * self.scale * self.scale
 
     @cached_property
     def perimeter(self) -> float:
-        a = self.scale
-        if self.shape == "circle":
-            return 2.0 * math.pi * a
-        if self.shape == "cardioid":
-            return 8.0 * a
-        return (4.0 + 2.0 * math.pi) * a
+        return _SHAPE_FACTS[self.shape].perimeter * self.scale
+
+    def bounding_box(self):
+        """Corners ``(lo, hi)`` of an axis-aligned box around the cavity."""
+        lo, hi = _SHAPE_FACTS[self.shape].box
+        return np.array(lo) * self.scale, np.array(hi) * self.scale
 
     def geometry_hash(self) -> str:
+        # the key ends in the centre (0, 0) of a retired translation, so old hashes still match
         key = (
             f"{self.shape}|{self.scale!r}|{self.opening_center!r}|"
-            f"{self.opening_length!r}|{self.center[0]!r},{self.center[1]!r}"
+            f"{self.opening_length!r}|0.0,0.0"
         )
         return hashlib.sha1(key.encode()).hexdigest()[:16]
 
@@ -119,7 +135,7 @@ class CavityGeometry:
 
     def contains(self, points, tol: float = 0.0):
         """True for points inside the cavity (tolerance in length units, radial sense)."""
-        p = np.asarray(points, dtype=float) - np.asarray(self.center)
+        p = np.asarray(points, dtype=float)
         scalar = p.ndim == 1
         p = np.atleast_2d(p)
         a = self.scale
@@ -155,17 +171,12 @@ class CavityGeometry:
         outside the boundary are tolerated.  A stadium ray with no exit ahead
         of it (a start outside, a tangent ray, a NaN) raises ``NumericError``.
         """
-        p = np.atleast_2d(np.asarray(pos, dtype=float)) - np.asarray(self.center)
+        p = np.atleast_2d(np.asarray(pos, dtype=float))
         d = np.atleast_2d(np.asarray(dirs, dtype=float))
-        if self.shape == "circle":
-            dist, s_hit, hit, nrm = _circle_hits(p, d, self.scale)
-            cusp = np.zeros(len(p), dtype=bool)
-        elif self.shape == "stadium":
-            dist, s_hit, hit, nrm = _stadium_hits(p, d, self.scale)
-            cusp = np.zeros(len(p), dtype=bool)
-        else:
-            dist, s_hit, hit, nrm, cusp = _cardioid_hits(p, d, self.scale)
-        return dist, s_hit, hit + np.asarray(self.center), nrm, cusp
+        if self.shape == "cardioid":
+            return _cardioid_hits(p, d, self.scale)
+        hits = _circle_hits if self.shape == "circle" else _stadium_hits
+        return (*hits(p, d, self.scale), np.zeros(len(p), dtype=bool))
 
 
 def _cardioid_normal(c, s):
@@ -238,8 +249,8 @@ def _stadium_hits(p, d, a):
         tau = _far_root(b, b * b - c0, c0, a)
     bad = cap[~((tau > tau_min) & (tau < np.inf))]
     if bad.size:
-        raise NumericError(f"stadium ray from {p[bad[0]].tolist()} (centre at the origin) "
-                           f"along {d[bad[0]].tolist()} has no boundary exit ahead of it")
+        raise NumericError(f"stadium ray from {p[bad[0]].tolist()} along {d[bad[0]].tolist()} "
+                           "has no boundary exit ahead of it")
     dist[cap] = tau
     px = pc[:, 0] + tau * dc[:, 0] - xc
     py = pc[:, 1] + tau * dc[:, 1]

@@ -29,7 +29,6 @@ def boundary_point(geometry, s):
     point = {"circle": _circle_point, "cardioid": _cardioid_point,
              "stadium": _stadium_point}[geometry.shape]
     pos, nrm = point(s, geometry.scale)
-    pos = pos + np.asarray(geometry.center)
     if scalar:
         return pos[0], nrm[0]
     return pos, nrm

@@ -24,6 +24,7 @@ from chaodecay.errors import (
     ValidationError,
 )
 from chaodecay.formulas import SemiclassicalParams, correction_peak
+from chaodecay.geometry import SHAPES, CavityGeometry
 from chaodecay.io import atomic_open, write_csv, write_manifest
 from chaodecay.quadrature import convergence_study, semiclassical_ladder
 
@@ -31,6 +32,7 @@ from golden import (
     EXAMPLE_CONFIGS,
     GOLDEN_CASES,
     GOLDEN_FILE,
+    SHAPE_CONFIGS,
     case_name,
     csv_sha256,
     numpy_key,
@@ -139,6 +141,25 @@ class TestParseConfig:
         assert cfg.geometry.scale == 1.0
         assert cfg.geometry.opening_length == 0.1
         assert cfg.geometry.opening_center == pytest.approx(2.0 * math.sqrt(2.0))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_geometry_default_opening_is_the_library_default(self, shape):
+        doc = {"command": "simulate", "geometry": {"shape": shape, "scale": 1.5},
+               "ensemble": {"seed": 3}}
+        cfg = parse_config(json.dumps(doc))
+        library = CavityGeometry(shape=shape, scale=1.5)
+        assert cfg.geometry.geometry_hash() == library.geometry_hash()
+        assert cfg.resolved["geometry"]["opening_center"] == library.opening_center
+
+    @pytest.mark.parametrize("name, digest", [
+        ("simulate.json", "c22abc563dc72b5e"),
+        ("simulate_circle.json", "9baccbe115d7ef04"),
+        ("simulate_stadium.json", "41975f3d949af9ef"),
+    ])
+    def test_geometry_hash_of_bundled_simulate(self, name, digest):
+        # the hash goes into every simulate CSV line; it must not drift
+        path, = [p for p in EXAMPLE_CONFIGS + SHAPE_CONFIGS if p.name == name]
+        assert parse_config(path.read_text()).geometry.geometry_hash() == digest
 
     @pytest.mark.parametrize("convention", ["sometimes", 5, ["excluded"]])
     def test_bad_one_leg_convention(self, convention):
@@ -437,6 +458,26 @@ class TestCommandLine:
         assert "config.ensemble.dt: unknown key" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("params", [
+        {"alpha": 0.0},
+        {"bath": {"damping": 0.0, "inverse_temperature": 1.0}},
+        {"alpha": 5e-324},  # alpha * t_end rounds to 0
+    ], ids=["alpha", "bath", "subnormal_alpha"])
+    def test_pair_decoherence_zero_coupling(self, tmp_path, params):
+        # no decoherence, but the same exponent per unit alpha as any coupling
+        doc = {"command": "pair-decoherence", "geometry": {"shape": "cardioid"},
+               "ensemble": {"n_samples": 4, "seed": 5}, "grid": {"t_collisions": 0.01}}
+        rates = []
+        for i, p in enumerate((params, {"alpha": 1e-3})):
+            (tmp_path / str(i)).mkdir()
+            code, out = run_cli(tmp_path / str(i), {**doc, "params": p})
+            assert code == 0
+            _, _, rows = read_csv(str(out / "pair-decoherence.csv"))
+            assert all(r[1] == 0.0 for r in rows) == (i == 0)
+            rates.append(read_manifest(str(out / "manifest.json"))["results"]
+                         ["exponent_rate_per_alpha"])
+        assert rates[0] == rates[1] > 0.0
+
     def test_pair_decoherence_grid_dt(self, tmp_path):
         doc = {"command": "pair-decoherence",
                "geometry": {"shape": "cardioid", "opening_length": 0.2},
@@ -646,6 +687,55 @@ def test_golden_output_bytes(bundled_run, path, threads):
     name = case_name(path, threads)
     assert csv_sha256(csv_path) == golden["sha256"][name], \
         f"{name}: CSV bytes differ from {GOLDEN_FILE.name}"
+
+
+# A stand-in for the smallest value of a field that must be strictly positive.
+_TINY = 1e-6
+_TINY_GEOMETRY = {"shape": "cardioid", "scale": _TINY, "opening_length": _TINY}
+_ONE_SAMPLE = {"seed": 0, "n_samples": 1, "speed": _TINY}
+_TINY_SEMICLASSICAL = {
+    "dwell_time": _TINY, "heisenberg_time": _TINY, "lyapunov": 0.0, "encounter_scale": _TINY,
+    "alpha": 0.0, "sigma2": _TINY, "eta": _TINY, "hbar": _TINY, "ehrenfest_time": 0.0,
+    "loop_formation_time": 0.0,
+}
+
+
+@pytest.mark.parametrize("doc, exit_code, message", [
+    ({"command": "simulate", "geometry": _TINY_GEOMETRY, "ensemble": _ONE_SAMPLE,
+      "grid": {"t_max": _TINY, "n_points": 16, "dense_until": _TINY}},
+     3, "config.grid.t_max: 1e-06 ends before the default fit_window starts"),
+    ({"command": "simulate", "geometry": _TINY_GEOMETRY, "ensemble": _ONE_SAMPLE,
+      "grid": {"t_max": _TINY, "n_points": 16, "dense_until": _TINY,
+               "fit_window": [0.0, _TINY]}}, 5, "only 0 usable points"),
+    ({"command": "lyapunov", "geometry": _TINY_GEOMETRY, "ensemble": _ONE_SAMPLE,
+      "grid": {"t_obs": _TINY}}, 0, ""),
+    # one point has no spread to compare the time average with
+    ({"command": "variance", "geometry": _TINY_GEOMETRY, "ensemble": _ONE_SAMPLE,
+      "grid": {"t_obs": _TINY}}, 5, "the position variance needs at least 2 samples, got 1"),
+    ({"command": "pair-decoherence", "geometry": _TINY_GEOMETRY, "ensemble": _ONE_SAMPLE,
+      "params": {"alpha": 0.0}, "grid": {"t_collisions": _TINY, "dt": _TINY}}, 0, ""),
+    ({"command": "pair-decoherence", "geometry": _TINY_GEOMETRY, "ensemble": _ONE_SAMPLE,
+      "params": {"bath": {"damping": 0.0, "inverse_temperature": _TINY, "hbar": _TINY,
+                          "characteristic_frequency": _TINY}},
+      "grid": {"t_collisions": _TINY, "dt": _TINY}}, 0, ""),
+    ({"command": "correction", "params": _TINY_SEMICLASSICAL,
+      "grid": {"t_max": _TINY, "n_points": 16}}, 0, ""),
+    ({"command": "peak", "params": _TINY_SEMICLASSICAL}, 0, ""),
+    ({"command": "fig3", "params": {"tauD_over_TH": _TINY, "taud_over_TH": [_TINY],
+                                    "t_max_over_TH": _TINY, "n_points": 16}}, 0, ""),
+    ({"command": "quadrature", "params": {
+        "lambda_tauD": [_TINY], "ehrenfest_fractions": [_TINY], "alpha_tauD_sigma2": 0.0,
+        "t_over_tauD": [_TINY], "eta": _TINY, "su_grid": 16, "su_cut": _TINY}}, 0, ""),
+], ids=["simulate-default-window", "simulate", "lyapunov", "variance", "pair-decoherence",
+        "pair-decoherence-bath", "correction", "peak", "fig3", "quadrature"])
+def test_field_minimums(tmp_path, capsys, doc, exit_code, message):
+    # every field at the smallest value its table accepts: a result or a typed
+    # error, never an exception out of main
+    code, out = run_cli(tmp_path, doc)
+    err = capsys.readouterr().err
+    assert code == exit_code, err
+    assert message in err
+    assert (out / "manifest.json").exists() == (code == 0)
 
 
 def test_bundled_examples_cover_every_command():

@@ -122,6 +122,14 @@ class TestBoundaryPoint:
         assert nrm == pytest.approx([math.sqrt(0.5), -math.sqrt(0.5)], abs=1e-12)
 
     @pytest.mark.parametrize("shape", SHAPES)
+    def test_bounding_box_is_tight(self, shape):
+        g = make(shape, scale=1.5)
+        pos, _ = boundary_point(g, np.linspace(0.0, g.perimeter, 100_001))
+        lo, hi = g.bounding_box()
+        np.testing.assert_allclose(pos.min(axis=0), lo, atol=1e-6)
+        np.testing.assert_allclose(pos.max(axis=0), hi, atol=1e-6)
+
+    @pytest.mark.parametrize("shape", SHAPES)
     def test_normals_unit_and_inward(self, shape):
         g = make(shape)
         s = np.linspace(0.0, g.perimeter, 733, endpoint=False)
@@ -135,7 +143,7 @@ class TestBoundaryPoint:
         # kappa = -r''(s) . n(s): negative where the boundary bends toward
         # the interior.  Skip the stadium joins, where kappa jumps, and the
         # cardioid cusp, where it diverges.
-        g = make(shape, scale=1.3, center=(0.4, -2.0))
+        g = make(shape, scale=1.3)
         a, h = g.scale, 1e-4 * g.scale
         s = np.linspace(h, g.perimeter - h, 2001)
         joins = {"circle": [],
@@ -180,12 +188,6 @@ class TestContains:
             gap = np.abs(np.hypot(mismatch[:, 0], mismatch[:, 1]) - (1.0 + np.cos(phi_m)))
             assert gap.max() < 1e-9
 
-    def test_translated_center(self):
-        g = CavityGeometry(shape="circle", scale=1.0, opening_center=0.5,
-                           opening_length=0.1, center=(5.0, -3.0))
-        assert g.contains(np.array([5.0, -3.0]))
-        assert not g.contains(np.array([0.0, 0.0]))
-
 
 class TestOpening:
     def test_interval_membership(self):
@@ -198,6 +200,14 @@ class TestOpening:
         g = make("circle", opening_center=0.0, opening_length=0.2)
         assert g.opening_contains(2.0 * math.pi - 0.05)
         assert g.opening_contains(0.05)
+
+    @pytest.mark.parametrize("shape, point", [
+        ("circle", (0.0, 1.0)), ("cardioid", (0.0, 1.0)), ("stadium", (-0.5, -1.0))])
+    @pytest.mark.parametrize("scale", [1.0, 1.5])
+    def test_default_center(self, shape, point, scale):
+        g = CavityGeometry(shape=shape, scale=scale)
+        pos, _ = boundary_point(g, g.opening_center)
+        np.testing.assert_allclose(pos, scale * np.array(point), atol=1e-12)
 
 
 class TestRayHits:
@@ -274,25 +284,21 @@ class TestStadiumKernel:
     The kernel solves only the piece a ray leaves by; the oracle solves all
     four and keeps the nearest hit.  They share every formula, so wherever
     they pick the same piece all four outputs agree to the last bit.  The
-    stadium is off-centre and of non-unit scale, so that every offset and
-    factor of ``a`` is exercised.
+    stadium is of non-unit scale, so that every factor of ``a`` is exercised.
     """
 
-    g = make("stadium", scale=1.5, center=(0.3, -0.2))
+    g = make("stadium", scale=1.5)
     JUNCTIONS = (0.0, 2.0, 2.0 + math.pi, 4.0 + math.pi)  # arclengths / scale
 
     def _check(self, p, d):
         p, d = np.atleast_2d(p), np.atleast_2d(d)
-        centre = np.asarray(self.g.center)
-        want = list(stadium_hits(p - centre, d, self.g.scale))
-        want[2] = want[2] + centre
-        for got, ref in zip(self.g.ray_hits(p, d), want):
+        for got, ref in zip(self.g.ray_hits(p, d), stadium_hits(p, d, self.g.scale)):
             np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
 
     @given(st.floats(-2.0, 2.0), st.floats(-1.0, 1.0), st.floats(0.0, 2.0 * math.pi))
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_interior_starts(self, x, y, theta):
-        p = np.array(self.g.center) + self.g.scale * np.array([x, y])
+        p = self.g.scale * np.array([x, y])
         assume(self.g.contains(p, tol=-1e-9))
         self._check(p, np.array([math.cos(theta), math.sin(theta)]))
 
@@ -323,7 +329,7 @@ class TestStadiumKernel:
             p, nrm = boundary_point(self.g, frac * self.g.perimeter)
             assume(d @ nrm >= math.sin(1e-5))
         else:
-            p = np.array(self.g.center) + self.g.scale * np.array([x, y])
+            p = self.g.scale * np.array([x, y])
             assume(self.g.contains(p, tol=-1e-9))
         self._check(p, d)
 
@@ -376,7 +382,7 @@ def test_near_tangent_circle_starts(shape):
     # Within about 1e-7 rad of the tangent, b^2 lies below the rounding of
     # c0 = |p - centre|^2 - R^2 of a start on a circle or a stadium cap.
     # Whatever the sign of that rounding, the flight is the exact chord.
-    g = make(shape, scale=1.3 if shape == "circle" else 1.5, center=(0.3, -0.2))
+    g = make(shape, scale=1.3 if shape == "circle" else 1.5)
     a = g.scale
     rng = np.random.default_rng(11)
     n = 4000
@@ -390,7 +396,7 @@ def test_near_tangent_circle_starts(shape):
     pos, nrm = boundary_point(g, s0)
     dirs = (np.cos(heading)[:, None] * np.stack([-nrm[:, 1], nrm[:, 0]], axis=-1)
             + np.sin(heading)[:, None] * nrm)
-    rel = pos - np.asarray(g.center)
+    rel = pos.copy()
     if shape == "stadium":
         rel[:, 0] -= np.copysign(a, rel[:, 0])  # from the cap's centre
     c0 = rel[:, 0] * rel[:, 0] + rel[:, 1] * rel[:, 1] - a * a
