@@ -32,7 +32,7 @@ def main() -> None:
     ap.add_argument("--threads", type=int, default=4)
     args = ap.parse_args()
 
-    print(f"{'opening':>8} {'tau_D':>8} {'1/tau_D':>9} {'fitted':>9} {'stderr':>8} {'bias':>7}")
+    print(f"{'opening':>8} {'tau_D':>8} {'1/tau_D':>9} {'fitted':>9} {'stderr':>9} {'bias':>7}")
     for opening in OPENINGS:
         geom = CavityGeometry(shape=args.shape, scale=1.0, opening_length=opening)
         tau = dwell_time(geom.area, opening, 1.0)
@@ -47,7 +47,7 @@ def main() -> None:
         fit = fit_escape_rate(curve, window=(0.5 * tau, 4.0 * tau))
         bias = fit.rate * tau - 1.0
         print(f"{opening:8.3f} {tau:8.3f} {1.0 / tau:9.4f} "
-              f"{fit.rate:9.4f} {fit.std_error:8.4f} {bias:+7.1%}")
+              f"{fit.rate:9.4f} {fit.std_error:9.2e} {bias:+7.1%}")
 
 
 if __name__ == "__main__":

@@ -50,6 +50,10 @@ from .quadrature import QuadratureSpec, convergence_study, semiclassical_ladder
 
 __all__ = ["main"]
 
+# pair-decoherence holds every trajectory's position at every grid time at once
+# (16 bytes each, 512 MiB here); a larger grid is refused before it is allocated
+_MAX_PAIR_SAMPLES = 2**25
+
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
@@ -248,7 +252,12 @@ def _run_pair_decoherence(cfg: RunConfig, threads: int) -> _Output:
     n_pairs = spec.n_samples
     t_coll = mean_free_time(geom, spec.speed)
     dt = cfg.grid.get("dt", 0.1 * t_coll)
-    n_steps = max(int(round(cfg.grid["t_collisions"] * t_coll / dt)), 1)
+    steps = cfg.grid["t_collisions"] * t_coll / dt
+    if not 2 * n_pairs * (steps + 1.0) <= _MAX_PAIR_SAMPLES:  # inf for a subnormal dt
+        raise ValidationError(
+            f"config.grid.dt: {dt!r} makes {steps:.3g} time steps for each of {2 * n_pairs} "
+            f"trajectories, more than the {_MAX_PAIR_SAMPLES} positions this command holds")
+    n_steps = max(int(round(steps)), 1)
     t_end = n_steps * dt
 
     positions, directions = sample_ensemble(geom, replace(spec, n_samples=2 * n_pairs))

@@ -42,11 +42,14 @@ def batch_collide(geometry: CavityGeometry, pos, dirs):
     vn = np.einsum("ij,ij->i", dirs, nrm)
     grazing = np.abs(vn) < _GRAZING_TOL
     out = dirs - 2.0 * vn[:, None] * nrm
-    out = np.where(grazing[:, None], dirs, out)
-    out = np.where(cusp[:, None], -dirs, out)
     kinds = np.zeros(len(pos), dtype=np.int8)
-    kinds[grazing] = 1
-    kinds[cusp] = 2
+    # the rare grazing and cusp rows are patched in place
+    if grazing.any():
+        out[grazing] = dirs[grazing]
+        kinds[grazing] = 1
+    if cusp.any():
+        out[cusp] = -dirs[cusp]
+        kinds[cusp] = 2
     return dist, s_hit, hit, out, kinds
 
 
@@ -139,9 +142,12 @@ def _flights(geometry: CavityGeometry, pos, dirs, t_now, speed: float, t_end: fl
             left = keep & geometry.opening_contains(s_hit) & (kinds != 2)
             keep &= ~left
         yield rows, pos, dirs, t_now, t_hit, left, s_hit, out, kinds
-        rows, pos, dirs, t_now = rows[keep], hit[keep], out[keep], t_hit[keep]
+        # take() with an index gathers (n, 2) rows several times faster than a mask
+        keep = np.flatnonzero(keep)
+        rows, t_now = rows.take(keep), t_hit.take(keep)
+        pos, dirs = hit.take(keep, axis=0), out.take(keep, axis=0)
         if stalls is not None:
-            stalls = stalls[keep]
+            stalls = stalls.take(keep)
 
 
 def _count_stalls(stalls, dist, index):

@@ -16,7 +16,11 @@ whole batch at once.  Rays starting on the boundary -- every ray after its
 first flight -- have an exact root at distance 0, so their quartic deflates
 to a cubic solved in closed form; only rays starting inside the cavity take
 all four roots from companion-matrix eigenvalues.  Only the smallest
-admissible root is polished, by Newton steps on the full quartic.
+admissible root is polished, by Newton steps on the full quartic that are
+refused where they would raise its residual.  The cardioid hit is snapped onto
+the boundary along its polar angle, whose cosine and sine are read off the
+hit as x/r and y/r; its arclength and normal follow from them and from the
+half-angle values sqrt((1 -/+ cos)/2), with no trigonometric call.
 """
 
 from __future__ import annotations
@@ -153,9 +157,16 @@ class CavityGeometry:
         return bool(inside[0]) if scalar else inside
 
     def opening_contains(self, s):
-        """True for arclengths inside the absorbing opening (wraps around)."""
-        start = (self.opening_center - 0.5 * self.opening_length) % self.perimeter
-        return ((np.asarray(s) - start) % self.perimeter) < self.opening_length
+        """True for arclengths in [0, perimeter] inside the absorbing opening (wraps around).
+
+        Equal to ``(s - start) % perimeter < opening_length`` on that range
+        (and a little past its end) without the float modulo: u = s - start
+        lies in (-P, P], where the modulo is u + P below 0, u on [0, P) and
+        u - P, which is below the opening length, from P on.
+        """
+        P = self.perimeter
+        u = np.asarray(s) - (self.opening_center - 0.5 * self.opening_length) % P
+        return (np.where(u < 0.0, u + P, u) < self.opening_length) | (u >= P)
 
     # -- first collision of a batch of rays ----------------------------------
 
@@ -177,20 +188,6 @@ class CavityGeometry:
             return _cardioid_hits(p, d, self.scale)
         hits = _circle_hits if self.shape == "circle" else _stadium_hits
         return (*hits(p, d, self.scale), np.zeros(len(p), dtype=bool))
-
-
-def _cardioid_normal(c, s):
-    """Inward unit normal of the unit cardioid at polar angle phi (c = cos phi, s = sin phi)."""
-    rho, drho = 1.0 + c, -s
-    tx = drho * c - rho * s
-    ty = drho * s + rho * c
-    norm = np.hypot(tx, ty)
-    # at the cusp the tangent vanishes; park a +x normal there (callers
-    # retroreflect on cusp hits, so this value never steers dynamics)
-    safe = norm > 1e-15
-    nx = np.where(safe, -ty / np.where(safe, norm, 1.0), 1.0)
-    ny = np.where(safe, tx / np.where(safe, norm, 1.0), 0.0)
-    return np.stack([nx, ny], axis=-1)
 
 
 def _circle_hits(p, d, radius):
@@ -315,95 +312,144 @@ def _cardioid_hits(p, d, scale):
     # rays with no admissible root (numerically stuck at the cusp or exactly
     # grazing): treat as a cusp event; the caller will retroreflect in place
     stuck = ~np.isfinite(dist)
-    dist = np.where(stuck, 0.0, dist)
+    if stuck.any():
+        dist[stuck] = 0.0
 
     hit = p + dist[:, None] * d
-    phi = np.arctan2(hit[:, 1], hit[:, 0])
-    phi = np.where(phi < 0.0, phi + 2.0 * math.pi, phi)  # into [0, 2 pi)
-    # a hit on the cusp point itself has no polar angle of its own: pin it to
-    # the cusp's, so it is snapped there instead of onto the far side
-    on_cusp = hit[:, 0] ** 2 + hit[:, 1] ** 2 <= _CUSP_RADIUS**2
-    phi = np.where(on_cusp, math.pi, phi)
-    cos_phi, sin_phi = np.cos(phi), np.sin(phi)
-    rho_b = 1.0 + cos_phi
-    cusp = stuck | (rho_b <= _CUSP_RADIUS)
-    hit = np.stack([rho_b * cos_phi, rho_b * sin_phi], axis=-1)  # snap
-    s_half = 4.0 * np.sin(0.5 * phi)
-    s_hit = np.where(phi <= math.pi, s_half, 8.0 - s_half)
-    nrm = _cardioid_normal(cos_phi, sin_phi)
-    return dist * scale, s_hit * scale, hit * scale, nrm, cusp
+    s_hit, hit, nrm, tip = _cardioid_snap(hit[:, 0], hit[:, 1])
+    return dist * scale, s_hit * scale, hit * scale, nrm, stuck | tip
+
+
+def _cardioid_snap(x, y):
+    """Snap points onto the unit cardioid along their polar angle phi.
+
+    Returns ``(s_hit, snapped, normal, tip)``: the arclength, the boundary
+    point and its inward unit normal at phi, and ``tip`` where that point lies
+    within ``_CUSP_RADIUS`` of the cusp.  With r = |(x, y)|, cos phi = x/r
+    and sin phi = y/r; 1 -/+ cos phi = (r -/+ x)/r, where the one of r - x
+    and r + x that would cancel is taken as y^2 over the other.  The
+    arclength is 4 sin(phi/2) = 4 sqrt((1 - cos phi)/2), mirrored to
+    8 - 4 sin(phi/2) below the x axis, and the inward normal is
+    (C (1 - 2c), -+S (1 + 2c)) with c = cos phi, C = |cos(phi/2)| and
+    S = sin(phi/2) (minus above the axis).  A point within ``_CUSP_RADIUS``
+    of the origin has no polar angle of its own: it is pinned to the cusp's,
+    c = -1, so it is snapped there instead of onto the far side.
+    """
+    r = np.hypot(x, y)
+    on_cusp = r <= _CUSP_RADIUS
+    r = np.maximum(r, _CUSP_RADIUS)  # only pinned points change
+    far = r + np.abs(x)
+    near = y * y / far
+    upper = y >= 0.0
+    right = x > 0.0
+    one_minus = np.where(right, near, far) / r  # 1 - cos phi
+    one_plus = np.where(right, far, near) / r  # 1 + cos phi
+    c, s = x / r, y / r
+    if on_cusp.any():
+        c[on_cusp], s[on_cusp] = -1.0, 0.0
+        one_minus[on_cusp], one_plus[on_cusp] = 2.0, 0.0
+    half_sin = np.sqrt(0.5 * one_minus)
+    s_half = 4.0 * half_sin
+    s_hit = np.where(upper, s_half, 8.0 - s_half)
+    snapped = np.stack([one_plus * c, one_plus * s], axis=-1)
+    nrm = np.empty_like(snapped)
+    np.multiply(np.sqrt(0.5 * one_plus), 1.0 - 2.0 * c, out=nrm[:, 0])
+    np.multiply(np.where(upper, -half_sin, half_sin), 1.0 + 2.0 * c, out=nrm[:, 1])
+    return s_hit, snapped, nrm, one_plus <= _CUSP_RADIUS
 
 
 def _interior_dist(c3, c2, c1, c0, b1, b0):
     """Smallest admissible root from all four companion-matrix eigenvalues."""
+    quartic = (c3, c2, c1, c0, b1, b0)
     comp = np.zeros((len(c0), 4, 4))
     comp[:, 1, 0] = comp[:, 2, 1] = comp[:, 3, 2] = 1.0
     comp[:, 0, 3] = -c0
     comp[:, 1, 3] = -c1
     comp[:, 2, 3] = -c2
     comp[:, 3, 3] = -c3
-    roots = np.linalg.eigvals(comp).T
-    tau = roots.real.copy()
-    near_real = np.abs(roots.imag) < 1e-6 * np.maximum(1.0, np.abs(tau))
-    return _smallest_admissible(tau, near_real, c3, c2, c1, c0, b1, b0)
+    best = np.full(len(c0), np.inf)
+    for root in np.linalg.eigvals(comp).T:
+        tau = root.real.copy()
+        near_real = np.abs(root.imag) < 1e-6 * np.maximum(1.0, np.abs(tau))
+        np.minimum(best, _admissible(tau, quartic, near_real), out=best)
+    return _polish(best, quartic)
 
 
 def _boundary_dist(c3, c2, c1, c0, b1, b0):
     """Smallest admissible root of the deflated cubic tau^3 + c3 tau^2 + c2 tau + c1.
 
-    In depressed form t^3 + pp t + qq (tau = t - c3/3) the three candidates
-    are, for rays with three real roots, the trigonometric roots
-    m cos(theta - 2 pi k / 3) with m = 2 sqrt(-pp/3); otherwise Cardano's
-    real root u + v and twice the real part -(u + v)/2 of the complex pair,
-    which count as real only where the pair is real up to 1e-6 relative (as
-    the eigenvalue path counts it).
+    In depressed form t^3 + pp t + qq (tau = t - c3/3) the candidates are
+    Cardano's real root u + v and twice the real part -(u + v)/2 of the
+    complex pair, which counts as real only where the pair is real up to 1e-6
+    relative (as the eigenvalue path counts it).  The rays with three real
+    roots (about one in twenty) take instead the trigonometric roots
+    m cos(theta - 2 pi k / 3), m = 2 sqrt(-pp/3), which with mc = m cos(theta)
+    and ms = (sqrt3/2) m sin(theta) are mc and -mc/2 +- ms.
     """
+    quartic = (c3, c2, c1, c0, b1, b0)
     shift = c3 / 3.0
     pp = c2 - c3 * shift
     qq = (2.0 * shift * shift - c2) * shift + c1
     half_disc = 0.25 * qq * qq + pp * pp * pp / 27.0
-    three_real = half_disc < 0.0
-    with np.errstate(invalid="ignore", divide="ignore"):  # each form off its rays
-        # the larger cube root first, so that u + v does not cancel
-        u = np.cbrt(-0.5 * qq - np.copysign(np.sqrt(np.maximum(half_disc, 0.0)), qq))
-        # u = 0 only when qq = 0 and pp <= 0; the pp < 0 rays take the trig form
-        v = -pp / (3.0 * np.where(u == 0.0, 1.0, u))
-        m = 2.0 * np.sqrt(-pp / 3.0)
-        theta = np.arccos(np.minimum(np.maximum(3.0 * qq / (pp * m), -1.0), 1.0)) / 3.0
-    real = u + v
+    # the larger cube root first, so that u + v does not cancel
+    u = np.cbrt(-0.5 * qq - np.copysign(np.sqrt(np.maximum(half_disc, 0.0)), qq))
+    # u = 0 only when qq = 0 and pp <= 0; the pp < 0 rays take the trig form
+    v = -pp / (3.0 * np.where(u == 0.0, 1.0, u))
+    lead = u + v
     pair_imag = 0.5 * math.sqrt(3.0) * np.abs(u - v)
-    pair_real = three_real | (pair_imag < 1e-6 * np.maximum(1.0, np.abs(0.5 * real + shift)))
-    tau = np.where(three_real, m * np.cos(theta - _THIRDS), _CARDANO * real) - shift
-    near_real = np.stack([np.ones_like(pair_real), pair_real, pair_real])
-    return _smallest_admissible(tau, near_real, c3, c2, c1, c0, b1, b0)
+    pair_real = pair_imag < 1e-6 * np.maximum(1.0, np.abs(0.5 * lead + shift))
+    pair = -0.5 * lead
+    trig = np.flatnonzero(half_disc < 0.0)
+    if trig.size:
+        pp_t = pp[trig]
+        m = 2.0 * np.sqrt(-pp_t / 3.0)
+        theta = np.arccos(np.minimum(np.maximum(3.0 * qq[trig] / (pp_t * m), -1.0), 1.0)) / 3.0
+        mc = m * np.cos(theta)
+        ms = (0.5 * math.sqrt(3.0)) * (m * np.sin(theta))
+        lead[trig] = mc
+        pair[trig] = -0.5 * mc + ms
+        pair_real[trig] = True
+    best = np.minimum(_admissible(lead - shift, quartic),
+                      _admissible(pair - shift, quartic, pair_real))
+    if trig.size:  # the third root, on its rays only
+        third = -0.5 * mc - ms - shift[trig]
+        best[trig] = np.minimum(best[trig], _admissible(third, [c[trig] for c in quartic]))
+    return _polish(best, quartic)
 
 
-_THIRDS = (2.0 * math.pi / 3.0) * np.arange(3)[:, None]
-# Cardano's roots: u + v, then the pair's real part -(u + v)/2 twice
-_CARDANO = np.array([[1.0], [-0.5], [-0.5]])
+def _admissible(tau, quartic, near_real=True):
+    """``tau`` where it is an admissible root, else inf.
 
-
-def _smallest_admissible(tau, near_real, c3, c2, c1, c0, b1, b0):
-    """Pick the smallest admissible candidate root, then Newton-polish only it.
-
-    ``tau`` holds one candidate per row, rays along the columns.  A candidate
-    is admissible when it is (nearly) real, lies ahead of the start, is on the
-    physical branch q - x >= 0 and leaves a small quartic residual.  Rays
-    without one get a non-finite distance.
+    A candidate root is admissible when it is (nearly) real, lies ahead of
+    the start, is on the physical branch q - x >= 0 and leaves a small
+    quartic residual.
     """
+    c3, c2, c1, c0, b1, b0 = quartic
     P = (((tau + c3) * tau + c2) * tau + c1) * tau + c0
     g = (tau + b1) * tau + b0  # q - x along the ray
-    admissible = (
-        near_real
-        & (tau > _TAU_MIN)
-        & (g >= -1e-9)
-        & (np.abs(P) <= 1e-8 * np.maximum(1.0, tau**4))
-    )
-    tau = np.where(admissible, tau, np.inf).min(axis=0)
+    tau2 = tau * tau
+    ok = (near_real & (tau > _TAU_MIN) & (g >= -1e-9)
+          & (np.abs(P) <= 1e-8 * np.maximum(1.0, tau2 * tau2)))
+    return np.where(ok, tau, np.inf)
+
+
+def _polish(tau, quartic):
+    """Two Newton steps on the full quartic from each ray's chosen root.
+
+    Rays without an admissible root keep their non-finite distance.  A step
+    that would raise the residual |P| is refused: next to a double root (a
+    ray through the cusp) it can jump far past the root, even behind the
+    start.
+    """
+    c3, c2, c1, c0 = quartic[:4]
     dc3, dc2 = 3.0 * c3, 2.0 * c2
     with np.errstate(invalid="ignore"):  # inf - inf on rays without a root
+        P = (((tau + c3) * tau + c2) * tau + c1) * tau + c0
         for _ in range(2):  # no step where dP vanishes
-            P = (((tau + c3) * tau + c2) * tau + c1) * tau + c0
             dP = ((4.0 * tau + dc3) * tau + dc2) * tau + c1
-            tau = tau - P / np.where(np.abs(dP) > 1e-300, dP, np.inf)
+            step = tau - P / np.where(np.abs(dP) > 1e-300, dP, np.inf)
+            P_step = (((step + c3) * step + c2) * step + c1) * step + c0
+            better = np.abs(P_step) <= np.abs(P)
+            tau = np.where(better, step, tau)
+            P = np.where(better, P_step, P)
     return tau

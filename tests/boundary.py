@@ -4,15 +4,13 @@
 normal straight from each shape's defining formulas: the circle's polar
 angle, the cardioid's arclength s(phi) = 4a sin(phi/2) inverted, and the
 stadium's four pieces laid end to end.  It shares nothing with
-``CavityGeometry.ray_hits`` but the normal formula of the cardioid, so tests
-use it to place boundary starts and to check where rays land.
+``CavityGeometry.ray_hits``, so tests use it to place boundary starts and to
+check where rays land.
 """
 
 import math
 
 import numpy as np
-
-from chaodecay.geometry import _cardioid_normal
 
 
 def boundary_point(geometry, s):
@@ -45,7 +43,24 @@ def _cardioid_point(s, a):
     cos_phi, sin_phi = np.cos(phi), np.sin(phi)
     rho = a * (1.0 + cos_phi)
     pos = np.stack([rho * cos_phi, rho * sin_phi], axis=-1)
-    return pos, _cardioid_normal(cos_phi, sin_phi)
+    return pos, cardioid_normal(cos_phi, sin_phi)
+
+
+def cardioid_normal(c, s):
+    """Inward unit normal of the unit cardioid at polar angle phi (c = cos phi, s = sin phi).
+
+    The tangent d/dphi of (rho cos phi, rho sin phi), rho = 1 + cos phi,
+    rotated by +90 degrees.  At the cusp, where the tangent vanishes, it
+    parks a +x normal.
+    """
+    rho, drho = 1.0 + c, -s
+    tx = drho * c - rho * s
+    ty = drho * s + rho * c
+    norm = np.hypot(tx, ty)
+    safe = norm > 1e-15
+    nx = np.where(safe, -ty / np.where(safe, norm, 1.0), 1.0)
+    ny = np.where(safe, tx / np.where(safe, norm, 1.0), 0.0)
+    return np.stack([nx, ny], axis=-1)
 
 
 def _cardioid_angle_from_arclength(s, a):

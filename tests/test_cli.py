@@ -492,6 +492,18 @@ class TestCommandLine:
         results = read_manifest(str(out / "manifest.json"))["results"]
         assert results["t_end"] == times[-1] == pytest.approx(0.25 * (len(rows) - 1))
 
+    @pytest.mark.parametrize("dt", [1e-30, 1e-320, 1e-6])
+    def test_pair_decoherence_grid_too_large(self, tmp_path, capsys, dt):
+        # refused from its size alone: a subnormal dt makes an infinite step
+        # count, 1e-6 about 1e8 steps a trajectory
+        doc = {"command": "pair-decoherence", "geometry": {"shape": "cardioid"},
+               "ensemble": {"n_samples": 2, "seed": 5}, "params": {"alpha": 1e-3},
+               "grid": {"dt": dt}}
+        code, out = run_cli(tmp_path, doc)
+        assert code == ValidationError.exit_code == 3
+        assert "config.grid.dt" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_variance_line_records_t_obs(self, tmp_path):
         lines = []
         for t_obs in (50.0, 400.0):

@@ -20,7 +20,7 @@ from chaodecay.dynamics import batch_collide
 from chaodecay.errors import NumericError
 from chaodecay.geometry import SHAPES, CavityGeometry
 
-from boundary import boundary_point
+from boundary import boundary_point, cardioid_normal
 from stadium_oracle import stadium_hits
 
 
@@ -200,6 +200,21 @@ class TestOpening:
         g = make("circle", opening_center=0.0, opening_length=0.2)
         assert g.opening_contains(2.0 * math.pi - 0.05)
         assert g.opening_contains(0.05)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("center", [0.05, 0.5, 3.0, 7.99, -0.3])
+    def test_matches_float_modulo(self, shape, center):
+        # the same membership as the float modulo on every arclength in
+        # [0, perimeter], the ends, the opening's edges and their neighbours;
+        # centre 0.05 puts the start at 0, where s = perimeter is inside
+        g = make(shape, scale=1.3, opening_center=center, opening_length=0.1)
+        P = g.perimeter
+        start = (center - 0.05) % P
+        edges = np.array([0.0, P, start, (start + 0.1) % P])
+        s = np.concatenate([np.random.default_rng(9).uniform(0.0, P, 20_000), edges,
+                            np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+        s = s[(s >= 0.0) & (s <= P)]
+        np.testing.assert_array_equal(g.opening_contains(s), ((s - start) % P) < 0.1)
 
     @pytest.mark.parametrize("shape, point", [
         ("circle", (0.0, 1.0)), ("cardioid", (0.0, 1.0)), ("stadium", (-0.5, -1.0))])
@@ -443,6 +458,98 @@ def _cardioid_quartic_oracle(p, d, on_boundary=True):
     return dist, terms.sum() / abs(dist * slope(dist))
 
 
+def _arctan2_snap(x, y):
+    """The cardioid hit tail by polar angle: arctan2, then cos, sin and sin(phi/2).
+
+    Returns ``(s_hit, snapped, normal, tip)`` like ``geometry._cardioid_snap``;
+    a point within 1e-9 of the origin is pinned to the cusp, phi = pi.
+    """
+    phi = np.arctan2(y, x)
+    phi = np.where(phi < 0.0, phi + 2.0 * math.pi, phi)
+    phi = np.where(x * x + y * y <= 1e-18, math.pi, phi)
+    c, s = np.cos(phi), np.sin(phi)
+    rho = 1.0 + c
+    s_half = 4.0 * np.sin(0.5 * phi)
+    s_hit = np.where(phi <= math.pi, s_half, 8.0 - s_half)
+    return s_hit, np.stack([rho * c, rho * s], axis=-1), cardioid_normal(c, s), rho <= 1e-9
+
+
+def _cusp_normal(x, y):
+    """Inward normal of the cardioid at the polar angle of points with x < 0.
+
+    At phi = pi -+ delta it is (sin(delta/2) (1 + 2 cos delta),
+    +-cos(delta/2) (2 cos delta - 1)), with delta = arctan2(|y|, -x) taken
+    without the cancellation that 1 + cos(phi) suffers next to the cusp.
+    """
+    delta = np.arctan2(np.abs(y), -x)
+    return np.stack([np.sin(0.5 * delta) * (1.0 + 2.0 * np.cos(delta)),
+                     np.copysign(np.cos(0.5 * delta), y) * (2.0 * np.cos(delta) - 1.0)],
+                    axis=-1)
+
+
+class TestCardioidSnap:
+    """The trig-free snap of a hit onto the cardioid against the arctan2 tail.
+
+    Where 1 + cos(phi) < 1e-4 the tail's normal is off by more than 1e-14 (its
+    x component is sqrt((1 + cos phi)/2) (1 - 2 cos phi), and 1 + cos(phi)
+    carries an absolute rounding error of 1e-16); there the normal is checked
+    against the exact one of `_cusp_normal`.
+    """
+
+    def _polar(self, phi, radial=1.0):
+        rho = radial * (1.0 + np.cos(phi))
+        return rho * np.cos(phi), rho * np.sin(phi)
+
+    def _compare(self, x, y):
+        s_hit, snapped, nrm, tip = geometry._cardioid_snap(x, y)
+        s_ref, snapped_ref, nrm_ref, tip_ref = _arctan2_snap(x, y)
+        np.testing.assert_array_equal(tip, tip_ref)
+        np.testing.assert_allclose(s_hit, s_ref, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(snapped, snapped_ref, rtol=0.0, atol=1e-14)
+        # no normal exists on the cusp itself (the oracle parks one there)
+        well = snapped_ref[:, 0] ** 2 + snapped_ref[:, 1] ** 2 >= 1e-8  # (1 + cos phi)^2
+        np.testing.assert_allclose(nrm[well], nrm_ref[well], rtol=0.0, atol=1e-14)
+        near = ~well & ~tip
+        np.testing.assert_allclose(nrm[near], _cusp_normal(x[near], y[near]),
+                                   rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(np.hypot(nrm[:, 0], nrm[:, 1]), 1.0, rtol=0.0, atol=1e-15)
+        return s_hit, snapped, nrm, tip
+
+    def test_random_hits(self):
+        # ray hits land within rounding of the boundary
+        rng = np.random.default_rng(12)
+        phi = rng.uniform(-math.pi, math.pi, 50_000)
+        self._compare(*self._polar(phi, 1.0 + rng.uniform(-1e-12, 1e-12, phi.size)))
+
+    def test_hits_near_the_positive_axis(self):
+        phi = np.array([0.0, -0.0, 1e-300, 1e-15, 1e-9, 1e-6, 1e-3])
+        x, y = self._polar(np.concatenate([phi, -phi]))
+        s_hit, *_ = self._compare(x, y)
+        assert s_hit[0] == 0.0
+
+    def test_hits_at_the_cusp_are_pinned(self):
+        # a polar angle of pi +- 1e-9 is 5e-19 from the origin: a cusp event
+        # on the cusp point, whichever side it came from
+        x, y = self._polar(math.pi + np.array([-1e-9, 1e-9, -1e-6, 1e-6]))
+        x, y = np.append(x, [0.0, -0.0, 1e-10, -3e-10]), np.append(y, [0.0, 0.0, -1e-10, 2e-10])
+        s_hit, snapped, _, tip = self._compare(x, y)
+        assert tip.all()
+        np.testing.assert_array_equal(s_hit, 4.0)
+        np.testing.assert_array_equal(snapped, 0.0)
+
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    def test_normal_near_the_cusp_points_inward(self, side):
+        delta = np.logspace(-4, -0.3, 40)
+        x, y = self._polar(math.pi - side * delta)
+        _, snapped, nrm, tip = self._compare(x, y)
+        assert not tip.any()
+        # a step along the normal, small against the gap between the branches
+        eps = 1e-3 * np.hypot(x, y)[:, None] * delta[:, None]
+        g = make("cardioid")
+        assert g.contains(snapped + eps * nrm).all()
+        assert not g.contains(snapped - eps * nrm).any()
+
+
 def _cardioid_arclength(xy):
     phi = math.atan2(xy[1], xy[0]) % (2.0 * math.pi)
     half = 4.0 * math.sin(0.5 * phi)
@@ -552,6 +659,16 @@ class TestCardioidKernel:
             single = self.g.ray_hits(pos[i : i + 1], dirs[i : i + 1])
             for b, one in zip(batch, single):
                 np.testing.assert_array_equal(b[i : i + 1], one)
+
+    def test_rays_aimed_at_cusp_fly_forward(self):
+        # from boundary points at polar angles in [-3, 3] straight at the cusp:
+        # the quartic has a double root there, and a Newton polish step off it
+        # must not land behind the start
+        phi = np.linspace(-3.0, 3.0, 241)
+        pos = (1.0 + np.cos(phi))[:, None] * np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+        dirs = -pos / np.linalg.norm(pos, axis=-1)[:, None]
+        dist = self.g.ray_hits(pos, dirs)[0]
+        assert np.all(np.isfinite(dist) & (dist >= 0.0))
 
     def test_ray_into_cusp_along_axis(self):
         # from (2, 0) along -x the deflated cubic is (tau - 2)^3; the hit lands
