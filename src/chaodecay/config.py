@@ -51,6 +51,7 @@ class _Field(NamedTuple):
     strict: bool = False  # the value must exceed the minimum, not just reach it
     required: bool = False
     options: tuple | dict = ()  # the choices of a choice, the fields of a block
+    maximum: int | None = None
 
 
 def _positive(default=None, required=False) -> _Field:
@@ -69,7 +70,8 @@ _GEOMETRY = {
 }
 
 _ENSEMBLE = {
-    "seed": _Field("integer", minimum=0, required=True),
+    # the low 64 bits of a Philox key whose high bits tag the stream
+    "seed": _Field("integer", minimum=0, required=True, maximum=2**64 - 1),
     "n_samples": _Field("integer", 10000, 1),
     "speed": _positive(DEFAULTS_TABLE["speed"]),
 }
@@ -295,4 +297,6 @@ def _value(v, spec: _Field, name: str):
         v = float(v)
     if spec.minimum is not None and (v <= spec.minimum if spec.strict else v < spec.minimum):
         raise ValidationError(f"{name}: must be {'>' if spec.strict else '>='} {spec.minimum}")
+    if spec.maximum is not None and v > spec.maximum:
+        raise ValidationError(f"{name}: must be <= {spec.maximum}")
     return v

@@ -42,13 +42,12 @@ __all__ = [
 _REJECTION_TRIES = 24
 
 # Most rows per `_sample_block` draw.  The sampler's temporaries (49 uniforms
-# and 24 candidates per row) scale with this, not with the ensemble; drawing
-# the one Philox stream block by block, in order, gives the same rows as a
-# single draw.  On 65,536 rows (2-vCPU Xeon VM) 2048 rows beat 8192: 236 ->
-# 167 ms (stadium), 240 -> 186 ms (cardioid), and a stadium `simulate` peak
-# RSS of 62.5 MB, not 68.4 MB (the sampler's high-water mark is not returned
-# to the OS before the escape loop allocates; measured when the escape
-# workers were threads of this process).
+# per row, and the candidates of the rows still without a position) scale
+# with this, not with the ensemble; drawing the one Philox stream block by
+# block, in order, gives the same rows as a single draw.  With candidates
+# tested only on the rows that need them, 65,536 stadium rows took 28-46 ms
+# for blocks of 1024 to 8192 rows, within this VM's noise of each other
+# (2-vCPU Xeon, one pinned CPU), so 2048 stays.
 _SAMPLE_BLOCK = 2048
 
 # Most rows per work chunk of `survival_curve`, which otherwise cuts the
@@ -81,8 +80,9 @@ class EnsembleSpec:
     def __post_init__(self) -> None:
         if self.n_samples < 1:
             raise ValueError("n_samples must be at least 1")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
+        # the seed fills the low 64 bits of a Philox key whose high bits tag the stream
+        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+            raise ValueError("seed must be an integer in [0, 2**64)")
         if self.speed <= 0:
             raise ValueError("speed must be positive")
 
@@ -93,7 +93,8 @@ class SurvivalCurve:
     survival: np.ndarray
     std_error: np.ndarray
     n_samples: int
-    telemetry: dict = field(default_factory=dict)  # collisions, workers, chunks, rows_per_chunk
+    # collisions, workers, chunks, rows_per_chunk, sampler_acceptance
+    telemetry: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -140,29 +141,62 @@ def sample_ensemble(geometry: CavityGeometry, spec: EnsembleSpec):
 
     Returns ``(positions, directions)`` with unit direction vectors; momenta
     are ``spec.speed`` times the directions.  Row ``i`` is a pure function of
-    ``(spec.seed, i)``: the seed's Philox stream is drawn in order, at most
-    ``_SAMPLE_BLOCK`` rows per block, so the sampler's temporaries stay
-    bounded while the rows equal those of one whole-ensemble draw.
+    ``(spec.seed, i)`` (see `_sample_rows`).
     """
-    rng = _philox(spec.seed, _TAG_SAMPLING)
-    n = spec.n_samples
-    blocks = [_sample_block(geometry, min(_SAMPLE_BLOCK, n - i), rng)
-              for i in range(0, n, _SAMPLE_BLOCK)]
+    return _sample_rows(geometry, spec.seed, 0, spec.n_samples)
+
+
+def _sample_rows(geometry: CavityGeometry, seed: int, start: int, stop: int,
+                 telemetry: dict | None = None):
+    """Rows ``start:stop`` of the seed's ensemble, without drawing the rows before them.
+
+    Row ``i`` takes uniforms ``49 i`` to ``49 i + 48`` of the seed's sampling
+    stream.  Philox is counter-based, four uniforms per counter step, so the
+    stream jumps whole steps to the first row's uniforms and discards the
+    rest; from there it is drawn in order, at most ``_SAMPLE_BLOCK`` rows per
+    block, so the sampler's temporaries stay bounded while the rows equal
+    those of one whole-ensemble draw.  ``telemetry`` is passed to
+    `_sample_block`.
+    """
+    rng = _philox(seed, _TAG_SAMPLING)
+    skip = (2 * _REJECTION_TRIES + 1) * start
+    rng.bit_generator.advance(skip // 4)
+    rng.random(skip % 4)
+    blocks = [_sample_block(geometry, min(_SAMPLE_BLOCK, stop - i), rng, telemetry)
+              for i in range(start, stop, _SAMPLE_BLOCK)]
     return tuple(np.concatenate(part) for part in zip(*blocks))
 
 
-def _sample_block(geometry: CavityGeometry, n: int, rng: np.random.Generator):
+def _sample_block(geometry: CavityGeometry, n: int, rng: np.random.Generator,
+                  telemetry: dict | None = None):
+    """The next ``n`` rows of ``rng``'s stream: positions and unit directions.
+
+    Each row draws ``2 * _REJECTION_TRIES`` candidate coordinates and one
+    angle; its position is the first candidate inside the cavity.  Candidate
+    ``k`` is tested only on the rows that rejected the ones before it.  A
+    ``telemetry`` dict, if given, has the number of candidates tested added
+    to its ``candidates``.
+    """
     block = rng.random((n, 2 * _REJECTION_TRIES + 1))
     lo, hi = geometry.bounding_box()
-    cand = lo + (hi - lo) * block[:, : 2 * _REJECTION_TRIES].reshape(n, _REJECTION_TRIES, 2)
-    inside = geometry.contains(cand.reshape(-1, 2)).reshape(n, _REJECTION_TRIES)
-    if not np.all(inside.any(axis=1)):
+    positions = np.empty((n, 2))
+    todo = np.arange(n)  # rows still without a position
+    tested = 0
+    for k in range(_REJECTION_TRIES):
+        cand = lo + (hi - lo) * block[todo, 2 * k : 2 * k + 2]
+        inside = geometry.contains(cand)
+        positions[todo[inside]] = cand[inside]
+        tested += len(todo)
+        todo = todo[~inside]
+        if not len(todo):
+            break
+    if len(todo):
         raise NumericError(
             "rejection sampling exhausted its candidate budget; "
             "geometry occupies too little of its bounding box"
         )
-    first = np.argmax(inside, axis=1)
-    positions = cand[np.arange(n), first]
+    if telemetry is not None:
+        telemetry["candidates"] = telemetry.get("candidates", 0) + tested
     angles = 2.0 * math.pi * block[:, -1]
     directions = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
     return positions, directions
@@ -194,22 +228,23 @@ def survival_curve(
     """Fraction of the ensemble still inside at each grid time.
 
     ``workers`` is ``threads`` but at most the usable CPUs, and 1 where the
-    platform has no ``fork`` start method.  The ensemble is sampled here and
-    cut into contiguous chunks of equal size (the last one shorter), one per
-    worker, or whole rounds of one per worker when that would exceed
+    platform has no ``fork`` start method.  The ensemble is cut into
+    contiguous chunks of equal size (the last one shorter), one per worker,
+    or whole rounds of one per worker when that would exceed
     ``_MAX_CHUNK_ROWS`` rows.  One worker runs the chunks in this process;
     more run them in a pool of at most one forked process per worker and per
-    chunk.  Each row is a pure function of ``(spec.seed, index)`` and its
-    escape time is bit-identical whatever batch it rides in, so results are
-    byte-identical for any worker count, CPU count or chunk size.
-    ``telemetry`` holds the run's collision total and that layout.
+    chunk, and this process samples no row.  Each chunk samples its own rows
+    (`_sample_rows`): each row is a pure function of ``(spec.seed, index)``
+    and its escape time is bit-identical whatever batch it rides in, so
+    results are byte-identical for any worker count, CPU count or chunk
+    size.  ``telemetry`` holds the run's collision total, that layout and
+    ``sampler_acceptance``, the rows over the rejection candidates tested.
     """
     if threads < 1:
         raise ValueError("threads must be at least 1")
     times = np.asarray(times, dtype=float)
     if np.any(times < 0) or np.any(np.diff(times) <= 0):
         raise ValueError("times must be non-negative and strictly increasing")
-    positions, directions = sample_ensemble(geometry, spec)
     t_max = float(times[-1])
     n = spec.n_samples
     workers = min(threads, _usable_cpus())
@@ -222,12 +257,11 @@ def survival_curve(
     # a full chunk after the others run out
     rounds = -(-n // (workers * _MAX_CHUNK_ROWS))
     rows = -(-n // (rounds * workers))
-    chunks = [(geometry, positions[start : start + rows], directions[start : start + rows],
-               spec.speed, t_max, start, spec.seed) for start in range(0, n, rows)]
+    chunks = [(geometry, spec, t_max, start, min(start + rows, n)) for start in range(0, n, rows)]
 
     pool_size = min(workers, len(chunks))
     if pool_size == 1:
-        esc, collisions = zip(*map(_escape_chunk, chunks))
+        esc, collisions, candidates = zip(*map(_escape_chunk, chunks))
     else:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -235,7 +269,7 @@ def survival_curve(
         # again, about 0.23 s, a third of a 16k-row cardioid run
         fork = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(pool_size, mp_context=fork) as pool:
-            esc, collisions = zip(*pool.map(_escape_chunk, chunks))
+            esc, collisions, candidates = zip(*pool.map(_escape_chunk, chunks))
     esc = np.concatenate(esc)
 
     survival = (n - np.searchsorted(np.sort(esc), times, side="right")) / n
@@ -246,18 +280,23 @@ def survival_curve(
         std_error=std_error,
         n_samples=n,
         telemetry={"collisions": sum(collisions), "workers": pool_size,
-                   "chunks": len(chunks), "rows_per_chunk": rows},
+                   "chunks": len(chunks), "rows_per_chunk": rows,
+                   "sampler_acceptance": n / sum(candidates)},
     )
 
 
 def _escape_chunk(args):
-    """`escape_times` of one `survival_curve` chunk; a failure names its first row and seed."""
-    geometry, positions, directions, speed, t_max, start, seed = args
+    """Escape times, collision count and rejection candidates tested of the rows of one
+    `survival_curve` chunk; an escape failure names the chunk's first row and the seed."""
+    geometry, spec, t_max, start, stop = args
+    sampled = {"candidates": 0}
+    positions, directions = _sample_rows(geometry, spec.seed, start, stop, sampled)
     try:
-        return escape_times(geometry, positions, directions, speed, t_max)
+        esc, collisions = escape_times(geometry, positions, directions, spec.speed, t_max)
     except NumericError as exc:
         raise NumericError(f"{exc} (index within the chunk from particle {start}; "
-                           f"seed {seed})") from exc
+                           f"seed {spec.seed})") from exc
+    return esc, collisions, sampled["candidates"]
 
 
 def _usable_cpus() -> int:

@@ -337,6 +337,19 @@ class TestCommandLine:
                                    "ensemble": {"n_samples": 10}}))
         assert main(["simulate", "--config", str(cfg)]) == 3
 
+    @pytest.mark.parametrize("seed", [2**64, 2**128], ids=["2**64", "2**128"])
+    def test_oversized_seed_exit_3(self, tmp_path, capsys, seed):
+        # a seed fills 64 bits of the Philox key; a larger one would reach the
+        # stream tag above them (or numpy's 128-bit key limit)
+        doc = {"command": "simulate", "geometry": {"shape": "circle"},
+               "ensemble": {"seed": seed, "n_samples": 10}}
+        code, out = run_cli(tmp_path, doc)
+        assert code == 3
+        assert "config.ensemble.seed: must be <= 18446744073709551615" in capsys.readouterr().err
+        assert not out.exists()
+        doc["ensemble"]["seed"] = 2**64 - 1
+        assert parse_config(json.dumps(doc)).ensemble["seed"] == 2**64 - 1
+
     def test_command_mismatch_exit_3(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(MINIMAL_FIG3)
@@ -562,10 +575,11 @@ class TestCommandLine:
         one = read_manifest(str(out_a / "manifest.json"))["telemetry"]
         two = read_manifest(str(out_b / "manifest.json"))["telemetry"]
         assert one["collisions"] > 500 * 10  # about one per mean free time
+        assert 0.7 < one["sampler_acceptance"] < 0.9  # the cardioid fills 0.81 of its box
         assert one == {"collisions": one["collisions"], "workers": 1, "chunks": 1,
-                       "rows_per_chunk": 500}
+                       "rows_per_chunk": 500, "sampler_acceptance": one["sampler_acceptance"]}
         assert two == {"collisions": one["collisions"], "workers": 2, "chunks": 8,
-                       "rows_per_chunk": 63}
+                       "rows_per_chunk": 63, "sampler_acceptance": one["sampler_acceptance"]}
 
     def test_quadrature_csv_columns(self, tmp_path):
         doc = {"command": "quadrature",

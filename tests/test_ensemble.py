@@ -3,6 +3,7 @@
 import concurrent.futures
 import math
 import multiprocessing
+import os
 import tracemalloc
 
 import numpy as np
@@ -18,6 +19,7 @@ from chaodecay.ensemble import (
     _log_stretch,
     _philox,
     _sample_block,
+    _sample_rows,
     estimate_lyapunov,
     fit_escape_rate,
     hybrid_time_grid,
@@ -26,7 +28,7 @@ from chaodecay.ensemble import (
     sample_ensemble,
     survival_curve,
 )
-from chaodecay.errors import StatsError
+from chaodecay.errors import NumericError, StatsError
 from chaodecay.geometry import SHAPES, CavityGeometry
 
 from benettin import benettin_lyapunov
@@ -102,6 +104,49 @@ class TestSampling:
         np.testing.assert_array_equal(pos, whole_pos)
         np.testing.assert_array_equal(dirs, whole_dirs)
 
+    # 49 uniforms a row, 4 a Philox step: starts at every residue mod 4, in
+    # and across the second block, of one row and of more than one block
+    @pytest.mark.parametrize("start, stop", [(0, 5), (1, 6), (2, 3), (3, 40), (7, 8),
+                                             (50, 99), (2046, 2051), (2047, 2048),
+                                             (2048, 2049), (2046, 4100), (4099, 4100)])
+    def test_rows_equal_slice_of_one_draw(self, start, stop):
+        g = cardioid()
+        pos, dirs = sample_ensemble(g, EnsembleSpec(n_samples=4100, seed=17))
+        rows_pos, rows_dirs = _sample_rows(g, 17, start, stop)
+        np.testing.assert_array_equal(rows_pos, pos[start:stop])
+        np.testing.assert_array_equal(rows_dirs, dirs[start:stop])
+
+    def test_rejection_budget(self, monkeypatch):
+        # a stub that rejects all but each row's last candidate: the rows take
+        # it and every candidate counts as tested; one that rejects them all
+        # exhausts the budget
+        g = cardioid()
+        uniforms = _philox(3, _TAG_SAMPLING).random((5, 2 * ensemble._REJECTION_TRIES + 1))
+        lo, hi = g.bounding_box()
+        calls = []
+
+        def last_only(self, points, tol=0.0):
+            calls.append(len(points))
+            return np.full(len(points), len(calls) == ensemble._REJECTION_TRIES)
+
+        monkeypatch.setattr(CavityGeometry, "contains", last_only)
+        telemetry = {}
+        pos, _ = _sample_block(g, 5, _philox(3, _TAG_SAMPLING), telemetry)
+        np.testing.assert_array_equal(pos, lo + (hi - lo) * uniforms[:, -3:-1])
+        assert calls == [5] * ensemble._REJECTION_TRIES
+        assert telemetry == {"candidates": 5 * ensemble._REJECTION_TRIES}
+        monkeypatch.setattr(CavityGeometry, "contains",
+                            lambda self, points, tol=0.0: np.zeros(len(points), dtype=bool))
+        with pytest.raises(NumericError, match="exhausted its candidate budget"):
+            _sample_block(g, 5, _philox(3, _TAG_SAMPLING))
+
+    def test_seed_fits_the_key(self):
+        # the seed is the low 64 bits of the Philox key, the stream tag the high ones
+        EnsembleSpec(n_samples=1, seed=2**64 - 1)
+        for seed in (2**64, 2**65 + 5, 2**128, -1):
+            with pytest.raises(ValueError, match="seed"):
+                EnsembleSpec(n_samples=1, seed=seed)
+
     def test_peak_memory_bounded(self):
         # numpy reports its buffers to tracemalloc; one whole-ensemble draw of
         # 100k cardioid rows peaks near 177 MB, for 3.2 MB of output
@@ -172,7 +217,8 @@ class TestSurvival:
         spec = EnsembleSpec(n_samples=61, seed=13)
         ref = survival_curve(g, spec, times)
         assert ref.telemetry == {"collisions": ref.telemetry["collisions"], "workers": 1,
-                                 "chunks": 1, "rows_per_chunk": 61}
+                                 "chunks": 1, "rows_per_chunk": 61,
+                                 "sampler_acceptance": ref.telemetry["sampler_acceptance"]}
         for block, cap in ((8192, 65536), (16, 1), (7, 20), (10, 3)):
             monkeypatch.setattr(ensemble, "_SAMPLE_BLOCK", block)
             monkeypatch.setattr(ensemble, "_MAX_CHUNK_ROWS", cap)
@@ -184,6 +230,7 @@ class TestSurvival:
                     np.testing.assert_array_equal(curve.std_error, ref.std_error)
                     tel = curve.telemetry
                     assert tel["collisions"] == ref.telemetry["collisions"]
+                    assert tel["sampler_acceptance"] == ref.telemetry["sampler_acceptance"]
                     assert tel["rows_per_chunk"] <= cap
                     assert tel["chunks"] == -(-61 // tel["rows_per_chunk"])
                     assert tel["workers"] == min(threads, cpus, tel["chunks"])
@@ -208,6 +255,43 @@ class TestSurvival:
         np.testing.assert_array_equal(curve.survival, ref.survival)
         np.testing.assert_array_equal(curve.std_error, ref.std_error)
         assert multiprocessing.active_children() == []
+
+    def test_parent_samples_no_row(self, monkeypatch):
+        # each chunk samples its own rows; with a pool, none in this process
+        g = cardioid(opening=1.0)
+        times = hybrid_time_grid(12.0, 3.0, 40)
+        spec = EnsembleSpec(n_samples=61, seed=13)
+        ref = survival_curve(g, spec, times)
+        parent, sample_rows = os.getpid(), ensemble._sample_rows
+
+        def sample_whole(*args):
+            raise AssertionError("the whole ensemble was sampled")
+
+        def sample_in_worker(*args):
+            assert os.getpid() != parent, "the parent sampled rows"
+            return sample_rows(*args)
+
+        monkeypatch.setattr(ensemble, "sample_ensemble", sample_whole)
+        monkeypatch.setattr(ensemble, "_usable_cpus", lambda: 2)
+        one = survival_curve(g, spec, times, threads=1)
+        monkeypatch.setattr(ensemble, "_sample_rows", sample_in_worker)
+        two = survival_curve(g, spec, times, threads=2)
+        assert (one.telemetry["workers"], two.telemetry["workers"]) == (1, 2)
+        for curve in (one, two):
+            np.testing.assert_array_equal(curve.survival, ref.survival)
+            np.testing.assert_array_equal(curve.std_error, ref.std_error)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_sampler_acceptance(self, shape):
+        # rows over candidates tested estimates the area's share p of the
+        # sampling box; a row tests a geometric number of candidates, so the
+        # estimate's standard error is p sqrt((1 - p) / n)
+        g = CavityGeometry(shape=shape, opening_length=1.0)
+        lo, hi = g.bounding_box()
+        p = g.area / np.prod(hi - lo)
+        n = 20_000
+        curve = survival_curve(g, EnsembleSpec(n_samples=n, seed=23), [0.0, 0.5])
+        assert abs(curve.telemetry["sampler_acceptance"] - p) < 5 * p * math.sqrt((1 - p) / n)
 
     def test_equals_fraction_still_inside(self):
         # survival(t) is the fraction of escape times > t, ties (escape
