@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -196,12 +197,16 @@ def _validate(doc: dict) -> RunConfig:
             raise ValidationError(f"config.geometry: {exc}") from exc
         block["opening_center"] = geometry.opening_center  # the shape's default when absent
 
-    warnings: list[str] = []
+    messages: list[str] = []  # the run's warnings
     params = _block(doc.get("params", {}), _PARAMS[command], "config.params")
     if "bath" in params:
-        bath_alpha = alpha_from_bath(BathSpec(**params["bath"]))
+        # a BathSpec warning goes to the manifest, not to stderr
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            bath_alpha = alpha_from_bath(BathSpec(**params["bath"]))
+        messages.extend(str(w.message) for w in caught)
         if "alpha" in params:
-            warnings.append(
+            messages.append(
                 "params.alpha and params.bath both given; the direct alpha "
                 f"({params['alpha']!r}) takes precedence over the bath-derived value "
                 f"({bath_alpha!r})"
@@ -223,7 +228,7 @@ def _validate(doc: dict) -> RunConfig:
         params=params,
         grid=grid,
         output=output,
-        warnings=warnings,
+        warnings=messages,
         resolved=resolved,
     )
 

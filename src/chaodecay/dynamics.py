@@ -64,16 +64,18 @@ def escape_times(
 
     Returns ``(times, n_collisions_total)``; survivors get ``inf``.  Particles
     are absorbed at the collision instant when the hit arclength falls inside
-    the opening.  Raises ``NumericError`` for a particle stuck in place.
+    the opening.  The count takes the hits due by ``t_max``, the escapes
+    included.  Raises ``NumericError`` for a particle stuck in place.
     """
     esc = np.full(len(positions), np.inf)
-    total_collisions = 0
+    flights = 0
     for rows, _, _, _, t_hit, left, *_ in _flights(
         geometry, positions, directions, np.zeros(len(positions)), speed, t_max, absorbing=True
     ):
-        total_collisions += rows.size
+        flights += rows.size
         esc[rows[left]] = t_hit[left]
-    return esc, total_collisions
+    # each survivor's last flight ends past t_max: no collision
+    return esc, flights - int(np.isinf(esc).sum())
 
 
 def sample_positions(

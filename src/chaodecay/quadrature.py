@@ -36,6 +36,11 @@ Numerical strategy:
   analytically-continued envelope up the imaginary axis (Gauss-Laguerre).
   By Cauchy's theorem, panels + end correction equals the same integral with
   its endpoint oscillation removed to all orders in hbar.
+* One driver, ``_diagram``, runs every diagram: it checks the parameters,
+  returns zero where the gate leaves no room or the convention excludes the
+  diagram, builds the panels once, sums panels plus end correction at n and
+  2n nodes (4n if they disagree), doubles the positive-x sector and raises
+  ``NumericError`` for a non-finite value.
 
 The one-leg tail diagram is the time reverse of the head diagram, so it
 takes the head's numbers.  The raw 4-fold integrands live only in the test
@@ -48,13 +53,15 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import NumericError
-from .formulas import SemiclassicalParams, loop_correction, loop_kernel
+from .formulas import SemiclassicalParams, _effective_tau_d, loop_correction, loop_kernel
 
 __all__ = [
     "QuadratureSpec",
@@ -201,7 +208,8 @@ def _phi_two_leg(tau, t: float, p: SemiclassicalParams):
     """Reduced two-leg envelope at encounter time tau (complex-capable)."""
     window = t - 2.0 * tau
     survival = np.exp(-(t - tau) / p.dwell_time)
-    return survival * np.exp(-_encounter_exposure(tau, p)) * _scaled_loop_area(window, p.decoherence_time)
+    loop_area = _scaled_loop_area(window, _effective_tau_d(p.decoherence_time, t))
+    return survival * np.exp(-_encounter_exposure(tau, p)) * loop_area
 
 
 def _phi_one_leg(tau, t: float, p: SemiclassicalParams, enc):
@@ -214,7 +222,7 @@ def _phi_one_leg(tau, t: float, p: SemiclassicalParams, enc):
     xi_max branches applies (True: xi_max = tau, False: xi_max = t - tau);
     the two meet smoothly (C^1) at tau = t/2.
     """
-    tau_d = p.decoherence_time
+    tau_d = _effective_tau_d(p.decoherence_time, t)
     xi_max = np.where(enc, tau, t - tau)
     t_free = t - tau
     a = 1.0 / p.dwell_time - _exposure_rate(tau, p)
@@ -236,16 +244,10 @@ def _phi_one_leg(tau, t: float, p: SemiclassicalParams, enc):
 
 def _phase_breakpoints(y_big: float, lam: float, tau_hi: float) -> list[float]:
     """tau values where the phase Y e^{-lambda tau} crosses multiples of pi/2."""
-    pts = []
-    k = 1
-    while k * 0.5 * math.pi < y_big:
-        tau = math.log(y_big / (k * 0.5 * math.pi)) / lam
-        if 0.0 < tau < tau_hi:
-            pts.append(tau)
-        k += 1
-        if k > 4096:  # guard: Y this large is outside any sane study
-            break
-    return pts
+    # at most 4096 of them: Y this large is outside any sane study
+    ks = itertools.takewhile(lambda k: k * 0.5 * math.pi < y_big, range(1, 4097))
+    taus = (math.log(y_big / (k * 0.5 * math.pi)) / lam for k in ks)
+    return [tau for tau in taus if 0.0 < tau < tau_hi]
 
 
 def _build_panels(tau_hi: float, lam: float, y_big: float, extra: list[float]) -> np.ndarray:
@@ -330,25 +332,6 @@ def _end_correction(phi, p: SemiclassicalParams, n: int):
     return 1j * cmath.exp(1j * y_big) * p.hbar * np.sum(w * phi(tau_c, 0.0))
 
 
-def _reduced_integral(phi, tau_gate: float, p: SemiclassicalParams,
-                      spec: QuadratureSpec, n: int, extra_breaks: list[float]):
-    """Smoothed-cutoff integral of e^{ix/hbar} phi over x in [x_gate, c^2].
-
-    Returns (complex value over the positive-x sector, truncation bound)."""
-    lam = p.lyapunov
-    tau_cut = math.log(1.0 / spec.su_cut) / lam
-    tau_hi = min(tau_gate, tau_cut)
-    if tau_hi <= 0.0:
-        return 0.0 + 0.0j, 0.0
-    edges = _build_panels(tau_hi, lam, p.encounter_scale / p.hbar, extra_breaks)
-    total = _panel_sum(phi, edges, p, n) + _end_correction(phi, p, n)
-    trunc = 0.0
-    if tau_hi < tau_gate:
-        # dropped x-interval below the su_cut; bound by sup|phi| * interval length
-        trunc = abs(phi(tau_hi, tau_hi)) * p.encounter_scale * math.exp(-lam * tau_hi)
-    return total, trunc
-
-
 def _sector_doubled(k_plus: complex, p: SemiclassicalParams) -> tuple[float, float]:
     """Assemble the full (s, u) value from the positive-x sector.
 
@@ -380,13 +363,25 @@ def _converge(eval_at, su_grid: int, diagram: str):
     return fine, est
 
 
-def _converged_diagram(phi, tau_gate: float, p: SemiclassicalParams, spec: QuadratureSpec,
-                       extra_breaks: list[float], diagram: str):
-    """_converge over _reduced_integral; returns (value, est, telemetry).
-
-    The telemetry is that of ``DiagramResult``: a panel is counted for each
-    row of the ``(panels, n)`` node blocks that reach the envelope.
+def _diagram(name: str, phi, tau_gate: float, breaks: list[float], params: SemiclassicalParams,
+             spec: QuadratureSpec) -> DiagramResult:
+    """The converged, sector-doubled smoothed-cutoff integral of e^{ix/hbar} phi
+    over x in [c^2 e^{-lambda tau_gate}, c^2]; ``tau_gate`` is a positive
+    multiple of t and ``breaks`` are extra panel edges.  Encounter times past
+    ``su_cut`` are dropped, bounded by sup|phi| times the dropped x-interval.
+    A panel is counted for each row of the node blocks that reach the envelope.
     """
+    p = params
+    if p.lyapunov is None or p.lyapunov <= 0:
+        raise ValueError("diagram quadrature needs a positive lyapunov rate")
+    if p.encounter_scale is None or p.encounter_scale <= 0:
+        raise ValueError("diagram quadrature needs a positive encounter_scale")
+    if not tau_gate > 0:
+        raise ValueError("t must be positive")
+    lam = p.lyapunov
+    excluded = name.startswith("one_leg") and spec.one_leg_convention == "excluded"
+    if excluded or lam * tau_gate < 1e-14:  # the gate leaves no room
+        return DiagramResult(0.0, 0.0, 0.0, name)
     telemetry = dict.fromkeys(_TELEMETRY_KEYS, 0)
 
     def counted(tau, tau_mid):
@@ -395,13 +390,23 @@ def _converged_diagram(phi, tau_gate: float, p: SemiclassicalParams, spec: Quadr
             telemetry["panels"] += len(tau)
         return phi(tau, tau_mid)
 
+    tau_hi = min(tau_gate, math.log(1.0 / spec.su_cut) / lam)
+    edges = _build_panels(tau_hi, lam, p.encounter_scale / p.hbar, breaks)
+    trunc = 0.0
+    if tau_hi < tau_gate:
+        trunc = abs(counted(tau_hi, tau_hi)) * p.encounter_scale * math.exp(-lam * tau_hi)
+
     def eval_at(n):
         telemetry["nodes"] = n
-        return _reduced_integral(counted, tau_gate, p, spec, n, extra_breaks)
+        return _panel_sum(counted, edges, p, n) + _end_correction(counted, p, n), trunc
 
-    value, est = _converge(eval_at, spec.su_grid, diagram)
+    k_plus, est_k = _converge(eval_at, spec.su_grid, name)
     telemetry["refinements"] = int(telemetry["nodes"] > 2 * spec.su_grid)
-    return value, est, telemetry
+    val, im = _sector_doubled(k_plus, p)
+    est = 2.0 * (2.0 * lam / _omega(p)) * est_k
+    if not (math.isfinite(val) and math.isfinite(est)):
+        raise NumericError(f"{name} quadrature gave {val!r} with error estimate {est!r}")
+    return DiagramResult(val, est, im, name, telemetry)
 
 
 # ---------------------------------------------------------------------------
@@ -409,30 +414,11 @@ def _converged_diagram(phi, tau_gate: float, p: SemiclassicalParams, spec: Quadr
 # ---------------------------------------------------------------------------
 
 
-def _require_loop_params(p: SemiclassicalParams) -> None:
-    if p.lyapunov is None or p.lyapunov <= 0:
-        raise ValueError("diagram quadrature needs a positive lyapunov rate")
-    if p.encounter_scale is None or p.encounter_scale <= 0:
-        raise ValueError("diagram quadrature needs a positive encounter_scale")
-
-
 def integrate_2leg(params: SemiclassicalParams, t: float,
                    spec: QuadratureSpec = QuadratureSpec()) -> DiagramResult:
     """Two-leg encounter diagram: both stretches in the trajectory interior."""
-    _require_loop_params(params)
-    if t <= 0:
-        raise ValueError("t must be positive")
-    lam = params.lyapunov
-    if lam * t / 2.0 < 1e-14:  # gate x >= c^2 e^{-lambda t/2} leaves no room
-        return DiagramResult(0.0, 0.0, 0.0, "two_leg")
-
-    def phi(tau, _tau_mid):
-        return _phi_two_leg(tau, t, params)
-
-    k_plus, est_k, telemetry = _converged_diagram(phi, t / 2.0, params, spec, [], "two_leg")
-    val, im = _sector_doubled(k_plus, params)
-    scale = 2.0 * lam / _omega(params)
-    return DiagramResult(val, 2.0 * scale * est_k, im, "two_leg", telemetry)
+    return _diagram("two_leg", lambda tau, _tau_mid: _phi_two_leg(tau, t, params),
+                    t / 2.0, [], params, spec)
 
 
 def integrate_1leg(params: SemiclassicalParams, t: float,
@@ -443,21 +429,9 @@ def integrate_1leg(params: SemiclassicalParams, t: float,
     carries its numbers.  With ``one_leg_convention='excluded'`` both are
     identically zero by configuration.
     """
-    _require_loop_params(params)
-    if t <= 0:
-        raise ValueError("t must be positive")
-    lam = params.lyapunov
-    if spec.one_leg_convention == "excluded" or lam * t < 1e-14:
-        head = DiagramResult(0.0, 0.0, 0.0, "one_leg_head")
-    else:
-        def phi(tau, tau_mid):
-            return _phi_one_leg(tau, t, params, tau_mid < t / 2.0)
-
-        scale = 2.0 * lam / _omega(params)
-        kh, est_h, telemetry = _converged_diagram(phi, t, params, spec, [t / 2.0],
-                                                  "one_leg_head")
-        vh, imh = _sector_doubled(kh, params)
-        head = DiagramResult(vh, 2.0 * scale * est_h, imh, "one_leg_head", telemetry)
+    head = _diagram("one_leg_head",
+                    lambda tau, tau_mid: _phi_one_leg(tau, t, params, tau_mid < t / 2.0),
+                    t, [t / 2.0], params, spec)
     return head, replace(head, diagram="one_leg_tail")
 
 
@@ -549,6 +523,9 @@ def semiclassical_ladder(
             raise ValueError("ehrenfest fractions must lie in (0, 0.05]")
         lam = lam_tau / dwell_time
         t_e = fr * dwell_time
+        if lam * t_e + math.log(lam_tau) > -math.log(sys.float_info.min):  # hbar underflows
+            raise ValueError(f"lambda*tau_D = {lam_tau!r} with ehrenfest fraction {fr!r} puts "
+                             f"c^2/hbar = e^{lam * t_e:.6g} beyond the float range")
         y_big = math.exp(lam * t_e)
         hbar = 1.0 / (y_big * lam_tau)
         c2 = hbar * y_big

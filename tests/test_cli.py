@@ -719,6 +719,8 @@ def test_golden_output_bytes(bundled_run, path, threads):
 _TINY = 1e-6
 _TINY_GEOMETRY = {"shape": "cardioid", "scale": _TINY, "opening_length": _TINY}
 _ONE_SAMPLE = {"seed": 0, "n_samples": 1, "speed": _TINY}
+_WEAK_COUPLING = {"dwell_time": 1.0, "heisenberg_time": 1.0, "alpha": 1e-300, "sigma2": 1.0}
+_UNDERFLOWING = {"dwell_time": 1e-300, "heisenberg_time": 1e-300, "tau_d": 1e-300}
 _TINY_SEMICLASSICAL = {
     "dwell_time": _TINY, "heisenberg_time": _TINY, "lyapunov": 0.0, "encounter_scale": _TINY,
     "alpha": 0.0, "sigma2": _TINY, "eta": _TINY, "hbar": _TINY, "ehrenfest_time": 0.0,
@@ -752,16 +754,74 @@ _TINY_SEMICLASSICAL = {
     ({"command": "quadrature", "params": {
         "lambda_tauD": [_TINY], "ehrenfest_fractions": [_TINY], "alpha_tauD_sigma2": 0.0,
         "t_over_tauD": [_TINY], "eta": _TINY, "su_grid": 16, "su_cut": _TINY}}, 0, ""),
+    # weak coupling: tau_d = 5e299 (tau_d^2 overflows) and 5e11 (t/tau_d < 1e-8)
+    ({"command": "correction", "params": _WEAK_COUPLING}, 0, ""),
+    ({"command": "peak", "params": _WEAK_COUPLING}, 0, ""),
+    ({"command": "quadrature", "params": {"alpha_tauD_sigma2": 1e-300}}, 0, ""),
+    ({"command": "quadrature", "params": {"alpha_tauD_sigma2": 1e-12}}, 0, ""),
+    # values past the float range
+    ({"command": "quadrature", "params": {"lambda_tauD": [1e5], "ehrenfest_fractions": [0.05]}},
+     3, "config.params: lambda*tau_D = 100000.0 with ehrenfest fraction 0.05 puts c^2/hbar"),
+    ({"command": "correction", "params": _UNDERFLOWING}, 3,
+     "config.params: dwell_time * heisenberg_time underflows"),
+    ({"command": "peak", "params": _UNDERFLOWING}, 3,
+     "config.params: dwell_time * heisenberg_time underflows"),
+    ({"command": "correction", "params": {**_UNDERFLOWING, "tau_d": None}}, 3,
+     "config.params: dwell_time * heisenberg_time underflows"),
 ], ids=["simulate-default-window", "simulate", "lyapunov", "variance", "pair-decoherence",
-        "pair-decoherence-bath", "correction", "peak", "fig3", "quadrature"])
+        "pair-decoherence-bath", "correction", "peak", "fig3", "quadrature",
+        "correction-weak", "peak-weak", "quadrature-weak", "quadrature-weak-1e-12",
+        "quadrature-huge-lambda", "correction-underflow", "peak-underflow",
+        "correction-underflow-no-tau_d"])
 def test_field_minimums(tmp_path, capsys, doc, exit_code, message):
-    # every field at the smallest value its table accepts: a result or a typed
-    # error, never an exception out of main
+    # every field at the smallest value its table accepts, and values whose
+    # arithmetic leaves the float range: a result or a typed error, never an
+    # exception out of main, and no NaN in a result
     code, out = run_cli(tmp_path, doc)
     err = capsys.readouterr().err
     assert code == exit_code, err
     assert message in err
     assert (out / "manifest.json").exists() == (code == 0)
+    if code == 0:
+        _, _, rows = read_csv(str(out / f"{doc['command']}.csv"))
+        assert not np.isnan(rows).any()
+
+
+@pytest.mark.parametrize("alpha", [1e-300, 1e-12])
+def test_weak_coupling_matches_zero_coupling(tmp_path, alpha):
+    # t/tau_d < 1e-8 on every row: the decoherence-free forms, to within each
+    # quadrature row's error estimate and exactly for the closed form
+    def rows(command, params):
+        run_dir = tmp_path / str(len(list(tmp_path.iterdir())))
+        run_dir.mkdir()
+        code, out = run_cli(run_dir, {"command": command, "params": params})
+        assert code == 0
+        _, header, table = read_csv(str(out / f"{command}.csv"))
+        return [dict(zip(header, row)) for row in table]
+
+    weak = rows("quadrature", {"alpha_tauD_sigma2": alpha})
+    free = rows("quadrature", {"alpha_tauD_sigma2": 0.0})
+    for a, b in zip(weak, free, strict=True):
+        assert abs(a["quad_value"] - b["quad_value"]) <= max(a["est_err"], b["est_err"])
+        assert a["closed_form"] == b["closed_form"]
+    scales = {"dwell_time": 1.0, "heisenberg_time": 1.0}
+    assert (rows("correction", {**scales, "alpha": alpha, "sigma2": 1.0})
+            == rows("correction", scales))
+
+
+def test_bath_regime_warning_reaches_manifest_not_stderr(tmp_path):
+    doc = {"command": "pair-decoherence", "geometry": {"shape": "cardioid"},
+           "ensemble": {"seed": 1, "n_samples": 4},
+           "params": {"bath": {"damping": 0.001, "inverse_temperature": 2.0,
+                               "characteristic_frequency": 1.0}},
+           "grid": {"t_collisions": 2}}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = run_cli(tmp_path, doc)
+    assert code == 0
+    assert caught == []  # nothing for Python to print on stderr
+    (message,) = read_manifest(str(out / "manifest.json"))["warnings"]
+    assert message.startswith("bath is not in the high-temperature regime")
 
 
 def test_bundled_examples_cover_every_command():

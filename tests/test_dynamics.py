@@ -162,6 +162,17 @@ class TestPropagate:
         assert esc[0] == pytest.approx(1.0, rel=1e-9)
         assert n_coll == 1
 
+    def test_collisions_count_hits_due_by_t_max(self):
+        # from the centre of the unit circle every flight after the first is a
+        # diameter: the ray along +y hits the wall at t = 1 and 3 and is still
+        # in flight at t_max = 4.5; the ray at angle 0.5 leaves through the
+        # opening at t = 1
+        g = make("circle", opening_center=0.5, opening_length=0.1)
+        dirs = np.array([[0.0, 1.0], [math.cos(0.5), math.sin(0.5)]])
+        esc, n_coll = escape_times(g, np.zeros((2, 2)), dirs, 1.0, 4.5)
+        assert esc[0] == math.inf and esc[1] == pytest.approx(1.0, rel=1e-12)
+        assert n_coll == 2 + 1
+
     def test_deterministic_repeats(self):
         g = make("cardioid", opening_center=2.0 * math.sqrt(2.0))
         pos, dirs = np.array([[0.3, 0.1]]), np.array([[0.8, 0.6]])

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaodecay.formulas import (
+    REGIMES,
     BathSpec,
     SemiclassicalParams,
     alpha_from_bath,
@@ -107,6 +108,12 @@ class TestParams:
                    decoherence_time=10.0 / 3.0)
         assert p.decoherence_time == pytest.approx(10.0 / 3.0)
 
+    def test_time_product_underflow_rejected(self):
+        # the loop corrections divide by dwell_time * heisenberg_time
+        with pytest.raises(ValueError, match="underflows"):
+            params(dwell_time=1e-300, heisenberg_time=1e-300, decoherence_time=1e-300)
+        assert params(dwell_time=1e-150, heisenberg_time=1e-150).dwell_time == 1e-150
+
     def test_with_override(self):
         p = params()
         q = replace(p, decoherence_time=2.0)
@@ -182,6 +189,17 @@ class TestLoopCorrection:
         full = loop_correction(p, t)
         order3 = loop_correction_short_time(p, t)
         assert full == pytest.approx(order3, rel=1e-6)
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    @pytest.mark.parametrize("weak", [
+        {"decoherence_time": 1e9},  # t/tau_d < 1e-8 on the whole grid
+        {"decoherence_time": 1e200},  # tau_d^2 overflows
+        {"coupling_strength": 1e-300, "position_variance": 1.0},  # tau_d = 5e299
+    ])
+    def test_effectively_infinite_tau_d_is_bare(self, regime, weak):
+        t = np.linspace(0.0, 3.0, 31)
+        got = correction_curve(params(**weak), t, regime).bracket
+        np.testing.assert_allclose(got, bare_quantum_correction(params(), t), rtol=1e-15)
 
     def test_positivity(self):
         p = params(decoherence_time=0.2)
@@ -266,6 +284,12 @@ class TestPeak:
         t_star, value = correction_peak(p)
         assert t_star == pytest.approx(2.0 * 0.3, rel=1e-6)
         assert value > 0
+
+    def test_effectively_infinite_tau_d_peak_at_two_dwell(self):
+        # tau_d = 5e299: tau_d^2 overflows, and no bracket value may be NaN
+        t_star, value = correction_peak(params(coupling_strength=1e-300, position_variance=1.0))
+        assert t_star == pytest.approx(2.0 * 0.3, rel=1e-6)
+        assert value == pytest.approx(bare_quantum_correction(params(), 2.0 * 0.3), rel=1e-12)
 
     def test_finite_coupling_peak_earlier(self):
         p = params(decoherence_time=0.1)

@@ -23,10 +23,12 @@ from chaodecay.formulas import (
     loop_correction,
 )
 from chaodecay.quadrature import (
+    ONE_LEG_CONVENTIONS,
     DiagramResult,
     QuadratureSpec,
     _build_panels,
     _converge,
+    _diagram,
     _encounter_exposure,
     _exposure_rate,
     _growing_exp_integral,
@@ -37,7 +39,6 @@ from chaodecay.quadrature import (
     _panel_sum,
     _phi_one_leg,
     _phi_two_leg,
-    _reduced_integral,
     _sector_doubled,
     convergence_study,
     diagram_sum,
@@ -99,11 +100,7 @@ def reversed_tail(p, t, spec=QuadratureSpec()):
     def phi(tau, tau_mid):
         return _phi_one_leg_reversed(tau, t, p, tau_mid < t / 2.0)
 
-    def eval_tail(n):
-        return _reduced_integral(phi, t, p, spec, n, [t / 2.0])
-
-    kt, _ = _converge(eval_tail, spec.su_grid, "one_leg_tail")
-    return _sector_doubled(kt, p)[0]
+    return _diagram("one_leg_tail", phi, t, [t / 2.0], p, spec).value
 
 
 def _raw_two_leg(params: SemiclassicalParams, t: float, spec: QuadratureSpec,
@@ -545,6 +542,81 @@ class TestBlockedPanelSum:
         for k, n in enumerate((128, 256, 512)[:levels]):
             assert calls[2 * k] == (len(edges) - 1, n)  # every panel in one call
             assert calls[2 * k + 1] == (min(n, 96),)  # the end leg
+
+
+class TestDriver:
+    """The one driver behind both diagrams: checks, panels, non-finite values."""
+
+    def test_panels_built_once_per_diagram(self, monkeypatch):
+        # every refinement level, the 4n one forced here, sums the same panels
+        built, summed = [], []
+        real_build, real_sum = quadrature._build_panels, quadrature._panel_sum
+
+        def build(*args):
+            built.append(real_build(*args))
+            return built[-1]
+
+        def panel_sum(phi, edges, p, n):
+            summed.append(edges)
+            return real_sum(phi, edges, p, n)
+
+        def three_levels(eval_at, su_grid, diagram):
+            return [eval_at(k * su_grid) for k in (1, 2, 4)][-1]
+
+        monkeypatch.setattr(quadrature, "_build_panels", build)
+        monkeypatch.setattr(quadrature, "_panel_sum", panel_sum)
+        monkeypatch.setattr(quadrature, "_converge", three_levels)
+        p = quad_params()
+        telemetry = {}
+        diagram_sum(p, 2.0 * p.dwell_time, QuadratureSpec(), telemetry)
+        assert len(built) == 2  # two_leg and one_leg_head; the tail reuses the head
+        assert [id(e) for e in summed] == [id(built[0])] * 3 + [id(built[1])] * 3
+        assert all(counts["refinements"] == 1 for counts in telemetry.values())
+
+    def test_non_finite_value_is_numeric_error(self, monkeypatch):
+        # the NaN comes with numpy's warning, an error under this suite's filter
+        monkeypatch.setattr(quadrature, "_phi_two_leg", lambda tau, t, p: np.inf * tau)
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError,
+                                                          match="two_leg quadrature gave nan"):
+            integrate_2leg(quad_params(), 2.0)
+
+    @pytest.mark.parametrize("change, t, message", [
+        ({"lyapunov": None}, 2.0, "positive lyapunov"),
+        ({"lyapunov": 0.0}, 2.0, "positive lyapunov"),
+        ({"encounter_scale": None}, 2.0, "positive encounter_scale"),
+        ({}, 0.0, "t must be positive"),
+        ({}, -1.0, "t must be positive"),
+    ])
+    @pytest.mark.parametrize("convention", ONE_LEG_CONVENTIONS)
+    def test_checks_before_any_shortcut(self, change, t, message, convention):
+        # an excluded one-leg diagram is zero, but only for valid input
+        p = replace(quad_params(), **change)
+        spec = QuadratureSpec(one_leg_convention=convention)
+        for integrate in (integrate_2leg, integrate_1leg):
+            with pytest.raises(ValueError, match=message):
+                integrate(p, t, spec)
+
+
+class TestWeakCoupling:
+    """alpha so small that t/tau_d < 1e-8: the decoherence-free envelopes."""
+
+    @pytest.mark.parametrize("alpha_dwell_sigma2", [1e-300, 1e-12])
+    @pytest.mark.parametrize("t", [2.0, 5.0])
+    def test_matches_zero_coupling_within_error(self, alpha_dwell_sigma2, t):
+        weak = quad_params(lam_tau=10.0, ehrenfest_fraction=0.05,
+                           alpha_dwell_sigma2=alpha_dwell_sigma2)
+        free = quad_params(lam_tau=10.0, ehrenfest_fraction=0.05, alpha_dwell_sigma2=0.0)
+        assert weak.decoherence_time > 1e8 * t
+        for integrate in (integrate_2leg, lambda p, t: integrate_1leg(p, t)[0]):
+            a, b = integrate(weak, t), integrate(free, t)
+            assert abs(a.value - b.value) <= max(a.est_error, b.est_error)
+
+    def test_ladder_hbar_beyond_float_range_rejected(self):
+        with pytest.raises(ValueError, match="beyond the float range"):
+            semiclassical_ladder(lam_tau_values=(1e5,), ehrenfest_fractions=(0.05,))
+        # lambda t_E = 500: c^2/hbar = e^500 and hbar are still normal floats
+        (p,) = semiclassical_ladder(lam_tau_values=(1e4,), ehrenfest_fractions=(0.05,))
+        assert p.hbar > 1e-300 and math.isfinite(p.encounter_scale / p.hbar)
 
 
 class TestTelemetry:
