@@ -33,15 +33,13 @@ from .ensemble import (
     sample_ensemble,
     survival_curve,
 )
-from .errors import ChaodecayError, SyntaxUsageError, ValidationError
+from .errors import ChaodecayError, NumericError, SyntaxUsageError, ValidationError
 from .formulas import (
     SemiclassicalParams,
     correction_curve,
     correction_peak,
     classical_survival,
-    decoherence_time,
     dwell_time,
-    ehrenfest_time,
     figure3_curves,
     heisenberg_time,
 )
@@ -155,12 +153,12 @@ _PARAMS_KEYS = {
 }
 
 
-def _from_params(build, **kwargs):
-    """``build(**kwargs)`` from ``params`` values, its ``ValueError`` a ``ValidationError``
-    that names the config's keys: the values passed the field table but not the
-    library's own checks."""
+def _from_params(build, *args, **kwargs):
+    """``build(*args, **kwargs)`` from ``params`` values, its ``ValueError`` a
+    ``ValidationError`` that names the config's keys: the values passed the field
+    table but not the library's own checks."""
     try:
-        return build(**kwargs)
+        return build(*args, **kwargs)
     except ValueError as exc:
         message = re.sub(r"\w+", lambda word: _PARAMS_KEYS.get(word[0], word[0]), str(exc))
         raise ValidationError(f"config.params: {message}") from exc
@@ -173,15 +171,11 @@ def _semiclassical_from_config(params: dict) -> SemiclassicalParams:
 
 
 def _params_derived(p: SemiclassicalParams) -> dict:
-    out = {"dwell_time": p.dwell_time, "heisenberg_time": p.heisenberg_time}
-    if p.coupling_strength is not None and p.position_variance is not None:
-        out["tau_d"] = decoherence_time(p.coupling_strength, p.position_variance)
-    elif p.decoherence_time is not None:
-        out["tau_d"] = p.decoherence_time
+    """The time scales the brackets use, as ``SemiclassicalParams`` resolved them."""
+    out = {"dwell_time": p.dwell_time, "heisenberg_time": p.heisenberg_time,
+           "tau_d": p.decoherence_time, "ehrenfest_time": p.ehrenfest_time}
     if p.lyapunov:
         out["lyapunov"] = p.lyapunov
-        if p.encounter_scale is not None and p.encounter_scale >= p.hbar:
-            out["ehrenfest_time"] = ehrenfest_time(p.lyapunov, p.encounter_scale, p.hbar)
     if p.position_variance is not None:
         out["sigma2"] = p.position_variance
     return out
@@ -267,13 +261,16 @@ def _run_pair_decoherence(cfg: RunConfig, threads: int) -> _Output:
     # alpha = 0 has a rate per alpha too.
     samples = sample_positions(geom, positions, directions, spec.speed, dt, n_steps)
     per_alpha = decoherence_functional(samples[0::2], samples[1::2], 1.0, dt)
-    running = alpha * per_alpha
     times = dt * np.arange(n_steps + 1)
-    mean_t = running.mean(axis=0)
-    if n_pairs > 1:
-        stderr_t = running.std(axis=0, ddof=1) / math.sqrt(n_pairs)
-    else:  # one pair has no spread to estimate
-        stderr_t = np.full(n_steps + 1, math.inf)
+    try:
+        with np.errstate(over="raise"):
+            running = alpha * per_alpha
+            mean_t = running.mean(axis=0)
+            stderr_t = (running.std(axis=0, ddof=1) / math.sqrt(n_pairs) if n_pairs > 1
+                        else np.full(n_steps + 1, math.inf))  # one pair has no spread
+    except FloatingPointError as exc:
+        raise NumericError(f"config.params.alpha: {alpha!r} makes the running exponent or "
+                           "its standard error overflow") from exc
 
     sigma2_area, _ = area_variance(geom, replace(spec, n_samples=max(n_pairs * 10, 1000)))
     mean = float(mean_t[-1])
@@ -296,7 +293,7 @@ def _run_correction(cfg: RunConfig, threads: int) -> _Output:
     regime = cfg.params["regime"]
     t_max = cfg.grid.get("t_max", 3.0 * params.heisenberg_time)
     times = np.linspace(0.0, t_max, cfg.grid["n_points"])
-    bracket = correction_curve(params, times, regime=regime).bracket
+    bracket = _from_params(correction_curve, params, times, regime).bracket
     classical = classical_survival(params, times)
     return _Output({"time": times, "classical": classical, "correction": bracket,
                     "total": classical + bracket},
@@ -346,7 +343,7 @@ def _run_peak(cfg: RunConfig, threads: int) -> _Output:
     params = _semiclassical_from_config(cfg.params)
     regime = cfg.params["regime"]
     telemetry = {}
-    t_star, value = correction_peak(params, regime=regime, telemetry=telemetry)
+    t_star, value = _from_params(correction_peak, params, regime, telemetry)
     table = {"t_star": t_star, "value": value, "t_star_over_dwell": t_star / params.dwell_time}
     return _Output(table, {"regime": regime, **table}, _params_derived(params), telemetry)
 

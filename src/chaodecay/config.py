@@ -203,7 +203,10 @@ def _validate(doc: dict) -> RunConfig:
         # a BathSpec warning goes to the manifest, not to stderr
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            bath_alpha = alpha_from_bath(BathSpec(**params["bath"]))
+            try:
+                bath_alpha = alpha_from_bath(BathSpec(**params["bath"]))
+            except ValueError as exc:
+                raise ValidationError(f"config.params.bath: {exc}") from exc
         messages.extend(str(w.message) for w in caught)
         if "alpha" in params:
             messages.append(

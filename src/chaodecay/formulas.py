@@ -12,6 +12,11 @@ Ohmic environment.  The corrections are organised around three time scales:
                           scale on which the environment kills the loop
                           interference.
 
+The plain, Ehrenfest-gated and decoherence-free loop corrections are one
+bracket, exp(-t/tau_D) tau_d^2/(T_H tau_D) g(t/tau_d) with g(y) = exp(-y) - 1 + y
+switched on at 2 t_E + 2 t_lL, at zero gates, at the parameters' gates and at
+tau_d = inf; only the short-time regime has a form of its own, its Taylor series.
+
 All formula functions broadcast over numpy arrays of times.
 """
 
@@ -47,8 +52,6 @@ __all__ = [
     "correction_peak",
     "figure3_curves",
 ]
-
-REGIMES = ("plain", "short_time", "ehrenfest")
 
 # Relative tolerance used to declare an explicitly supplied decoherence time
 # inconsistent with the one derived from (coupling, variance).
@@ -113,10 +116,14 @@ class BathSpec:
 def alpha_from_bath(bath: BathSpec) -> float:
     """Effective decoherence coupling of the white-noise kernel.
 
-    alpha = 2 * damping / (hbar**2 * inverse_temperature); the pair-weight
-    exponent is alpha * integral |r - r'|^2 dt.
+    alpha = 2 * damping / (hbar**2 * inverse_temperature), a ``ValueError`` where it
+    overflows; the pair-weight exponent is alpha * integral |r - r'|^2 dt.
     """
-    return 2.0 * bath.damping / (bath.hbar**2 * bath.inverse_temperature)
+    denom = bath.hbar**2 * bath.inverse_temperature
+    alpha = 2.0 * bath.damping / denom if denom > 0.0 else math.inf
+    if math.isinf(alpha):
+        raise ValueError("2 * damping / (hbar**2 * inverse_temperature) overflows")
+    return alpha
 
 
 def decoherence_time(coupling_strength: float, position_variance: float) -> float:
@@ -124,9 +131,9 @@ def decoherence_time(coupling_strength: float, position_variance: float) -> floa
     if coupling_strength < 0 or position_variance < 0:
         raise ValueError("coupling and variance must be non-negative")
     denom = 2.0 * coupling_strength * position_variance
-    if denom == 0.0:
-        return math.inf
-    return 1.0 / denom
+    if math.isinf(denom):
+        raise ValueError("2 * coupling_strength * position_variance overflows")
+    return math.inf if denom == 0.0 else 1.0 / denom
 
 
 def dwell_time(area: float, opening_length: float, speed: float = 1.0) -> float:
@@ -212,9 +219,7 @@ def classical_survival(params: SemiclassicalParams, t):
 
 def bare_quantum_correction(params: SemiclassicalParams, t):
     """Decoherence-free loop enhancement exp(-t/tau_D) * t^2/(2 T_H tau_D)."""
-    t = _check_times(t)
-    tau_D, T_H = params.dwell_time, params.heisenberg_time
-    return np.exp(-t / tau_D) * t * t / (2.0 * T_H * tau_D)
+    return _gated_bracket(params, t, 0.0, 0.0, math.inf)
 
 
 def loop_kernel(y):
@@ -225,22 +230,32 @@ def loop_kernel(y):
     once y < 1e-6.
     """
     y = np.asarray(y)
+    small = np.abs(y) < _KERNEL_SERIES_CUTOFF
+    # y^2/2 - y^3/6 + y^4/24 - y^5/120 (truncation < 3e-15 relative at |y|=1e-3),
+    # on the small arguments only: its y^2 overflows past |y| ~ 1e154
+    s = np.where(small, y, 0.0)
+    series = s * s * (1.0 / 2.0 + s * (-1.0 / 6.0 + s * (1.0 / 24.0 - s / 120.0)))
     if np.iscomplexobj(y):
         # complex arguments come from contour-deformed quadrature; same seam
-        small = np.abs(y) < _KERNEL_SERIES_CUTOFF
-        out = np.where(small, _kernel_series(y), np.exp(-y) - 1.0 + y)
-        return out
-    out = np.where(
-        np.abs(y) < _KERNEL_SERIES_CUTOFF,
-        _kernel_series(y),
-        np.expm1(-y) + y,
-    )
-    return out
+        return np.where(small, series, np.exp(-y) - 1.0 + y)
+    return np.where(small, series, np.expm1(-y) + y)
 
 
-def _kernel_series(y):
-    # y^2/2 - y^3/6 + y^4/24 - y^5/120; truncation < 3e-15 relative at |y|=1e-3
-    return y * y * (1.0 / 2.0 + y * (-1.0 / 6.0 + y * (1.0 / 24.0 - y / 120.0)))
+def _gated_bracket(params: SemiclassicalParams, t, t_E: float, t_lL: float,
+                   tau_d: float | None = None):
+    """The bracket of `loop_correction_ehrenfest` at gates ``t_E`` and ``t_lL``
+    and decoherence time ``tau_d`` (default: the params'); at tau_d = inf its
+    tau_d^2 loop_kernel(dt/tau_d) is dt^2/2, dt = t - 2 t_E - 2 t_lL."""
+    t = _check_times(t)
+    tau_D, T_H = params.dwell_time, params.heisenberg_time
+    tau_d = _effective_tau_d(params.decoherence_time if tau_d is None else tau_d, t)
+    dt = np.maximum(t - 2.0 * t_E - 2.0 * t_lL, 0.0)
+    # exp(-(t - t_E)/tau_D), held at 1 before t_E: exp overflows there, and the gate is shut
+    decay = np.exp((t_E - np.maximum(t, t_E)) / tau_D)
+    if math.isinf(tau_d):
+        return decay * dt * dt / (2.0 * T_H * tau_D)
+    return (decay * math.exp(-2.0 * t_lL / tau_d) * (tau_d * tau_d / (T_H * tau_D))
+            * loop_kernel(dt / tau_d))
 
 
 def loop_correction(params: SemiclassicalParams, t):
@@ -250,15 +265,10 @@ def loop_correction(params: SemiclassicalParams, t):
 
     which for tau_d -> inf reduces to the bare t^2/(2 T_H tau_D) enhancement
     and for strong decoherence is cut down to ~ tau_d * t/(T_H tau_D).  All
-    regimes take the bare form when every t is below 1e-8 tau_d.
+    regimes take the bare form when every t is below 1e-8 tau_d.  It is
+    `loop_correction_ehrenfest` with both gates at zero.
     """
-    t = _check_times(t)
-    tau_D, T_H = params.dwell_time, params.heisenberg_time
-    tau_d = _effective_tau_d(params.decoherence_time, t)
-    decay = np.exp(-t / tau_D)
-    if math.isinf(tau_d):
-        return decay * t * t / (2.0 * T_H * tau_D)
-    return decay * (tau_d * tau_d / (T_H * tau_D)) * loop_kernel(t / tau_d)
+    return _gated_bracket(params, t, 0.0, 0.0)
 
 
 def loop_correction_short_time(params: SemiclassicalParams, t):
@@ -266,7 +276,7 @@ def loop_correction_short_time(params: SemiclassicalParams, t):
 
     t^2/(2 T_H tau_D) - t^3/(6 T_H tau_D tau_d), times exp(-t/tau_D); the
     first term alone is `bare_quantum_correction`.  The neglected term is
-    O(t^4 / (tau_d^2 T_H tau_D)).
+    O(t^4 / (tau_d^2 T_H tau_D)); a ``ValueError`` where 6 T_H tau_D tau_d underflows.
     """
     t = _check_times(t)
     tau_D, T_H = params.dwell_time, params.heisenberg_time
@@ -274,7 +284,10 @@ def loop_correction_short_time(params: SemiclassicalParams, t):
     decay = np.exp(-t / tau_D)
     out = t * t / (2.0 * T_H * tau_D)
     if not math.isinf(tau_d):
-        out = out - t**3 / (6.0 * T_H * tau_D * tau_d)
+        denom = 6.0 * T_H * tau_D * tau_d
+        if denom < sys.float_info.min:
+            raise ValueError("6 * heisenberg_time * dwell_time * decoherence_time underflows")
+        out = out - t**3 / denom
     return decay * out
 
 
@@ -297,42 +310,30 @@ def loop_correction_ehrenfest(params: SemiclassicalParams, t):
     bracket = exp(-(t - t_E)/tau_D) * exp(-2 t_lL/tau_d)
               * tau_d^2/(T_H tau_D) * kernel((t - 2 t_E - 2 t_lL)/tau_d)
 
-    which at t_E = t_lL = 0 is exactly the plain loop correction (same code
-    path for the kernel, so the reduction holds to machine precision).
+    `loop_correction` is the same code at zero gates, so at t_E = t_lL = 0
+    the two are equal bit for bit.
     """
-    t = _check_times(t)
-    tau_D, T_H = params.dwell_time, params.heisenberg_time
-    tau_d = _effective_tau_d(params.decoherence_time, t)
-    t_E, t_lL = params.ehrenfest_time, params.loop_formation_time
-    dt = t - 2.0 * t_E - 2.0 * t_lL
-    gate = dt >= 0.0
-    decay = np.exp(-(t - t_E) / tau_D)
-    if math.isinf(tau_d):
-        body = decay * np.where(gate, dt, 0.0) ** 2 / (2.0 * T_H * tau_D)
-        return body
-    body = (
-        decay
-        * math.exp(-2.0 * t_lL / tau_d)
-        * (tau_d * tau_d / (T_H * tau_D))
-        * loop_kernel(np.where(gate, dt, 0.0) / tau_d)
-    )
-    return np.where(gate, body, 0.0)
+    return _gated_bracket(params, t, params.ehrenfest_time, params.loop_formation_time)
 
 
 def total_survival(params: SemiclassicalParams, t, regime: str = "plain"):
     """Classical survival plus the regime's loop correction."""
-    bracket = _bracket_for_regime(params, t, regime)
-    return classical_survival(params, t) + bracket
+    return classical_survival(params, t) + _bracket_for_regime(params, t, regime)
+
+
+# regime name -> its bracket; the config's regime choices are its keys
+_BRACKETS = {
+    "plain": loop_correction,
+    "short_time": loop_correction_short_time,
+    "ehrenfest": loop_correction_ehrenfest,
+}
+REGIMES = tuple(_BRACKETS)
 
 
 def _bracket_for_regime(params: SemiclassicalParams, t, regime: str):
-    if regime == "plain":
-        return loop_correction(params, t)
-    if regime == "short_time":
-        return loop_correction_short_time(params, t)
-    if regime == "ehrenfest":
-        return loop_correction_ehrenfest(params, t)
-    raise ValueError(f"unknown regime {regime!r}; expected one of {REGIMES}")
+    if regime not in _BRACKETS:
+        raise ValueError(f"unknown regime {regime!r}; expected one of {REGIMES}")
+    return _BRACKETS[regime](params, t)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +368,7 @@ def correction_curve(params: SemiclassicalParams, times, regime: str = "plain") 
     times = _check_times(times)
     return CorrectionCurve(
         times=times,
-        bracket=np.asarray(_bracket_for_regime(params, times, regime), dtype=float),
+        bracket=_bracket_for_regime(params, times, regime),
         regime=regime,
         params=params,
     )
@@ -475,14 +476,11 @@ def figure3_curves(
             raise ValueError("taud_over_TH entries must be positive (inf allowed)")
         p = replace(base, decoherence_time=float(ratio))
         label = "inf" if math.isinf(ratio) else f"{ratio:g}"
-        columns[f"taud_{label}"] = np.asarray(loop_correction(p, times), dtype=float)
-    reference = np.asarray(
-        loop_correction(replace(base, decoherence_time=math.inf), times), dtype=float
-    )
+        columns[f"taud_{label}"] = loop_correction(p, times)
     return CorrectionTable(
         times=times,
         columns=columns,
-        reference=reference,
+        reference=bare_quantum_correction(base, times),
         dwell_over_heisenberg=tauD_over_TH,
     )
 

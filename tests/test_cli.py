@@ -721,6 +721,11 @@ _TINY_GEOMETRY = {"shape": "cardioid", "scale": _TINY, "opening_length": _TINY}
 _ONE_SAMPLE = {"seed": 0, "n_samples": 1, "speed": _TINY}
 _WEAK_COUPLING = {"dwell_time": 1.0, "heisenberg_time": 1.0, "alpha": 1e-300, "sigma2": 1.0}
 _UNDERFLOWING = {"dwell_time": 1e-300, "heisenberg_time": 1e-300, "tau_d": 1e-300}
+_SHORT_TIME_UNDERFLOWING = {"dwell_time": 1e-100, "heisenberg_time": 1e-100, "tau_d": 1e-250,
+                            "regime": "short_time"}
+_PAIRS = {"command": "pair-decoherence", "geometry": {"shape": "cardioid"},
+          "ensemble": {"seed": 1, "n_samples": 4}, "grid": {"t_collisions": 2}}
+_HBAR_UNDERFLOWING = {"bath": {"damping": 1.0, "inverse_temperature": 1.0, "hbar": 1e-200}}
 _TINY_SEMICLASSICAL = {
     "dwell_time": _TINY, "heisenberg_time": _TINY, "lyapunov": 0.0, "encounter_scale": _TINY,
     "alpha": 0.0, "sigma2": _TINY, "eta": _TINY, "hbar": _TINY, "ehrenfest_time": 0.0,
@@ -768,11 +773,38 @@ _TINY_SEMICLASSICAL = {
      "config.params: dwell_time * heisenberg_time underflows"),
     ({"command": "correction", "params": {**_UNDERFLOWING, "tau_d": None}}, 3,
      "config.params: dwell_time * heisenberg_time underflows"),
+    ({**_PAIRS, "params": _HBAR_UNDERFLOWING}, 3,
+     "config.params.bath: 2 * damping / (hbar**2 * inverse_temperature) overflows"),
+    ({"command": "correction",
+      "params": {"dwell_time": 1.0, "heisenberg_time": 1.0, "sigma2": 1.0, **_HBAR_UNDERFLOWING}},
+     3, "config.params.bath: 2 * damping / (hbar**2 * inverse_temperature) overflows"),
+    # alpha about 2e300 and 1e307: the exponent's spread overflows
+    ({**_PAIRS, "params": {"bath": {"damping": 1.0, "inverse_temperature": 1e-300}}}, 4,
+     "config.params.alpha: 1.9999999999999998e+300 makes the running exponent or its "
+     "standard error overflow"),
+    ({**_PAIRS, "params": {"alpha": 1e307}}, 4,
+     "config.params.alpha: 1e+307 makes the running exponent or its standard error overflow"),
+    ({"command": "correction", "params": _SHORT_TIME_UNDERFLOWING}, 3,
+     "config.params: 6 * heisenberg_time * dwell_time * tau_d underflows"),
+    ({"command": "peak", "params": _SHORT_TIME_UNDERFLOWING}, 3,
+     "config.params: 6 * heisenberg_time * dwell_time * tau_d underflows"),
+    ({"command": "correction", "params": {"dwell_time": 1.0, "heisenberg_time": 1.0,
+                                          "alpha": 1e300, "sigma2": 1e300}},
+     3, "config.params: 2 * alpha * sigma2 overflows"),
+    # exp((t_E - t)/tau_D) overflows before the gate, where the bracket is 0
+    ({"command": "correction", "params": {"dwell_time": 1.0, "heisenberg_time": 10.0,
+                                          "ehrenfest_time": 1000.0, "regime": "ehrenfest"}},
+     0, ""),
+    # t/tau_d up to 3e200: the kernel's series would overflow if it were taken there
+    ({"command": "fig3", "params": {"tauD_over_TH": 1e-200, "taud_over_TH": [1e-200]}}, 0, ""),
 ], ids=["simulate-default-window", "simulate", "lyapunov", "variance", "pair-decoherence",
         "pair-decoherence-bath", "correction", "peak", "fig3", "quadrature",
         "correction-weak", "peak-weak", "quadrature-weak", "quadrature-weak-1e-12",
         "quadrature-huge-lambda", "correction-underflow", "peak-underflow",
-        "correction-underflow-no-tau_d"])
+        "correction-underflow-no-tau_d", "pair-decoherence-bath-hbar", "correction-bath-hbar",
+        "pair-decoherence-bath-alpha", "pair-decoherence-huge-alpha",
+        "correction-short_time-underflow", "peak-short_time-underflow",
+        "correction-tau_d-overflow", "correction-ehrenfest-late-gate", "fig3-huge-kernel"])
 def test_field_minimums(tmp_path, capsys, doc, exit_code, message):
     # every field at the smallest value its table accepts, and values whose
     # arithmetic leaves the float range: a result or a typed error, never an
@@ -874,6 +906,18 @@ class TestReproducibility:
             "mean_free_time": math.pi * area / perimeter,
             "heisenberg_time": area,
         })
+
+    def test_manifest_reports_resolved_time_scales(self, tmp_path):
+        # the ehrenfest_time and tau_d the bracket used, not ln(c/hbar)/lambda
+        # or a tau_d derived again
+        doc = {"command": "correction",
+               "params": {"dwell_time": 1.0, "heisenberg_time": 10.0, "lyapunov": 2.0,
+                          "encounter_scale": 10.0, "tau_d": 2.0, "ehrenfest_time": 0.1,
+                          "regime": "ehrenfest"}}
+        _, out = run_cli(tmp_path, doc)
+        derived = read_manifest(str(out / "manifest.json"))["derived"]
+        assert derived["ehrenfest_time"] == 0.1
+        assert derived["tau_d"] == 2.0
 
     def test_wall_clock_only_in_manifest(self, tmp_path):
         doc = {"command": "fig3",

@@ -1,5 +1,6 @@
 """Public names: every ``__all__`` entry exists, the package re-exports only those,
-and every ``chaodecay.<module>[.<name>]`` path the README quotes resolves."""
+every ``chaodecay.<module>[.<name>]`` path the README quotes resolves, and every
+``python`` block of the README runs."""
 
 import importlib
 import pkgutil
@@ -12,6 +13,7 @@ import chaodecay
 
 MODULES = [importlib.import_module(f"chaodecay.{m.name}")
            for m in pkgutil.iter_modules(chaodecay.__path__)]
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
@@ -31,8 +33,7 @@ def test_package_reexports_are_exported():
 
 def test_readme_dotted_paths_resolve():
     # MODULES imported every submodule, so each is an attribute of the package
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    paths = sorted(set(re.findall(r"\bchaodecay(?:\.\w+)+", readme)))
+    paths = sorted(set(re.findall(r"\bchaodecay(?:\.\w+)+", README)))
     assert paths
 
     def resolves(dotted):
@@ -45,3 +46,10 @@ def test_readme_dotted_paths_resolve():
 
     missing = [p for p in paths if not resolves(p)]
     assert not missing, f"README names paths that do not exist: {missing}"
+
+
+def test_readme_python_blocks_run():
+    blocks = re.findall(r"^```python\n(.*?)^```", README, re.MULTILINE | re.DOTALL)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

@@ -62,6 +62,15 @@ class TestBath:
         with pytest.raises(ValueError):
             BathSpec(damping=-1.0, inverse_temperature=1.0)
 
+    @pytest.mark.parametrize("bath", [
+        {"hbar": 1e-200},  # hbar^2 underflows to 0
+        {"hbar": 1e-160},  # hbar^2 * beta is subnormal and alpha overflows
+        {"inverse_temperature": 5e-324},
+    ])
+    def test_alpha_overflow_rejected(self, bath):
+        with pytest.raises(ValueError, match="overflows"):
+            alpha_from_bath(BathSpec(**{"damping": 1.0, "inverse_temperature": 1.0, **bath}))
+
 
 class TestParameterMaps:
     def test_dwell_unit_cancellation(self):
@@ -84,6 +93,10 @@ class TestParameterMaps:
         assert decoherence_time(1.0, 1.0) == pytest.approx(0.5)
         assert decoherence_time(1.0, 2.0) == pytest.approx(0.25)
         assert decoherence_time(0.3, 0.5) == pytest.approx(10.0 / 3.0, rel=1e-15)
+
+    def test_decoherence_time_overflow_rejected(self):
+        with pytest.raises(ValueError, match="overflows"):
+            decoherence_time(1e300, 1e300)
 
     def test_ehrenfest_time(self):
         assert ehrenfest_time(2.0, 1.0, 1.0) == 0.0
@@ -142,6 +155,12 @@ class TestDecayLaws:
         got = bare_quantum_correction(params(), 1.0)
         assert got == pytest.approx(0.05945665557875396, rel=1e-13)
 
+    def test_bare_is_decoherence_free_loop_correction(self):
+        # the bare form ignores the params' tau_d
+        t = np.linspace(0.0, 5.0, 1001)
+        np.testing.assert_array_equal(bare_quantum_correction(params(decoherence_time=0.2), t),
+                                      loop_correction(params(), t))
+
 
 class TestLoopKernel:
     @given(st.floats(1e-12, 50.0))
@@ -162,6 +181,10 @@ class TestLoopKernel:
         y = 0.3 + 0.1j
         exact = np.exp(-y) - 1.0 + y
         assert loop_kernel(y) == pytest.approx(exact, rel=1e-14)
+
+    def test_huge_argument(self):
+        # the series is not taken at y = 1e200, where its y^2 would overflow
+        assert loop_kernel(np.array([1e-4, 1e200]))[1] == 1e200
 
 
 class TestLoopCorrection:
@@ -226,6 +249,13 @@ class TestShortTime:
         order3 = loop_correction_short_time(p, t)
         assert np.max(np.abs(full - order3) / np.abs(full)) < 1e-3
 
+    def test_underflowing_scale_rejected(self):
+        # 6 T_H tau_D tau_d = 6e-450 would make t^3 / it inf, and 0/0 at t = 0
+        p = SemiclassicalParams(dwell_time=1e-100, heisenberg_time=1e-100,
+                                decoherence_time=1e-250)
+        with pytest.raises(ValueError, match="underflows"):
+            loop_correction_short_time(p, np.linspace(0.0, 3e-100, 11))
+
 
 class TestEhrenfest:
     def ep(self, t_E=0.05, t_lL=0.02):
@@ -239,10 +269,17 @@ class TestEhrenfest:
         np.testing.assert_array_equal(loop_correction_ehrenfest(p, t), 0.0)
 
     def test_reduces_to_plain(self):
-        p = self.ep(t_E=0.0, t_lL=0.0)
         t = np.linspace(0.0, 3.0, 1000)
-        np.testing.assert_allclose(loop_correction_ehrenfest(p, t),
-                                   loop_correction(p, t), rtol=1e-14, atol=0.0)
+        for tau_d in (0.2, math.inf):
+            p = replace(self.ep(t_E=0.0, t_lL=0.0), decoherence_time=tau_d)
+            np.testing.assert_array_equal(loop_correction_ehrenfest(p, t), loop_correction(p, t))
+
+    def test_gate_far_past_dwell_time(self):
+        # before t_E, exp(-(t - t_E)/tau_D) would overflow; the bracket is 0 there
+        for tau_d in (0.2, math.inf):
+            p = replace(self.ep(t_E=1000.0, t_lL=0.0), decoherence_time=tau_d)
+            t = np.linspace(0.0, 1999.0, 41)
+            np.testing.assert_array_equal(loop_correction_ehrenfest(p, t), 0.0)
 
     def test_threshold_value(self):
         p = self.ep()
