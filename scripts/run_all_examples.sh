@@ -25,4 +25,10 @@ done
 echo "== simulate --threads 2 =="
 chaodecay simulate --config "${CONFIGS[simulate]}" --out out/simulate-threads2 --threads 2
 cmp out/simulate/simulate.csv out/simulate-threads2/simulate.csv
+# the fit reads the escape times of every worker: the same results too
+python - out/simulate/manifest.json out/simulate-threads2/manifest.json <<'EOF_PY'
+import json, sys
+one, two = (json.load(open(path))["results"] for path in sys.argv[1:])
+sys.exit(0 if one == two else f"simulate results differ between 1 and 2 workers: {one} != {two}")
+EOF_PY
 echo "all commands done; see scripts/out/"

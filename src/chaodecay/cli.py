@@ -198,7 +198,7 @@ def _run_simulate(cfg: RunConfig, threads: int) -> _Output:
         "fitted_rate": fit.rate,
         "fitted_rate_stderr": fit.std_error,
         "fit_window": list(fit.window),
-        "fit_points": fit.n_points,
+        "fit_escapes": fit.n_escapes,
         "analytic_rate": 1.0 / tau_dwell,
         "rel_deviation": abs(fit.rate - 1.0 / tau_dwell) * tau_dwell,
     }

@@ -83,16 +83,20 @@ class EnsembleSpec:
         # the seed fills the low 64 bits of a Philox key whose high bits tag the stream
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
             raise ValueError("seed must be an integer in [0, 2**64)")
-        if self.speed <= 0:
-            raise ValueError("speed must be positive")
+        if not (0 < self.speed < math.inf):
+            raise ValueError("speed must be positive and finite")
 
 
 @dataclass(frozen=True)
 class SurvivalCurve:
+    """Survival on a time grid, counted from ``escape_times``: every particle's
+    escape time, sorted, ``inf`` for those inside at ``times[-1]``."""
+
     times: np.ndarray
     survival: np.ndarray
     std_error: np.ndarray
     n_samples: int
+    escape_times: np.ndarray
     # collisions, workers, chunks, rows_per_chunk, sampler_acceptance
     telemetry: dict = field(default_factory=dict)
 
@@ -101,7 +105,7 @@ class SurvivalCurve:
 class EscapeFit:
     rate: float
     std_error: float
-    n_points: int
+    n_escapes: int
     window: tuple[float, float]
 
 
@@ -204,8 +208,8 @@ def _sample_block(geometry: CavityGeometry, n: int, rng: np.random.Generator,
 
 def hybrid_time_grid(t_max: float, dense_until: float, n_points: int = 200) -> np.ndarray:
     """``n_points`` times: 0, geometric spacing up to ``dense_until``, then linear to ``t_max``."""
-    if t_max <= 0 or dense_until <= 0 or n_points < 16:
-        raise ValueError("t_max and dense_until must be positive and n_points at least 16")
+    if not (0 < t_max < math.inf and 0 < dense_until < math.inf) or n_points < 16:
+        raise ValueError("t_max and dense_until must be positive and finite, n_points >= 16")
     dense_until = min(dense_until, 0.5 * t_max)
     n_geo = max(n_points // 4, 8)
     n_lin = n_points - 1 - n_geo  # the leading zero is one of the points
@@ -243,8 +247,9 @@ def survival_curve(
     if threads < 1:
         raise ValueError("threads must be at least 1")
     times = np.asarray(times, dtype=float)
-    if np.any(times < 0) or np.any(np.diff(times) <= 0):
-        raise ValueError("times must be non-negative and strictly increasing")
+    if not (times.ndim == 1 and times.size and 0 <= times[0] and np.isfinite(times[-1])
+            and np.all(np.diff(times) > 0)):
+        raise ValueError("times must be non-empty, finite, non-negative and strictly increasing")
     t_max = float(times[-1])
     n = spec.n_samples
     workers = min(threads, _usable_cpus())
@@ -271,14 +276,16 @@ def survival_curve(
         with ProcessPoolExecutor(pool_size, mp_context=fork) as pool:
             esc, collisions, candidates = zip(*pool.map(_escape_chunk, chunks))
     esc = np.concatenate(esc)
+    esc.sort()
 
-    survival = (n - np.searchsorted(np.sort(esc), times, side="right")) / n
+    survival = (n - np.searchsorted(esc, times, side="right")) / n
     std_error = np.sqrt(survival * (1.0 - survival) / n)
     return SurvivalCurve(
         times=times,
         survival=survival,
         std_error=std_error,
         n_samples=n,
+        escape_times=esc,
         telemetry={"collisions": sum(collisions), "workers": pool_size,
                    "chunks": len(chunks), "rows_per_chunk": rows,
                    "sampler_acceptance": n / sum(candidates)},
@@ -308,42 +315,26 @@ def _usable_cpus() -> int:
 
 
 def fit_escape_rate(curve: SurvivalCurve, window: tuple[float, float]) -> EscapeFit:
-    """Weighted least-squares slope of log survival over a time window.
+    """Censored-exponential maximum-likelihood escape rate over a time window.
 
-    Weights are the inverse variances of log survival under binomial
-    counting.  Points with survival <= 10/N (too noisy) or with no escapes
-    yet (zero empirical variance) are excluded; fewer than 10 usable points
-    is a statistics error.
+    The window's end is clipped to the censoring time ``times[-1]``.  The rate
+    is the k escapes in ``(t0, t1]`` over the time the particles inside at
+    ``t0`` spend inside up to ``t1``, its standard error rate/sqrt(k) (J. F.
+    Lawless, *Statistical Models and Methods for Lifetime Data*, Wiley 2003);
+    the grid before ``times[-1]`` plays no part.  Fewer than 10 escapes is a
+    statistics error.
     """
     t0, t1 = window
     if not (0 <= t0 < t1):
         raise ValueError("window must satisfy 0 <= t0 < t1")
-    n = curve.n_samples
-    m = (
-        (curve.times >= t0)
-        & (curve.times <= t1)
-        & (curve.survival > 10.0 / n)
-        & (curve.survival < 1.0 - 0.5 / n)
-    )
-    if int(m.sum()) < 10:
-        raise StatsError(
-            f"only {int(m.sum())} usable points in fit window [{t0:g}, {t1:g}]; need >= 10"
-        )
-    t = curve.times[m]
-    s = curve.survival[m]
-    y = np.log(s)
-    w = n * s / (1.0 - s)
-    wsum = w.sum()
-    tb = (w * t).sum() / wsum
-    yb = (w * y).sum() / wsum
-    sxx = (w * (t - tb) ** 2).sum()
-    slope = (w * (t - tb) * (y - yb)).sum() / sxx
-    return EscapeFit(
-        rate=float(-slope),
-        std_error=float(math.sqrt(1.0 / sxx)),
-        n_points=int(m.sum()),
-        window=(float(t0), float(t1)),
-    )
+    t1 = min(t1, float(curve.times[-1]))
+    esc = curve.escape_times
+    first, end = np.searchsorted(esc, (t0, t1), side="right")
+    k = max(int(end - first), 0)
+    if k < 10:
+        raise StatsError(f"only {k} escapes in fit window [{t0:g}, {t1:g}]; need >= 10")
+    rate = k / float((esc[first:end] - t0).sum() + (len(esc) - end) * (t1 - t0))
+    return EscapeFit(rate, rate / math.sqrt(k), k, (float(t0), float(t1)))
 
 
 def estimate_lyapunov(

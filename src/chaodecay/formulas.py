@@ -245,7 +245,9 @@ def _gated_bracket(params: SemiclassicalParams, t, t_E: float, t_lL: float,
                    tau_d: float | None = None):
     """The bracket of `loop_correction_ehrenfest` at gates ``t_E`` and ``t_lL``
     and decoherence time ``tau_d`` (default: the params'); at tau_d = inf its
-    tau_d^2 loop_kernel(dt/tau_d) is dt^2/2, dt = t - 2 t_E - 2 t_lL."""
+    tau_d^2 loop_kernel(dt/tau_d) is dt^2/2, dt = t - 2 t_E - 2 t_lL.  The factor
+    tau_d^2/(T_H tau_D) is taken as (tau_d/T_H)(tau_d/tau_D) where tau_d^2 or
+    T_H tau_D leaves the normal float range; outside that range itself, a ``ValueError``."""
     t = _check_times(t)
     tau_D, T_H = params.dwell_time, params.heisenberg_time
     tau_d = _effective_tau_d(params.decoherence_time if tau_d is None else tau_d, t)
@@ -254,8 +256,14 @@ def _gated_bracket(params: SemiclassicalParams, t, t_E: float, t_lL: float,
     decay = np.exp((t_E - np.maximum(t, t_E)) / tau_D)
     if math.isinf(tau_d):
         return decay * dt * dt / (2.0 * T_H * tau_D)
-    return (decay * math.exp(-2.0 * t_lL / tau_d) * (tau_d * tau_d / (T_H * tau_D))
-            * loop_kernel(dt / tau_d))
+    low, high = sys.float_info.min, sys.float_info.max
+    square, scale = tau_d * tau_d, T_H * tau_D
+    prefactor = (square / scale if low <= min(square, scale) and max(square, scale) <= high
+                 else (tau_d / T_H) * (tau_d / tau_D))
+    if not low <= prefactor <= high:
+        raise ValueError("decoherence_time**2 / (heisenberg_time * dwell_time) "
+                         "leaves the float range")
+    return decay * math.exp(-2.0 * t_lL / tau_d) * prefactor * loop_kernel(dt / tau_d)
 
 
 def loop_correction(params: SemiclassicalParams, t):

@@ -355,13 +355,33 @@ class TestCommandLine:
         cfg.write_text(MINIMAL_FIG3)
         assert main(["peak", "--config", str(cfg)]) == 3
 
-    def test_statistics_failure_exit_5(self, tmp_path):
-        doc = {"command": "simulate",
-               "geometry": {"shape": "cardioid", "opening_length": 0.2},
-               "ensemble": {"seed": 2, "n_samples": 400},
-               "grid": {"t_max": 40.0, "fit_window": [0.0, 0.1]}}
-        code, _ = run_cli(tmp_path, doc)
-        assert code == 5
+    def test_statistics_failure_exit_5(self, tmp_path, capsys):
+        # a window too short for 10 escapes, and one that starts past t_max
+        for window in ([0.0, 0.1], [50.0, 70.0]):
+            doc = {"command": "simulate",
+                   "geometry": {"shape": "cardioid", "opening_length": 0.2},
+                   "ensemble": {"seed": 2, "n_samples": 400},
+                   "grid": {"t_max": 40.0, "fit_window": window}}
+            code, _ = run_cli(tmp_path, doc)
+            assert code == 5
+            assert "only 0 escapes in fit window" in capsys.readouterr().err
+
+    def test_fit_does_not_depend_on_grid(self, tmp_path):
+        # n_points and dense_until set the CSV's sampling, not the fit
+        results = []
+        for grid in ({"n_points": 16, "dense_until": 1.0}, {"n_points": 400, "dense_until": 9.0}):
+            doc = {"command": "simulate",
+                   "geometry": {"shape": "cardioid", "opening_length": 0.2},
+                   "ensemble": {"seed": 3, "n_samples": 500}, "grid": {"t_max": 60.0, **grid}}
+            run_dir = tmp_path / str(grid["n_points"])
+            run_dir.mkdir()
+            code, out = run_cli(run_dir, doc)
+            assert code == 0
+            results.append(read_manifest(str(out / "manifest.json"))["results"])
+        assert results[0] == results[1]
+        assert set(results[0]) == {"fitted_rate", "fitted_rate_stderr", "fit_window",
+                                   "fit_escapes", "analytic_rate", "rel_deviation"}
+        assert results[0]["fit_escapes"] >= 10
 
     def test_numeric_failure_exit_4(self, tmp_path):
         # an su_cut that truncates nearly the whole domain cannot converge
@@ -739,7 +759,7 @@ _TINY_SEMICLASSICAL = {
      3, "config.grid.t_max: 1e-06 ends before the default fit_window starts"),
     ({"command": "simulate", "geometry": _TINY_GEOMETRY, "ensemble": _ONE_SAMPLE,
       "grid": {"t_max": _TINY, "n_points": 16, "dense_until": _TINY,
-               "fit_window": [0.0, _TINY]}}, 5, "only 0 usable points"),
+               "fit_window": [0.0, _TINY]}}, 5, "only 0 escapes"),
     ({"command": "lyapunov", "geometry": _TINY_GEOMETRY, "ensemble": _ONE_SAMPLE,
       "grid": {"t_obs": _TINY}}, 0, ""),
     # one point has no spread to compare the time average with
@@ -797,6 +817,15 @@ _TINY_SEMICLASSICAL = {
      0, ""),
     # t/tau_d up to 3e200: the kernel's series would overflow if it were taken there
     ({"command": "fig3", "params": {"tauD_over_TH": 1e-200, "taud_over_TH": [1e-200]}}, 0, ""),
+    # tau_d^2 underflows and overflows, and tau_d^2/(T_H tau_D) does not
+    ({"command": "correction", "params": {"dwell_time": 1e-100, "heisenberg_time": 1e-100,
+                                          "tau_d": 1e-170}, "grid": {"t_max": 3e-100}}, 0, ""),
+    ({"command": "correction", "params": {"dwell_time": 1e194, "heisenberg_time": 1e194,
+                                          "tau_d": 1e200}, "grid": {"t_max": 3e193}}, 0, ""),
+    # tau_d^2/(T_H tau_D) about 1e-540
+    ({"command": "correction", "params": {"dwell_time": 1e100, "heisenberg_time": 1e100,
+                                          "tau_d": 1e-170}, "grid": {"t_max": 3e100}}, 3,
+     "config.params: tau_d**2 / (heisenberg_time * dwell_time) leaves the float range"),
 ], ids=["simulate-default-window", "simulate", "lyapunov", "variance", "pair-decoherence",
         "pair-decoherence-bath", "correction", "peak", "fig3", "quadrature",
         "correction-weak", "peak-weak", "quadrature-weak", "quadrature-weak-1e-12",
@@ -804,7 +833,9 @@ _TINY_SEMICLASSICAL = {
         "correction-underflow-no-tau_d", "pair-decoherence-bath-hbar", "correction-bath-hbar",
         "pair-decoherence-bath-alpha", "pair-decoherence-huge-alpha",
         "correction-short_time-underflow", "peak-short_time-underflow",
-        "correction-tau_d-overflow", "correction-ehrenfest-late-gate", "fig3-huge-kernel"])
+        "correction-tau_d-overflow", "correction-ehrenfest-late-gate", "fig3-huge-kernel",
+        "correction-tau_d-squared-underflow", "correction-tau_d-squared-overflow",
+        "correction-prefactor-underflow"])
 def test_field_minimums(tmp_path, capsys, doc, exit_code, message):
     # every field at the smallest value its table accepts, and values whose
     # arithmetic leaves the float range: a result or a typed error, never an
@@ -869,10 +900,12 @@ class TestReproducibility:
                "grid": {"t_max": 60.0}}
         _, out1 = run_cli(tmp_path, doc)
         csv1 = (out1 / "simulate.csv").read_bytes()
+        results1 = read_manifest(str(out1 / "manifest.json"))["results"]
         (out1 / "simulate.csv").unlink()
         code, out2 = run_cli(tmp_path, doc, extra=["--threads", "8"])
         assert code == 0
         assert (out2 / "simulate.csv").read_bytes() == csv1
+        assert read_manifest(str(out2 / "manifest.json"))["results"] == results1
 
     @pytest.mark.parametrize("path", EXAMPLE_CONFIGS, ids=lambda p: p.name)
     def test_manifest_config_round_trip(self, tmp_path, bundled_run, path):

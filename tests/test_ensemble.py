@@ -180,6 +180,21 @@ class TestTimeGrid:
             hybrid_time_grid(100.0, 5.0, 15)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: EnsembleSpec(n_samples=10, seed=1, speed=math.nan),
+    lambda: EnsembleSpec(n_samples=10, seed=1, speed=math.inf),
+    lambda: survival_curve(circle(), EnsembleSpec(n_samples=10, seed=1), [0.0, math.nan]),
+    lambda: survival_curve(circle(), EnsembleSpec(n_samples=10, seed=1), [0.0, math.inf]),
+    lambda: survival_curve(circle(), EnsembleSpec(n_samples=10, seed=1), []),
+    lambda: hybrid_time_grid(math.nan, 1.0, 32),
+    lambda: hybrid_time_grid(10.0, math.nan, 32),
+], ids=["speed-nan", "speed-inf", "times-nan", "times-inf", "times-empty", "t_max-nan",
+        "dense_until-nan"])
+def test_non_finite_input_rejected(call):
+    with pytest.raises(ValueError):
+        call()
+
+
 class TestSurvival:
     def test_starts_at_one_and_monotone(self):
         g = cardioid()
@@ -309,35 +324,90 @@ class TestSurvival:
         np.testing.assert_array_equal(curve.survival, expected)
 
 
+def _curve(esc, times):
+    """The `SurvivalCurve` of escape times ``esc`` censored at ``times[-1]``."""
+    esc = np.sort(np.where(np.asarray(esc) <= times[-1], esc, np.inf))
+    n = len(esc)
+    survival = (n - np.searchsorted(esc, times, side="right")) / n
+    return SurvivalCurve(times=times, survival=survival,
+                         std_error=np.sqrt(survival * (1.0 - survival) / n),
+                         n_samples=n, escape_times=esc)
+
+
+def _quantile_escapes(n, tau, k):
+    """n escape times of an exponential with mean ``tau`` without noise: the
+    exponential's mean over each of its first k equal-probability bins, and
+    ``inf`` past them; the censoring time is the end of bin k."""
+    edges = -tau * np.log1p(-np.arange(k + 1) / n)
+    mass = edges * (1.0 - np.arange(k + 1) / n)  # t S(t) at each edge
+    esc = np.full(n, np.inf)
+    esc[:k] = tau + n * (mass[:-1] - mass[1:])  # tau + (a S(a) - b S(b)) / (S(a) - S(b))
+    return esc, edges[-1]
+
+
 class TestEscapeFit:
     def test_exact_exponential(self):
-        t = np.linspace(0.0, 12.0, 200)
-        s = np.exp(-t / 3.0)
-        curve = SurvivalCurve(times=t, survival=s,
-                              std_error=np.full_like(t, 1e-8),
-                              n_samples=10**9)
+        # without noise the exposure is exactly tau per escape
+        n = 10**5
+        esc, t_cens = _quantile_escapes(n, 3.0, int(n * (1.0 - math.exp(-4.0))))
+        curve = _curve(esc, np.linspace(0.0, t_cens, 200))
         fit = fit_escape_rate(curve, (0.0, 12.0))
         assert fit.rate == pytest.approx(1.0 / 3.0, rel=1e-12)
 
     def test_binomial_noise(self):
         rng = np.random.default_rng(17)
         n = 100_000
-        t = np.linspace(0.0, 9.0, 80)
-        s = rng.binomial(n, np.exp(-t / 3.0)) / n
-        s = np.minimum.accumulate(s)  # enforce the monotone invariant
-        curve = SurvivalCurve(times=t, survival=s,
-                              std_error=np.sqrt(np.maximum(s * (1 - s), 1e-12) / n),
-                              n_samples=n)
+        curve = _curve(rng.exponential(3.0, n), np.linspace(0.0, 9.0, 80))
         fit = fit_escape_rate(curve, (0.5, 9.0))
         assert abs(fit.rate - 1.0 / 3.0) < 3.0 * fit.std_error
 
-    def test_too_few_points(self):
+    def test_too_few_escapes(self):
         t = np.linspace(0.0, 1.0, 5)
-        curve = SurvivalCurve(times=t, survival=np.exp(-t),
-                              std_error=np.full_like(t, 1e-3),
-                              n_samples=1000)
-        with pytest.raises(StatsError):
+        curve = _curve(np.exp(np.linspace(2.0, 4.0, 1000)), t)  # none escapes by t = 1
+        with pytest.raises(StatsError, match="only 0 escapes"):
             fit_escape_rate(curve, (0.0, 1.0))
+
+    @pytest.mark.parametrize("k", [9, 10])
+    def test_ten_escapes_is_the_threshold(self, k):
+        esc = np.concatenate([np.linspace(1.0, 2.0, k), np.full(50, 2.5)])
+        curve = _curve(esc, np.linspace(0.0, 3.0, 16))
+        if k < 10:
+            with pytest.raises(StatsError, match=f"only {k} escapes"):
+                fit_escape_rate(curve, (0.5, 2.0))
+        else:
+            fit = fit_escape_rate(curve, (0.5, 2.0))
+            exposure = (esc[:k] - 0.5).sum() + 50 * 1.5
+            assert (fit.n_escapes, fit.rate) == (k, k / exposure)
+            assert fit.std_error == fit.rate / math.sqrt(k)
+
+    def test_window_clipped_to_censoring_time(self):
+        rng = np.random.default_rng(5)
+        curve = _curve(rng.exponential(3.0, 2000), np.linspace(0.0, 6.0, 40))
+        clipped = fit_escape_rate(curve, (1.0, 6.0))
+        assert fit_escape_rate(curve, (1.0, 50.0)) == clipped
+        assert clipped.window == (1.0, 6.0)
+        with pytest.raises(StatsError, match="only 0 escapes"):  # starts past the censoring
+            fit_escape_rate(curve, (7.0, 9.0))
+
+    def test_grid_between_does_not_matter(self):
+        rng = np.random.default_rng(5)
+        esc = rng.exponential(3.0, 2000)
+        fits = [fit_escape_rate(_curve(esc, times), (0.7, 6.0))
+                for times in ([0.0, 6.0], np.linspace(0.0, 6.0, 97),
+                              hybrid_time_grid(6.0, 0.5, 30))]
+        assert fits[0] == fits[1] == fits[2]
+
+    def test_error_matches_seed_spread(self):
+        # the reported error is the seed-to-seed spread of the rate; a standard
+        # deviation over 16 seeds scatters by about 18%, well inside [0.5, 2]
+        g = cardioid(opening=0.4)
+        tau = math.pi * g.area / 0.4
+        times = hybrid_time_grid(2.0 * tau, 3.0 * mean_free_time(g), 200)
+        fits = [fit_escape_rate(survival_curve(g, EnsembleSpec(n_samples=2000, seed=seed), times),
+                                (3.0 * mean_free_time(g), 2.0 * tau))
+                for seed in range(16)]
+        spread = np.std([f.rate for f in fits], ddof=1)
+        assert 0.5 <= spread / np.mean([f.std_error for f in fits]) <= 2.0
 
     def test_rate_scales_with_opening(self):
         # rate roughly proportional to l; absolute agreement with pi*A/(l*v)

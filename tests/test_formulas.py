@@ -229,6 +229,24 @@ class TestLoopCorrection:
         t = np.linspace(0.0, 10.0, 500)
         assert np.all(loop_correction(p, t) >= 0.0)
 
+    def test_normal_range_prefactor_bits(self):
+        t = np.linspace(0.0, 3.0, 31)
+        expected = np.exp(-t / 0.3) * (0.2 * 0.2 / (1.0 * 0.3)) * loop_kernel(t / 0.2)
+        np.testing.assert_array_equal(loop_correction(params(decoherence_time=0.2), t), expected)
+
+    @pytest.mark.parametrize("scale, tau_d", [(1e-100, 1e-170), (1e194, 1e200)],
+                             ids=["tau_d^2 underflows", "tau_d^2 overflows"])
+    def test_prefactor_outside_float_range(self, scale, tau_d):
+        # every time scaled by the same factor leaves the bracket as it is
+        t = np.linspace(0.0, 3.0, 31)
+        unit = SemiclassicalParams(dwell_time=1.0, heisenberg_time=1.0,
+                                   decoherence_time=tau_d / scale)
+        scaled = SemiclassicalParams(dwell_time=scale, heisenberg_time=scale,
+                                     decoherence_time=tau_d)
+        np.testing.assert_allclose(loop_correction(scaled, scale * t), loop_correction(unit, t),
+                                   rtol=1e-13)
+        assert loop_correction(scaled, scale * t)[1:].min() > 0.0
+
 
 class TestShortTime:
     def test_zero_at_origin(self):
