@@ -33,7 +33,7 @@ from .ensemble import (
     sample_ensemble,
     survival_curve,
 )
-from .errors import ChaodecayError, NumericError, SyntaxUsageError, ValidationError
+from .errors import ChaodecayError, NumericError, StatsError, SyntaxUsageError, ValidationError
 from .formulas import (
     SemiclassicalParams,
     correction_curve,
@@ -201,10 +201,29 @@ def _run_simulate(cfg: RunConfig, threads: int) -> _Output:
         "fit_escapes": fit.n_escapes,
         "analytic_rate": 1.0 / tau_dwell,
         "rel_deviation": abs(fit.rate - 1.0 / tau_dwell) * tau_dwell,
+        **_fit_health(curve, fit.window),
     }
     table = {"time": curve.times, "survival": curve.survival, "std_error": curve.std_error}
     return _Output(table, results, derived, curve.telemetry,
                    {"geometry_hash": cfg.geometry.geometry_hash()})
+
+
+def _fit_health(curve, window) -> dict:
+    """The escape rate fitted to each half of the fit window, and the late half's
+    rate minus the early half's in units of their combined standard error; a
+    half with fewer than 10 escapes has no rate (None), and then no gap."""
+    t0, t1 = window
+    halves = []
+    for half in ((t0, 0.5 * (t0 + t1)), (0.5 * (t0 + t1), t1)):
+        try:
+            halves.append(fit_escape_rate(curve, half))
+        except StatsError:
+            halves.append(None)
+    early, late = halves
+    gap = (None if early is None or late is None
+           else (late.rate - early.rate) / math.hypot(early.std_error, late.std_error))
+    return {"fit_half_rates": [None if h is None else h.rate for h in halves],
+            "fit_half_gap_sigma": gap}
 
 
 def _run_lyapunov(cfg: RunConfig, threads: int) -> _Output:

@@ -95,10 +95,14 @@ class SurvivalCurve:
     times: np.ndarray
     survival: np.ndarray
     std_error: np.ndarray
-    n_samples: int
     escape_times: np.ndarray
     # collisions, workers, chunks, rows_per_chunk, sampler_acceptance
     telemetry: dict = field(default_factory=dict)
+
+    @property
+    def n_samples(self) -> int:
+        """Ensemble size: one escape time per particle."""
+        return len(self.escape_times)
 
 
 @dataclass(frozen=True)
@@ -284,7 +288,6 @@ def survival_curve(
         times=times,
         survival=survival,
         std_error=std_error,
-        n_samples=n,
         escape_times=esc,
         telemetry={"collisions": sum(collisions), "workers": pool_size,
                    "chunks": len(chunks), "rows_per_chunk": rows,

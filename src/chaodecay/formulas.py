@@ -247,16 +247,27 @@ def _gated_bracket(params: SemiclassicalParams, t, t_E: float, t_lL: float,
     and decoherence time ``tau_d`` (default: the params'); at tau_d = inf its
     tau_d^2 loop_kernel(dt/tau_d) is dt^2/2, dt = t - 2 t_E - 2 t_lL.  The factor
     tau_d^2/(T_H tau_D) is taken as (tau_d/T_H)(tau_d/tau_D) where tau_d^2 or
-    T_H tau_D leaves the normal float range; outside that range itself, a ``ValueError``."""
+    T_H tau_D leaves the normal float range; outside that range itself, a ``ValueError``.
+    So is dt^2/(2 T_H tau_D), as (dt/T_H)(dt/tau_D)/2, on the rows where dt^2
+    or 2 T_H tau_D leaves it."""
     t = _check_times(t)
     tau_D, T_H = params.dwell_time, params.heisenberg_time
     tau_d = _effective_tau_d(params.decoherence_time if tau_d is None else tau_d, t)
     dt = np.maximum(t - 2.0 * t_E - 2.0 * t_lL, 0.0)
     # exp(-(t - t_E)/tau_D), held at 1 before t_E: exp overflows there, and the gate is shut
     decay = np.exp((t_E - np.maximum(t, t_E)) / tau_D)
-    if math.isinf(tau_d):
-        return decay * dt * dt / (2.0 * T_H * tau_D)
     low, high = sys.float_info.min, sys.float_info.max
+    if math.isinf(tau_d):
+        scale = 2.0 * T_H * tau_D
+        top = float(dt.max(initial=0.0))
+        # below scale 1 a dt^2 under the float range can still give a bracket in it
+        if 1.0 <= scale <= high and top * top <= high:
+            return decay * dt * dt / scale
+        with np.errstate(over="ignore", invalid="ignore"):
+            bracket = decay * dt * dt / scale
+            square = dt * dt
+        outside = (square > high) | ((square < low) & (dt > 0.0)) | (not low <= scale <= high)
+        return np.where(outside, decay * (dt / T_H) * (dt / tau_D) / 2.0, bracket)
     square, scale = tau_d * tau_d, T_H * tau_D
     prefactor = (square / scale if low <= min(square, scale) and max(square, scale) <= high
                  else (tau_d / T_H) * (tau_d / tau_D))

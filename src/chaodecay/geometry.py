@@ -12,10 +12,11 @@ Arclength runs counterclockwise; the inward unit normal is the tangent rotated
 by +90 degrees.  Ray intersection solves only for the hit it returns.  It is
 exact for the circle and the stadium, where the heading picks the one piece
 a ray leaves by, and reduces to a quartic for the cardioid, solved for the
-whole batch at once.  Rays starting on the boundary -- every ray after its
-first flight -- have an exact root at distance 0, so their quartic deflates
-to a cubic solved in closed form; only rays starting inside the cavity take
-all four roots from companion-matrix eigenvalues.  Only the smallest
+whole batch at once, in closed form.  Rays starting on the boundary --
+every ray after its first flight -- have an exact root at distance 0, so
+their quartic deflates to a cubic; rays starting inside the cavity split
+their quartic into two real quadratics through its resolvent cubic
+(Ferrari).  One cubic solver serves both.  Only the smallest
 admissible root is polished, by Newton steps on the full quartic that are
 refused where they would raise its residual.  The cardioid hit is snapped onto
 the boundary along its polar angle, whose cosine and sine are read off the
@@ -280,7 +281,9 @@ def _cardioid_hits(p, d, scale):
       tau * (tau^3 + c3 tau^2 + c2 tau + c1) + c0, so dropping the
       rounding-level c0 removes exactly the tau ~ 0 root -- the start
       itself, never admissible -- and leaves a cubic solved in closed form;
-    * interior starts: all four roots from companion-matrix eigenvalues.
+    * interior starts: the quartic is split into two real quadratics
+      through its resolvent cubic (`_interior_dist`), whose four roots are
+      the candidates.
 
     Either way the smallest admissible candidate is kept and only it is
     polished by Newton steps on the full quartic.
@@ -303,11 +306,12 @@ def _cardioid_hits(p, d, scale):
     if n_boundary == len(p):
         dist = _boundary_dist(*quartic)
     elif n_boundary == 0:
-        dist = _interior_dist(*quartic)
+        dist = _interior_dist(quartic, p, d, b)
     else:
         dist = np.empty(len(p))
-        for rows, solve in ((on_boundary, _boundary_dist), (~on_boundary, _interior_dist)):
-            dist[rows] = solve(*(c[rows] for c in quartic))
+        inner = ~on_boundary
+        dist[on_boundary] = _boundary_dist(*(c[on_boundary] for c in quartic))
+        dist[inner] = _interior_dist([c[inner] for c in quartic], p[inner], d[inner], b[inner])
 
     # rays with no admissible root (numerically stuck at the cusp or exactly
     # grazing): treat as a cusp event; the caller will retroreflect in place
@@ -358,38 +362,100 @@ def _cardioid_snap(x, y):
     return s_hit, snapped, nrm, one_plus <= _CUSP_RADIUS
 
 
-def _interior_dist(c3, c2, c1, c0, b1, b0):
-    """Smallest admissible root from all four companion-matrix eigenvalues."""
-    quartic = (c3, c2, c1, c0, b1, b0)
-    comp = np.zeros((len(c0), 4, 4))
-    comp[:, 1, 0] = comp[:, 2, 1] = comp[:, 3, 2] = 1.0
-    comp[:, 0, 3] = -c0
-    comp[:, 1, 3] = -c1
-    comp[:, 2, 3] = -c2
-    comp[:, 3, 3] = -c3
-    best = np.full(len(c0), np.inf)
-    for root in np.linalg.eigvals(comp).T:
-        tau = root.real.copy()
-        near_real = np.abs(root.imag) < 1e-6 * np.maximum(1.0, np.abs(tau))
-        np.minimum(best, _admissible(tau, quartic, near_real), out=best)
+def _interior_dist(quartic, p, d, b):
+    """Smallest admissible root of the quartic of rays starting inside the cavity.
+
+    Ferrari's factorization: for any k, F = g^2 - q equals (g + k)^2 - R_k
+    with the quadratic R_k = 2k g + q + k^2, and where R_k is a perfect
+    square (s tau + sigma)^2, F splits into the real quadratics
+    g + k -/+ (s tau + sigma).  With A = s^2 = 2k + 1 and z = A - 1 that
+    happens where z solves the resolvent cubic z^3 + (e z - 2 chi)^2 = 0,
+    with chi = p x d and e = dy - 2 chi.  Its real roots lie in [-1, 0],
+    and one always does.  Of three real roots the outer one farther from its
+    neighbour is taken (the lower one only if A >= 0): next to the cusp two
+    roots nearly meet.  The cubic's coefficients are small next to the cusp,
+    and formed from chi and e they keep their relative accuracy there; one
+    Newton step polishes the root, about A = 0 where z < -1/2 (rays close to
+    vertical have A ~ dx^2, the near-biquadratic quartics).  Of each pair of
+    factor coefficients the one that would cancel is taken from the pair's
+    product: c0 for the constant terms, b1^2 - A for the linear ones, which
+    is formed from z + e^2 = 4 chi (e z - chi) / z^2 where z^2 > |chi|.  The
+    four roots of the two quadratics are the candidates; a complex pair
+    within 1e-6 relative of the real axis counts as a real double root.
+    """
+    c3, c2, c1, c0, b1, b0 = quartic
+    px, py, dx, dy = p[:, 0], p[:, 1], d[:, 0], d[:, 1]
+    chi = px * dy - py * dx
+    e = dy - 2.0 * chi
+    lead, pair, _, trig, third = _cubic_roots(e * e, -4.0 * chi * e, 4.0 * chi * chi)
+    z = lead
+    if trig.size:
+        outer = (third >= -1.0) & (pair[trig] - third > lead[trig] - pair[trig])
+        z[trig] = np.where(outer, third, lead[trig])
+    z = np.minimum(np.maximum(z, -1.0), 0.0)
+    A = 1.0 + z
+    small_a = z < -0.5  # there the step is taken about A = 0, else about z = 0
+    t = e * z - 2.0 * chi
+    R = np.where(small_a, ((A + (4.0 * b0 - 2.0 - b1 * b1)) * A
+                             + (1.0 + 4.0 * px - 2.0 * b1 * dx)) * A - dx * dx,
+                 z * z * z + t * t)
+    dR = 3.0 * z * z + 2.0 * e * t
+    step = -R / np.where(dR == 0.0, np.inf, dR)
+    z = np.minimum(np.maximum(np.where(small_a, (A + step) - 1.0, z + step), -1.0), 0.0)
+    A = np.where(small_a, np.maximum(A + step, 0.0), 1.0 + z)
+
+    # a degenerate or extreme row may divide by 0 or overflow on the way: its
+    # candidates come out non-finite, and `_admissible` drops them
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        s = np.sqrt(A)
+        B = b + 0.5 * b1 * z  # s * sigma
+        C = (0.25 * z + b0) * z + (b0 + px)  # sigma^2
+        sigma = np.where(A >= C, B / np.where(s == 0.0, np.inf, s),
+                         np.copysign(np.sqrt(np.maximum(C, 0.0)), B))
+        # constant terms k -/+ sigma, k = b0 + z/2; their product is c0
+        k = b0 + 0.5 * z
+        q_big = k + np.copysign(sigma, k)
+        q_small = c0 / q_big
+        q_plus_big = np.signbit(k) == np.signbit(sigma)
+        # linear terms b1 -/+ s; their product is b1^2 - A
+        p_big = b1 + np.copysign(s, b1)
+        bb = 4.0 * b * (b - dx)
+        prod = bb - dy * dy - z
+        shift = 4.0 * chi * (e * z - chi) / (z * z)  # z + e^2
+        prod = np.where(z * z > np.abs(chi), bb - 4.0 * chi * (dy - chi) - shift, prod)
+        p_small = prod / np.where(p_big == 0.0, np.inf, p_big)
+        p_plus_big = ~np.signbit(b1)
+
+        P = np.stack([np.where(p_plus_big, p_small, p_big), np.where(p_plus_big, p_big, p_small)])
+        Q = np.stack([np.where(q_plus_big, q_small, q_big), np.where(q_plus_big, q_big, q_small)])
+        disc = P * P - 4.0 * Q
+        mid = -0.5 * P
+        half_gap = 0.5 * np.sqrt(np.abs(disc))
+        real = disc >= 0.0
+        near_real = real | (half_gap < 1e-6 * np.maximum(1.0, np.abs(mid)))
+        far = np.where(real, mid - np.copysign(half_gap, P), mid)
+        close = np.where(real, Q / far, mid)
+    tau = np.concatenate([far, close])
+    best = _admissible(tau, quartic, np.concatenate([near_real, near_real])).min(axis=0)
     return _polish(best, quartic)
 
 
-def _boundary_dist(c3, c2, c1, c0, b1, b0):
-    """Smallest admissible root of the deflated cubic tau^3 + c3 tau^2 + c2 tau + c1.
+def _cubic_roots(e2, e1, e0):
+    """Real roots of the monic cubics x^3 + e2 x^2 + e1 x + e0, batch form.
 
-    In depressed form t^3 + pp t + qq (tau = t - c3/3) the candidates are
-    Cardano's real root u + v and twice the real part -(u + v)/2 of the
-    complex pair, which counts as real only where the pair is real up to 1e-6
-    relative (as the eigenvalue path counts it).  The rays with three real
-    roots (about one in twenty) take instead the trigonometric roots
-    m cos(theta - 2 pi k / 3), m = 2 sqrt(-pp/3), which with mc = m cos(theta)
-    and ms = (sqrt3/2) m sin(theta) are mc and -mc/2 +- ms.
+    Returns ``(lead, pair, pair_real, trig, third)``.  In depressed form
+    t^3 + pp t + qq (x = t - e2/3) ``lead`` is Cardano's real root u + v and
+    ``pair`` the real part -(u + v)/2 of the complex pair, which counts as
+    real (``pair_real``) only where the pair is real up to 1e-6 relative.
+    The rows ``trig`` with three real roots (half_disc < 0) take instead the
+    trigonometric roots m cos(theta - 2 pi k / 3), m = 2 sqrt(-pp/3), which
+    with mc = m cos(theta) and ms = (sqrt3/2) m sin(theta) are, in
+    descending order, ``lead`` = mc, ``pair`` = -mc/2 + ms and ``third`` =
+    -mc/2 - ms, the last given on those rows only.
     """
-    quartic = (c3, c2, c1, c0, b1, b0)
-    shift = c3 / 3.0
-    pp = c2 - c3 * shift
-    qq = (2.0 * shift * shift - c2) * shift + c1
+    shift = e2 / 3.0
+    pp = e1 - e2 * shift
+    qq = (2.0 * shift * shift - e1) * shift + e0
     half_disc = 0.25 * qq * qq + pp * pp * pp / 27.0
     # the larger cube root first, so that u + v does not cancel
     u = np.cbrt(-0.5 * qq - np.copysign(np.sqrt(np.maximum(half_disc, 0.0)), qq))
@@ -400,6 +466,7 @@ def _boundary_dist(c3, c2, c1, c0, b1, b0):
     pair_real = pair_imag < 1e-6 * np.maximum(1.0, np.abs(0.5 * lead + shift))
     pair = -0.5 * lead
     trig = np.flatnonzero(half_disc < 0.0)
+    third = None
     if trig.size:
         pp_t = pp[trig]
         m = 2.0 * np.sqrt(-pp_t / 3.0)
@@ -409,10 +476,22 @@ def _boundary_dist(c3, c2, c1, c0, b1, b0):
         lead[trig] = mc
         pair[trig] = -0.5 * mc + ms
         pair_real[trig] = True
-    best = np.minimum(_admissible(lead - shift, quartic),
-                      _admissible(pair - shift, quartic, pair_real))
-    if trig.size:  # the third root, on its rays only
         third = -0.5 * mc - ms - shift[trig]
+    return lead - shift, pair - shift, pair_real, trig, third
+
+
+def _boundary_dist(c3, c2, c1, c0, b1, b0):
+    """Smallest admissible root of the deflated cubic tau^3 + c3 tau^2 + c2 tau + c1.
+
+    Its candidates are the cubic's real roots from `_cubic_roots`: Cardano's
+    real root and the complex pair's real part where the pair is real up to
+    1e-6 relative (a double root, a ray touching the boundary), or on the
+    rays with three real roots (about one in twenty) all three.
+    """
+    quartic = (c3, c2, c1, c0, b1, b0)
+    lead, pair, pair_real, trig, third = _cubic_roots(c3, c2, c1)
+    best = np.minimum(_admissible(lead, quartic), _admissible(pair, quartic, pair_real))
+    if trig.size:  # the third root, on its rays only
         best[trig] = np.minimum(best[trig], _admissible(third, [c[trig] for c in quartic]))
     return _polish(best, quartic)
 

@@ -380,8 +380,36 @@ class TestCommandLine:
             results.append(read_manifest(str(out / "manifest.json"))["results"])
         assert results[0] == results[1]
         assert set(results[0]) == {"fitted_rate", "fitted_rate_stderr", "fit_window",
-                                   "fit_escapes", "analytic_rate", "rel_deviation"}
+                                   "fit_escapes", "analytic_rate", "rel_deviation",
+                                   "fit_half_rates", "fit_half_gap_sigma"}
         assert results[0]["fit_escapes"] >= 10
+
+    def test_fit_health_halves(self, tmp_path):
+        # each half of the fit window fitted on its own; a half with fewer than
+        # 10 escapes has no rate, no gap, and the run still succeeds
+        def results(window):
+            doc = {"command": "simulate",
+                   "geometry": {"shape": "cardioid", "opening_length": 0.2},
+                   "ensemble": {"seed": 2, "n_samples": 100},
+                   "grid": {"t_max": 40.0, "fit_window": window}}
+            run_dir = tmp_path / str(window[1])
+            run_dir.mkdir()
+            code, out = run_cli(run_dir, doc)
+            assert code == 0
+            return parse_config(json.dumps(doc)), read_manifest(str(out / "manifest.json"))["results"]
+
+        cfg, full = results([5.0, 40.0])
+        curve = ensemble.survival_curve(cfg.geometry, ensemble.EnsembleSpec(**cfg.ensemble),
+                                        np.linspace(0.0, 40.0, 5))  # the grid plays no part
+        early = ensemble.fit_escape_rate(curve, (5.0, 22.5))
+        late = ensemble.fit_escape_rate(curve, (22.5, 40.0))
+        assert full["fit_half_rates"] == [early.rate, late.rate]
+        assert full["fit_half_gap_sigma"] == pytest.approx(
+            (late.rate - early.rate) / math.hypot(early.std_error, late.std_error), rel=1e-12)
+        _, sparse = results([5.0, 16.0])
+        assert sparse["fit_escapes"] >= 10
+        assert sparse["fit_half_rates"][0] is None
+        assert sparse["fit_half_gap_sigma"] is None
 
     def test_numeric_failure_exit_4(self, tmp_path):
         # an su_cut that truncates nearly the whole domain cannot converge
@@ -592,6 +620,10 @@ class TestCommandLine:
         _, header, _ = read_csv(str(out_a / "simulate.csv"))
         assert header == ["time", "survival", "std_error"]
         assert b"telemetry" not in csv_a
+        fits = [read_manifest(str(out / "manifest.json"))["results"] for out in (out_a, out_b)]
+        assert fits[0]["fit_half_rates"] == fits[1]["fit_half_rates"]
+        assert fits[0]["fit_half_gap_sigma"] == fits[1]["fit_half_gap_sigma"]
+        assert None not in fits[0]["fit_half_rates"]
         one = read_manifest(str(out_a / "manifest.json"))["telemetry"]
         two = read_manifest(str(out_b / "manifest.json"))["telemetry"]
         assert one["collisions"] > 500 * 10  # about one per mean free time
@@ -822,6 +854,9 @@ _TINY_SEMICLASSICAL = {
                                           "tau_d": 1e-170}, "grid": {"t_max": 3e-100}}, 0, ""),
     ({"command": "correction", "params": {"dwell_time": 1e194, "heisenberg_time": 1e194,
                                           "tau_d": 1e200}, "grid": {"t_max": 3e193}}, 0, ""),
+    # no tau_d: dt^2 and T_H tau_D overflow, and dt^2/(2 T_H tau_D) does not
+    ({"command": "correction", "params": {"dwell_time": 1e194, "heisenberg_time": 1e194},
+      "grid": {"t_max": 3e193, "n_points": 16}}, 0, ""),
     # tau_d^2/(T_H tau_D) about 1e-540
     ({"command": "correction", "params": {"dwell_time": 1e100, "heisenberg_time": 1e100,
                                           "tau_d": 1e-170}, "grid": {"t_max": 3e100}}, 3,
@@ -835,7 +870,7 @@ _TINY_SEMICLASSICAL = {
         "correction-short_time-underflow", "peak-short_time-underflow",
         "correction-tau_d-overflow", "correction-ehrenfest-late-gate", "fig3-huge-kernel",
         "correction-tau_d-squared-underflow", "correction-tau_d-squared-overflow",
-        "correction-prefactor-underflow"])
+        "correction-bare-squared-overflow", "correction-prefactor-underflow"])
 def test_field_minimums(tmp_path, capsys, doc, exit_code, message):
     # every field at the smallest value its table accepts, and values whose
     # arithmetic leaves the float range: a result or a typed error, never an
@@ -846,8 +881,14 @@ def test_field_minimums(tmp_path, capsys, doc, exit_code, message):
     assert message in err
     assert (out / "manifest.json").exists() == (code == 0)
     if code == 0:
-        _, _, rows = read_csv(str(out / f"{doc['command']}.csv"))
+        _, header, rows = read_csv(str(out / f"{doc['command']}.csv"))
         assert not np.isnan(rows).any()
+        if doc.get("params") == {"dwell_time": 1e194, "heisenberg_time": 1e194}:
+            assert np.isfinite(rows).all()
+            # the bare bracket t^2/(2 T_H tau_D) exp(-t/tau_D) at t = 2e192
+            row = dict(zip(header, rows[1]))
+            assert row["correction"] == pytest.approx(math.exp(-row["time"] / 1e194) * 2e-4,
+                                                      rel=1e-12)
 
 
 @pytest.mark.parametrize("alpha", [1e-300, 1e-12])

@@ -207,6 +207,19 @@ class TestSurvival:
             np.sqrt(curve.survival * (1 - curve.survival) / curve.n_samples),
             atol=1e-12)
 
+    def test_n_samples_counts_the_escape_times(self):
+        # one fact, one field: the size is read off the escape times and cannot be set
+        curve = _curve([1.0, 2.0, np.inf], np.linspace(0.0, 5.0, 6))
+        assert curve.n_samples == 3
+        with pytest.raises(TypeError):
+            SurvivalCurve(times=curve.times, survival=curve.survival,
+                          std_error=curve.std_error, n_samples=2,
+                          escape_times=curve.escape_times)
+        with pytest.raises(AttributeError):
+            curve.n_samples = 2
+        spec = EnsembleSpec(n_samples=37, seed=5)
+        assert survival_curve(cardioid(), spec, np.linspace(0.0, 4.0, 5)).n_samples == 37
+
     def test_fully_open_collapses(self):
         g = CavityGeometry(shape="circle", scale=1.0, opening_center=0.0,
                            opening_length=2 * math.pi - 1e-9)
@@ -330,8 +343,7 @@ def _curve(esc, times):
     n = len(esc)
     survival = (n - np.searchsorted(esc, times, side="right")) / n
     return SurvivalCurve(times=times, survival=survival,
-                         std_error=np.sqrt(survival * (1.0 - survival) / n),
-                         n_samples=n, escape_times=esc)
+                         std_error=np.sqrt(survival * (1.0 - survival) / n), escape_times=esc)
 
 
 def _quantile_escapes(n, tau, k):

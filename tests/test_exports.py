@@ -1,6 +1,8 @@
 """Public names: every ``__all__`` entry exists, the package re-exports only those,
 every ``chaodecay.<module>[.<name>]`` path the README quotes resolves, and every
-``python`` block of the README runs."""
+``python`` block of the README runs.  No module names numpy's ``linalg``: the
+library's root solves are closed forms, and the eigenvalue oracle lives in the
+tests."""
 
 import importlib
 import pkgutil
@@ -53,3 +55,9 @@ def test_readme_python_blocks_run():
     assert blocks
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
+
+
+@pytest.mark.parametrize("module", [chaodecay, *MODULES], ids=lambda m: m.__name__)
+def test_no_linalg(module):
+    source = Path(module.__file__).read_text()
+    assert "linalg" not in source, f"{module.__name__} names linalg"

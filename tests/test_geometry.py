@@ -3,19 +3,22 @@
 The independent oracle throughout is a dense polygonal approximation of the
 boundary built directly from the defining polar/piecewise formulas, never
 from the module under test.  The cardioid root solve is also checked against
-a companion-matrix solve of the same ray quartic, and the stadium's exit-piece
-choice against a solve of all four of its pieces.
+a companion-matrix solve of the same ray quartic (for interior starts, on a
+million rays, against the batched eigenvalue path the kernel used before its
+closed form), and the stadium's exit-piece choice against a solve of all four
+of its pieces.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 
-from chaodecay import geometry
+from chaodecay import ensemble, geometry
 from chaodecay.dynamics import batch_collide
 from chaodecay.errors import NumericError
 from chaodecay.geometry import SHAPES, CavityGeometry
@@ -458,6 +461,38 @@ def _cardioid_quartic_oracle(p, d, on_boundary=True):
     return dist, terms.sum() / abs(dist * slope(dist))
 
 
+def _companion_dist(c3, c2, c1, c0, b1, b0):
+    """Smallest admissible root of each ray's quartic from companion-matrix eigenvalues.
+
+    The path interior starts took before the closed form: all four roots of
+    the monic quartic from numpy's batched (n, 4, 4) eigenvalue solver, a
+    root within 1e-6 relative of the real axis counted as real, filtered by
+    the kernel's admissibility rules and the smallest one polished by the
+    kernel's Newton steps.  Rows without an admissible root get inf.
+    """
+    quartic = (c3, c2, c1, c0, b1, b0)
+    comp = np.zeros((len(c0), 4, 4))
+    comp[:, 1, 0] = comp[:, 2, 1] = comp[:, 3, 2] = 1.0
+    comp[:, 0, 3] = -c0
+    comp[:, 1, 3] = -c1
+    comp[:, 2, 3] = -c2
+    comp[:, 3, 3] = -c3
+    best = np.full(len(c0), np.inf)
+    for root in np.linalg.eigvals(comp).T:
+        tau = root.real.copy()
+        near_real = np.abs(root.imag) < 1e-6 * np.maximum(1.0, np.abs(tau))
+        np.minimum(best, geometry._admissible(tau, quartic, near_real), out=best)
+    return geometry._polish(best, quartic)
+
+
+def _kernel_quartic(p, d):
+    """The cardioid kernel's quartic coefficients (c3, c2, c1, c0, b1, b0), rounded as it rounds them."""
+    b = np.einsum("ij,ij->i", p, d)
+    q0 = np.einsum("ij,ij->i", p, p)
+    b1, b0 = 2.0 * b - d[:, 0], q0 - p[:, 0]
+    return 2.0 * b1, b1 * b1 + 2.0 * b0 - 1.0, 2.0 * b1 * b0 - 2.0 * b, b0 * b0 - q0, b1, b0
+
+
 def _arctan2_snap(x, y):
     """The cardioid hit tail by polar angle: arctan2, then cos, sin and sin(phi/2).
 
@@ -560,7 +595,7 @@ class TestCardioidKernel:
     """Cardioid rays against the companion-matrix quartic oracle.
 
     Boundary starts take the deflated-cubic path, interior ones the
-    eigenvalue path.  Only well-conditioned roots are compared (relative
+    resolvent-cubic factorization.  Only well-conditioned roots are compared (relative
     condition number below 1e5): where a ray passes close to the cusp, the
     first hit is half of a near-double root that no double-precision solver
     pins to 1e-9.
@@ -680,6 +715,116 @@ class TestCardioidKernel:
         assert dist[0] == pytest.approx(2.0, rel=1e-12)
         assert s_hit[0] == pytest.approx(4.0, abs=1e-12)
         np.testing.assert_allclose(hit[0], 0.0, atol=1e-12)
+
+
+_CHUNK = 65_536
+
+
+def _interior_chunk(kind, k):
+    """Chunk ``k`` of 65,536 interior starts with unit directions, of one ``kind``.
+
+    * ``uniform``: rows k*65,536 onwards of the criterion-1 ensemble (seed
+      2718), uniform in area and isotropic;
+    * ``biquadratic``: uniform starts on rays within 5e-4 of vertical, where
+      the quartic in tau + c3/4 is nearly biquadratic (its linear coefficient
+      is -dx): |dx| log-uniform in [1e-17, 5e-4], 1,024 rows with dx = 0;
+    * ``cusp``: starts at distance 1e-9 to 1e-1 from the cusp (log-uniform),
+      half at any polar angle and half hugging the exterior horn, isotropic.
+
+    Starts the kernel counts as on the boundary (|c0| <= 1e-12 q0) are
+    dropped before the chunk is cut to size.
+    """
+    g = make("cardioid")
+    rng = np.random.default_rng([24, k, ("uniform", "biquadratic", "cusp").index(kind)])
+    spare = 1024  # rows to replace starts dropped below
+    if kind == "uniform":
+        p, d = ensemble._sample_rows(g, 2718, k * _CHUNK, (k + 1) * _CHUNK + spare)
+    elif kind == "biquadratic":
+        p, _ = ensemble._sample_rows(g, 2718 + k, 0, _CHUNK + spare)
+        dx = np.copysign(10.0 ** rng.uniform(-17.0, math.log10(5e-4), len(p)),
+                         rng.uniform(-1.0, 1.0, len(p)))
+        dx[::64] = 0.0
+        d = np.stack([dx, np.copysign(np.sqrt(1.0 - dx * dx), rng.uniform(-1.0, 1.0, len(p)))],
+                     axis=-1)
+    else:
+        n = 4 * _CHUNK
+        r = 10.0 ** rng.uniform(-9.0, -1.0, n)
+        horn = math.pi - rng.choice([-1.0, 1.0], n) * np.sqrt(2.0 * r) * rng.uniform(1.0, 3.0, n)
+        phi = np.where(rng.random(n) < 0.5, rng.uniform(-math.pi, math.pi, n), horn)
+        p = r[:, None] * np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+        theta = rng.uniform(0.0, 2.0 * math.pi, n)
+        d = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+        inside = g.contains(p)
+        p, d = p[inside], d[inside]
+    quartic = _kernel_quartic(p, d)
+    interior = np.abs(quartic[3]) > 1e-12 * np.einsum("ij,ij->i", p, p)
+    p, d = p[interior][:_CHUNK], d[interior][:_CHUNK]
+    assert len(p) == _CHUNK
+    return p, d
+
+
+def _exact_first_hit(p, d):
+    """Smallest positive real root of one ray's kernel quartic, formed and solved in 60 digits."""
+    with mpmath.workdps(60):
+        px, py, dx, dy = (mpmath.mpf(float(v)) for v in (*p, *d))
+        b, q0 = px * dx + py * dy, px * px + py * py
+        b1, b0 = 2 * b - dx, q0 - px
+        roots = mpmath.polyroots([1, 2 * b1, b1 * b1 + 2 * b0 - 1, 2 * b1 * b0 - 2 * b, b0 * b0 - q0],
+                                 maxsteps=500, extraprec=500)
+        return float(min(mpmath.re(r) for r in roots
+                         if abs(mpmath.im(r)) <= 1e-40 and mpmath.re(r) > 0))
+
+
+class TestInteriorClosedForm:
+    """Interior starts: the closed-form quartic root against the companion-matrix oracle.
+
+    Over 1,048,576 starts in 16 chunks (criterion-1 rows, near-biquadratic
+    rays, starts next to the cusp) no row may lose its admissible root or
+    turn into a cusp event unless the oracle's hit lies within 1e-9 of the
+    cusp.  A distance may differ from the oracle's by more than 1e-12
+    relative only on an ill-conditioned root, and then by at most
+    16 kappa eps, kappa = sum_k |c_k tau^k| / |tau F'(tau)| the root's
+    relative condition number: both solvers' errors are of that order.
+
+    Where the two differ by more, the closed form must be nearer than the
+    oracle to the root of the ray's quartic formed and solved in 60 digits.
+
+    On a few starts within 1e-7 of the cusp the oracle's polished root lies
+    behind the start: `_polish`, which both paths share, takes a Newton step
+    off a near-double root that lowers the residual but crosses tau = 0.
+    Those rows are not compared; there the closed form must fly backwards by
+    the same step or end within 1e-9 of the cusp, as a cusp event.
+    """
+
+    @pytest.mark.parametrize("kind,k", [("uniform", k) for k in range(8)]
+                             + [(kind, k) for kind in ("biquadratic", "cusp") for k in range(4)])
+    def test_matches_companion_oracle(self, kind, k):
+        p, d = _interior_chunk(kind, k)
+        quartic = _kernel_quartic(p, d)
+        oracle = _companion_dist(*quartic)
+        assert np.isfinite(oracle).all(), "the oracle lost a root"
+        dist, _, _, _, cusp = make("cardioid").ray_hits(p, d)
+        assert np.isfinite(dist).all()
+        at_cusp = np.hypot(*(p + oracle[:, None] * d).T) <= 1e-9
+        behind = oracle <= 0.0
+        assert not (cusp & ~at_cusp & ~behind).any(), "false cusp event"
+        ends_at_cusp = cusp & (np.hypot(*(p + dist[:, None] * d).T) <= 1e-9)
+        assert ((dist <= 0.0) | ends_at_cusp)[behind].all()
+
+        keep = ~at_cusp & ~behind
+        dist, oracle = dist[keep], oracle[keep]
+        assert (dist > 0.0).all()
+        c3, c2, c1, c0, _, _ = (c[keep] for c in quartic)
+        slope = ((4.0 * oracle + 3.0 * c3) * oracle + 2.0 * c2) * oracle + c1
+        terms = np.abs(c0) + oracle * (np.abs(c1) + oracle * (np.abs(c2) + oracle * (np.abs(c3) + oracle)))
+        kappa = terms / np.maximum(np.abs(oracle * slope), 1e-300)
+        rel = np.abs(dist - oracle) / oracle
+        # where the two disagree by more, the exact root settles it
+        for i in np.flatnonzero(rel > np.maximum(1e-12, 16.0 * kappa * np.finfo(float).eps)):
+            row = np.flatnonzero(keep)[i]
+            exact = _exact_first_hit(p[row], d[row])
+            assert abs(dist[i] - exact) < abs(oracle[i] - exact), \
+                f"start {p[row].tolist()} heading {d[row].tolist()}: {dist[i]!r}, oracle {oracle[i]!r}"
 
 
 def test_geometry_hash_distinguishes_configs():
