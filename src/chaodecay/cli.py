@@ -151,16 +151,18 @@ _PARAMS_KEYS = {
     "hbar": "hbar", "ehrenfest_time": "ehrenfest_time",
     "loop_formation_time": "loop_formation_time",
 }
+# the same for fig3, whose times are in units of the Heisenberg time
+_FIG3_KEYS = {"dwell_time": "tauD_over_TH", "decoherence_time": "taud_over_TH"}
 
 
-def _from_params(build, *args, **kwargs):
+def _from_params(build, *args, keys=_PARAMS_KEYS, **kwargs):
     """``build(*args, **kwargs)`` from ``params`` values, its ``ValueError`` a
-    ``ValidationError`` that names the config's keys: the values passed the field
-    table but not the library's own checks."""
+    ``ValidationError`` that names the config's keys by ``keys``: the values passed
+    the field table but not the library's own checks."""
     try:
         return build(*args, **kwargs)
     except ValueError as exc:
-        message = re.sub(r"\w+", lambda word: _PARAMS_KEYS.get(word[0], word[0]), str(exc))
+        message = re.sub(r"\w+", lambda word: keys.get(word[0], word[0]), str(exc))
         raise ValidationError(f"config.params: {message}") from exc
 
 
@@ -320,9 +322,8 @@ def _run_correction(cfg: RunConfig, threads: int) -> _Output:
 
 
 def _run_fig3(cfg: RunConfig, threads: int) -> _Output:
-    p = cfg.params
-    table = figure3_curves(p["taud_over_TH"], tauD_over_TH=p["tauD_over_TH"],
-                           t_max_over_TH=p["t_max_over_TH"], n_points=p["n_points"])
+    # fig3's params are figure3_curves's arguments
+    table = _from_params(figure3_curves, keys=_FIG3_KEYS, **cfg.params)
     columns = {"reference_inf": table.reference, **table.columns}
     return _Output({"t_over_TH": table.times, **columns}, {"columns": list(columns)},
                    {"dwell_over_heisenberg": table.dwell_over_heisenberg})

@@ -15,13 +15,15 @@ Ohmic environment.  The corrections are organised around three time scales:
 The plain, Ehrenfest-gated and decoherence-free loop corrections are one
 bracket, exp(-t/tau_D) tau_d^2/(T_H tau_D) g(t/tau_d) with g(y) = exp(-y) - 1 + y
 switched on at 2 t_E + 2 t_lL, at zero gates, at the parameters' gates and at
-tau_d = inf; only the short-time regime has a form of its own, its Taylor series.
+tau_d = inf, and the short-time regime is the last times 1 - t/(3 tau_d).  In
+every regime a bracket row outside the float range is a ``ValueError``.
 
 All formula functions broadcast over numpy arrays of times.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 import warnings
@@ -214,9 +216,26 @@ class SemiclassicalParams:
 def classical_survival(params: SemiclassicalParams, t):
     """exp(-t/dwell_time): ergodic escape through the opening."""
     t = _check_times(t)
-    return np.exp(-t / params.dwell_time)
+    with np.errstate(over="ignore"):  # t/dwell_time past the float range: exp gives 0
+        return np.exp(-t / params.dwell_time)
 
 
+def _in_float_range(bracket):
+    """``bracket(params, t)`` without numpy's overflow and invalid-value warnings, and a
+    ``ValueError`` where a row is not finite: every regime's one float-range rule."""
+    @functools.wraps(bracket)
+    def checked(params: SemiclassicalParams, t):
+        t = _check_times(t)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = bracket(params, t)
+        bad = ~np.isfinite(values)
+        if bad.any():
+            raise ValueError(f"the bracket leaves the float range at t = {float(t[bad][0])!r}")
+        return values
+    return checked
+
+
+@_in_float_range
 def bare_quantum_correction(params: SemiclassicalParams, t):
     """Decoherence-free loop enhancement exp(-t/tau_D) * t^2/(2 T_H tau_D)."""
     return _gated_bracket(params, t, 0.0, 0.0, math.inf)
@@ -249,8 +268,7 @@ def _gated_bracket(params: SemiclassicalParams, t, t_E: float, t_lL: float,
     tau_d^2/(T_H tau_D) is taken as (tau_d/T_H)(tau_d/tau_D) where tau_d^2 or
     T_H tau_D leaves the normal float range; outside that range itself, a ``ValueError``.
     So is dt^2/(2 T_H tau_D), as (dt/T_H)(dt/tau_D)/2, on the rows where dt^2
-    or 2 T_H tau_D leaves it."""
-    t = _check_times(t)
+    or 2 T_H tau_D leaves it.  Run under `_in_float_range`'s errstate."""
     tau_D, T_H = params.dwell_time, params.heisenberg_time
     tau_d = _effective_tau_d(params.decoherence_time if tau_d is None else tau_d, t)
     dt = np.maximum(t - 2.0 * t_E - 2.0 * t_lL, 0.0)
@@ -263,11 +281,9 @@ def _gated_bracket(params: SemiclassicalParams, t, t_E: float, t_lL: float,
         # below scale 1 a dt^2 under the float range can still give a bracket in it
         if 1.0 <= scale <= high and top * top <= high:
             return decay * dt * dt / scale
-        with np.errstate(over="ignore", invalid="ignore"):
-            bracket = decay * dt * dt / scale
-            square = dt * dt
+        square = dt * dt
         outside = (square > high) | ((square < low) & (dt > 0.0)) | (not low <= scale <= high)
-        return np.where(outside, decay * (dt / T_H) * (dt / tau_D) / 2.0, bracket)
+        return np.where(outside, decay * (dt / T_H) * (dt / tau_D) / 2.0, decay * dt * dt / scale)
     square, scale = tau_d * tau_d, T_H * tau_D
     prefactor = (square / scale if low <= min(square, scale) and max(square, scale) <= high
                  else (tau_d / T_H) * (tau_d / tau_D))
@@ -277,6 +293,7 @@ def _gated_bracket(params: SemiclassicalParams, t, t_E: float, t_lL: float,
     return decay * math.exp(-2.0 * t_lL / tau_d) * prefactor * loop_kernel(dt / tau_d)
 
 
+@_in_float_range
 def loop_correction(params: SemiclassicalParams, t):
     """Leading loop correction bracket with environmental decoherence.
 
@@ -290,24 +307,13 @@ def loop_correction(params: SemiclassicalParams, t):
     return _gated_bracket(params, t, 0.0, 0.0)
 
 
+@_in_float_range
 def loop_correction_short_time(params: SemiclassicalParams, t):
-    """Taylor expansion of the loop correction for t << min(tau_D, tau_d).
-
-    t^2/(2 T_H tau_D) - t^3/(6 T_H tau_D tau_d), times exp(-t/tau_D); the
-    first term alone is `bare_quantum_correction`.  The neglected term is
-    O(t^4 / (tau_d^2 T_H tau_D)); a ``ValueError`` where 6 T_H tau_D tau_d underflows.
-    """
-    t = _check_times(t)
-    tau_D, T_H = params.dwell_time, params.heisenberg_time
+    """Taylor expansion of the loop correction for t << min(tau_D, tau_d),
+    exp(-t/tau_D) (t^2/(2 T_H tau_D) - t^3/(6 T_H tau_D tau_d)): `bare_quantum_correction`
+    times 1 - t/(3 tau_d).  The neglected term is O(t^4 / (tau_d^2 T_H tau_D))."""
     tau_d = _effective_tau_d(params.decoherence_time, t)
-    decay = np.exp(-t / tau_D)
-    out = t * t / (2.0 * T_H * tau_D)
-    if not math.isinf(tau_d):
-        denom = 6.0 * T_H * tau_D * tau_d
-        if denom < sys.float_info.min:
-            raise ValueError("6 * heisenberg_time * dwell_time * decoherence_time underflows")
-        out = out - t**3 / denom
-    return decay * out
+    return bare_quantum_correction(params, t) * (1.0 - t / (3.0 * tau_d))
 
 
 def ehrenfest_time(lyapunov: float, encounter_scale: float, hbar: float) -> float:
@@ -319,6 +325,7 @@ def ehrenfest_time(lyapunov: float, encounter_scale: float, hbar: float) -> floa
     return math.log(encounter_scale / hbar) / lyapunov
 
 
+@_in_float_range
 def loop_correction_ehrenfest(params: SemiclassicalParams, t):
     """Loop correction with finite-resolution gating.
 
@@ -384,7 +391,6 @@ class CorrectionCurve:
 
 def correction_curve(params: SemiclassicalParams, times, regime: str = "plain") -> CorrectionCurve:
     """Evaluate the requested bracket on a time grid."""
-    times = _check_times(times)
     return CorrectionCurve(
         times=times,
         bracket=_bracket_for_regime(params, times, regime),
@@ -413,25 +419,21 @@ def correction_peak(params: SemiclassicalParams, regime: str = "plain",
         t_lo = gate + 1e-12 * tau_D
         t_hi = max(t_hi, gate + 20.0 * scale)
 
-    grid = np.unique(
-        np.concatenate(
-            [
-                np.geomspace(t_lo, t_hi, 2048),
-                np.linspace(t_lo, t_hi, 2048),
-            ]
-        )
-    )
-    values = np.asarray(_bracket_for_regime(params, grid, regime), dtype=float)
+    grid = np.unique(np.concatenate([np.geomspace(t_lo, t_hi, 2048),
+                                     np.linspace(t_lo, t_hi, 2048)]))
+    values = _bracket_for_regime(params, grid, regime)
     k = int(np.argmax(values))
     if k == 0 or k == len(grid) - 1 or values[k] <= 0.0:
         raise NumericError(
             "no interior maximum found for the correction bracket "
             f"(argmax at grid index {k} of {len(grid)})"
         )
-    t_star, evaluations = _golden_max(
-        lambda t: float(_bracket_for_regime(params, np.asarray(t), regime)),
-        float(grid[k - 1]), float(grid[k + 1]), 1e-12 * scale,
-    )
+    # the search runs unchecked under one errstate, as a check per scalar evaluation costs
+    # more than its arithmetic; the value returned is checked
+    bracket = _BRACKETS[regime].__wrapped__
+    with np.errstate(over="ignore", invalid="ignore"):
+        t_star, evaluations = _golden_max(lambda t: float(bracket(params, np.asarray(t))),
+                                          float(grid[k - 1]), float(grid[k + 1]), 1e-12 * scale)
     if telemetry is not None:
         telemetry["evaluations"] = evaluations
     return t_star, float(_bracket_for_regime(params, np.asarray(t_star), regime))

@@ -20,14 +20,12 @@ Numerical strategy:
 * The remaining 1-D integral is parameterised by the encounter time itself,
   tau = ln(c^2/x)/lambda, and integrated with Gauss-Legendre panels split at
   the phase breakpoints of e^{i x/hbar}.  Each diagram hands the integrator
-  its reduced envelope as one closure ``phi(tau, tau_mid)``; ``tau_mid``, the
-  centre of the panel each node belongs to, picks the one-leg envelope's
-  branch.
+  its reduced envelope as one closure ``phi(tau)`` of the encounter time.
 * Each Gauss rule is built once per node count and cached read-only.  The
   envelope is called once per block of whole panels (a ``(panels, n)`` node
-  matrix of at most ``_BLOCK_NODES`` nodes, with the panel centres as a
-  column), not once per panel; the panel sums are still added in panel
-  order, so the result does not depend on the block size.
+  matrix of at most ``_BLOCK_NODES`` nodes), not once per panel; the panel
+  sums are still added in panel order, so the result does not depend on the
+  block size.
 * The sharp upper cutoff |x| = c^2 injects a spurious boundary oscillation
   ~ hbar*sin(c^2/hbar) that exceeds the physical O(hbar) signal by a factor
   ~ lambda*tau_D.  Since c is an order-of-magnitude scale, not a hard wall,
@@ -212,18 +210,18 @@ def _phi_two_leg(tau, t: float, p: SemiclassicalParams):
     return survival * np.exp(-_encounter_exposure(tau, p)) * loop_area
 
 
-def _phi_one_leg(tau, t: float, p: SemiclassicalParams, enc):
+def _phi_one_leg(tau, t: float, p: SemiclassicalParams):
     """Reduced one-leg envelope: encounter truncated by the trajectory endpoint.
 
     The exposed stretch xi runs over [0, min(tau, t - tau)]; survival counts
     the re-traversed portion once (exponent t - xi) and the encounter
-    decoherence scales with the traversed fraction, (1 + xi/tau)/2.  The
-    boolean mask ``enc`` (broadcast against ``tau``) selects which of the two
-    xi_max branches applies (True: xi_max = tau, False: xi_max = t - tau);
-    the two meet smoothly (C^1) at tau = t/2.
+    decoherence scales with the traversed fraction, (1 + xi/tau)/2.  xi_max is
+    tau where Re tau < t/2 and t - tau elsewhere; the two meet smoothly (C^1) at
+    t/2, a panel edge or past the last one, so no panel straddles them, and the
+    contour leg (Re tau <= 0) takes xi_max = tau.
     """
     tau_d = _effective_tau_d(p.decoherence_time, t)
-    xi_max = np.where(enc, tau, t - tau)
+    xi_max = np.where(np.real(tau) < t / 2.0, tau, t - tau)
     t_free = t - tau
     a = 1.0 / p.dwell_time - _exposure_rate(tau, p)
     if math.isinf(tau_d):
@@ -292,10 +290,9 @@ def _read_only(arrays):
 def _panel_sum(phi, tau_edges: np.ndarray, p: SemiclassicalParams, n: int):
     """Gauss-Legendre sum of e^{i x/hbar} phi over the real-axis panels (x-form).
 
-    ``phi(tau, tau_mid)`` is the envelope at a ``(panels, n)`` matrix of
-    nodes ``tau``, one row per panel, with ``tau_mid`` the column of the
-    panel centres.  It is called once per block of at most ``_BLOCK_NODES``
-    nodes; the per-panel sums are added to the total in panel order.
+    ``phi(tau)`` is the envelope at a ``(panels, n)`` matrix of nodes, one row
+    per panel.  It is called once per block of at most ``_BLOCK_NODES`` nodes;
+    the per-panel sums are added to the total in panel order.
     """
     nodes, weights = _legendre_rule(n)
     lam = p.lyapunov
@@ -306,13 +303,12 @@ def _panel_sum(phi, tau_edges: np.ndarray, p: SemiclassicalParams, n: int):
     step = max(1, _BLOCK_NODES // n)
     total = 0.0 + 0.0j
     for lo in range(0, len(mids), step):
-        mid = mids[lo:lo + step, None]
         half = halves[lo:lo + step]
-        tau = mid + half[:, None] * nodes
+        tau = mids[lo:lo + step, None] + half[:, None] * nodes
         decay = np.exp(-lam * tau)
         phase = y_big * decay
         jac = lam * c2 * decay  # |dx/dtau|
-        for panel in half * np.sum(weights * jac * np.exp(1j * phase) * phi(tau, mid), axis=1):
+        for panel in half * np.sum(weights * jac * np.exp(1j * phase) * phi(tau), axis=1):
             total += panel
     return total
 
@@ -322,14 +318,13 @@ def _end_correction(phi, p: SemiclassicalParams, n: int):
 
     i e^{i c^2/hbar} * integral_0^inf e^{-y/hbar} phi_analytic(c^2 + i y) dy,
     evaluated with Gauss-Laguerre after y = hbar*u; the envelope is continued
-    through tau = -Log(1 + i u / (c^2/hbar)) / lambda and taken with
-    tau_mid = 0, the x = c^2 end.
+    through tau = -Log(1 + i u / (c^2/hbar)) / lambda.
     """
     u, w = _laguerre_rule(min(n, 96))
     lam = p.lyapunov
     y_big = p.encounter_scale / p.hbar
     tau_c = -np.log(1.0 + 1j * u / y_big) / lam
-    return 1j * cmath.exp(1j * y_big) * p.hbar * np.sum(w * phi(tau_c, 0.0))
+    return 1j * cmath.exp(1j * y_big) * p.hbar * np.sum(w * phi(tau_c))
 
 
 def _sector_doubled(k_plus: complex, p: SemiclassicalParams) -> tuple[float, float]:
@@ -384,17 +379,17 @@ def _diagram(name: str, phi, tau_gate: float, breaks: list[float], params: Semic
         return DiagramResult(0.0, 0.0, 0.0, name)
     telemetry = dict.fromkeys(_TELEMETRY_KEYS, 0)
 
-    def counted(tau, tau_mid):
+    def counted(tau):
         telemetry["envelope_calls"] += 1
         if np.ndim(tau) == 2:
             telemetry["panels"] += len(tau)
-        return phi(tau, tau_mid)
+        return phi(tau)
 
     tau_hi = min(tau_gate, math.log(1.0 / spec.su_cut) / lam)
     edges = _build_panels(tau_hi, lam, p.encounter_scale / p.hbar, breaks)
     trunc = 0.0
     if tau_hi < tau_gate:
-        trunc = abs(counted(tau_hi, tau_hi)) * p.encounter_scale * math.exp(-lam * tau_hi)
+        trunc = abs(counted(tau_hi)) * p.encounter_scale * math.exp(-lam * tau_hi)
 
     def eval_at(n):
         telemetry["nodes"] = n
@@ -417,8 +412,8 @@ def _diagram(name: str, phi, tau_gate: float, breaks: list[float], params: Semic
 def integrate_2leg(params: SemiclassicalParams, t: float,
                    spec: QuadratureSpec = QuadratureSpec()) -> DiagramResult:
     """Two-leg encounter diagram: both stretches in the trajectory interior."""
-    return _diagram("two_leg", lambda tau, _tau_mid: _phi_two_leg(tau, t, params),
-                    t / 2.0, [], params, spec)
+    return _diagram("two_leg", lambda tau: _phi_two_leg(tau, t, params), t / 2.0, [], params,
+                    spec)
 
 
 def integrate_1leg(params: SemiclassicalParams, t: float,
@@ -429,9 +424,8 @@ def integrate_1leg(params: SemiclassicalParams, t: float,
     carries its numbers.  With ``one_leg_convention='excluded'`` both are
     identically zero by configuration.
     """
-    head = _diagram("one_leg_head",
-                    lambda tau, tau_mid: _phi_one_leg(tau, t, params, tau_mid < t / 2.0),
-                    t, [t / 2.0], params, spec)
+    head = _diagram("one_leg_head", lambda tau: _phi_one_leg(tau, t, params), t, [t / 2.0],
+                    params, spec)
     return head, replace(head, diagram="one_leg_tail")
 
 

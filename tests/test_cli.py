@@ -836,10 +836,11 @@ _TINY_SEMICLASSICAL = {
      "standard error overflow"),
     ({**_PAIRS, "params": {"alpha": 1e307}}, 4,
      "config.params.alpha: 1e+307 makes the running exponent or its standard error overflow"),
-    ({"command": "correction", "params": _SHORT_TIME_UNDERFLOWING}, 3,
-     "config.params: 6 * heisenberg_time * dwell_time * tau_d underflows"),
-    ({"command": "peak", "params": _SHORT_TIME_UNDERFLOWING}, 3,
-     "config.params: 6 * heisenberg_time * dwell_time * tau_d underflows"),
+    # 6 T_H tau_D tau_d underflows, and the bare bracket times 1 - t/(3 tau_d) does not;
+    # that factor is negative past t = 3 tau_d, below the first point of the peak scan
+    ({"command": "correction", "params": _SHORT_TIME_UNDERFLOWING}, 0, ""),
+    ({"command": "peak", "params": _SHORT_TIME_UNDERFLOWING}, 4,
+     "no interior maximum found for the correction bracket"),
     ({"command": "correction", "params": {"dwell_time": 1.0, "heisenberg_time": 1.0,
                                           "alpha": 1e300, "sigma2": 1e300}},
      3, "config.params: 2 * alpha * sigma2 overflows"),
@@ -861,6 +862,27 @@ _TINY_SEMICLASSICAL = {
     ({"command": "correction", "params": {"dwell_time": 1e100, "heisenberg_time": 1e100,
                                           "tau_d": 1e-170}, "grid": {"t_max": 3e100}}, 3,
      "config.params: tau_d**2 / (heisenberg_time * dwell_time) leaves the float range"),
+    # the short-time form is the bare bracket times 1 - t/(3 tau_d), at tau_d = inf and not
+    ({"command": "correction", "params": {"dwell_time": 1e194, "heisenberg_time": 1e194,
+                                          "regime": "short_time"},
+      "grid": {"t_max": 3e193, "n_points": 16}}, 0, ""),
+    ({"command": "correction", "params": {"dwell_time": 1e194, "heisenberg_time": 1e194,
+                                          "tau_d": 1e200, "regime": "short_time"},
+      "grid": {"t_max": 3e193, "n_points": 16}}, 0, ""),
+    # t/tau_d and t/T_H overflow where exp(-t/tau_D) is 0: the bracket is 0 * inf
+    ({"command": "correction", "params": {"dwell_time": 1.0, "heisenberg_time": 1.0,
+                                          "tau_d": 1e-12}, "grid": {"t_max": 1e300}}, 3,
+     "config.params: the bracket leaves the float range at t = "),
+    ({"command": "correction", "params": {"dwell_time": 1.0, "heisenberg_time": 1e-12},
+      "grid": {"t_max": 1e300}}, 3,
+     "config.params: the bracket leaves the float range at t = "),
+    # fig3 names its own keys, in units of the Heisenberg time
+    ({"command": "fig3", "params": {"tauD_over_TH": 3.0, "taud_over_TH": [1e-200, "inf"],
+                                    "t_max_over_TH": 1e-100, "n_points": 16}}, 3,
+     "config.params: taud_over_TH**2 / (heisenberg_time * tauD_over_TH) leaves the float range"),
+    ({"command": "fig3", "params": {"tauD_over_TH": 3.0, "taud_over_TH": [1e-12, "inf"],
+                                    "t_max_over_TH": 1e300, "n_points": 16}}, 3,
+     "config.params: the bracket leaves the float range at t = "),
 ], ids=["simulate-default-window", "simulate", "lyapunov", "variance", "pair-decoherence",
         "pair-decoherence-bath", "correction", "peak", "fig3", "quadrature",
         "correction-weak", "peak-weak", "quadrature-weak", "quadrature-weak-1e-12",
@@ -870,7 +892,10 @@ _TINY_SEMICLASSICAL = {
         "correction-short_time-underflow", "peak-short_time-underflow",
         "correction-tau_d-overflow", "correction-ehrenfest-late-gate", "fig3-huge-kernel",
         "correction-tau_d-squared-underflow", "correction-tau_d-squared-overflow",
-        "correction-bare-squared-overflow", "correction-prefactor-underflow"])
+        "correction-bare-squared-overflow", "correction-prefactor-underflow",
+        "correction-short_time-squared-overflow", "correction-short_time-tau_d-overflow",
+        "correction-kernel-overflow", "correction-bare-overflow",
+        "fig3-prefactor-underflow", "fig3-kernel-overflow"])
 def test_field_minimums(tmp_path, capsys, doc, exit_code, message):
     # every field at the smallest value its table accepts, and values whose
     # arithmetic leaves the float range: a result or a typed error, never an
@@ -883,12 +908,16 @@ def test_field_minimums(tmp_path, capsys, doc, exit_code, message):
     if code == 0:
         _, header, rows = read_csv(str(out / f"{doc['command']}.csv"))
         assert not np.isnan(rows).any()
-        if doc.get("params") == {"dwell_time": 1e194, "heisenberg_time": 1e194}:
+        params = doc.get("params", {})
+        if params.get("dwell_time") == 1e194 and (params.get("regime") == "short_time"
+                                                  or "tau_d" not in params):
             assert np.isfinite(rows).all()
-            # the bare bracket t^2/(2 T_H tau_D) exp(-t/tau_D) at t = 2e192
+            # the bare bracket t^2/(2 T_H tau_D) exp(-t/tau_D) at t = 2e192, and in the
+            # short-time regime that times 1 - t/(3 tau_d)
             row = dict(zip(header, rows[1]))
-            assert row["correction"] == pytest.approx(math.exp(-row["time"] / 1e194) * 2e-4,
-                                                      rel=1e-12)
+            factor = 1.0 - row["time"] / (3.0 * params.get("tau_d", math.inf))
+            assert row["correction"] == pytest.approx(
+                math.exp(-row["time"] / 1e194) * 2e-4 * factor, rel=1e-12)
 
 
 @pytest.mark.parametrize("alpha", [1e-300, 1e-12])

@@ -267,12 +267,16 @@ class TestShortTime:
         order3 = loop_correction_short_time(p, t)
         assert np.max(np.abs(full - order3) / np.abs(full)) < 1e-3
 
-    def test_underflowing_scale_rejected(self):
-        # 6 T_H tau_D tau_d = 6e-450 would make t^3 / it inf, and 0/0 at t = 0
+    def test_underflowing_scale_is_finite(self):
+        # 6 T_H tau_D tau_d = 6e-450 underflows, and the bare bracket times
+        # 1 - t/(3 tau_d) does not: the same as at every time scale times 1e100
+        t = np.linspace(0.0, 3.0, 11)
         p = SemiclassicalParams(dwell_time=1e-100, heisenberg_time=1e-100,
                                 decoherence_time=1e-250)
-        with pytest.raises(ValueError, match="underflows"):
-            loop_correction_short_time(p, np.linspace(0.0, 3e-100, 11))
+        got = loop_correction_short_time(p, 1e-100 * t)
+        expected = bare_quantum_correction(params(dwell_time=1.0), t) * (1.0 - t / 3e-150)
+        assert np.isfinite(got).all()
+        np.testing.assert_allclose(got, expected, rtol=1e-13)
 
 
 class TestEhrenfest:
@@ -436,3 +440,23 @@ def test_bracket_nonnegative_property(tau_D, tau_d, t):
     p = SemiclassicalParams(dwell_time=tau_D, heisenberg_time=1.0,
                             decoherence_time=tau_d)
     assert loop_correction(p, t) >= 0.0
+
+
+_LOG_UNIFORM = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+
+
+@given(st.sampled_from(REGIMES), _LOG_UNIFORM, _LOG_UNIFORM,
+       st.one_of(st.just(math.inf), _LOG_UNIFORM), _LOG_UNIFORM, _LOG_UNIFORM, _LOG_UNIFORM)
+@settings(max_examples=600, deadline=None, derandomize=True)
+def test_bracket_float_range_property(regime, tau_D, T_H, tau_d, t_E, t_lL, t_max):
+    # a result with every row finite, or a ValueError; never inf, NaN or a
+    # numpy RuntimeWarning, whatever the time scales
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            p = SemiclassicalParams(dwell_time=tau_D, heisenberg_time=T_H, decoherence_time=tau_d,
+                                    ehrenfest_time=t_E, loop_formation_time=t_lL)
+            values = total_survival(p, np.linspace(0.0, t_max, 16), regime)
+        except ValueError:
+            return
+    assert np.isfinite(values).all()

@@ -97,8 +97,8 @@ def _phi_one_leg_reversed(tau, t, p, enc):
 
 def reversed_tail(p, t, spec=QuadratureSpec()):
     """One-leg tail through the reversed envelope and the library's reduction."""
-    def phi(tau, tau_mid):
-        return _phi_one_leg_reversed(tau, t, p, tau_mid < t / 2.0)
+    def phi(tau):
+        return _phi_one_leg_reversed(tau, t, p, np.real(tau) < t / 2.0)
 
     return _diagram("one_leg_tail", phi, t, [t / 2.0], p, spec).value
 
@@ -224,7 +224,7 @@ def panel_sum_per_panel(phi, tau_edges, p, n):
         tau = mid + half * nodes
         phase = y_big * np.exp(-lam * tau)
         jac = lam * c2 * np.exp(-lam * tau)
-        total += half * np.sum(weights * jac * np.exp(1j * phase) * phi(tau, mid))
+        total += half * np.sum(weights * jac * np.exp(1j * phase) * phi(tau))
     return total
 
 
@@ -234,9 +234,9 @@ def diagram_setup(diagram, p, t, spec=QuadratureSpec()):
     y_big = p.encounter_scale / p.hbar
     if diagram == "two_leg":
         edges = _build_panels(min(t / 2.0, tau_cut), p.lyapunov, y_big, [])
-        return (lambda tau, _tau_mid: _phi_two_leg(tau, t, p)), edges
+        return (lambda tau: _phi_two_leg(tau, t, p)), edges
     edges = _build_panels(min(t, tau_cut), p.lyapunov, y_big, [t / 2.0])
-    return (lambda tau, tau_mid: _phi_one_leg(tau, t, p, tau_mid < t / 2.0)), edges
+    return (lambda tau: _phi_one_leg(tau, t, p)), edges
 
 
 def raw_converged(raw, p, t, su_grid):
@@ -414,7 +414,7 @@ class TestFilonCrossCheck:
         p = quad_params(lam_tau=10.0, ehrenfest_fraction=0.05)
         t = 2.0 * p.dwell_time
         edges = _build_panels(t / 2.0, p.lyapunov, p.encounter_scale / p.hbar, [])
-        k_sharp = _panel_sum(lambda tau, _: _phi_two_leg(tau, t, p), edges, p, 96)
+        k_sharp = _panel_sum(lambda tau: _phi_two_leg(tau, t, p), edges, p, 96)
         sharp, _ = _sector_doubled(k_sharp, p)
         raw, raw_err = raw_converged(_raw_two_leg, p, t, su_grid=48)
         assert abs(raw - sharp) <= max(2.0 * raw_err, 1e-6)
@@ -426,9 +426,7 @@ class TestFilonCrossCheck:
         p = quad_params(lam_tau=10.0, ehrenfest_fraction=0.05)
         t = 2.0 * p.dwell_time
         edges = _build_panels(t, p.lyapunov, p.encounter_scale / p.hbar, [t / 2.0])
-        k_sharp = _panel_sum(
-            lambda tau, tau_mid: _phi_one_leg(tau, t, p, tau_mid < t / 2.0),
-            edges, p, 96)
+        k_sharp = _panel_sum(lambda tau: _phi_one_leg(tau, t, p), edges, p, 96)
         sharp, _ = _sector_doubled(k_sharp, p)
         raw, _ = raw_converged(_raw_one_leg, p, t, su_grid=48)
         assert abs(raw - sharp) <= 5e-3 * abs(sharp)
@@ -447,7 +445,7 @@ class TestFilonCrossCheck:
         lam, c2, hbar = p.lyapunov, p.encounter_scale, p.hbar
         edges = _build_panels(t / 2.0, lam, c2 / hbar, [])
 
-        def phi(tau, _tau_mid):
+        def phi(tau):
             return _phi_two_leg(tau, t, p)
 
         closed = _panel_sum(phi, edges, p, 96) + _end_correction(phi, p, 96)
@@ -478,6 +476,19 @@ class TestBlockedPanelSum:
         p = quad_params(lam_tau=80.0, ehrenfest_fraction=0.012)
         phi, edges = diagram_setup(diagram, p, 6.0 * p.dwell_time)
         assert _panel_sum(phi, edges, p, n) == panel_sum_per_panel(phi, edges, p, n)
+
+    @pytest.mark.parametrize("su_cut", [1e-60, 1e-20])  # the second cuts below t/2
+    @pytest.mark.parametrize("t_over_tauD", [1.5, 3.0, 6.0])
+    def test_one_leg_branch_constant_per_panel(self, su_cut, t_over_tauD):
+        # _phi_one_leg picks its branch per node (tau < t/2); no panel may
+        # straddle t/2, so each node takes its panel centre's branch
+        p = quad_params(lam_tau=80.0, ehrenfest_fraction=0.012)
+        t = t_over_tauD * p.dwell_time
+        _, edges = diagram_setup("one_leg_head", p, t, QuadratureSpec(su_cut=su_cut))
+        mids = 0.5 * (edges[:-1] + edges[1:])[:, None]
+        for n in (64, 128, 256, 512):
+            tau = mids + 0.5 * (edges[1:] - edges[:-1])[:, None] * _legendre_rule(n)[0]
+            assert np.array_equal(tau < t / 2.0, np.broadcast_to(mids < t / 2.0, tau.shape))
 
     @pytest.mark.parametrize("diagram", ["two_leg", "one_leg_head"])
     def test_bitwise_per_panel_on_many_panels(self, diagram):
