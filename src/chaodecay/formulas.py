@@ -268,7 +268,8 @@ def _gated_bracket(params: SemiclassicalParams, t, t_E: float, t_lL: float,
     tau_d^2/(T_H tau_D) is taken as (tau_d/T_H)(tau_d/tau_D) where tau_d^2 or
     T_H tau_D leaves the normal float range; outside that range itself, a ``ValueError``.
     So is dt^2/(2 T_H tau_D), as (dt/T_H)(dt/tau_D)/2, on the rows where dt^2
-    or 2 T_H tau_D leaves it.  Run under `_in_float_range`'s errstate."""
+    or 2 T_H tau_D leaves it.  Rows whose decay is exactly 0 are 0, whatever the rest
+    overflows to.  Run under `_in_float_range`'s errstate."""
     tau_D, T_H = params.dwell_time, params.heisenberg_time
     tau_d = _effective_tau_d(params.decoherence_time if tau_d is None else tau_d, t)
     dt = np.maximum(t - 2.0 * t_E - 2.0 * t_lL, 0.0)
@@ -283,14 +284,16 @@ def _gated_bracket(params: SemiclassicalParams, t, t_E: float, t_lL: float,
             return decay * dt * dt / scale
         square = dt * dt
         outside = (square > high) | ((square < low) & (dt > 0.0)) | (not low <= scale <= high)
-        return np.where(outside, decay * (dt / T_H) * (dt / tau_D) / 2.0, decay * dt * dt / scale)
+        return np.where(decay > 0.0, np.where(outside, decay * (dt / T_H) * (dt / tau_D) / 2.0,
+                                              decay * dt * dt / scale), 0.0)
     square, scale = tau_d * tau_d, T_H * tau_D
     prefactor = (square / scale if low <= min(square, scale) and max(square, scale) <= high
                  else (tau_d / T_H) * (tau_d / tau_D))
     if not low <= prefactor <= high:
         raise ValueError("decoherence_time**2 / (heisenberg_time * dwell_time) "
                          "leaves the float range")
-    return decay * math.exp(-2.0 * t_lL / tau_d) * prefactor * loop_kernel(dt / tau_d)
+    return np.where(decay > 0.0, decay * math.exp(-2.0 * t_lL / tau_d) * prefactor
+                    * loop_kernel(dt / tau_d), 0.0)
 
 
 @_in_float_range
@@ -311,9 +314,10 @@ def loop_correction(params: SemiclassicalParams, t):
 def loop_correction_short_time(params: SemiclassicalParams, t):
     """Taylor expansion of the loop correction for t << min(tau_D, tau_d),
     exp(-t/tau_D) (t^2/(2 T_H tau_D) - t^3/(6 T_H tau_D tau_d)): `bare_quantum_correction`
-    times 1 - t/(3 tau_d).  The neglected term is O(t^4 / (tau_d^2 T_H tau_D))."""
+    times 1 - t/(3 tau_d), 0 where it is.  The neglected term is O(t^4 / (tau_d^2 T_H tau_D))."""
     tau_d = _effective_tau_d(params.decoherence_time, t)
-    return bare_quantum_correction(params, t) * (1.0 - t / (3.0 * tau_d))
+    bare = bare_quantum_correction(params, t)
+    return np.where(bare != 0.0, bare * (1.0 - t / (3.0 * tau_d)), 0.0)
 
 
 def ehrenfest_time(lyapunov: float, encounter_scale: float, hbar: float) -> float:
@@ -526,4 +530,4 @@ def _check_times(t):
 
 
 def _close(a: float, b: float, rtol: float) -> bool:
-    return abs(a - b) <= rtol * max(abs(a), abs(b))
+    return a == b or abs(a - b) <= rtol * max(abs(a), abs(b))

@@ -11,17 +11,14 @@ Three boundaries are supported:
 Arclength runs counterclockwise; the inward unit normal is the tangent rotated
 by +90 degrees.  Ray intersection solves only for the hit it returns.  It is
 exact for the circle and the stadium, where the heading picks the one piece
-a ray leaves by, and reduces to a quartic for the cardioid, solved for the
-whole batch at once, in closed form.  Rays starting on the boundary --
-every ray after its first flight -- have an exact root at distance 0, so
-their quartic deflates to a cubic; rays starting inside the cavity split
-their quartic into two real quadratics through its resolvent cubic
-(Ferrari).  One cubic solver serves both.  Only the smallest
-admissible root is polished, by Newton steps on the full quartic that are
-refused where they would raise its residual.  The cardioid hit is snapped onto
-the boundary along its polar angle, whose cosine and sine are read off the
-hit as x/r and y/r; its arclength and normal follow from them and from the
-half-angle values sqrt((1 -/+ cos)/2), with no trigonometric call.
+a ray leaves by.  The cardioid's is solved for the whole batch at once, in
+closed form, in the boundary's own parameter, the half angles
+(cos(phi/2), sin(phi/2)) of the polar angle phi: there the ray's line is a
+quartic whose every root is a boundary point on the line.  Rays starting on
+the boundary -- every ray after its first flight -- deflate it by their own
+root to a cubic; rays from inside split it into two real quadratics through
+its resolvent cubic (Ferrari).  One cubic solver serves both, and one map
+takes the chosen root to the hit, its arclength and its normal.
 """
 
 from __future__ import annotations
@@ -60,9 +57,10 @@ SHAPES = tuple(_SHAPE_FACTS)
 # root produced by a particle sitting exactly on the boundary.
 _TAU_MIN = 1e-10
 
-# A cardioid hit with boundary radius below this (units of scale) counts as a
-# cusp hit and is retroreflected instead of reflected off an undefined normal.
-_CUSP_RADIUS = 1e-9
+# A cardioid hit within this polar radius of the cusp (units of scale) by a ray
+# meeting the cusp's needle head on is retroreflected.  Reflected off the side,
+# it would hug the wall at about 2 sqrt(radius) rad, for ever more collisions.
+_CUSP_RADIUS = 1e-5
 
 
 @dataclass(frozen=True)
@@ -177,11 +175,14 @@ class CavityGeometry:
         A start lies inside the cavity or on its boundary (most rays start at
         the previous hit).  Returns ``(dist, s_hit, hit_pos, normal, cusp)``
         where ``dist`` is the chord length, ``s_hit`` the hit arclength,
-        ``normal`` the inward unit normal at the (snapped) hit and ``cusp``
-        marks hits effectively at the cardioid cusp, where no normal exists
-        and the caller should retroreflect.  Starts up to ``1e-9*scale``
-        outside the boundary are tolerated.  A stadium ray with no exit ahead
-        of it (a start outside, a tangent ray, a NaN) raises ``NumericError``.
+        ``normal`` the inward unit normal at the hit and ``cusp`` marks
+        cardioid hits on which the caller should retroreflect: those that
+        meet the cusp's needle head on within ``_CUSP_RADIUS*scale`` of its
+        tip, and rays with no hit ahead.  Every cardioid hit lies on the
+        boundary and on its ray's line to rounding.  Starts up to
+        ``1e-9*scale`` outside the boundary are tolerated.  A stadium ray
+        with no exit ahead of it (a start outside, a tangent ray, a NaN)
+        raises ``NumericError``.
         """
         p = np.atleast_2d(np.asarray(pos, dtype=float))
         d = np.atleast_2d(np.asarray(dirs, dtype=float))
@@ -267,191 +268,222 @@ def _stadium_hits(p, d, a):
 
 
 def _cardioid_hits(p, d, scale):
-    """Quartic ray-cardioid intersection, batch form.
+    """Ray-cardioid intersection in the boundary's half-angle parameter, batch form.
 
-    In units of ``scale`` the boundary is |r| = 1 + cos(angle), equivalently
-    (q - x)^2 = q with q = |r|^2 and the physical branch q - x >= 0.  Along
-    the ray r(tau) = p + tau*d that is a monic quartic in tau.  Its constant
-    term c0 = (q0 - x0)^2 - q0 equals q0 * ((|p| - cos(angle))^2 - 1), so it
-    vanishes exactly when the start p lies on the boundary.  Rays are split
-    on it:
+    In units of ``scale`` the boundary point at half angles (a, b)
+    proportional to (C, S) = (cos(phi/2), sin(phi/2)), C >= 0, is
+    X = (2a^2 (a^2 - b^2), 4a^3 b) / (a^2 + b^2)^2.  With n = (-dy, dx) the
+    ray's line n.X = c, c = n.p, is the quartic
+    (c + 2dy) a^4 - 4dx a^3 b + 2(c - dy) a^2 b^2 + c b^4 = 0, and each real
+    root is a boundary point on the line: the hit is the one with the
+    shortest flight tau = (X - p).d above `_TAU_MIN` (`_nearest`).
+    Starts with |c0| <= 1e-12 q0, c0 = (q0 - x)^2 - q0 and q0 = |p|^2 (within
+    about 5e-13 of the boundary: every start after the first flight) deflate
+    the quartic by their own root (`_deflated_roots`); the others split it
+    by Ferrari (`_ferrari_roots`).  A line through the cusp (|c| <= 1e-150,
+    below which the quartic's products underflow) has the cusp as a double
+    root and meets the boundary at the polar angles of d and -d
+    (`_polar_roots`).
 
-    * boundary starts, |c0| <= 1e-12 q0 (p within about 5e-13 of the boundary
-      radially; every start after the first flight): the quartic is
-      tau * (tau^3 + c3 tau^2 + c2 tau + c1) + c0, so dropping the
-      rounding-level c0 removes exactly the tau ~ 0 root -- the start
-      itself, never admissible -- and leaves a cubic solved in closed form;
-    * interior starts: the quartic is split into two real quadratics
-      through its resolvent cubic (`_interior_dist`), whose four roots are
-      the candidates.
-
-    Either way the smallest admissible candidate is kept and only it is
-    polished by Newton steps on the full quartic.
+    A hit within ``_CUSP_RADIUS`` of the cusp is a cusp event only where the
+    ray meets the cusp's needle head on (heading to -x, from inside the
+    cavity); one heading to +x reflects off the side it hits, whose normal
+    is defined up to the tip.  A ray with no root ahead (stuck at the cusp,
+    or exactly tangent) keeps its start's polar angle and distance 0, and
+    counts as a cusp event: the caller retroreflects it in place.
     """
     p = p / scale
-    b = np.einsum("ij,ij->i", p, d)
-    q0 = np.einsum("ij,ij->i", p, p)
-    b1 = 2.0 * b - d[:, 0]
-    b0 = q0 - p[:, 0]
-    # quartic coefficients (monic): tau^4 + c3 tau^3 + c2 tau^2 + c1 tau + c0
-    c3 = 2.0 * b1
-    c2 = b1 * b1 + 2.0 * b0 - 1.0
-    c1 = 2.0 * b1 * b0 - 2.0 * b
-    c0 = b0 * b0 - q0
-    quartic = (c3, c2, c1, c0, b1, b0)
-    on_boundary = np.abs(c0) <= 1e-12 * q0
+    x, y = p[:, 0], p[:, 1]
+    c = d[:, 0] * y - d[:, 1] * x
+    q0 = x * x + y * y
+    on_boundary = np.abs((q0 - x) * (q0 - x) - q0) <= 1e-12 * q0
     n_boundary = np.count_nonzero(on_boundary)
-    # a batch on one side only -- the common case, and every single ray --
-    # is solved whole, without masking
-    if n_boundary == len(p):
-        dist = _boundary_dist(*quartic)
-    elif n_boundary == 0:
-        dist = _interior_dist(quartic, p, d, b)
-    else:
-        dist = np.empty(len(p))
-        inner = ~on_boundary
-        dist[on_boundary] = _boundary_dist(*(c[on_boundary] for c in quartic))
-        dist[inner] = _interior_dist([c[inner] for c in quartic], p[inner], d[inner], b[inner])
+    # degenerate rows (a start on the cusp, a line through it) divide by 0 on
+    # the way; their candidates come out non-finite and `_nearest` drops them
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # a batch on one side only -- the common case, and every single ray --
+        # is solved whole, without masking
+        if n_boundary in (0, len(p)):
+            a, b, dist = (_deflated_roots if n_boundary else _ferrari_roots)(p, d, c, q0)
+        else:
+            a, b, dist = np.empty((3, len(p)))
+            for solve, rows in ((_deflated_roots, on_boundary), (_ferrari_roots, ~on_boundary)):
+                a[rows], b[rows], dist[rows] = solve(p[rows], d[rows], c[rows], q0[rows])
+        through = np.flatnonzero(np.abs(c) <= 1e-150)
+        if through.size:
+            a[through], b[through], dist[through] = _polar_roots(p[through], d[through])
 
-    # rays with no admissible root (numerically stuck at the cusp or exactly
-    # grazing): treat as a cusp event; the caller will retroreflect in place
-    stuck = ~np.isfinite(dist)
-    if stuck.any():
+    stuck = np.flatnonzero(dist == np.inf)
+    if stuck.size:
         dist[stuck] = 0.0
+        a[stuck], b[stuck] = _half_angles(x[stuck], y[stuck])
+    s_hit, hit, nrm, cusp = _cardioid_point(a, b)
+    tip = np.flatnonzero(cusp)
+    if tip.size:  # a cusp event only where the ray meets the needle head on, from inside
+        cusp[tip] = (d[tip, 0] < 0.0) & (np.einsum("ij,ij->i", d[tip], nrm[tip]) <= 0.0)
+    cusp[stuck] = True
+    return dist * scale, s_hit * scale, hit * scale, nrm, cusp
 
-    hit = p + dist[:, None] * d
-    s_hit, hit, nrm, tip = _cardioid_snap(hit[:, 0], hit[:, 1])
-    return dist * scale, s_hit * scale, hit * scale, nrm, stuck | tip
 
+def _half_angles(x, y):
+    """(a, b) proportional to (cos(phi/2), sin(phi/2)), a >= 0, at the polar angle phi of (x, y).
 
-def _cardioid_snap(x, y):
-    """Snap points onto the unit cardioid along their polar angle phi.
-
-    Returns ``(s_hit, snapped, normal, tip)``: the arclength, the boundary
-    point and its inward unit normal at phi, and ``tip`` where that point lies
-    within ``_CUSP_RADIUS`` of the cusp.  With r = |(x, y)|, cos phi = x/r
-    and sin phi = y/r; 1 -/+ cos phi = (r -/+ x)/r, where the one of r - x
-    and r + x that would cancel is taken as y^2 over the other.  The
-    arclength is 4 sin(phi/2) = 4 sqrt((1 - cos phi)/2), mirrored to
-    8 - 4 sin(phi/2) below the x axis, and the inward normal is
-    (C (1 - 2c), -+S (1 + 2c)) with c = cos phi, C = |cos(phi/2)| and
-    S = sin(phi/2) (minus above the axis).  A point within ``_CUSP_RADIUS``
-    of the origin has no polar angle of its own: it is pinned to the cusp's,
-    c = -1, so it is snapped there instead of onto the far side.
+    tan(phi/2) = y/(r + x) = (r - x)/y, the first taken where x > 0 and the
+    second elsewhere, so that neither cancels.  The origin gets the cusp's
+    (0, 1).
     """
     r = np.hypot(x, y)
-    on_cusp = r <= _CUSP_RADIUS
-    r = np.maximum(r, _CUSP_RADIUS)  # only pinned points change
-    far = r + np.abs(x)
-    near = y * y / far
-    upper = y >= 0.0
     right = x > 0.0
-    one_minus = np.where(right, near, far) / r  # 1 - cos phi
-    one_plus = np.where(right, far, near) / r  # 1 + cos phi
-    c, s = x / r, y / r
-    if on_cusp.any():
-        c[on_cusp], s[on_cusp] = -1.0, 0.0
-        one_minus[on_cusp], one_plus[on_cusp] = 2.0, 0.0
-    half_sin = np.sqrt(0.5 * one_minus)
-    s_half = 4.0 * half_sin
-    s_hit = np.where(upper, s_half, 8.0 - s_half)
-    snapped = np.stack([one_plus * c, one_plus * s], axis=-1)
-    nrm = np.empty_like(snapped)
-    np.multiply(np.sqrt(0.5 * one_plus), 1.0 - 2.0 * c, out=nrm[:, 0])
-    np.multiply(np.where(upper, -half_sin, half_sin), 1.0 + 2.0 * c, out=nrm[:, 1])
-    return s_hit, snapped, nrm, one_plus <= _CUSP_RADIUS
+    return (np.where(right, r + x, np.abs(y)),
+            np.where(right, y, np.copysign(np.where(r > 0.0, r - x, 1.0), y)))
 
 
-def _interior_dist(quartic, p, d, b):
-    """Smallest admissible root of the quartic of rays starting inside the cavity.
+def _cardioid_point(a, b):
+    """The boundary point at half angles (a, b) proportional to (C, S): ``(s_hit, hit, normal, tip)``.
 
-    Ferrari's factorization: for any k, F = g^2 - q equals (g + k)^2 - R_k
-    with the quadratic R_k = 2k g + q + k^2, and where R_k is a perfect
-    square (s tau + sigma)^2, F splits into the real quadratics
-    g + k -/+ (s tau + sigma).  With A = s^2 = 2k + 1 and z = A - 1 that
-    happens where z solves the resolvent cubic z^3 + (e z - 2 chi)^2 = 0,
-    with chi = p x d and e = dy - 2 chi.  Its real roots lie in [-1, 0],
-    and one always does.  Of three real roots the outer one farther from its
-    neighbour is taken (the lower one only if A >= 0): next to the cusp two
-    roots nearly meet.  The cubic's coefficients are small next to the cusp,
-    and formed from chi and e they keep their relative accuracy there; one
-    Newton step polishes the root, about A = 0 where z < -1/2 (rays close to
-    vertical have A ~ dx^2, the near-biquadratic quartics).  Of each pair of
-    factor coefficients the one that would cancel is taken from the pair's
-    product: c0 for the constant terms, b1^2 - A for the linear ones, which
-    is formed from z + e^2 = 4 chi (e z - chi) / z^2 where z^2 > |chi|.  The
-    four roots of the two quadratics are the candidates; a complex pair
-    within 1e-6 relative of the real axis counts as a real double root.
+    With cos phi = C^2 - S^2 the point is (2C^2 cos phi, 4C^3 S), its
+    arclength 4S, or 8 + 4S below the axis, and its inward unit normal
+    -(C + iS)^3 = (C (3S^2 - C^2), S (S^2 - 3C^2)).  ``tip`` marks points
+    whose polar radius 2C^2 is within ``_CUSP_RADIUS`` of the cusp.
     """
-    c3, c2, c1, c0, b1, b0 = quartic
-    px, py, dx, dy = p[:, 0], p[:, 1], d[:, 0], d[:, 1]
-    chi = px * dy - py * dx
-    e = dy - 2.0 * chi
-    lead, pair, _, trig, third = _cubic_roots(e * e, -4.0 * chi * e, 4.0 * chi * chi)
-    z = lead
-    if trig.size:
-        outer = (third >= -1.0) & (pair[trig] - third > lead[trig] - pair[trig])
-        z[trig] = np.where(outer, third, lead[trig])
-    z = np.minimum(np.maximum(z, -1.0), 0.0)
-    A = 1.0 + z
-    small_a = z < -0.5  # there the step is taken about A = 0, else about z = 0
-    t = e * z - 2.0 * chi
-    R = np.where(small_a, ((A + (4.0 * b0 - 2.0 - b1 * b1)) * A
-                             + (1.0 + 4.0 * px - 2.0 * b1 * dx)) * A - dx * dx,
-                 z * z * z + t * t)
-    dR = 3.0 * z * z + 2.0 * e * t
-    step = -R / np.where(dR == 0.0, np.inf, dR)
-    z = np.minimum(np.maximum(np.where(small_a, (A + step) - 1.0, z + step), -1.0), 0.0)
-    A = np.where(small_a, np.maximum(A + step, 0.0), 1.0 + z)
+    norm = np.copysign(1.0 / np.hypot(a, b), a)
+    C, S = a * norm, b * norm
+    CC, SS = C * C, S * S
+    rho = 2.0 * CC  # 1 + cos phi
+    hit, nrm = np.empty((2, len(C), 2))
+    np.multiply(rho, CC - SS, out=hit[:, 0])
+    np.multiply(2.0 * rho, C * S, out=hit[:, 1])
+    np.multiply(C, 3.0 * SS - CC, out=nrm[:, 0])
+    np.multiply(S, SS - 3.0 * CC, out=nrm[:, 1])
+    return np.where(S >= 0.0, 4.0 * S, 8.0 + 4.0 * S), hit, nrm, rho <= _CUSP_RADIUS
 
-    # a degenerate or extreme row may divide by 0 or overflow on the way: its
-    # candidates come out non-finite, and `_admissible` drops them
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        s = np.sqrt(A)
-        B = b + 0.5 * b1 * z  # s * sigma
-        C = (0.25 * z + b0) * z + (b0 + px)  # sigma^2
-        sigma = np.where(A >= C, B / np.where(s == 0.0, np.inf, s),
-                         np.copysign(np.sqrt(np.maximum(C, 0.0)), B))
-        # constant terms k -/+ sigma, k = b0 + z/2; their product is c0
-        k = b0 + 0.5 * z
-        q_big = k + np.copysign(sigma, k)
-        q_small = c0 / q_big
-        q_plus_big = np.signbit(k) == np.signbit(sigma)
-        # linear terms b1 -/+ s; their product is b1^2 - A
-        p_big = b1 + np.copysign(s, b1)
-        bb = 4.0 * b * (b - dx)
-        prod = bb - dy * dy - z
-        shift = 4.0 * chi * (e * z - chi) / (z * z)  # z + e^2
-        prod = np.where(z * z > np.abs(chi), bb - 4.0 * chi * (dy - chi) - shift, prod)
-        p_small = prod / np.where(p_big == 0.0, np.inf, p_big)
-        p_plus_big = ~np.signbit(b1)
 
-        P = np.stack([np.where(p_plus_big, p_small, p_big), np.where(p_plus_big, p_big, p_small)])
-        Q = np.stack([np.where(q_plus_big, q_small, q_big), np.where(q_plus_big, q_big, q_small)])
-        disc = P * P - 4.0 * Q
-        mid = -0.5 * P
-        half_gap = 0.5 * np.sqrt(np.abs(disc))
-        real = disc >= 0.0
-        near_real = real | (half_gap < 1e-6 * np.maximum(1.0, np.abs(mid)))
-        far = np.where(real, mid - np.copysign(half_gap, P), mid)
-        close = np.where(real, Q / far, mid)
-    tau = np.concatenate([far, close])
-    best = _admissible(tau, quartic, np.concatenate([near_real, near_real])).min(axis=0)
-    return _polish(best, quartic)
+def _nearest(p, d, a, b, best=None):
+    """Of k candidate roots (a, b), arrays (k, n), the one with the shortest flight above `_TAU_MIN`.
+
+    Returns ``(a, b, tau)``, each (n,), with tau = (X(a, b) - p).d: a
+    candidate's, or ``best``'s, a previous such triple, where no candidate
+    is nearer.  Rows with no root ahead get tau = inf; non-finite
+    candidates never qualify.
+    """
+    aa, bb = a * a, b * b
+    h = aa + bb
+    taus = (2.0 * aa * ((aa - bb) * d[:, 0] + 2.0 * a * b * d[:, 1]) / (h * h)
+            - np.einsum("ij,ij->i", p, d))
+    if best is None:  # the first candidate, where it lies ahead
+        best = a[0], b[0], np.where(taus[0] > _TAU_MIN, taus[0], np.inf)
+        a, b, taus = a[1:], b[1:], taus[1:]
+    best_a, best_b, best_tau = best
+    for a, b, tau in zip(a, b, taus):
+        better = (tau > _TAU_MIN) & (tau < best_tau)
+        best_tau = np.where(better, tau, best_tau)
+        best_a = np.where(better, a, best_a)
+        best_b = np.where(better, b, best_b)
+    return best_a, best_b, best_tau
+
+
+def _deflated_roots(p, d, c, q0):
+    """The nearest root of a boundary start's quartic, less the start's own root (a0, b0).
+
+    A boundary point has polar radius r = 2C^2 and y = 4C^3 S, so
+    (a0, b0) = (r^2, y) = (q0, y).  The quartic is divided by a - k b,
+    k = a0/b0, running the recursion from its a^4 end, or where a0 > |b0|
+    by b - k a, k = b0/a0, from its b^4 end, which is the same recursion
+    with a and b swapped (A, B).  The cubic left,
+    e3 A^3 + e2 A^2 B + e1 A B^2 + e0 B^3, is solved in t = B/A or t = A/B,
+    whichever has the larger leading coefficient: a line through the cusp
+    (c -> 0) has a root at a = 0, which only the chart t = a/b sees.
+    """
+    dx, dy, y = d[:, 0], d[:, 1], p[:, 1]
+    swap = q0 > np.abs(y)
+    k = np.where(swap, y / q0, q0 / y)
+    q4, q3, q2 = c + 2.0 * dy, -4.0 * dx, 2.0 * (c - dy)
+    e3 = np.where(swap, c, q4)
+    e2 = np.where(swap, k * c, q3 + k * q4)
+    e1 = q2 + k * e2
+    e0 = np.where(swap, q3, 0.0) + k * e1
+    by_b = np.abs(e0) > np.abs(e3)  # t = B/A
+    inv = 1.0 / np.where(by_b, e0, e3)
+    lead, more, others = _cubic_roots(np.where(by_b, e1, e2) * inv,
+                                      np.where(by_b, e2, e1) * inv,
+                                      np.where(by_b, e3, e0) * inv)
+    t_is_b = by_b != swap  # (a, b) = (1, t), else (t, 1)
+    a, b, tau = _nearest(p, d, np.where(t_is_b, 1.0, lead)[None], np.where(t_is_b, lead, 1.0)[None])
+    if more.size:  # the other real roots, on their rows only, against the first
+        t_is_b = t_is_b[more]
+        a[more], b[more], tau[more] = _nearest(p[more], d[more], np.where(t_is_b, 1.0, others),
+                                               np.where(t_is_b, others, 1.0),
+                                               (a[more], b[more], tau[more]))
+    return a, b, tau
+
+
+def _ferrari_roots(p, d, c, q0):
+    """The nearest root of an interior start's quartic, by Ferrari's factorization.
+
+    c times the quartic in u = b/a factors into the real quadratics
+    c u^2 -/+ s u + (c + m -/+ sigma), s^2 = 2c mu, s sigma = 2c dx,
+    mu = m + dy, where m is the largest real root of the resolvent
+    m^3 + (2c + dy) m^2 - 2c = 0 if c > 0 and its smallest if c < 0, so
+    that s is real.  Where mu cancels (|mu| < |dy|/2, near-vertical rays) a
+    Newton step refines it in its own cubic
+    mu^3 + 2(c - dy) mu^2 + dy (dy - 4c) mu - 2c dx^2 = 0.  The constant
+    term that would cancel comes from their product c (c + 2dy), and each
+    quadratic's roots stay homogeneous, (c, h) and (h, gamma).  The chosen
+    distance takes one Newton step on the ray quartic in tau,
+    F = (q - x)^2 - q, q = |p + tau d|^2, kept where it stays above
+    `_TAU_MIN`: a short chord's (X - p).d cancels, F's coefficients do not.
+    """
+    x, dx, dy = p[:, 0], d[:, 0], d[:, 1]
+    e = 2.0 * c + dy
+    m, more, others = _cubic_roots(e, np.zeros_like(c), -2.0 * c)
+    if more.size:
+        roots = np.vstack([m[more], others])
+        m[more] = np.where(c[more] > 0.0, np.fmax.reduce(roots), np.fmin.reduce(roots))
+    mu = m + dy
+    near = np.abs(mu) < 0.5 * np.abs(dy)
+    mu = np.where(near, _newton_step(mu, 2.0 * (c - dy), dy * (dy - 4.0 * c), -2.0 * c * dx * dx), mu)
+    m = np.where(near, mu - dy, m)
+
+    s2 = 2.0 * c * mu
+    s = np.sqrt(np.maximum(s2, 0.0))
+    sigma2 = m * m + 2.0 * c * (m - dy)
+    sigma = np.where(s2 >= sigma2, 2.0 * c * dx / s,
+                     np.copysign(np.sqrt(np.maximum(sigma2, 0.0)), c * dx))
+    k = c + m
+    big = k + np.copysign(sigma, k)
+    small = c * (c + 2.0 * dy) / big
+    plus_big = np.signbit(k) == np.signbit(sigma)
+    # the factors with -s and +s; the roots of each are (c, h) and (h, gamma)
+    gamma = np.stack([np.where(plus_big, small, big), np.where(plus_big, big, small)])
+    h = np.array([[0.5], [-0.5]]) * (s + np.sqrt(s * s - 4.0 * c * gamma))
+    a, b, tau = _nearest(p, d, np.concatenate([[c, c], h]), np.concatenate([h, gamma]))
+
+    pd = np.einsum("ij,ij->i", p, d)
+    b1, b0 = 2.0 * pd - dx, q0 - x
+    c3, c2, c1, c0 = 2.0 * b1, b1 * b1 + 2.0 * b0 - 1.0, 2.0 * b1 * b0 - 2.0 * pd, b0 * b0 - q0
+    F = (((tau + c3) * tau + c2) * tau + c1) * tau + c0
+    dF = ((4.0 * tau + 3.0 * c3) * tau + 2.0 * c2) * tau + c1
+    step = tau - F / dF
+    return a, b, np.where((step > _TAU_MIN) & (step < np.inf), step, tau)
+
+
+def _polar_roots(p, d):
+    """The nearest root on a line through the cusp: the cusp, or the polar angle of d or -d."""
+    return _nearest(p, d, *_half_angles(np.array([d[:, 0], -d[:, 0], [-1.0] * len(p)]),
+                                        np.array([d[:, 1], -d[:, 1], [0.0] * len(p)])))
 
 
 def _cubic_roots(e2, e1, e0):
-    """Real roots of the monic cubics x^3 + e2 x^2 + e1 x + e0, batch form.
+    """Real roots ``(lead, more, others)`` of the monic cubics x^3 + e2 x^2 + e1 x + e0.
 
-    Returns ``(lead, pair, pair_real, trig, third)``.  In depressed form
-    t^3 + pp t + qq (x = t - e2/3) ``lead`` is Cardano's real root u + v and
-    ``pair`` the real part -(u + v)/2 of the complex pair, which counts as
-    real (``pair_real``) only where the pair is real up to 1e-6 relative.
-    The rows ``trig`` with three real roots (half_disc < 0) take instead the
-    trigonometric roots m cos(theta - 2 pi k / 3), m = 2 sqrt(-pp/3), which
-    with mc = m cos(theta) and ms = (sqrt3/2) m sin(theta) are, in
-    descending order, ``lead`` = mc, ``pair`` = -mc/2 + ms and ``third`` =
-    -mc/2 - ms, the last given on those rows only.
+    In depressed form t^3 + pp t + qq (x = t - e2/3) ``lead`` is Cardano's
+    real root u + v.  The rows ``more`` have more real roots, ``others``
+    there: with three (half_disc < 0), the trigonometric roots, in
+    descending order mc = m cos(theta) and -mc/2 +- (sqrt3/2) m sin(theta),
+    m = 2 sqrt(-pp/3); with a complex pair real up to 1e-6 relative (a
+    double root), its real part -(u + v)/2 twice.  A root that cancels
+    against the shift e2/3 keeps an absolute error of about eps times the
+    shift: it takes one Newton step, as do all roots on the rows ``more``.
     """
     shift = e2 / 3.0
     pp = e1 - e2 * shift
@@ -461,74 +493,37 @@ def _cubic_roots(e2, e1, e0):
     u = np.cbrt(-0.5 * qq - np.copysign(np.sqrt(np.maximum(half_disc, 0.0)), qq))
     # u = 0 only when qq = 0 and pp <= 0; the pp < 0 rays take the trig form
     v = -pp / (3.0 * np.where(u == 0.0, 1.0, u))
-    lead = u + v
+    cardano = u + v
     pair_imag = 0.5 * math.sqrt(3.0) * np.abs(u - v)
-    pair_real = pair_imag < 1e-6 * np.maximum(1.0, np.abs(0.5 * lead + shift))
-    pair = -0.5 * lead
-    trig = np.flatnonzero(half_disc < 0.0)
-    third = None
-    if trig.size:
-        pp_t = pp[trig]
-        m = 2.0 * np.sqrt(-pp_t / 3.0)
-        theta = np.arccos(np.minimum(np.maximum(3.0 * qq[trig] / (pp_t * m), -1.0), 1.0)) / 3.0
-        mc = m * np.cos(theta)
-        ms = (0.5 * math.sqrt(3.0)) * (m * np.sin(theta))
-        lead[trig] = mc
-        pair[trig] = -0.5 * mc + ms
-        pair_real[trig] = True
-        third = -0.5 * mc - ms - shift[trig]
-    return lead - shift, pair - shift, pair_real, trig, third
+    more = np.flatnonzero((half_disc < 0.0)
+                          | (pair_imag < 1e-6 * np.maximum(1.0, np.abs(0.5 * cardano + shift))))
+    lead = cardano - shift
+    cancelled = np.flatnonzero(np.abs(lead) < 0.01 * np.abs(shift))
+    if cancelled.size:
+        lead[cancelled] = _newton_step(lead[cancelled], e2[cancelled], e1[cancelled], e0[cancelled])
+    if not more.size:
+        return lead, more, np.empty((2, 0))
+    pp, qq, half_disc, cardano, shift, e2, e1, e0 = (
+        x[more] for x in (pp, qq, half_disc, cardano, shift, e2, e1, e0))
+    # the trig values are taken only where half_disc < 0, and so pp < 0 and m > 0
+    m = 2.0 * np.sqrt(np.maximum(-pp, 0.0) / 3.0)
+    theta = np.arccos(np.minimum(np.maximum(3.0 * qq / np.where(m > 0.0, pp * m, -np.inf),
+                                            -1.0), 1.0)) / 3.0
+    mc = m * np.cos(theta)
+    ms = (0.5 * math.sqrt(3.0)) * (m * np.sin(theta))
+    roots = np.where(half_disc < 0.0, [mc, -0.5 * mc + ms, -0.5 * mc - ms],
+                     [cardano, -0.5 * cardano, -0.5 * cardano]) - shift
+    lead[more], *others = _newton_step(roots, e2, e1, e0)
+    return lead, more, np.array(others)
 
 
-def _boundary_dist(c3, c2, c1, c0, b1, b0):
-    """Smallest admissible root of the deflated cubic tau^3 + c3 tau^2 + c2 tau + c1.
+def _newton_step(x, e2, e1, e0):
+    """x after one Newton step on x^3 + e2 x^2 + e1 x + e0, where the step lowers |f|.
 
-    Its candidates are the cubic's real roots from `_cubic_roots`: Cardano's
-    real root and the complex pair's real part where the pair is real up to
-    1e-6 relative (a double root, a ray touching the boundary), or on the
-    rays with three real roots (about one in twenty) all three.
+    Next to a double root, or a complex pair almost on the real axis, the
+    slope nearly vanishes and a step can jump far; it is refused.
     """
-    quartic = (c3, c2, c1, c0, b1, b0)
-    lead, pair, pair_real, trig, third = _cubic_roots(c3, c2, c1)
-    best = np.minimum(_admissible(lead, quartic), _admissible(pair, quartic, pair_real))
-    if trig.size:  # the third root, on its rays only
-        best[trig] = np.minimum(best[trig], _admissible(third, [c[trig] for c in quartic]))
-    return _polish(best, quartic)
-
-
-def _admissible(tau, quartic, near_real=True):
-    """``tau`` where it is an admissible root, else inf.
-
-    A candidate root is admissible when it is (nearly) real, lies ahead of
-    the start, is on the physical branch q - x >= 0 and leaves a small
-    quartic residual.
-    """
-    c3, c2, c1, c0, b1, b0 = quartic
-    P = (((tau + c3) * tau + c2) * tau + c1) * tau + c0
-    g = (tau + b1) * tau + b0  # q - x along the ray
-    tau2 = tau * tau
-    ok = (near_real & (tau > _TAU_MIN) & (g >= -1e-9)
-          & (np.abs(P) <= 1e-8 * np.maximum(1.0, tau2 * tau2)))
-    return np.where(ok, tau, np.inf)
-
-
-def _polish(tau, quartic):
-    """Two Newton steps on the full quartic from each ray's chosen root.
-
-    Rays without an admissible root keep their non-finite distance.  A step
-    that would raise the residual |P| is refused: next to a double root (a
-    ray through the cusp) it can jump far past the root, even behind the
-    start.
-    """
-    c3, c2, c1, c0 = quartic[:4]
-    dc3, dc2 = 3.0 * c3, 2.0 * c2
-    with np.errstate(invalid="ignore"):  # inf - inf on rays without a root
-        P = (((tau + c3) * tau + c2) * tau + c1) * tau + c0
-        for _ in range(2):  # no step where dP vanishes
-            dP = ((4.0 * tau + dc3) * tau + dc2) * tau + c1
-            step = tau - P / np.where(np.abs(dP) > 1e-300, dP, np.inf)
-            P_step = (((step + c3) * step + c2) * step + c1) * step + c0
-            better = np.abs(P_step) <= np.abs(P)
-            tau = np.where(better, step, tau)
-            P = np.where(better, P_step, P)
-    return tau
+    f = ((x + e2) * x + e1) * x + e0
+    slope = (3.0 * x + 2.0 * e2) * x + e1
+    step = x - f / np.where(slope == 0.0, np.inf, slope)
+    return np.where(np.abs(((step + e2) * step + e1) * step + e0) < np.abs(f), step, x)

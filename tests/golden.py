@@ -10,7 +10,8 @@ dispatch targets this CPU supports; the test skips on any other key.
 An intended byte change rewrites the file in the same change, with its cause
 in CHANGES.md::
 
-    PYTHONPATH=src python tests/golden.py
+    PYTHONPATH=src python tests/golden.py --check   # list the cases that moved
+    PYTHONPATH=src python tests/golden.py           # rewrite the file
 """
 
 import hashlib
@@ -58,17 +59,36 @@ def csv_sha256(csv_path):
     return hashlib.sha256(Path(csv_path).read_bytes()).hexdigest()
 
 
-def record():
-    digests = {}
+def digests():
+    """The CSV digest of every golden case, run now."""
+    found = {}
     with tempfile.TemporaryDirectory() as tmp:
         for i, (path, threads) in enumerate(GOLDEN_CASES):
             code, csv_path = run_bundled(path, threads, Path(tmp) / str(i))
             if code != 0:
                 sys.exit(f"{case_name(path, threads)} exited with {code}")
-            digests[case_name(path, threads)] = csv_sha256(csv_path)
-    doc = {"key": numpy_key(), "sha256": digests}
+            found[case_name(path, threads)] = csv_sha256(csv_path)
+    return found
+
+
+def check():
+    """Print each case whose digest differs from the recorded one; write nothing."""
+    recorded = json.loads(GOLDEN_FILE.read_text())
+    if recorded["key"] != numpy_key():
+        print(f"recorded for {recorded['key']}, running on {numpy_key()}")
+    moved = {name: digest for name, digest in digests().items()
+             if recorded["sha256"].get(name) != digest}
+    for name, digest in moved.items():
+        print(f"{name}: {recorded['sha256'].get(name)} -> {digest}")
+    return 1 if moved else 0
+
+
+def record():
+    doc = {"key": numpy_key(), "sha256": digests()}
     GOLDEN_FILE.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--check"]:
+        sys.exit(check())
     record()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaodecay.dynamics import batch_collide, escape_times, sample_positions
+from chaodecay.dynamics import _flights, batch_collide, escape_times, sample_positions
 from chaodecay.ensemble import EnsembleSpec, mean_free_time, sample_ensemble, survival_curve
 from chaodecay.errors import NumericError
 from chaodecay.geometry import SHAPES, CavityGeometry
@@ -372,6 +372,21 @@ class TestProgressGuarantee:
         assert samples.shape == (len(pos), 301, 2)
         assert np.all(g.contains(samples.reshape(-1, 2), tol=1e-9))
 
+    def test_rays_aimed_at_the_cusp_stay_inside(self):
+        # from 1,200 boundary points straight at the cusp or at points within
+        # 1e-5 of it: no flight runs backwards or leaves the cavity
+        g = make("cardioid")
+        rng = np.random.default_rng(5)
+        n = 1200
+        pos, _ = boundary_point(g, rng.uniform(1e-3, 8.0 - 1e-3, n))
+        offset = 10.0 ** rng.uniform(-12.0, -5.0, n) * (rng.random(n) < 0.8)
+        angle = rng.uniform(0.0, 2.0 * math.pi, n)
+        target = offset[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=-1)
+        dirs = (target - pos) / np.linalg.norm(target - pos, axis=-1)[:, None]
+        for _, start, heading, t0, t_hit, *_ in _flights(g, pos, dirs, np.zeros(n), 1.0, 10.0):
+            assert (t_hit >= t0).all()
+            assert g.contains(start + 0.5 * (t_hit - t0)[:, None] * heading, tol=1e-9).all()
+
     def test_stuck_particle_raises(self):
         rng = np.random.default_rng(8)
         pos = rng.uniform(-0.5, 0.5, (6, 2))
@@ -409,3 +424,40 @@ def test_acceptance_circle_oracle_bulk():
                 float(np.max(np.abs(hit - hit_exact))),
                 float(np.max(np.abs(out - out_exact))))
     assert worst <= 1e-12
+
+
+class TestExactIdentities:
+    """Whole-engine rates that the billiard flow fixes exactly, for every shape.
+
+    Both hold for the uniform phase-space ensemble that `sample_ensemble`
+    draws, which the closed flow leaves invariant.  Their tolerances are four
+    standard errors of the per-row (per-particle) estimate, not of single
+    flights.
+    """
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_santalo_collision_rate(self, shape):
+        # Santalo: the closed cavity's collision rate is P v / (pi A) =
+        # 1 / mean_free_time; counting each row's hits in [0, T] has no bias
+        g = make(shape, opening_length=0.1)
+        n, t_end = 20_000, 20.0 * mean_free_time(g)
+        pos, dirs = sample_ensemble(g, EnsembleSpec(n_samples=n, seed=1))
+        hits = np.zeros(n)
+        for rows, _, _, _, t_hit, *_ in _flights(g, pos, dirs, np.zeros(n), 1.0, t_end):
+            hits[rows] += t_hit <= t_end
+        expected = t_end / mean_free_time(g)
+        assert abs(hits.mean() - expected) <= 4.0 * hits.std(ddof=1) / math.sqrt(n)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_initial_escape_flux(self, shape):
+        # the uniform ensemble leaves through an opening of length l at the
+        # rate l v / (pi A) = 1 / tau_D at t = 0; over [0, 0.02 tau_D] the
+        # censored-exponential estimate k / sum(min(t, t_w)) has error rate / sqrt(k)
+        g = make(shape, opening_length=0.1)
+        tau_d = math.pi * g.area / g.opening_length
+        n, window = 200_000, 0.02 * tau_d
+        pos, dirs = sample_ensemble(g, EnsembleSpec(n_samples=n, seed=2))
+        times, _ = escape_times(g, pos, dirs, 1.0, window)
+        k = np.count_nonzero(times <= window)
+        rate = k / np.minimum(times, window).sum()
+        assert abs(rate * tau_d - 1.0) <= 4.0 / math.sqrt(k)

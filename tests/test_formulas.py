@@ -121,6 +121,11 @@ class TestParams:
                    decoherence_time=10.0 / 3.0)
         assert p.decoherence_time == pytest.approx(10.0 / 3.0)
 
+    def test_tau_d_infinite_at_zero_coupling(self):
+        # zero coupling derives tau_d = inf, which a given inf agrees with
+        p = params(coupling_strength=0.0, position_variance=1.0, decoherence_time=math.inf)
+        assert p.decoherence_time == math.inf
+
     def test_time_product_underflow_rejected(self):
         # the loop corrections divide by dwell_time * heisenberg_time
         with pytest.raises(ValueError, match="underflows"):
@@ -443,6 +448,20 @@ def test_bracket_nonnegative_property(tau_D, tau_d, t):
 
 
 _LOG_UNIFORM = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+@pytest.mark.parametrize("tau_d", [math.inf, 1e-12])
+def test_rows_decayed_to_zero_are_zero(regime, tau_d):
+    # exp(-t/tau_D) is 0 past t ~ 745 tau_D, where t/T_H or t/tau_d overflows:
+    # 0 * inf there, but the bracket is 0 to any precision
+    p = SemiclassicalParams(dwell_time=1.0, heisenberg_time=1e-12, decoherence_time=tau_d)
+    t = np.linspace(0.0, 1e300, 16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        values = total_survival(p, t, regime) - classical_survival(p, t)
+    assert np.isfinite(values).all()
+    assert (values[1:] == 0.0).all()
 
 
 @given(st.sampled_from(REGIMES), _LOG_UNIFORM, _LOG_UNIFORM,

@@ -461,14 +461,64 @@ def _cardioid_quartic_oracle(p, d, on_boundary=True):
     return dist, terms.sum() / abs(dist * slope(dist))
 
 
+def _half_angle_oracle(p, d):
+    """First hit of a boundary start on the unit cardioid, in the kernel's half-angle cubic.
+
+    The quartic (c + 2dy) a^4 - 4dx a^3 b + 2(c - dy) a^2 b^2 + c b^4 = 0 in
+    (a, b) proportional to (cos(phi/2), sin(phi/2)), c = dx py - dy px, is
+    formed from the float start and heading and divided by the start's own
+    root (C0, S0), the half angles of its polar angle, all in 60 digits; the
+    cubic left is solved in t = b/a or t = a/b, whichever has the larger
+    leading coefficient.  A near-grazing chord of 2.5e-7 is defined by the
+    quartic it is read from only to about 1e-2 (a start 3e-16 off the
+    boundary moves the near intersection about 3e-9 along the line), so only
+    a solve of this cubic can agree with the kernel to 1e-9.  Returns
+    ``(dist, kappa)``: the smallest flight (X - p).d above 1e-10 and the
+    relative condition number sum_k |r_k t^k| / |t R'(t)| of its root.
+    """
+    with mpmath.workdps(60):
+        px, py, dx, dy = (mpmath.mpf(float(v)) for v in (*p, *d))
+        c = dx * py - dy * px
+        q = [c + 2 * dy, -4 * dx, 2 * (c - dy), 0, c]  # coefficients of a^4, a^3 b, ..., b^4
+        half = mpmath.atan2(py, px) / 2
+        C0, S0 = mpmath.cos(half), mpmath.sin(half)
+        # (S0 a - C0 b) (r[0] a^3 + r[1] a^2 b + r[2] a b^2 + r[3] b^3) is the quartic
+        if abs(S0) >= abs(C0):
+            r = [q[0] / S0]
+            for k in range(1, 4):
+                r.append((q[k] + C0 * r[-1]) / S0)
+        else:
+            r = [-q[4] / C0]
+            for k in range(3, 0, -1):
+                r.append((S0 * r[-1] - q[k]) / C0)
+            r.reverse()
+        by_b = abs(r[3]) > abs(r[0])  # in t = b/a: r[3] t^3 + r[2] t^2 + r[1] t + r[0]
+        coeffs = r[::-1] if by_b else r  # highest power first
+        best = None
+        for t in mpmath.polyroots(coeffs, maxsteps=500, extraprec=500):
+            if abs(mpmath.im(t)) > 1e-40:
+                continue
+            t = mpmath.re(t)
+            a, b = (1, t) if by_b else (t, 1)
+            h = (a * a + b * b) ** 2
+            tau = (2 * a * a * (a * a - b * b) / h - px) * dx + (4 * a ** 3 * b / h - py) * dy
+            if tau > 1e-10 and (best is None or tau < best[0]):
+                slope = sum(k * ck * t ** (k - 1) for k, ck in zip((3, 2, 1), coeffs))
+                terms = sum(abs(ck * t ** k) for k, ck in zip((3, 2, 1, 0), coeffs))
+                best = (tau, terms / abs(t * slope))
+        assert best is not None, "oracle found no hit"
+        return float(best[0]), float(best[1])
+
+
 def _companion_dist(c3, c2, c1, c0, b1, b0):
     """Smallest admissible root of each ray's quartic from companion-matrix eigenvalues.
 
     The path interior starts took before the closed form: all four roots of
     the monic quartic from numpy's batched (n, 4, 4) eigenvalue solver, a
     root within 1e-6 relative of the real axis counted as real, filtered by
-    the kernel's admissibility rules and the smallest one polished by the
-    kernel's Newton steps.  Rows without an admissible root get inf.
+    the admissibility rules of `_admissible` and the smallest one polished by
+    `_polish`, both as the kernel had them then.  Rows without an admissible
+    root get inf.
     """
     quartic = (c3, c2, c1, c0, b1, b0)
     comp = np.zeros((len(c0), 4, 4))
@@ -481,8 +531,35 @@ def _companion_dist(c3, c2, c1, c0, b1, b0):
     for root in np.linalg.eigvals(comp).T:
         tau = root.real.copy()
         near_real = np.abs(root.imag) < 1e-6 * np.maximum(1.0, np.abs(tau))
-        np.minimum(best, geometry._admissible(tau, quartic, near_real), out=best)
-    return geometry._polish(best, quartic)
+        np.minimum(best, _admissible(tau, quartic, near_real), out=best)
+    return _polish(best, quartic)
+
+
+def _admissible(tau, quartic, near_real):
+    """``tau`` where it is (nearly) real, ahead of the start, on the branch
+    q - x >= 0 and of small quartic residual; else inf."""
+    c3, c2, c1, c0, b1, b0 = quartic
+    P = (((tau + c3) * tau + c2) * tau + c1) * tau + c0
+    g = (tau + b1) * tau + b0  # q - x along the ray
+    tau2 = tau * tau
+    ok = (near_real & (tau > 1e-10) & (g >= -1e-9)
+          & (np.abs(P) <= 1e-8 * np.maximum(1.0, tau2 * tau2)))
+    return np.where(ok, tau, np.inf)
+
+
+def _polish(tau, quartic):
+    """Two Newton steps on the full quartic, each refused where it would raise |P|."""
+    c3, c2, c1, c0 = quartic[:4]
+    with np.errstate(invalid="ignore"):  # inf - inf on rays without a root
+        P = (((tau + c3) * tau + c2) * tau + c1) * tau + c0
+        for _ in range(2):
+            dP = ((4.0 * tau + 3.0 * c3) * tau + 2.0 * c2) * tau + c1
+            step = tau - P / np.where(np.abs(dP) > 1e-300, dP, np.inf)
+            P_step = (((step + c3) * step + c2) * step + c1) * step + c0
+            better = np.abs(P_step) <= np.abs(P)
+            tau = np.where(better, step, tau)
+            P = np.where(better, P_step, P)
+    return tau
 
 
 def _kernel_quartic(p, d):
@@ -496,17 +573,18 @@ def _kernel_quartic(p, d):
 def _arctan2_snap(x, y):
     """The cardioid hit tail by polar angle: arctan2, then cos, sin and sin(phi/2).
 
-    Returns ``(s_hit, snapped, normal, tip)`` like ``geometry._cardioid_snap``;
-    a point within 1e-9 of the origin is pinned to the cusp, phi = pi.
+    Returns ``(s_hit, snapped, normal, tip)`` like ``geometry._cardioid_point``;
+    the origin itself is the cusp, phi = pi.
     """
     phi = np.arctan2(y, x)
     phi = np.where(phi < 0.0, phi + 2.0 * math.pi, phi)
-    phi = np.where(x * x + y * y <= 1e-18, math.pi, phi)
+    phi = np.where((x == 0.0) & (y == 0.0), math.pi, phi)
     c, s = np.cos(phi), np.sin(phi)
     rho = 1.0 + c
     s_half = 4.0 * np.sin(0.5 * phi)
     s_hit = np.where(phi <= math.pi, s_half, 8.0 - s_half)
-    return s_hit, np.stack([rho * c, rho * s], axis=-1), cardioid_normal(c, s), rho <= 1e-9
+    return (s_hit, np.stack([rho * c, rho * s], axis=-1), cardioid_normal(c, s),
+            rho <= geometry._CUSP_RADIUS)
 
 
 def _cusp_normal(x, y):
@@ -523,63 +601,71 @@ def _cusp_normal(x, y):
 
 
 class TestCardioidSnap:
-    """The trig-free snap of a hit onto the cardioid against the arctan2 tail.
+    """The boundary point at a root's half angles against the arctan2 tail.
 
-    Where 1 + cos(phi) < 1e-4 the tail's normal is off by more than 1e-14 (its
-    x component is sqrt((1 + cos phi)/2) (1 - 2 cos phi), and 1 + cos(phi)
+    `_cardioid_point` maps any (a, b) proportional to (cos(phi/2),
+    sin(phi/2)) to the hit, its arclength and inward normal with no
+    trigonometric call; the oracle reads the polar angle of the same
+    boundary point with arctan2.  The pairs are given scaled by random
+    factors of either sign, as the root solves leave them.  Where
+    1 + cos(phi) < 1e-4 the tail's normal is off by more than 1e-14 (its x
+    component is sqrt((1 + cos phi)/2) (1 - 2 cos phi), and 1 + cos(phi)
     carries an absolute rounding error of 1e-16); there the normal is checked
     against the exact one of `_cusp_normal`.
     """
 
-    def _polar(self, phi, radial=1.0):
-        rho = radial * (1.0 + np.cos(phi))
-        return rho * np.cos(phi), rho * np.sin(phi)
-
-    def _compare(self, x, y):
-        s_hit, snapped, nrm, tip = geometry._cardioid_snap(x, y)
+    def _compare(self, phi, seed=0):
+        phi = np.asarray(phi, dtype=float)
+        factor = np.random.default_rng(seed).uniform(0.5, 2.0, phi.size)
+        factor[1::2] *= -1.0
+        s_hit, snapped, nrm, tip = geometry._cardioid_point(factor * np.cos(0.5 * phi),
+                                                            factor * np.sin(0.5 * phi))
+        rho = 1.0 + np.cos(phi)
+        x, y = rho * np.cos(phi), rho * np.sin(phi)
         s_ref, snapped_ref, nrm_ref, tip_ref = _arctan2_snap(x, y)
         np.testing.assert_array_equal(tip, tip_ref)
         np.testing.assert_allclose(s_hit, s_ref, rtol=0.0, atol=1e-14)
         np.testing.assert_allclose(snapped, snapped_ref, rtol=0.0, atol=1e-14)
-        # no normal exists on the cusp itself (the oracle parks one there)
+        # the oracle parks a normal on the cusp point itself, where none exists
         well = snapped_ref[:, 0] ** 2 + snapped_ref[:, 1] ** 2 >= 1e-8  # (1 + cos phi)^2
         np.testing.assert_allclose(nrm[well], nrm_ref[well], rtol=0.0, atol=1e-14)
-        near = ~well & ~tip
+        near = ~well & ((x != 0.0) | (y != 0.0))
         np.testing.assert_allclose(nrm[near], _cusp_normal(x[near], y[near]),
                                    rtol=0.0, atol=1e-14)
         np.testing.assert_allclose(np.hypot(nrm[:, 0], nrm[:, 1]), 1.0, rtol=0.0, atol=1e-15)
         return s_hit, snapped, nrm, tip
 
     def test_random_hits(self):
-        # ray hits land within rounding of the boundary
-        rng = np.random.default_rng(12)
-        phi = rng.uniform(-math.pi, math.pi, 50_000)
-        self._compare(*self._polar(phi, 1.0 + rng.uniform(-1e-12, 1e-12, phi.size)))
+        phi = np.random.default_rng(12).uniform(-math.pi, math.pi, 50_000)
+        self._compare(phi)
 
     def test_hits_near_the_positive_axis(self):
         phi = np.array([0.0, -0.0, 1e-300, 1e-15, 1e-9, 1e-6, 1e-3])
-        x, y = self._polar(np.concatenate([phi, -phi]))
-        s_hit, *_ = self._compare(x, y)
+        s_hit, *_ = self._compare(np.concatenate([phi, -phi]))
         assert s_hit[0] == 0.0
 
     def test_hits_at_the_cusp_are_pinned(self):
-        # a polar angle of pi +- 1e-9 is 5e-19 from the origin: a cusp event
-        # on the cusp point, whichever side it came from
-        x, y = self._polar(math.pi + np.array([-1e-9, 1e-9, -1e-6, 1e-6]))
-        x, y = np.append(x, [0.0, -0.0, 1e-10, -3e-10]), np.append(y, [0.0, 0.0, -1e-10, 2e-10])
-        s_hit, snapped, _, tip = self._compare(x, y)
+        # within the cusp radius of the cusp, whichever side they lie on
+        phi = math.pi + np.array([-1e-9, 1e-9, -1e-6, 1e-6, -1e-3, 1e-3, 0.0, -0.0])
+        s_hit, snapped, _, tip = self._compare(phi)
+        assert tip.all()
+        np.testing.assert_allclose(s_hit, 4.0, rtol=0.0, atol=1e-5)
+        np.testing.assert_allclose(snapped, 0.0, rtol=0.0, atol=1e-6)
+        # the cusp itself from either side, (C, S) = (0, +-1); its normals are
+        # the limits of the two branches'
+        s_hit, snapped, nrm, tip = geometry._cardioid_point(np.zeros(2), np.array([1.0, -1.0]))
         assert tip.all()
         np.testing.assert_array_equal(s_hit, 4.0)
         np.testing.assert_array_equal(snapped, 0.0)
+        np.testing.assert_array_equal(nrm, [[0.0, 1.0], [0.0, -1.0]])
 
     @pytest.mark.parametrize("side", [1.0, -1.0])
     def test_normal_near_the_cusp_points_inward(self, side):
         delta = np.logspace(-4, -0.3, 40)
-        x, y = self._polar(math.pi - side * delta)
-        _, snapped, nrm, tip = self._compare(x, y)
-        assert not tip.any()
+        _, snapped, nrm, _ = self._compare(math.pi - side * delta)
         # a step along the normal, small against the gap between the branches
-        eps = 1e-3 * np.hypot(x, y)[:, None] * delta[:, None]
+        rho = np.hypot(snapped[:, 0], snapped[:, 1])
+        eps = 1e-3 * rho[:, None] * delta[:, None]
         g = make("cardioid")
         assert g.contains(snapped + eps * nrm).all()
         assert not g.contains(snapped - eps * nrm).any()
@@ -608,16 +694,22 @@ class TestCardioidKernel:
         target, _ = boundary_point(self.g, s_target)
         return pos, (target - pos) / np.linalg.norm(target - pos)
 
-    def _check(self, p, d):
-        oracle, kappa = _cardioid_quartic_oracle(p, d)
-        assume(kappa < 1e5)
+    def _check(self, p, d, oracle=None):
+        if oracle is None:
+            oracle, kappa = _cardioid_quartic_oracle(p, d)
+            assume(kappa < 1e5)
         dist, s_hit, hit, nrm, cusp = self.g.ray_hits(p[None], d[None])
         assert dist[0] == pytest.approx(oracle, rel=1e-9)
         ds = abs(s_hit[0] - _cardioid_arclength(p + oracle * d))
         assert min(ds, self.g.perimeter - ds) < 1e-8
         hit_oracle = p + oracle * d
-        assert cusp[0] == (1.0 + math.cos(math.atan2(hit_oracle[1], hit_oracle[0])) <= 1e-9)
-        # the hit lies on the ray and on the boundary, with the boundary's normal
+        head_on = np.hypot(*hit_oracle) <= geometry._CUSP_RADIUS and d[0] < 0.0
+        assert cusp[0] == head_on
+        # the hit lies on the ray's line and on the boundary, with the boundary's normal
+        off = hit[0] - p
+        assert abs(off[0] * d[1] - off[1] * d[0]) <= 1e-12
+        r = np.hypot(*hit[0])
+        assert abs(r * r - r - hit[0, 0]) <= 1e-12  # r = 1 + cos(phi)
         np.testing.assert_allclose(hit[0], p + dist[0] * d, atol=1e-9)
         pos_b, nrm_b = boundary_point(self.g, s_hit[0] % self.g.perimeter)
         np.testing.assert_allclose(hit[0], pos_b, atol=1e-9)
@@ -642,7 +734,10 @@ class TestCardioidKernel:
         # within 1e-6 rad of either tangent direction; the chord is ~2 R eps.
         # Below ~1e-7 the chord meets the rounding-level root at the start.
         assume(abs(s0 - 4.0) > 0.5)
-        self._check(*_boundary_ray(self.g, s0, math.pi - eps if backwards else eps))
+        p, d = _boundary_ray(self.g, s0, math.pi - eps if backwards else eps)
+        oracle, kappa = _half_angle_oracle(p, d)
+        assume(kappa < 1e5)
+        self._check(p, d, oracle)
 
     @given(st.floats(1e-3, 0.3), st.booleans(), st.floats(1e-3, math.pi - 1e-3))
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -675,10 +770,12 @@ class TestCardioidKernel:
         # a ray touching the boundary tangentially gives a double root; like
         # a real eigenvalue pair it is a candidate, not a complex pair to skip
         cubic = Polynomial.fromroots(roots)
-        c1, c2, c3 = (np.array([c]) for c in cubic.coef[:3])
-        one = np.ones(1)
-        dist = geometry._boundary_dist(c3, c2, c1, 0.0 * one, 0.0 * one, one)
-        assert dist[0] == pytest.approx(min(roots), rel=1e-7)
+        e0, e1, e2 = (np.array([c]) for c in cubic.coef[:3])
+        lead, _, others = geometry._cubic_roots(e2, e1, e0)
+        found = np.concatenate([lead, *others])
+        assert np.nanmin(found) == pytest.approx(min(roots), rel=1e-7)
+        for root in found[np.isfinite(found)]:
+            assert min(abs(root - r) for r in roots) <= 1e-7 * root
 
     def test_mixed_batch_matches_single_rays(self):
         # boundary and interior starts in one batch give each ray's own answer
@@ -779,21 +876,21 @@ class TestInteriorClosedForm:
     """Interior starts: the closed-form quartic root against the companion-matrix oracle.
 
     Over 1,048,576 starts in 16 chunks (criterion-1 rows, near-biquadratic
-    rays, starts next to the cusp) no row may lose its admissible root or
-    turn into a cusp event unless the oracle's hit lies within 1e-9 of the
-    cusp.  A distance may differ from the oracle's by more than 1e-12
-    relative only on an ill-conditioned root, and then by at most
-    16 kappa eps, kappa = sum_k |c_k tau^k| / |tau F'(tau)| the root's
-    relative condition number: both solvers' errors are of that order.
+    rays, starts next to the cusp) no row may lose its root, fly backwards
+    or turn into a cusp event unless it hits the cusp's needle head on: its
+    oracle hit lies within `_CUSP_RADIUS` of the cusp and it heads to -x.
+    A distance may differ from the oracle's by more than 1e-12 relative only
+    on an ill-conditioned root, and then by at most 16 kappa eps,
+    kappa = sum_k |c_k tau^k| / |tau F'(tau)| the root's relative condition
+    number: both solvers' errors are of that order.
 
     Where the two differ by more, the closed form must be nearer than the
     oracle to the root of the ray's quartic formed and solved in 60 digits.
 
     On a few starts within 1e-7 of the cusp the oracle's polished root lies
-    behind the start: `_polish`, which both paths share, takes a Newton step
-    off a near-double root that lowers the residual but crosses tau = 0.
-    Those rows are not compared; there the closed form must fly backwards by
-    the same step or end within 1e-9 of the cusp, as a cusp event.
+    behind the start: its `_polish` takes a Newton step off a near-double
+    root that lowers the residual but crosses tau = 0.  Those rows, and those
+    whose oracle hit lies within 1e-9 of the cusp, are not compared.
     """
 
     @pytest.mark.parametrize("kind,k", [("uniform", k) for k in range(8)]
@@ -805,15 +902,13 @@ class TestInteriorClosedForm:
         assert np.isfinite(oracle).all(), "the oracle lost a root"
         dist, _, _, _, cusp = make("cardioid").ray_hits(p, d)
         assert np.isfinite(dist).all()
-        at_cusp = np.hypot(*(p + oracle[:, None] * d).T) <= 1e-9
-        behind = oracle <= 0.0
-        assert not (cusp & ~at_cusp & ~behind).any(), "false cusp event"
-        ends_at_cusp = cusp & (np.hypot(*(p + dist[:, None] * d).T) <= 1e-9)
-        assert ((dist <= 0.0) | ends_at_cusp)[behind].all()
+        assert (dist > 0.0)[~cusp].all(), "a flight behind its start"
+        radius = np.hypot(*(p + oracle[:, None] * d).T)
+        head_on = (radius <= geometry._CUSP_RADIUS) & (d[:, 0] < 0.0)
+        assert not (cusp & ~head_on).any(), "false cusp event"
 
-        keep = ~at_cusp & ~behind
+        keep = (radius > 1e-9) & (oracle > 0.0)
         dist, oracle = dist[keep], oracle[keep]
-        assert (dist > 0.0).all()
         c3, c2, c1, c0, _, _ = (c[keep] for c in quartic)
         slope = ((4.0 * oracle + 3.0 * c3) * oracle + 2.0 * c2) * oracle + c1
         terms = np.abs(c0) + oracle * (np.abs(c1) + oracle * (np.abs(c2) + oracle * (np.abs(c3) + oracle)))
