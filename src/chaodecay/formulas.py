@@ -221,12 +221,12 @@ def classical_survival(params: SemiclassicalParams, t):
 
 
 def _in_float_range(bracket):
-    """``bracket(params, t)`` without numpy's overflow and invalid-value warnings, and a
+    """``bracket(params, t)`` without numpy's float warnings, and a
     ``ValueError`` where a row is not finite: every regime's one float-range rule."""
     @functools.wraps(bracket)
     def checked(params: SemiclassicalParams, t):
         t = _check_times(t)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             values = bracket(params, t)
         bad = ~np.isfinite(values)
         if bad.any():
@@ -268,32 +268,41 @@ def _gated_bracket(params: SemiclassicalParams, t, t_E: float, t_lL: float,
     tau_d^2/(T_H tau_D) is taken as (tau_d/T_H)(tau_d/tau_D) where tau_d^2 or
     T_H tau_D leaves the normal float range; outside that range itself, a ``ValueError``.
     So is dt^2/(2 T_H tau_D), as (dt/T_H)(dt/tau_D)/2, on the rows where dt^2
-    or 2 T_H tau_D leaves it.  Rows whose decay is exactly 0 are 0, whatever the rest
-    overflows to.  Run under `_in_float_range`'s errstate."""
-    tau_D, T_H = params.dwell_time, params.heisenberg_time
-    tau_d = _effective_tau_d(params.decoherence_time if tau_d is None else tau_d, t)
+    or 2 T_H tau_D leaves it.  Where exp(-x), x = (t - t_E)/tau_D, underflows the bracket is
+    exp(log(rest) - x), 0 only where it underflows too.  Run under `_in_float_range`'s errstate."""
+    tau_D, T_H, t_max = params.dwell_time, params.heisenberg_time, float(t.max(initial=0.0))
+    tau_d = _effective_tau_d(params.decoherence_time if tau_d is None else tau_d, t_max)
     dt = np.maximum(t - 2.0 * t_E - 2.0 * t_lL, 0.0)
     # exp(-(t - t_E)/tau_D), held at 1 before t_E: exp overflows there, and the gate is shut
     decay = np.exp((t_E - np.maximum(t, t_E)) / tau_D)
     low, high = sys.float_info.min, sys.float_info.max
     if math.isinf(tau_d):
         scale = 2.0 * T_H * tau_D
-        top = float(dt.max(initial=0.0))
+        top = max(t_max - 2.0 * t_E - 2.0 * t_lL, 0.0)  # dt's largest
+        value = decay * dt * dt / scale
         # below scale 1 a dt^2 under the float range can still give a bracket in it
-        if 1.0 <= scale <= high and top * top <= high:
-            return decay * dt * dt / scale
-        square = dt * dt
-        outside = (square > high) | ((square < low) & (dt > 0.0)) | (not low <= scale <= high)
-        return np.where(decay > 0.0, np.where(outside, decay * (dt / T_H) * (dt / tau_D) / 2.0,
-                                              decay * dt * dt / scale), 0.0)
-    square, scale = tau_d * tau_d, T_H * tau_D
-    prefactor = (square / scale if low <= min(square, scale) and max(square, scale) <= high
-                 else (tau_d / T_H) * (tau_d / tau_D))
-    if not low <= prefactor <= high:
-        raise ValueError("decoherence_time**2 / (heisenberg_time * dwell_time) "
-                         "leaves the float range")
-    return np.where(decay > 0.0, decay * math.exp(-2.0 * t_lL / tau_d) * prefactor
-                    * loop_kernel(dt / tau_d), 0.0)
+        if not (1.0 <= scale <= high and top * top <= high):
+            square = dt * dt
+            outside = (square > high) | ((square < low) & (dt > 0.0)) | (not low <= scale <= high)
+            value = np.where(outside, decay * (dt / T_H) * (dt / tau_D) / 2.0, value)
+    else:
+        square, scale = tau_d * tau_d, T_H * tau_D
+        prefactor = (square / scale if low <= min(square, scale) and max(square, scale) <= high
+                     else (tau_d / T_H) * (tau_d / tau_D))
+        if not low <= prefactor <= high:
+            raise ValueError("decoherence_time**2 / (heisenberg_time * dwell_time) "
+                             "leaves the float range")
+        value = decay * math.exp(-2.0 * t_lL / tau_d) * prefactor * loop_kernel(dt / tau_d)
+    if (max(t_max, t_E) - t_E) / tau_D <= 745.0:  # exp(-x) > 0 on every row
+        return value
+    # log(0) = -inf on rows with dt = 0; the kernel is below dt/tau_d, whose log stands in
+    # where the kernel overflows
+    if math.isinf(tau_d):
+        log_rest = 2.0 * np.log(dt) - math.log(2.0) - math.log(T_H) - math.log(tau_D)
+    else:
+        log_rest = (np.fmin(np.log(loop_kernel(dt / tau_d)), np.log(dt) - math.log(tau_d))
+                    - 2.0 * t_lL / tau_d + math.log(prefactor))
+    return np.where(decay > 0.0, value, np.exp(log_rest + (t_E - np.maximum(t, t_E)) / tau_D))
 
 
 @_in_float_range
@@ -314,10 +323,9 @@ def loop_correction(params: SemiclassicalParams, t):
 def loop_correction_short_time(params: SemiclassicalParams, t):
     """Taylor expansion of the loop correction for t << min(tau_D, tau_d),
     exp(-t/tau_D) (t^2/(2 T_H tau_D) - t^3/(6 T_H tau_D tau_d)): `bare_quantum_correction`
-    times 1 - t/(3 tau_d), 0 where it is.  The neglected term is O(t^4 / (tau_d^2 T_H tau_D))."""
-    tau_d = _effective_tau_d(params.decoherence_time, t)
-    bare = bare_quantum_correction(params, t)
-    return np.where(bare != 0.0, bare * (1.0 - t / (3.0 * tau_d)), 0.0)
+    times 1 - t/(3 tau_d).  The neglected term is O(t^4 / (tau_d^2 T_H tau_D))."""
+    tau_d = _effective_tau_d(params.decoherence_time, float(t.max(initial=0.0)))
+    return bare_quantum_correction(params, t) * (1.0 - t / (3.0 * tau_d))
 
 
 def ehrenfest_time(lyapunov: float, encounter_scale: float, hbar: float) -> float:
@@ -515,11 +523,11 @@ def figure3_curves(
 # ---------------------------------------------------------------------------
 
 
-def _effective_tau_d(tau_d: float, t) -> float:
-    """``tau_d``, or inf when every time in ``t`` is below 1e-8 tau_d: the tau_d = inf
+def _effective_tau_d(tau_d: float, t_max: float) -> float:
+    """``tau_d``, or inf when every time, up to ``t_max``, is below 1e-8 tau_d: the tau_d = inf
     forms are off there by t/(3 tau_d) at most, and the finite ones lose about as
     much to cancellation (the one-leg quadrature), or overflow in tau_d^2."""
-    return math.inf if np.all(np.asarray(t) < 1e-8 * tau_d) else tau_d
+    return math.inf if t_max < 1e-8 * tau_d else tau_d
 
 
 def _check_times(t):

@@ -57,10 +57,9 @@ SHAPES = tuple(_SHAPE_FACTS)
 # root produced by a particle sitting exactly on the boundary.
 _TAU_MIN = 1e-10
 
-# A cardioid hit within this polar radius of the cusp (units of scale) by a ray
-# meeting the cusp's needle head on is retroreflected.  Reflected off the side,
-# it would hug the wall at about 2 sqrt(radius) rad, for ever more collisions.
-_CUSP_RADIUS = 1e-5
+# A cardioid hit with boundary radius below this (units of scale) counts as a
+# cusp hit and is retroreflected instead of reflected off an undefined normal.
+_CUSP_RADIUS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -176,10 +175,10 @@ class CavityGeometry:
         the previous hit).  Returns ``(dist, s_hit, hit_pos, normal, cusp)``
         where ``dist`` is the chord length, ``s_hit`` the hit arclength,
         ``normal`` the inward unit normal at the hit and ``cusp`` marks
-        cardioid hits on which the caller should retroreflect: those that
-        meet the cusp's needle head on within ``_CUSP_RADIUS*scale`` of its
-        tip, and rays with no hit ahead.  Every cardioid hit lies on the
-        boundary and on its ray's line to rounding.  Starts up to
+        cardioid hits on which the caller should retroreflect: those within
+        ``_CUSP_RADIUS*scale`` of the cusp, which are pinned to it, and rays
+        with no hit ahead.  Every other cardioid hit lies on the boundary and
+        on its ray's line to rounding.  Starts up to
         ``1e-9*scale`` outside the boundary are tolerated.  A stadium ray
         with no exit ahead of it (a start outside, a tangent ray, a NaN)
         raises ``NumericError``.
@@ -285,10 +284,8 @@ def _cardioid_hits(p, d, scale):
     root and meets the boundary at the polar angles of d and -d
     (`_polar_roots`).
 
-    A hit within ``_CUSP_RADIUS`` of the cusp is a cusp event only where the
-    ray meets the cusp's needle head on (heading to -x, from inside the
-    cavity); one heading to +x reflects off the side it hits, whose normal
-    is defined up to the tip.  A ray with no root ahead (stuck at the cusp,
+    A hit within ``_CUSP_RADIUS`` of the cusp is a cusp event, pinned to the
+    cusp (`_cardioid_point`).  A ray with no root ahead (stuck at the cusp,
     or exactly tangent) keeps its start's polar angle and distance 0, and
     counts as a cusp event: the caller retroreflects it in place.
     """
@@ -318,9 +315,6 @@ def _cardioid_hits(p, d, scale):
         dist[stuck] = 0.0
         a[stuck], b[stuck] = _half_angles(x[stuck], y[stuck])
     s_hit, hit, nrm, cusp = _cardioid_point(a, b)
-    tip = np.flatnonzero(cusp)
-    if tip.size:  # a cusp event only where the ray meets the needle head on, from inside
-        cusp[tip] = (d[tip, 0] < 0.0) & (np.einsum("ij,ij->i", d[tip], nrm[tip]) <= 0.0)
     cusp[stuck] = True
     return dist * scale, s_hit * scale, hit * scale, nrm, cusp
 
@@ -344,10 +338,14 @@ def _cardioid_point(a, b):
     With cos phi = C^2 - S^2 the point is (2C^2 cos phi, 4C^3 S), its
     arclength 4S, or 8 + 4S below the axis, and its inward unit normal
     -(C + iS)^3 = (C (3S^2 - C^2), S (S^2 - 3C^2)).  ``tip`` marks points
-    whose polar radius 2C^2 is within ``_CUSP_RADIUS`` of the cusp.
+    whose polar radius 2C^2 is within ``_CUSP_RADIUS`` of the cusp; they are
+    pinned to it, (C, S) = (0, +-1), on the side they lie.
     """
     norm = np.copysign(1.0 / np.hypot(a, b), a)
     C, S = a * norm, b * norm
+    tip = 2.0 * C * C <= _CUSP_RADIUS
+    if tip.any():
+        C, S = np.where(tip, 0.0, C), np.where(tip, np.copysign(1.0, S), S)
     CC, SS = C * C, S * S
     rho = 2.0 * CC  # 1 + cos phi
     hit, nrm = np.empty((2, len(C), 2))
@@ -355,26 +353,21 @@ def _cardioid_point(a, b):
     np.multiply(2.0 * rho, C * S, out=hit[:, 1])
     np.multiply(C, 3.0 * SS - CC, out=nrm[:, 0])
     np.multiply(S, SS - 3.0 * CC, out=nrm[:, 1])
-    return np.where(S >= 0.0, 4.0 * S, 8.0 + 4.0 * S), hit, nrm, rho <= _CUSP_RADIUS
+    return np.where(S >= 0.0, 4.0 * S, 8.0 + 4.0 * S), hit, nrm, tip
 
 
-def _nearest(p, d, a, b, best=None):
+def _nearest(p, d, a, b):
     """Of k candidate roots (a, b), arrays (k, n), the one with the shortest flight above `_TAU_MIN`.
 
-    Returns ``(a, b, tau)``, each (n,), with tau = (X(a, b) - p).d: a
-    candidate's, or ``best``'s, a previous such triple, where no candidate
-    is nearer.  Rows with no root ahead get tau = inf; non-finite
-    candidates never qualify.
+    Returns ``(a, b, tau)``, each (n,), with tau = (X(a, b) - p).d.  Rows
+    with no root ahead get tau = inf; non-finite candidates never qualify.
     """
     aa, bb = a * a, b * b
     h = aa + bb
     taus = (2.0 * aa * ((aa - bb) * d[:, 0] + 2.0 * a * b * d[:, 1]) / (h * h)
             - np.einsum("ij,ij->i", p, d))
-    if best is None:  # the first candidate, where it lies ahead
-        best = a[0], b[0], np.where(taus[0] > _TAU_MIN, taus[0], np.inf)
-        a, b, taus = a[1:], b[1:], taus[1:]
-    best_a, best_b, best_tau = best
-    for a, b, tau in zip(a, b, taus):
+    best_a, best_b, best_tau = a[0], b[0], np.where(taus[0] > _TAU_MIN, taus[0], np.inf)
+    for a, b, tau in zip(a[1:], b[1:], taus[1:]):
         better = (tau > _TAU_MIN) & (tau < best_tau)
         best_tau = np.where(better, tau, best_tau)
         best_a = np.where(better, a, best_a)
@@ -409,11 +402,10 @@ def _deflated_roots(p, d, c, q0):
                                       np.where(by_b, e3, e0) * inv)
     t_is_b = by_b != swap  # (a, b) = (1, t), else (t, 1)
     a, b, tau = _nearest(p, d, np.where(t_is_b, 1.0, lead)[None], np.where(t_is_b, lead, 1.0)[None])
-    if more.size:  # the other real roots, on their rows only, against the first
-        t_is_b = t_is_b[more]
-        a[more], b[more], tau[more] = _nearest(p[more], d[more], np.where(t_is_b, 1.0, others),
-                                               np.where(t_is_b, others, 1.0),
-                                               (a[more], b[more], tau[more]))
+    if more.size:  # every real root, on the rows that have more
+        roots, t_is_b = np.vstack([lead[more], others]), t_is_b[more]
+        a[more], b[more], tau[more] = _nearest(p[more], d[more], np.where(t_is_b, 1.0, roots),
+                                               np.where(t_is_b, roots, 1.0))
     return a, b, tau
 
 

@@ -457,11 +457,41 @@ def test_rows_decayed_to_zero_are_zero(regime, tau_d):
     # 0 * inf there, but the bracket is 0 to any precision
     p = SemiclassicalParams(dwell_time=1.0, heisenberg_time=1e-12, decoherence_time=tau_d)
     t = np.linspace(0.0, 1e300, 16)
+    if regime == "short_time" and tau_d < math.inf:
+        # its factor 1 - t/(3 tau_d) overflows too, where the expansion means nothing
+        with pytest.raises(ValueError, match="leaves the float range"):
+            total_survival(p, t, regime)
+        return
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         values = total_survival(p, t, regime) - classical_survival(p, t)
     assert np.isfinite(values).all()
     assert (values[1:] == 0.0).all()
+
+
+@pytest.mark.parametrize("tau_d", [math.inf, 1e250])
+def test_rows_decayed_to_zero_keep_their_value(tau_d):
+    # exp(-760) underflows to 0, yet the bracket at t = 7.6e302 is in range:
+    # e^-760 t^2/(2 T_H tau_D) = 2.5e-5 at tau_d = inf, and with the kernel
+    # ~ t/tau_d, e^-760 tau_d t/(T_H tau_D) = 6.6e-58 at tau_d = 1e250
+    import mpmath
+
+    p = SemiclassicalParams(dwell_time=1e300, heisenberg_time=1e-20, decoherence_time=tau_d)
+    t = np.array([7.6e302, 8e302, 1e303])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        values = loop_correction(p, t)
+    with mpmath.workdps(40):
+        for value, time in zip(values, t):
+            u, d_, h = mpmath.mpf(time), mpmath.mpf(1e300), mpmath.mpf(1e-20)
+            if tau_d == math.inf:
+                exact = mpmath.exp(-u / d_) * u * u / (2 * h * d_)
+            else:
+                y = u / mpmath.mpf(tau_d)
+                exact = (mpmath.exp(-u / d_) * mpmath.mpf(tau_d) ** 2 / (h * d_)
+                         * (mpmath.exp(-y) - 1 + y))
+            assert value == pytest.approx(float(exact), rel=1e-12, abs=0.0)
+    assert (values > 0.0).all()
 
 
 @given(st.sampled_from(REGIMES), _LOG_UNIFORM, _LOG_UNIFORM,

@@ -574,17 +574,16 @@ def _arctan2_snap(x, y):
     """The cardioid hit tail by polar angle: arctan2, then cos, sin and sin(phi/2).
 
     Returns ``(s_hit, snapped, normal, tip)`` like ``geometry._cardioid_point``;
-    the origin itself is the cusp, phi = pi.
+    a point within 1e-9 of the origin is pinned to the cusp, phi = pi.
     """
     phi = np.arctan2(y, x)
     phi = np.where(phi < 0.0, phi + 2.0 * math.pi, phi)
-    phi = np.where((x == 0.0) & (y == 0.0), math.pi, phi)
+    phi = np.where(x * x + y * y <= 1e-18, math.pi, phi)
     c, s = np.cos(phi), np.sin(phi)
     rho = 1.0 + c
     s_half = 4.0 * np.sin(0.5 * phi)
     s_hit = np.where(phi <= math.pi, s_half, 8.0 - s_half)
-    return (s_hit, np.stack([rho * c, rho * s], axis=-1), cardioid_normal(c, s),
-            rho <= geometry._CUSP_RADIUS)
+    return s_hit, np.stack([rho * c, rho * s], axis=-1), cardioid_normal(c, s), rho <= 1e-9
 
 
 def _cusp_normal(x, y):
@@ -626,10 +625,10 @@ class TestCardioidSnap:
         np.testing.assert_array_equal(tip, tip_ref)
         np.testing.assert_allclose(s_hit, s_ref, rtol=0.0, atol=1e-14)
         np.testing.assert_allclose(snapped, snapped_ref, rtol=0.0, atol=1e-14)
-        # the oracle parks a normal on the cusp point itself, where none exists
+        # no normal exists on the cusp itself (the oracle parks one there)
         well = snapped_ref[:, 0] ** 2 + snapped_ref[:, 1] ** 2 >= 1e-8  # (1 + cos phi)^2
         np.testing.assert_allclose(nrm[well], nrm_ref[well], rtol=0.0, atol=1e-14)
-        near = ~well & ((x != 0.0) | (y != 0.0))
+        near = ~well & ~tip
         np.testing.assert_allclose(nrm[near], _cusp_normal(x[near], y[near]),
                                    rtol=0.0, atol=1e-14)
         np.testing.assert_allclose(np.hypot(nrm[:, 0], nrm[:, 1]), 1.0, rtol=0.0, atol=1e-15)
@@ -645,14 +644,14 @@ class TestCardioidSnap:
         assert s_hit[0] == 0.0
 
     def test_hits_at_the_cusp_are_pinned(self):
-        # within the cusp radius of the cusp, whichever side they lie on
-        phi = math.pi + np.array([-1e-9, 1e-9, -1e-6, 1e-6, -1e-3, 1e-3, 0.0, -0.0])
+        # a polar angle of pi +- 1e-9 is 5e-19 from the origin, pi +- 4e-5 is
+        # 8e-10 from it: a cusp event on the cusp point, whichever side it
+        # came from; the normals there are the limits of the two branches'
+        phi = math.pi + np.array([-1e-9, 1e-9, -1e-6, 1e-6, -4e-5, 4e-5, 0.0, -0.0])
         s_hit, snapped, _, tip = self._compare(phi)
         assert tip.all()
-        np.testing.assert_allclose(s_hit, 4.0, rtol=0.0, atol=1e-5)
-        np.testing.assert_allclose(snapped, 0.0, rtol=0.0, atol=1e-6)
-        # the cusp itself from either side, (C, S) = (0, +-1); its normals are
-        # the limits of the two branches'
+        np.testing.assert_array_equal(s_hit, 4.0)
+        np.testing.assert_array_equal(snapped, 0.0)
         s_hit, snapped, nrm, tip = geometry._cardioid_point(np.zeros(2), np.array([1.0, -1.0]))
         assert tip.all()
         np.testing.assert_array_equal(s_hit, 4.0)
@@ -662,7 +661,8 @@ class TestCardioidSnap:
     @pytest.mark.parametrize("side", [1.0, -1.0])
     def test_normal_near_the_cusp_points_inward(self, side):
         delta = np.logspace(-4, -0.3, 40)
-        _, snapped, nrm, _ = self._compare(math.pi - side * delta)
+        _, snapped, nrm, tip = self._compare(math.pi - side * delta)
+        assert not tip.any()
         # a step along the normal, small against the gap between the branches
         rho = np.hypot(snapped[:, 0], snapped[:, 1])
         eps = 1e-3 * rho[:, None] * delta[:, None]
@@ -703,8 +703,7 @@ class TestCardioidKernel:
         ds = abs(s_hit[0] - _cardioid_arclength(p + oracle * d))
         assert min(ds, self.g.perimeter - ds) < 1e-8
         hit_oracle = p + oracle * d
-        head_on = np.hypot(*hit_oracle) <= geometry._CUSP_RADIUS and d[0] < 0.0
-        assert cusp[0] == head_on
+        assert cusp[0] == (1.0 + math.cos(math.atan2(hit_oracle[1], hit_oracle[0])) <= 1e-9)
         # the hit lies on the ray's line and on the boundary, with the boundary's normal
         off = hit[0] - p
         assert abs(off[0] * d[1] - off[1] * d[0]) <= 1e-12
@@ -877,8 +876,8 @@ class TestInteriorClosedForm:
 
     Over 1,048,576 starts in 16 chunks (criterion-1 rows, near-biquadratic
     rays, starts next to the cusp) no row may lose its root, fly backwards
-    or turn into a cusp event unless it hits the cusp's needle head on: its
-    oracle hit lies within `_CUSP_RADIUS` of the cusp and it heads to -x.
+    or turn into a cusp event unless the oracle's hit lies within 1e-9 of
+    the cusp.
     A distance may differ from the oracle's by more than 1e-12 relative only
     on an ill-conditioned root, and then by at most 16 kappa eps,
     kappa = sum_k |c_k tau^k| / |tau F'(tau)| the root's relative condition
@@ -903,11 +902,10 @@ class TestInteriorClosedForm:
         dist, _, _, _, cusp = make("cardioid").ray_hits(p, d)
         assert np.isfinite(dist).all()
         assert (dist > 0.0)[~cusp].all(), "a flight behind its start"
-        radius = np.hypot(*(p + oracle[:, None] * d).T)
-        head_on = (radius <= geometry._CUSP_RADIUS) & (d[:, 0] < 0.0)
-        assert not (cusp & ~head_on).any(), "false cusp event"
+        at_cusp = np.hypot(*(p + oracle[:, None] * d).T) <= 1e-9
+        assert not (cusp & ~at_cusp).any(), "false cusp event"
 
-        keep = (radius > 1e-9) & (oracle > 0.0)
+        keep = ~at_cusp & (oracle > 0.0)
         dist, oracle = dist[keep], oracle[keep]
         c3, c2, c1, c0, _, _ = (c[keep] for c in quartic)
         slope = ((4.0 * oracle + 3.0 * c3) * oracle + 2.0 * c2) * oracle + c1
