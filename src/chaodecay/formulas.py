@@ -268,17 +268,18 @@ def _gated_bracket(params: SemiclassicalParams, t, t_E: float, t_lL: float,
     tau_d^2/(T_H tau_D) is taken as (tau_d/T_H)(tau_d/tau_D) where tau_d^2 or
     T_H tau_D leaves the normal float range; outside that range itself, a ``ValueError``.
     So is dt^2/(2 T_H tau_D), as (dt/T_H)(dt/tau_D)/2, on the rows where dt^2
-    or 2 T_H tau_D leaves it.  Where exp(-x), x = (t - t_E)/tau_D, underflows the bracket is
-    exp(log(rest) - x), 0 only where it underflows too.  Run under `_in_float_range`'s errstate."""
+    or 2 T_H tau_D leaves it.  Where exp(-x), x = (t - t_E)/tau_D, underflows or the rest
+    overflows, the bracket is exp(log(rest) - x).  Run under `_in_float_range`'s errstate."""
     tau_D, T_H, t_max = params.dwell_time, params.heisenberg_time, float(t.max(initial=0.0))
     tau_d = _effective_tau_d(params.decoherence_time if tau_d is None else tau_d, t_max)
     dt = np.maximum(t - 2.0 * t_E - 2.0 * t_lL, 0.0)
     # exp(-(t - t_E)/tau_D), held at 1 before t_E: exp overflows there, and the gate is shut
     decay = np.exp((t_E - np.maximum(t, t_E)) / tau_D)
     low, high = sys.float_info.min, sys.float_info.max
+    top = max(t_max - 2.0 * t_E - 2.0 * t_lL, 0.0)  # dt's largest
     if math.isinf(tau_d):
         scale = 2.0 * T_H * tau_D
-        top = max(t_max - 2.0 * t_E - 2.0 * t_lL, 0.0)  # dt's largest
+        rest = (top / T_H) * (top / tau_D) / 2.0  # the largest dt^2/(2 T_H tau_D); inf past it
         value = decay * dt * dt / scale
         # below scale 1 a dt^2 under the float range can still give a bracket in it
         if not (1.0 <= scale <= high and top * top <= high):
@@ -293,7 +294,8 @@ def _gated_bracket(params: SemiclassicalParams, t, t_E: float, t_lL: float,
             raise ValueError("decoherence_time**2 / (heisenberg_time * dwell_time) "
                              "leaves the float range")
         value = decay * math.exp(-2.0 * t_lL / tau_d) * prefactor * loop_kernel(dt / tau_d)
-    if (max(t_max, t_E) - t_E) / tau_D <= 745.0:  # exp(-x) > 0 on every row
+        rest = prefactor * (top / tau_d)  # loop_kernel(y) <= y
+    if (max(t_max, t_E) - t_E) / tau_D <= 745.0 and rest <= 0.25 * high:  # every row in range
         return value
     # log(0) = -inf on rows with dt = 0; the kernel is below dt/tau_d, whose log stands in
     # where the kernel overflows
@@ -302,7 +304,8 @@ def _gated_bracket(params: SemiclassicalParams, t, t_E: float, t_lL: float,
     else:
         log_rest = (np.fmin(np.log(loop_kernel(dt / tau_d)), np.log(dt) - math.log(tau_d))
                     - 2.0 * t_lL / tau_d + math.log(prefactor))
-    return np.where(decay > 0.0, value, np.exp(log_rest + (t_E - np.maximum(t, t_E)) / tau_D))
+    return np.where((decay > 0.0) & (value < np.inf), value,
+                    np.exp(log_rest + (t_E - np.maximum(t, t_E)) / tau_D))
 
 
 @_in_float_range

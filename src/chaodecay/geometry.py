@@ -192,8 +192,8 @@ class CavityGeometry:
 
 
 def _circle_hits(p, d, radius):
-    b = np.einsum("ij,ij->i", p, d)
-    c0 = np.einsum("ij,ij->i", p, p) - radius * radius
+    x, y = p[:, 0], p[:, 1]
+    b, c0 = x * d[:, 0] + y * d[:, 1], x * x + y * y - radius * radius
     dist = _far_root(b, np.maximum(b * b - c0, 0.0), c0, radius)
     hit = p + dist[:, None] * d
     # snap radially onto the circle
@@ -218,51 +218,45 @@ def _far_root(b, disc, c0, radius):
 def _stadium_hits(p, d, a):
     """Exit of each ray, solved on the one piece it leaves the convex stadium by.
 
-    A ray leaves the strip |y| <= a through the line of the straight it heads
-    for, y = copysign(a, dy).  If it meets it at |x| <= a that is the exit;
-    otherwise the ray left earlier through the cap on that side (the side of
-    dx when dy == 0 or it starts on the line), at the far root of its circle.
+    A ray leaves the strip |y| <= a through the line of the straight it heads for,
+    y = copysign(a, dy).  If it meets it at |x| <= a that is the exit; otherwise the ray
+    left earlier through the cap on that side (the side of dx when dy == 0 or it starts on
+    the line), at the far root of its circle.  Written to the hot-loop rule of `dynamics`.
     """
-    tau_min = _TAU_MIN * a
     edge = np.copysign(a, d[:, 1])  # y of the straight each ray heads for
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         dist = (edge - p[:, 1]) / d[:, 1]
-        hit = p + dist[:, None] * d
-    ahead = dist > tau_min
-    cap = np.flatnonzero(~(ahead & (np.abs(hit[:, 0]) <= a + 1e-9 * a)))
+        x = p[:, 0] + dist * d[:, 0]  # the straight hit's x
+    ahead = dist > _TAU_MIN * a
+    cap = np.flatnonzero(~(ahead & (np.abs(x) <= a + 1e-9 * a)))
 
     # every row as a straight hit first; the cap rows are overwritten below
-    hit[:, 1] = edge
-    nrm = np.zeros((len(p), 2))
-    nrm[:, 1] = -edge / a
-    s_hit = np.clip(hit[:, 0] * nrm[:, 1] + a, 0.0, 2 * a)  # x + a (bottom), a - x (top)
-    np.add(s_hit, 2 * a + math.pi * a, out=s_hit, where=edge > 0)  # where the top starts
+    nx, ny = np.zeros(len(p)), -edge / a
+    s_hit = np.clip(x * ny + a, 0.0, 2 * a)  # x + a (bottom), a - x (top)
+    s_hit += (edge > 0) * (2 * a + math.pi * a)  # where the top starts
 
-    pc, dc = p[cap], d[cap]
-    xc = np.copysign(a, np.where(ahead[cap], hit[cap, 0], dc[:, 0]))  # cap centre x
-    px = pc[:, 0] - xc
-    b = px * dc[:, 0] + pc[:, 1] * dc[:, 1]
-    c0 = px * px + pc[:, 1] * pc[:, 1] - a * a
+    (ox, oy), (dx, dy) = p.take(cap, axis=0).T, d.take(cap, axis=0).T
+    xc = np.copysign(a, np.where(ahead.take(cap), x.take(cap), dx))  # cap centre x
+    px = ox - xc
+    b = px * dx + oy * dy
+    c0 = px * px + oy * oy - a * a
     with np.errstate(invalid="ignore"):
         tau = _far_root(b, b * b - c0, c0, a)
-    bad = cap[~((tau > tau_min) & (tau < np.inf))]
+    bad = cap[~((tau > _TAU_MIN * a) & (tau < np.inf))]
     if bad.size:
         raise NumericError(f"stadium ray from {p[bad[0]].tolist()} along {d[bad[0]].tolist()} "
                            "has no boundary exit ahead of it")
-    dist[cap] = tau
-    px = pc[:, 0] + tau * dc[:, 0] - xc
-    py = pc[:, 1] + tau * dc[:, 1]
+    px, py = ox + tau * dx - xc, oy + tau * dy
     rr = np.hypot(px, py)
     px, py = a * px / rr, a * py / rr  # snap radially onto the cap
-    hit[cap, 0] = px + xc
-    hit[cap, 1] = py
     th = np.arctan2(py, px)
-    right = xc > 0
-    np.mod(th, 2.0 * math.pi, out=th, where=~right)  # left-cap angles in [pi/2, 3pi/2]
-    s_base = np.where(right, 2 * a, 4 * a + math.pi * a)
+    th += ((xc < 0) & (th < 0)) * (2.0 * math.pi)  # left-cap angles in [pi/2, 3pi/2]
+    s_base = np.where(xc > 0, 2 * a, 4 * a + math.pi * a)
     s_hit[cap] = s_base + (th + np.copysign(0.5 * math.pi, xc)) * a
-    nrm[cap, 0] = -px / a
-    nrm[cap, 1] = -py / a
+    # the cap rows back in place; edge becomes the hits' y
+    dist[cap], x[cap], edge[cap], nx[cap], ny[cap] = tau, px + xc, py, -px / a, -py / a
+    hit, nrm = np.empty((2, len(p), 2))
+    hit[:, 0], hit[:, 1], nrm[:, 0], nrm[:, 1] = x, edge, nx, ny
     return dist, s_hit, hit, nrm
 
 
@@ -365,7 +359,7 @@ def _nearest(p, d, a, b):
     aa, bb = a * a, b * b
     h = aa + bb
     taus = (2.0 * aa * ((aa - bb) * d[:, 0] + 2.0 * a * b * d[:, 1]) / (h * h)
-            - np.einsum("ij,ij->i", p, d))
+            - (p[:, 0] * d[:, 0] + p[:, 1] * d[:, 1]))
     best_a, best_b, best_tau = a[0], b[0], np.where(taus[0] > _TAU_MIN, taus[0], np.inf)
     for a, b, tau in zip(a[1:], b[1:], taus[1:]):
         better = (tau > _TAU_MIN) & (tau < best_tau)
@@ -450,7 +444,7 @@ def _ferrari_roots(p, d, c, q0):
     h = np.array([[0.5], [-0.5]]) * (s + np.sqrt(s * s - 4.0 * c * gamma))
     a, b, tau = _nearest(p, d, np.concatenate([[c, c], h]), np.concatenate([h, gamma]))
 
-    pd = np.einsum("ij,ij->i", p, d)
+    pd = x * dx + p[:, 1] * dy
     b1, b0 = 2.0 * pd - dx, q0 - x
     c3, c2, c1, c0 = 2.0 * b1, b1 * b1 + 2.0 * b0 - 1.0, 2.0 * b1 * b0 - 2.0 * pd, b0 * b0 - q0
     F = (((tau + c3) * tau + c2) * tau + c1) * tau + c0

@@ -494,6 +494,32 @@ def test_rows_decayed_to_zero_keep_their_value(tau_d):
     assert (values > 0.0).all()
 
 
+@pytest.mark.parametrize("tau_d", [math.inf, 1e-10])
+def test_rows_overflowing_before_their_decay_keep_their_value(tau_d):
+    # exp(-100) is still positive at t = 1e302, but t/T_H (tau_d = inf) or
+    # t/tau_d overflows before the decay and the prefactor bring the bracket
+    # back into range: 1.86e280 at tau_d = inf, 3.7e-32 at tau_d = 1e-10
+    import mpmath
+
+    p = SemiclassicalParams(dwell_time=1e300, heisenberg_time=1e-20, decoherence_time=tau_d)
+    t = np.array([0.0, 5e301, 1e302])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        values = loop_correction(p, t)
+    with mpmath.workdps(40):
+        u, d_, h = mpmath.mpf(1e302), mpmath.mpf(1e300), mpmath.mpf(1e-20)
+        if tau_d == math.inf:
+            exact = mpmath.exp(-u / d_) * u * u / (2 * h * d_)
+        else:
+            y = u / mpmath.mpf(tau_d)
+            exact = (mpmath.exp(-u / d_) * mpmath.mpf(tau_d) ** 2 / (h * d_)
+                     * (mpmath.exp(-y) - 1 + y))
+    assert values[-1] == pytest.approx(float(exact), rel=1e-12, abs=0.0)
+    assert values[0] == 0.0 and np.isfinite(values).all()
+    if tau_d == math.inf:
+        assert values[-1] == pytest.approx(1.860037988010418e280, rel=1e-12, abs=0.0)
+
+
 @given(st.sampled_from(REGIMES), _LOG_UNIFORM, _LOG_UNIFORM,
        st.one_of(st.just(math.inf), _LOG_UNIFORM), _LOG_UNIFORM, _LOG_UNIFORM, _LOG_UNIFORM)
 @settings(max_examples=600, deadline=None, derandomize=True)

@@ -290,10 +290,11 @@ class TestRayHits:
 
 
 def _boundary_ray(g, s0, angle):
-    """Start at arclength s0, heading ``angle`` from the tangent into the cavity."""
+    """Start at arclength s0, heading ``angle`` from the tangent into the cavity (broadcasts)."""
     pos, nrm = boundary_point(g, s0)
-    tangent = np.array([-nrm[1], nrm[0]])
-    return pos, math.cos(angle) * tangent + math.sin(angle) * nrm
+    tangent = np.stack([-nrm[..., 1], nrm[..., 0]], axis=-1)
+    angle = np.asarray(angle)[..., None]
+    return pos, np.cos(angle) * tangent + np.sin(angle) * nrm
 
 
 class TestStadiumKernel:
@@ -383,6 +384,62 @@ class TestStadiumKernel:
         assert self.g.contains(hit[0], tol=1e-9)
         assert abs(dist[0] - 2.0 * a * math.sin(angle)) <= 1e-15 * a / angle
 
+    def _mixed_batch(self, rng):
+        """Interior, boundary, near-junction and axis-parallel rays, shuffled together."""
+        g, a = self.g, self.g.scale
+        lo, hi = g.bounding_box()
+        inner = rng.uniform(lo, hi, (4000, 2))
+        inner = inner[g.contains(inner, tol=-1e-9 * a)]
+
+        def from_boundary(s0):
+            return _boundary_ray(g, s0, rng.uniform(1e-5, math.pi - 1e-5, len(s0)))
+
+        theta = rng.uniform(0.0, 2.0 * math.pi, 1500)
+        rays = [(inner[:1500], np.stack([np.cos(theta), np.sin(theta)], 1)),
+                from_boundary(rng.uniform(0.0, g.perimeter, 1500))]
+        # inside, within 1e-9 a of a straight/cap junction
+        pos, d = from_boundary(a * np.array(self.JUNCTIONS)[rng.integers(0, 4, 1000)])
+        beta = rng.uniform(0.0, 2.0 * math.pi, (1000, 1))
+        pos = pos + rng.uniform(0.0, 1e-9 * a, (1000, 1)) * np.hstack([np.cos(beta), np.sin(beta)])
+        inside = g.contains(pos)
+        rays.append((pos[inside], d[inside]))
+        # axis-parallel, with every sign of zero, from inside and from the boundary
+        axis = np.array([(1.0, 0.0), (1.0, -0.0), (-1.0, 0.0), (-1.0, -0.0),
+                         (0.0, 1.0), (-0.0, 1.0), (0.0, -1.0), (-0.0, -1.0)])
+        d = axis[rng.integers(0, 8, 1600)]
+        rays.append((inner[1500:2300], d[:800]))
+        pos, nrm = boundary_point(g, rng.uniform(0.0, g.perimeter, 800))
+        ahead = np.sum(d[800:] * nrm, axis=1) >= math.sin(1e-5)
+        rays.append((pos[ahead], d[800:][ahead]))
+        p, d = (np.concatenate(part) for part in zip(*rays))
+        order = rng.permutation(len(p))
+        return p[order], d[order]
+
+    def test_mixed_batch_equals_single_rays_and_oracle(self):
+        # one batch takes every path of the kernel at once, so the gather of
+        # the cap rows and the scatter back must keep each row as cast alone
+        a = self.g.scale
+        p, d = self._mixed_batch(np.random.default_rng(5))
+        assert len(p) >= 4096
+        *batch, cusp = self.g.ray_hits(p, d)
+        assert not cusp.any()
+        singles = [self.g.ray_hits(p[i:i + 1], d[i:i + 1]) for i in range(len(p))]
+        for k, got in enumerate(batch):
+            alone = np.concatenate([out[k] for out in singles])
+            np.testing.assert_array_equal(got.view(np.uint64), alone.view(np.uint64))
+
+        dist, s_hit, hit, nrm = batch
+        right = (s_hit >= 2.0 * a) & (s_hit < (2.0 + math.pi) * a)
+        left = s_hit >= (4.0 + math.pi) * a
+        assert min(np.count_nonzero(right), np.count_nonzero(left),
+                   np.count_nonzero(~(right | left))) > 500
+        assert np.count_nonzero((d == 0.0) & np.signbit(d)) > 200  # -0 components
+        # the oracle can take the near root within ~1e-5 rad of a cap's tangent
+        tangent = (right | left) & (np.abs(np.sum(d * nrm, axis=1)) < 1e-5)
+        assert np.count_nonzero(tangent) < 10
+        for got, ref in zip(batch, stadium_hits(p[~tangent], d[~tangent], a)):
+            np.testing.assert_array_equal(got[~tangent].view(np.uint64), ref.view(np.uint64))
+
     @pytest.mark.parametrize("p, d", [
         ((10.0, 0.0), (1.0, 0.0)),          # outside: the far cap root is -8 a
         ((0.0, 0.0), (math.nan, 0.0)),      # non-finite direction
@@ -393,6 +450,15 @@ class TestStadiumKernel:
         g = make("stadium")
         with pytest.raises(NumericError, match="no boundary exit"):
             g.ray_hits(np.array([p]), np.array([d]))
+        # among good rays, from other starts, on both sides of it in the batch
+        theta = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
+        good_p = 0.3 * np.stack([np.cos(3.0 * theta), np.sin(3.0 * theta)], 1) + (0.1, 0.2)
+        good_d = np.stack([np.cos(theta), np.sin(theta)], 1)
+        pos, dirs = np.insert(good_p, 37, p, axis=0), np.insert(good_d, 37, d, axis=0)
+        g.ray_hits(good_p, good_d)
+        with pytest.raises(NumericError, match="no boundary exit") as caught:
+            g.ray_hits(pos, dirs)
+        assert f"stadium ray from {[float(v) for v in p]} along" in str(caught.value)
 
 
 @pytest.mark.parametrize("shape", ["circle", "stadium"])
