@@ -11,7 +11,10 @@ each trajectory through its flights and reflections (the tangent map).
 
 Per-flight code (here and in the `ray_hits` kernels) gathers rows with ``take``, uses no
 ``where=`` masked ufunc (it adds ``mask * term`` instead) and spells row dot products out,
-not ``einsum``; it leaves ``hypot`` and ``arctan2`` alone: another spelling moves output bits.
+not ``einsum``; it picks among candidates with one ``argmin`` and a flat ``take``, not
+``take_along_axis``, fills (n, 2) results column by column, not by an (n, 1) x (n, 2)
+broadcast, and computes a row product that several helpers share (p.d, q0 - x) once.  It
+leaves ``hypot`` and ``arctan2`` alone: another spelling moves output bits.
 """
 
 from __future__ import annotations
@@ -43,15 +46,19 @@ def batch_collide(geometry: CavityGeometry, pos, dirs):
     flight time is flight_dist / speed.
     """
     dist, s_hit, hit, nrm, cusp = geometry.ray_hits(pos, dirs)
-    vn = dirs[:, 0] * nrm[:, 0] + dirs[:, 1] * nrm[:, 1]
+    dx, dy, nx, ny = dirs[:, 0], dirs[:, 1], nrm[:, 0], nrm[:, 1]
+    vn = dx * nx + dy * ny
+    twice = 2.0 * vn
+    out = np.empty((len(pos), 2))
+    np.subtract(dx, twice * nx, out[:, 0])
+    np.subtract(dy, twice * ny, out[:, 1])
     grazing = np.abs(vn) < _GRAZING_TOL
-    out = dirs - 2.0 * vn[:, None] * nrm
     kinds = np.zeros(len(pos), dtype=np.int8)
     # the rare grazing and cusp rows are patched in place
-    if grazing.any():
+    if np.count_nonzero(grazing):
         out[grazing] = dirs[grazing]
         kinds[grazing] = 1
-    if cusp.any():
+    if np.count_nonzero(cusp):
         out[cusp] = -dirs[cusp]
         kinds[cusp] = 2
     return dist, s_hit, hit, out, kinds
@@ -77,7 +84,8 @@ def escape_times(
         geometry, positions, directions, np.zeros(len(positions)), speed, t_max, absorbing=True
     ):
         flights += rows.size
-        esc[rows[left]] = t_hit[left]
+        left = left.nonzero()[0]
+        esc[rows.take(left)] = t_hit.take(left)
     # each survivor's last flight ends past t_max: no collision
     return esc, flights - int(np.isinf(esc).sum())
 
@@ -133,9 +141,15 @@ def _flights(geometry: CavityGeometry, pos, dirs, t_now, speed: float, t_end: fl
     With ``absorbing`` set, ``left`` marks the flights that end in the opening
     (cusp hits excepted) and those particles stop there; otherwise it is
     None.  The particles whose hit is due by ``t_end`` go on from it; the
-    others drop out.  Raises ``NumericError`` for a particle stuck in place.
+    others drop out.  Raises ``NumericError`` for a particle that starts at a
+    non-finite point or heading, checked once per call, or is stuck in place.
     """
     pos, dirs = np.asarray(pos, dtype=float), np.asarray(dirs, dtype=float)
+    finite = np.isfinite(pos).all(axis=1) & np.isfinite(dirs).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise NumericError(f"particle {i} starts at {pos[i].tolist()} heading "
+                           f"{dirs[i].tolist()}: not finite")
     rows = np.arange(len(pos))
     stalls = None
     while rows.size:
@@ -145,10 +159,10 @@ def _flights(geometry: CavityGeometry, pos, dirs, t_now, speed: float, t_end: fl
         keep = t_hit <= t_end
         left = None
         if absorbing:
-            left = keep & geometry.opening_contains(s_hit) & (kinds != 2)
-            keep &= ~left
+            left = geometry.opening_contains(s_hit) & keep & (kinds != 2)
+            keep ^= left  # left is a subset of keep
         yield rows, pos, dirs, t_now, t_hit, left, s_hit, out, kinds
-        keep = np.flatnonzero(keep)
+        keep = keep.nonzero()[0]
         rows, t_now = rows.take(keep), t_hit.take(keep)
         pos, dirs = hit.take(keep, axis=0), out.take(keep, axis=0)
         if stalls is not None:

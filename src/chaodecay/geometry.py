@@ -61,6 +61,9 @@ _TAU_MIN = 1e-10
 # cusp hit and is retroreflected instead of reflected off an undefined normal.
 _CUSP_RADIUS = 1e-9
 
+# The shared term's weight in the three roots: mc, -mc/2 +- ms and u + v, -(u + v)/2 twice.
+_PAIR = np.array([[1.0], [-0.5], [-0.5]])
+
 
 @dataclass(frozen=True)
 class CavityGeometry:
@@ -273,21 +276,23 @@ def _cardioid_hits(p, d, scale):
     Starts with |c0| <= 1e-12 q0, c0 = (q0 - x)^2 - q0 and q0 = |p|^2 (within
     about 5e-13 of the boundary: every start after the first flight) deflate
     the quartic by their own root (`_deflated_roots`); the others split it
-    by Ferrari (`_ferrari_roots`).  A line through the cusp (|c| <= 1e-150,
-    below which the quartic's products underflow) has the cusp as a double
-    root and meets the boundary at the polar angles of d and -d
-    (`_polar_roots`).
+    by Ferrari (`_ferrari_roots`); both take ``ray`` = (c, q0, p.d, q0 - x).
+    A line through the cusp (|c| <= 1e-150, below which the quartic's
+    products underflow) has the cusp as a double root and meets the boundary
+    at the polar angles of d and -d (`_polar_roots`).
 
     A hit within ``_CUSP_RADIUS`` of the cusp is a cusp event, pinned to the
     cusp (`_cardioid_point`).  A ray with no root ahead (stuck at the cusp,
     or exactly tangent) keeps its start's polar angle and distance 0, and
     counts as a cusp event: the caller retroreflects it in place.
     """
-    p = p / scale
-    x, y = p[:, 0], p[:, 1]
-    c = d[:, 0] * y - d[:, 1] * x
-    q0 = x * x + y * y
-    on_boundary = np.abs((q0 - x) * (q0 - x) - q0) <= 1e-12 * q0
+    if scale != 1.0:  # exact no-ops at unit scale
+        p = p / scale
+    x, y, dx, dy = p[:, 0], p[:, 1], d[:, 0], d[:, 1]
+    c, q0, pd = dx * y - dy * x, x * x + y * y, x * dx + y * dy
+    b0 = q0 - x
+    ray = c, q0, pd, b0
+    on_boundary = np.abs(b0 * b0 - q0) <= 1e-12 * q0
     n_boundary = np.count_nonzero(on_boundary)
     # degenerate rows (a start on the cusp, a line through it) divide by 0 on
     # the way; their candidates come out non-finite and `_nearest` drops them
@@ -295,22 +300,24 @@ def _cardioid_hits(p, d, scale):
         # a batch on one side only -- the common case, and every single ray --
         # is solved whole, without masking
         if n_boundary in (0, len(p)):
-            a, b, dist = (_deflated_roots if n_boundary else _ferrari_roots)(p, d, c, q0)
+            a, b, dist = (_deflated_roots if n_boundary else _ferrari_roots)(p, d, ray)
         else:
             a, b, dist = np.empty((3, len(p)))
             for solve, rows in ((_deflated_roots, on_boundary), (_ferrari_roots, ~on_boundary)):
-                a[rows], b[rows], dist[rows] = solve(p[rows], d[rows], c[rows], q0[rows])
-        through = np.flatnonzero(np.abs(c) <= 1e-150)
+                a[rows], b[rows], dist[rows] = solve(p[rows], d[rows], [v[rows] for v in ray])
+        through = (np.abs(c) <= 1e-150).nonzero()[0]
         if through.size:
-            a[through], b[through], dist[through] = _polar_roots(p[through], d[through])
+            a[through], b[through], dist[through] = _polar_roots(pd[through], d[through])
 
-    stuck = np.flatnonzero(dist == np.inf)
+    stuck = (dist == np.inf).nonzero()[0]
     if stuck.size:
         dist[stuck] = 0.0
-        a[stuck], b[stuck] = _half_angles(x[stuck], y[stuck])
+        a[stuck], b[stuck] = _half_angles(x.take(stuck), y.take(stuck))
     s_hit, hit, nrm, cusp = _cardioid_point(a, b)
     cusp[stuck] = True
-    return dist * scale, s_hit * scale, hit * scale, nrm, cusp
+    if scale != 1.0:
+        dist, s_hit, hit = dist * scale, s_hit * scale, hit * scale
+    return dist, s_hit, hit, nrm, cusp
 
 
 def _half_angles(x, y):
@@ -337,39 +344,43 @@ def _cardioid_point(a, b):
     """
     norm = np.copysign(1.0 / np.hypot(a, b), a)
     C, S = a * norm, b * norm
-    tip = 2.0 * C * C <= _CUSP_RADIUS
-    if tip.any():
+    CC = C * C
+    tip = CC <= 0.5 * _CUSP_RADIUS  # 2C^2 <= _CUSP_RADIUS, exactly
+    if np.count_nonzero(tip):
         C, S = np.where(tip, 0.0, C), np.where(tip, np.copysign(1.0, S), S)
-    CC, SS = C * C, S * S
+        CC = C * C
+    SS = S * S
     rho = 2.0 * CC  # 1 + cos phi
     hit, nrm = np.empty((2, len(C), 2))
-    np.multiply(rho, CC - SS, out=hit[:, 0])
-    np.multiply(2.0 * rho, C * S, out=hit[:, 1])
-    np.multiply(C, 3.0 * SS - CC, out=nrm[:, 0])
-    np.multiply(S, SS - 3.0 * CC, out=nrm[:, 1])
-    return np.where(S >= 0.0, 4.0 * S, 8.0 + 4.0 * S), hit, nrm, tip
+    np.multiply(rho, CC - SS, hit[:, 0])
+    np.multiply(2.0 * rho, C * S, hit[:, 1])
+    np.multiply(C, 3.0 * SS - CC, nrm[:, 0])
+    np.multiply(S, SS - 3.0 * CC, nrm[:, 1])
+    S4 = 4.0 * S
+    return np.where(S >= 0.0, S4, S4 + 8.0), hit, nrm, tip
 
 
-def _nearest(p, d, a, b):
-    """Of k candidate roots (a, b), arrays (k, n), the one with the shortest flight above `_TAU_MIN`.
+def _nearest(pd, d, a, b):
+    """Of the candidate roots (a, b), the one with the shortest flight above `_TAU_MIN`.
 
-    Returns ``(a, b, tau)``, each (n,), with tau = (X(a, b) - p).d.  Rows
-    with no root ahead get tau = inf; non-finite candidates never qualify.
+    ``a`` and ``b`` are (n,), one candidate per row, or (k, n); ``pd`` is
+    p.d.  Returns ``(a, b, tau)``, each (n,), with tau = (X(a, b) - p).d.
+    Among k candidates the first of the shortest wins (one ``argmin`` over
+    the candidates and a flat ``take``).  Rows with no root ahead get
+    tau = inf and candidate 0; non-finite candidates never qualify.
     """
     aa, bb = a * a, b * b
     h = aa + bb
-    taus = (2.0 * aa * ((aa - bb) * d[:, 0] + 2.0 * a * b * d[:, 1]) / (h * h)
-            - (p[:, 0] * d[:, 0] + p[:, 1] * d[:, 1]))
-    best_a, best_b, best_tau = a[0], b[0], np.where(taus[0] > _TAU_MIN, taus[0], np.inf)
-    for a, b, tau in zip(a[1:], b[1:], taus[1:]):
-        better = (tau > _TAU_MIN) & (tau < best_tau)
-        best_tau = np.where(better, tau, best_tau)
-        best_a = np.where(better, a, best_a)
-        best_b = np.where(better, b, best_b)
-    return best_a, best_b, best_tau
+    taus = 2.0 * aa * ((aa - bb) * d[:, 0] + 2.0 * a * b * d[:, 1]) / (h * h) - pd
+    ahead = np.where(taus > _TAU_MIN, taus, np.inf)
+    if a.ndim == 1:
+        return a, b, ahead
+    n = a.shape[1]
+    pick = ahead.argmin(axis=0) * n + np.arange(n)
+    return a.take(pick), b.take(pick), ahead.take(pick)
 
 
-def _deflated_roots(p, d, c, q0):
+def _deflated_roots(p, d, ray):
     """The nearest root of a boundary start's quartic, less the start's own root (a0, b0).
 
     A boundary point has polar radius r = 2C^2 and y = 4C^3 S, so
@@ -382,28 +393,31 @@ def _deflated_roots(p, d, c, q0):
     (c -> 0) has a root at a = 0, which only the chart t = a/b sees.
     """
     dx, dy, y = d[:, 0], d[:, 1], p[:, 1]
+    c, q0, pd, _ = ray
     swap = q0 > np.abs(y)
     k = np.where(swap, y / q0, q0 / y)
     q4, q3, q2 = c + 2.0 * dy, -4.0 * dx, 2.0 * (c - dy)
-    e3 = np.where(swap, c, q4)
-    e2 = np.where(swap, k * c, q3 + k * q4)
-    e1 = q2 + k * e2
-    e0 = np.where(swap, q3, 0.0) + k * e1
-    by_b = np.abs(e0) > np.abs(e3)  # t = B/A
-    inv = 1.0 / np.where(by_b, e0, e3)
-    lead, more, others = _cubic_roots(np.where(by_b, e1, e2) * inv,
-                                      np.where(by_b, e2, e1) * inv,
-                                      np.where(by_b, e3, e0) * inv)
+    e = np.empty((4, len(c)))  # e3, e2, e1, e0
+    e[0] = np.where(swap, c, q4)
+    e[1] = np.where(swap, k * c, q3 + k * q4)
+    np.add(q2, k * e[1], e[2])
+    np.add(np.where(swap, q3, 0.0), k * e[2], e[3])
+    by_b = np.abs(e[3]) > np.abs(e[0])  # t = B/A
+    e = np.where(by_b, e[::-1], e)  # the leading coefficient first
+    np.divide(1.0, e[0], e[0])
+    e[1:] *= e[0]  # monic
+    lead, rows, roots = _cubic_roots(e[1:])
     t_is_b = by_b != swap  # (a, b) = (1, t), else (t, 1)
-    a, b, tau = _nearest(p, d, np.where(t_is_b, 1.0, lead)[None], np.where(t_is_b, lead, 1.0)[None])
-    if more.size:  # every real root, on the rows that have more
-        roots, t_is_b = np.vstack([lead[more], others]), t_is_b[more]
-        a[more], b[more], tau[more] = _nearest(p[more], d[more], np.where(t_is_b, 1.0, roots),
+    a, b, tau = _nearest(pd, d, np.where(t_is_b, 1.0, lead), np.where(t_is_b, lead, 1.0))
+    if rows.size:  # every real root on the rows that have more (NaN stands for none)
+        t_is_b = t_is_b.take(rows)
+        a[rows], b[rows], tau[rows] = _nearest(pd.take(rows), d.take(rows, axis=0),
+                                               np.where(t_is_b, 1.0, roots),
                                                np.where(t_is_b, roots, 1.0))
     return a, b, tau
 
 
-def _ferrari_roots(p, d, c, q0):
+def _ferrari_roots(p, d, ray):
     """The nearest root of an interior start's quartic, by Ferrari's factorization.
 
     c times the quartic in u = b/a factors into the real quadratics
@@ -419,12 +433,11 @@ def _ferrari_roots(p, d, c, q0):
     F = (q - x)^2 - q, q = |p + tau d|^2, kept where it stays above
     `_TAU_MIN`: a short chord's (X - p).d cancels, F's coefficients do not.
     """
-    x, dx, dy = p[:, 0], d[:, 0], d[:, 1]
-    e = 2.0 * c + dy
-    m, more, others = _cubic_roots(e, np.zeros_like(c), -2.0 * c)
-    if more.size:
-        roots = np.vstack([m[more], others])
-        m[more] = np.where(c[more] > 0.0, np.fmax.reduce(roots), np.fmin.reduce(roots))
+    dx, dy = d[:, 0], d[:, 1]
+    c, q0, pd, b0 = ray
+    m, rows, roots = _cubic_roots(np.array([2.0 * c + dy, np.zeros_like(c), -2.0 * c]))
+    if rows.size:  # fmax and fmin skip the NaN that marks a missing root
+        m[rows] = np.where(c.take(rows) > 0.0, np.fmax.reduce(roots), np.fmin.reduce(roots))
     mu = m + dy
     near = np.abs(mu) < 0.5 * np.abs(dy)
     mu = np.where(near, _newton_step(mu, 2.0 * (c - dy), dy * (dy - 4.0 * c), -2.0 * c * dx * dx), mu)
@@ -442,10 +455,9 @@ def _ferrari_roots(p, d, c, q0):
     # the factors with -s and +s; the roots of each are (c, h) and (h, gamma)
     gamma = np.stack([np.where(plus_big, small, big), np.where(plus_big, big, small)])
     h = np.array([[0.5], [-0.5]]) * (s + np.sqrt(s * s - 4.0 * c * gamma))
-    a, b, tau = _nearest(p, d, np.concatenate([[c, c], h]), np.concatenate([h, gamma]))
+    a, b, tau = _nearest(pd, d, np.concatenate([[c, c], h]), np.concatenate([h, gamma]))
 
-    pd = x * dx + p[:, 1] * dy
-    b1, b0 = 2.0 * pd - dx, q0 - x
+    b1 = 2.0 * pd - dx
     c3, c2, c1, c0 = 2.0 * b1, b1 * b1 + 2.0 * b0 - 1.0, 2.0 * b1 * b0 - 2.0 * pd, b0 * b0 - q0
     F = (((tau + c3) * tau + c2) * tau + c1) * tau + c0
     dF = ((4.0 * tau + 3.0 * c3) * tau + 2.0 * c2) * tau + c1
@@ -453,54 +465,58 @@ def _ferrari_roots(p, d, c, q0):
     return a, b, np.where((step > _TAU_MIN) & (step < np.inf), step, tau)
 
 
-def _polar_roots(p, d):
+def _polar_roots(pd, d):
     """The nearest root on a line through the cusp: the cusp, or the polar angle of d or -d."""
-    return _nearest(p, d, *_half_angles(np.array([d[:, 0], -d[:, 0], [-1.0] * len(p)]),
-                                        np.array([d[:, 1], -d[:, 1], [0.0] * len(p)])))
+    return _nearest(pd, d, *_half_angles(np.array([d[:, 0], -d[:, 0], [-1.0] * len(d)]),
+                                         np.array([d[:, 1], -d[:, 1], [0.0] * len(d)])))
 
 
-def _cubic_roots(e2, e1, e0):
-    """Real roots ``(lead, more, others)`` of the monic cubics x^3 + e2 x^2 + e1 x + e0.
+def _cubic_roots(coef):
+    """Real roots ``(lead, rows, roots)`` of the monic cubics x^3 + e2 x^2 + e1 x + e0.
 
-    In depressed form t^3 + pp t + qq (x = t - e2/3) ``lead`` is Cardano's
-    real root u + v.  The rows ``more`` have more real roots, ``others``
-    there: with three (half_disc < 0), the trigonometric roots, in
-    descending order mc = m cos(theta) and -mc/2 +- (sqrt3/2) m sin(theta),
+    ``coef`` holds the rows e2, e1, e0.  In depressed form t^3 + pp t + qq
+    (x = t - e2/3) ``lead`` is Cardano's real root u + v.  Some rows have
+    more real roots: with three (half_disc < 0), the trigonometric roots,
+    in descending order mc = m cos(theta) and -mc/2 +- (sqrt3/2) m sin(theta),
     m = 2 sqrt(-pp/3); with a complex pair real up to 1e-6 relative (a
     double root), its real part -(u + v)/2 twice.  A root that cancels
     against the shift e2/3 keeps an absolute error of about eps times the
-    shift: it takes one Newton step, as do all roots on the rows ``more``.
+    shift: it takes one Newton step, as do all roots on the rows with more.
+    ``rows`` are those two sets of rows, gathered once, and ``roots`` (3, k)
+    their roots after the step, ``lead`` first, NaN where a row has no more.
     """
-    shift = e2 / 3.0
-    pp = e1 - e2 * shift
-    qq = (2.0 * shift * shift - e1) * shift + e0
-    half_disc = 0.25 * qq * qq + pp * pp * pp / 27.0
+    e2, e1, e0 = coef
+    cubic = np.empty((5, len(e2)))  # shift, pp, qq, half_disc, cardano
+    shift, pp, qq, half_disc, cardano = cubic
+    np.divide(e2, 3.0, shift)
+    np.subtract(e1, e2 * shift, pp)
+    np.add((2.0 * shift * shift - e1) * shift, e0, qq)
+    np.add(0.25 * qq * qq, pp * pp * pp / 27.0, half_disc)
     # the larger cube root first, so that u + v does not cancel
     u = np.cbrt(-0.5 * qq - np.copysign(np.sqrt(np.maximum(half_disc, 0.0)), qq))
     # u = 0 only when qq = 0 and pp <= 0; the pp < 0 rays take the trig form
     v = -pp / (3.0 * np.where(u == 0.0, 1.0, u))
-    cardano = u + v
+    np.add(u, v, cardano)
     pair_imag = 0.5 * math.sqrt(3.0) * np.abs(u - v)
-    more = np.flatnonzero((half_disc < 0.0)
-                          | (pair_imag < 1e-6 * np.maximum(1.0, np.abs(0.5 * cardano + shift))))
+    more = (half_disc < 0.0) | (pair_imag < 1e-6 * np.maximum(1.0, np.abs(0.5 * cardano + shift)))
     lead = cardano - shift
-    cancelled = np.flatnonzero(np.abs(lead) < 0.01 * np.abs(shift))
-    if cancelled.size:
-        lead[cancelled] = _newton_step(lead[cancelled], e2[cancelled], e1[cancelled], e0[cancelled])
-    if not more.size:
-        return lead, more, np.empty((2, 0))
-    pp, qq, half_disc, cardano, shift, e2, e1, e0 = (
-        x[more] for x in (pp, qq, half_disc, cardano, shift, e2, e1, e0))
+    rows = (more | (np.abs(lead) < 0.01 * np.abs(shift))).nonzero()[0]
+    if not rows.size:
+        return lead, rows, np.empty((3, 0))
+    (e2, e1, e0), (shift, pp, qq, half_disc, cardano) = coef.take(rows, 1), cubic.take(rows, 1)
     # the trig values are taken only where half_disc < 0, and so pp < 0 and m > 0
     m = 2.0 * np.sqrt(np.maximum(-pp, 0.0) / 3.0)
     theta = np.arccos(np.minimum(np.maximum(3.0 * qq / np.where(m > 0.0, pp * m, -np.inf),
                                             -1.0), 1.0)) / 3.0
-    mc = m * np.cos(theta)
+    trig = _PAIR * (m * np.cos(theta))
     ms = (0.5 * math.sqrt(3.0)) * (m * np.sin(theta))
-    roots = np.where(half_disc < 0.0, [mc, -0.5 * mc + ms, -0.5 * mc - ms],
-                     [cardano, -0.5 * cardano, -0.5 * cardano]) - shift
-    lead[more], *others = _newton_step(roots, e2, e1, e0)
-    return lead, more, np.array(others)
+    trig[1] += ms
+    trig[2] -= ms
+    pair = _PAIR * cardano
+    pair[1:, ~more.take(rows)] = np.nan  # a row refined only for its cancelled root
+    roots = _newton_step(np.where(half_disc < 0.0, trig, pair) - shift, e2, e1, e0)
+    lead[rows] = roots[0]
+    return lead, rows, roots
 
 
 def _newton_step(x, e2, e1, e0):

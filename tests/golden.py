@@ -1,9 +1,12 @@
-"""Golden output bytes: the sha256 of every bundled config's CSV.
+"""Golden output bytes: the sha256 of every bundled config's CSV and of the collision kernel.
 
 ``tests/golden.json`` records, for one numpy build, the CSV digest of each
 config in ``scripts/configs/`` run in-process through ``chaodecay.cli.main``,
 ``simulate`` at one and at two threads, and of ``simulate`` on the circle and
-the stadium (``tests/golden_configs/``).  numpy routes some float64 ufuncs to
+the stadium (``tests/golden_configs/``).  It also records the digest of
+`batch_collide`'s five outputs for each shape at scale 1 and 1.5 on one
+seeded batch of interior and boundary starts (`kernel_sha256`), so a kernel
+byte change shows even at a scale no bundled config uses.  numpy routes some float64 ufuncs to
 CPU-specific SIMD code, so the file is keyed on numpy's version and on the
 dispatch targets this CPU supports; the test skips on any other key.
 
@@ -23,6 +26,9 @@ from pathlib import Path
 import numpy as np
 
 from chaodecay.cli import main
+from chaodecay.dynamics import batch_collide
+from chaodecay.ensemble import EnsembleSpec, sample_ensemble
+from chaodecay.geometry import SHAPES, CavityGeometry
 
 GOLDEN_FILE = Path(__file__).with_name("golden.json")
 EXAMPLE_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "scripts" / "configs")
@@ -31,6 +37,7 @@ EXAMPLE_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "scripts" / "con
 SHAPE_CONFIGS = sorted(Path(__file__).with_name("golden_configs").glob("*.json"))
 GOLDEN_CASES = [(path, 1) for path in EXAMPLE_CONFIGS + SHAPE_CONFIGS] + [
     (path, 2) for path in EXAMPLE_CONFIGS if path.name == "simulate.json"]
+KERNEL_CASES = [(shape, scale) for shape in SHAPES for scale in (1.0, 1.5)]
 
 
 def case_name(path, threads):
@@ -59,6 +66,22 @@ def csv_sha256(csv_path):
     return hashlib.sha256(Path(csv_path).read_bytes()).hexdigest()
 
 
+def kernel_name(shape, scale):
+    return f"batch_collide {shape} scale {scale}"
+
+
+def kernel_sha256(shape, scale):
+    """Digest of `batch_collide`'s outputs on 4,096 seeded interior starts and their
+    first three hits as boundary starts, one batch of 16,384 rows."""
+    g = CavityGeometry(shape, scale=scale)
+    pos, dirs = sample_ensemble(g, EnsembleSpec(n_samples=4096, seed=28))
+    starts = [(pos, dirs)]
+    for _ in range(3):
+        starts.append(batch_collide(g, *starts[-1])[2:4])
+    outputs = batch_collide(g, *(np.concatenate(part) for part in zip(*starts)))
+    return hashlib.sha256(b"".join(out.tobytes() for out in outputs)).hexdigest()
+
+
 def digests():
     """The CSV digest of every golden case, run now."""
     found = {}
@@ -68,6 +91,8 @@ def digests():
             if code != 0:
                 sys.exit(f"{case_name(path, threads)} exited with {code}")
             found[case_name(path, threads)] = csv_sha256(csv_path)
+    for shape, scale in KERNEL_CASES:
+        found[kernel_name(shape, scale)] = kernel_sha256(shape, scale)
     return found
 
 

@@ -32,9 +32,12 @@ from golden import (
     EXAMPLE_CONFIGS,
     GOLDEN_CASES,
     GOLDEN_FILE,
+    KERNEL_CASES,
     SHAPE_CONFIGS,
     case_name,
     csv_sha256,
+    kernel_name,
+    kernel_sha256,
     numpy_key,
     run_bundled,
 )
@@ -753,18 +756,32 @@ def test_correction_total_is_exact_sum(bundled_run):
     assert all(total == classical + correction for _, classical, correction, total in rows)
 
 
-@pytest.mark.parametrize("path, threads", GOLDEN_CASES,
-                         ids=[case_name(p, n) for p, n in GOLDEN_CASES])
-def test_golden_output_bytes(bundled_run, path, threads):
+def recorded_digests():
+    """The digests in the golden file, or a skip where it holds another numpy build's."""
     golden = json.loads(GOLDEN_FILE.read_text())
     if golden["key"] != numpy_key():
         pytest.skip(f"{GOLDEN_FILE.name} holds the bytes of {golden['key']}, "
                     f"not of this build, {numpy_key()}")
+    return golden["sha256"]
+
+
+@pytest.mark.parametrize("path, threads", GOLDEN_CASES,
+                         ids=[case_name(p, n) for p, n in GOLDEN_CASES])
+def test_golden_output_bytes(bundled_run, path, threads):
+    recorded = recorded_digests()
     code, csv_path = bundled_run(path, threads)
     assert code == 0
     name = case_name(path, threads)
-    assert csv_sha256(csv_path) == golden["sha256"][name], \
+    assert csv_sha256(csv_path) == recorded[name], \
         f"{name}: CSV bytes differ from {GOLDEN_FILE.name}"
+
+
+@pytest.mark.parametrize("shape, scale", KERNEL_CASES,
+                         ids=[kernel_name(*case) for case in KERNEL_CASES])
+def test_golden_kernel_bytes(shape, scale):
+    name = kernel_name(shape, scale)
+    assert kernel_sha256(shape, scale) == recorded_digests()[name], \
+        f"{name}: batch_collide bytes differ from {GOLDEN_FILE.name}"
 
 
 # A stand-in for the smallest value of a field that must be strictly positive.

@@ -249,6 +249,18 @@ class TestPropagate:
         assert seen >= 30  # nearly all escape within 500 time units
 
 
+@pytest.mark.parametrize("shape", SHAPES)
+def test_double_speed_halves_escape_times(shape):
+    # every flight time is its length over the speed, and halving is exact
+    g = make(shape, opening_length=0.4)
+    pos, dirs = sample_ensemble(g, EnsembleSpec(n_samples=2048, seed=13))
+    esc, hits = escape_times(g, pos, dirs, 1.0, 40.0)
+    fast, fast_hits = escape_times(g, pos, dirs, 2.0, 20.0)
+    assert np.isfinite(esc).sum() > 1000 and np.isinf(esc).any()
+    np.testing.assert_array_equal(fast.view(np.uint64), (0.5 * esc).view(np.uint64))
+    assert fast_hits == hits
+
+
 @given(st.sampled_from(SHAPES), st.integers(0, 2**32 - 1), st.floats(0.5, 2.0))
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_sampler_invariants(shape, seed, speed):
@@ -387,6 +399,26 @@ class TestProgressGuarantee:
         for _, start, heading, t0, t_hit, *_ in _flights(g, pos, dirs, np.zeros(n), 1.0, 10.0):
             assert (t_hit >= t0).all()
             assert g.contains(start + 0.5 * (t_hit - t0)[:, None] * heading, tol=1e-9).all()
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("start, heading", [((math.nan, 0.2), (1.0, 0.0)),
+                                                ((0.1, 0.2), (math.inf, 0.0))])
+    def test_non_finite_start_raises(self, shape, start, heading):
+        g = make(shape)
+        pos, dirs = np.tile([0.1, -0.2], (6, 1)), np.tile([0.6, 0.8], (6, 1))
+        pos[4], dirs[4] = start, heading
+        message = r"particle 4 starts at \[.*\] heading \[.*\]: not finite"
+        with pytest.raises(NumericError, match=message):
+            escape_times(g, pos, dirs, 1.0, 50.0)
+        with pytest.raises(NumericError, match=message):
+            sample_positions(g, pos, dirs, 1.0, 0.1, 20)
+
+    def test_tangent_boundary_start_stalls_then_raises(self):
+        # from (2, 0) straight up the ray only touches the cardioid: no hit
+        # ahead, so it is retroreflected in place until the stall limit
+        g = make("cardioid")
+        with pytest.raises(NumericError, match="particle 0 made no progress"):
+            escape_times(g, np.array([[2.0, 0.0]]), np.array([[0.0, 1.0]]), 1.0, 50.0)
 
     def test_stuck_particle_raises(self):
         rng = np.random.default_rng(8)

@@ -489,6 +489,24 @@ def test_near_tangent_circle_starts(shape):
     np.testing.assert_allclose(dist, 2.0 * a * np.sin(angle), rtol=1e-6, atol=0.0)
 
 
+@pytest.mark.parametrize("shape", SHAPES)
+def test_scaled_rays_are_exact(shape):
+    # a power-of-two scale is exact in every step of a kernel, so the hits of
+    # scaled starts are the unit hits times the scale, bit for bit
+    unit = make(shape)
+    pos, dirs = ensemble.sample_ensemble(unit, ensemble.EnsembleSpec(2048, 9))
+    pos, dirs = (np.concatenate(part) for part in zip((pos, dirs),
+                                                      batch_collide(unit, pos, dirs)[2:4]))
+    want = unit.ray_hits(pos, dirs)
+    for scale in (2.0, 0.5):
+        got = make(shape, scale=scale).ray_hits(scale * pos, dirs)
+        for k, (g, w) in enumerate(zip(got, want)):
+            w = w * scale if k < 3 else w  # dist, s_hit and hit scale; the normal and flag do not
+            if g.dtype == float:
+                g, w = g.view(np.uint64), w.view(np.uint64)
+            np.testing.assert_array_equal(g, w)
+
+
 def _cardioid_quartic_oracle(p, d, on_boundary=True):
     """First hit of a ray on the unit cardioid, by companion matrix.
 
@@ -587,18 +605,23 @@ def _companion_dist(c3, c2, c1, c0, b1, b0):
     root get inf.
     """
     quartic = (c3, c2, c1, c0, b1, b0)
+    best = np.full(len(c0), np.inf)
+    for root in _companion_roots(c3, c2, c1, c0).T:
+        tau = root.real.copy()
+        near_real = np.abs(root.imag) < 1e-6 * np.maximum(1.0, np.abs(tau))
+        np.minimum(best, _admissible(tau, quartic, near_real), out=best)
+    return _polish(best, quartic)
+
+
+def _companion_roots(c3, c2, c1, c0):
+    """The four roots of each monic quartic, (n, 4), from numpy's batched eigenvalue solver."""
     comp = np.zeros((len(c0), 4, 4))
     comp[:, 1, 0] = comp[:, 2, 1] = comp[:, 3, 2] = 1.0
     comp[:, 0, 3] = -c0
     comp[:, 1, 3] = -c1
     comp[:, 2, 3] = -c2
     comp[:, 3, 3] = -c3
-    best = np.full(len(c0), np.inf)
-    for root in np.linalg.eigvals(comp).T:
-        tau = root.real.copy()
-        near_real = np.abs(root.imag) < 1e-6 * np.maximum(1.0, np.abs(tau))
-        np.minimum(best, _admissible(tau, quartic, near_real), out=best)
-    return _polish(best, quartic)
+    return np.linalg.eigvals(comp)
 
 
 def _admissible(tau, quartic, near_real):
@@ -835,27 +858,54 @@ class TestCardioidKernel:
         # a ray touching the boundary tangentially gives a double root; like
         # a real eigenvalue pair it is a candidate, not a complex pair to skip
         cubic = Polynomial.fromroots(roots)
-        e0, e1, e2 = (np.array([c]) for c in cubic.coef[:3])
-        lead, _, others = geometry._cubic_roots(e2, e1, e0)
+        lead, _, others = geometry._cubic_roots(cubic.coef[2::-1, None])
         found = np.concatenate([lead, *others])
         assert np.nanmin(found) == pytest.approx(min(roots), rel=1e-7)
         for root in found[np.isfinite(found)]:
             assert min(abs(root - r) for r in roots) <= 1e-7 * root
 
+    def _mixed_batch(self, rng):
+        """4,224 rays: boundary starts heading inward at any angle, interior starts,
+        rays along the axis and starts within 1e-2 of the cusp, shuffled."""
+        rays = [_boundary_ray(self.g, rng.uniform(0.0, 8.0, 3072), rng.uniform(0.0, math.pi, 3072))]
+        delta = 10.0 ** rng.uniform(-9.0, -2.0, 256)
+        rays.append(_boundary_ray(self.g, 4.0 + np.where(rng.random(256) < 0.5, delta, -delta),
+                                  rng.uniform(0.0, math.pi, 256)))
+        r, phi = 10.0 ** rng.uniform(-9.0, -3.0, 256), rng.uniform(-2.5, 2.5, 256)
+        near = r[:, None] * np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+        theta = rng.uniform(0.0, 2.0 * math.pi, 832)
+        inner = ensemble.sample_ensemble(self.g, ensemble.EnsembleSpec(576, 5))[0]
+        rays.append((np.concatenate([near, inner]), np.stack([np.cos(theta), np.sin(theta)], -1)))
+        # along the axis, into the cusp from (2, 0), and parallel to it off the axis
+        x = np.concatenate([rng.uniform(0.05, 1.95, 48), [2.0] * 8, rng.uniform(0.3, 1.5, 8)])
+        y = np.concatenate([np.zeros(56), rng.uniform(-0.4, 0.4, 8)])
+        heading = np.where(x == 2.0, -1.0, np.resize([1.0, -1.0], 64))
+        rays.append((np.stack([x, y], -1), np.stack([heading, np.zeros(64)], -1)))
+        p, d = (np.concatenate(part) for part in zip(*rays))
+        order = rng.permutation(len(p))
+        return p[order], d[order]
+
     def test_mixed_batch_matches_single_rays(self):
-        # boundary and interior starts in one batch give each ray's own answer
-        rng = np.random.default_rng(4)
-        s = rng.uniform(0.0, 8.0, 64)
-        pos, nrm = boundary_point(self.g, s)
-        pos[::2] += 0.05 * nrm[::2]  # every other start moved inside
-        theta = rng.uniform(0.0, 2.0 * math.pi, 64)
-        dirs = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-        dirs = np.where((dirs * nrm).sum(-1)[:, None] < 0, -dirs, dirs)
-        batch = self.g.ray_hits(pos, dirs)
-        for i in range(64):
-            single = self.g.ray_hits(pos[i : i + 1], dirs[i : i + 1])
-            for b, one in zip(batch, single):
-                np.testing.assert_array_equal(b[i : i + 1], one)
+        # one batch takes every path of the kernel at once (deflated and
+        # Ferrari rows, three-root rows, lines through the cusp, cusp events),
+        # and each ray must get its own answer, bit for bit
+        p, d = self._mixed_batch(np.random.default_rng(4))
+        assert len(p) >= 4096
+        batch = self.g.ray_hits(p, d)
+        singles = [self.g.ray_hits(p[i:i + 1], d[i:i + 1]) for i in range(len(p))]
+        for k, got in enumerate(batch):
+            alone = np.concatenate([out[k] for out in singles])
+            if got.dtype == float:
+                got, alone = got.view(np.uint64), alone.view(np.uint64)
+            np.testing.assert_array_equal(got, alone)
+        # boundary starts whose ray quartic has four real roots: three besides the start
+        c3, c2, c1, c0 = _kernel_quartic(p, d)[:4]
+        on_boundary = np.abs(c0) <= 1e-12 * np.einsum("ij,ij->i", p, p)
+        roots = _companion_roots(*(c[on_boundary] for c in (c3, c2, c1, c0)))
+        assert np.count_nonzero((np.abs(roots.imag) < 1e-9).all(axis=1)) >= 100
+        assert np.count_nonzero(np.abs(d[:, 0] * p[:, 1] - d[:, 1] * p[:, 0]) <= 1e-150) >= 48
+        assert np.count_nonzero(batch[4]) >= 8  # cusp events
+        assert np.count_nonzero(~on_boundary) >= 832
 
     def test_rays_aimed_at_cusp_fly_forward(self):
         # from boundary points at polar angles in [-3, 3] straight at the cusp:
@@ -877,6 +927,35 @@ class TestCardioidKernel:
         assert dist[0] == pytest.approx(2.0, rel=1e-12)
         assert s_hit[0] == pytest.approx(4.0, abs=1e-12)
         np.testing.assert_allclose(hit[0], 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_nearest_contract(self, k):
+        # rays from (x, 0) along +x: the candidate (1, 0) is the point (2, 0),
+        # tau = 2 - x, and (1, 1), (2, 2), (-1, -1) and (0, 1) lie on x = 0, tau = -x
+        nan, inf, above = math.nan, math.inf, np.nextafter(geometry._TAU_MIN, 1.0)
+        rows = [  # (x, candidates, winner of all three, winner of the first alone)
+            (-1.0, [(1, 1), (2, 2), (-1, -1)], 0, 0),  # a tie goes to the first
+            (-1.0, [(2, 2), (1, 1), (1, 0)], 0, 0),
+            (-1.0, [(1, 0), (nan, 0), (-1, -1)], 2, 0),
+            (-1.0, [(nan, nan), (1, 0), (0, 1)], 2, None),
+            (2.0, [(1, 1), (1, 0), (nan, 1)], None, None),  # behind, at the start, NaN
+            (-geometry._TAU_MIN, [(1, 1), (0, 1), (1, 0)], 2, None),  # tau == _TAU_MIN loses
+            (-above, [(1, 0), (1, 1), (0, 1)], 1, 0),
+            (-inf, [(1, 0), (1, 1), (0, 1)], None, None),  # tau = inf
+            (inf, [(1, 1), (1, 0), (0, 1)], None, None),  # tau = -inf
+        ]
+        p = np.array([[x, 0.0] for x, *_ in rows])
+        d = np.tile([1.0, 0.0], (len(rows), 1))
+        a, b = np.array([c[:k] for _, c, *_ in rows], dtype=float).T
+        # a row with no root ahead keeps candidate 0 and gets tau = inf
+        wins = [(x, c, best if k == 3 else first) for x, c, best, first in rows]
+        want = np.array([(*c[best or 0], inf if best is None else 2.0 * (c[best] == (1, 0)) - x)
+                         for x, c, best in wins], dtype=float).T
+        pd = p[:, 0] * d[:, 0] + p[:, 1] * d[:, 1]
+        calls = [(a, b)] + [(a[0], b[0])] * (k == 1)  # one candidate per row also as (n,)
+        for got in (geometry._nearest(pd, d, *ab) for ab in calls):
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g.view(np.uint64), w.view(np.uint64))
 
 
 _CHUNK = 65_536
