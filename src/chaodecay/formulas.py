@@ -17,6 +17,8 @@ bracket, exp(-t/tau_D) tau_d^2/(T_H tau_D) g(t/tau_d) with g(y) = exp(-y) - 1 + 
 switched on at 2 t_E + 2 t_lL, at zero gates, at the parameters' gates and at
 tau_d = inf, and the short-time regime is the last times 1 - t/(3 tau_d).  In
 every regime a bracket row outside the float range is a ``ValueError``.
+`correction_peak` takes each bracket's maximum as the root of its stationarity
+condition, in closed form or by Newton.
 
 All formula functions broadcast over numpy arrays of times.
 """
@@ -64,6 +66,12 @@ _TAU_D_CONSISTENCY_RTOL = 1e-15
 # downstream.
 _KERNEL_SERIES_CUTOFF = 1e-3
 
+# Below this y `correction_peak` takes psi(y) = y/(1 - e^-y) - 1, which loses about 2 eps/y
+# to cancellation (as does loop_kernel past its series), as its series y/2 + y^2/12 - y^4/720
+# + y^6/30240, under 3e-18 relative off; its Newton loop raises past _PEAK_MAX_ITERATIONS steps.
+_PSI_SERIES_CUTOFF = 0.02
+_PEAK_MAX_ITERATIONS = 64
+
 
 # ---------------------------------------------------------------------------
 # parameter containers
@@ -87,11 +95,11 @@ class BathSpec:
     characteristic_frequency: float | None = None
 
     def __post_init__(self) -> None:
-        if self.damping < 0:
+        if not self.damping >= 0:
             raise ValueError("damping must be non-negative")
-        if self.inverse_temperature <= 0:
+        if not self.inverse_temperature > 0:
             raise ValueError("inverse_temperature must be positive")
-        if self.hbar <= 0:
+        if not self.hbar > 0:
             raise ValueError("hbar must be positive")
         if not self.high_temperature_ok:
             warnings.warn(
@@ -130,9 +138,11 @@ def alpha_from_bath(bath: BathSpec) -> float:
 
 def decoherence_time(coupling_strength: float, position_variance: float) -> float:
     """Time scale 1/(2 alpha sigma^2) on which loop decoherence saturates."""
-    if coupling_strength < 0 or position_variance < 0:
+    if not (coupling_strength >= 0 and position_variance >= 0):
         raise ValueError("coupling and variance must be non-negative")
-    denom = 2.0 * coupling_strength * position_variance
+    # a zero factor is no decoherence, also against an infinite one (0 * inf is NaN)
+    denom = (2.0 * coupling_strength * position_variance
+             if coupling_strength and position_variance else 0.0)
     if math.isinf(denom):
         raise ValueError("2 * coupling_strength * position_variance overflows")
     return math.inf if denom == 0.0 else 1.0 / denom
@@ -144,14 +154,14 @@ def dwell_time(area: float, opening_length: float, speed: float = 1.0) -> float:
     Equals (phase-space shell volume 2*pi*m*A) / (2 * opening * momentum m*v)
     for a free particle in two dimensions, so the mass cancels.
     """
-    if area <= 0 or opening_length <= 0 or speed <= 0:
+    if not (area > 0 and opening_length > 0 and speed > 0):
         raise ValueError("area, opening_length and speed must be positive")
     return math.pi * area / (opening_length * speed)
 
 
 def heisenberg_time(area: float, mass: float = 1.0, hbar: float = 1.0) -> float:
     """Shell volume over Planck cell: m*A/hbar for a free particle in 2-D."""
-    if area <= 0 or mass <= 0 or hbar <= 0:
+    if not (area > 0 and mass > 0 and hbar > 0):
         raise ValueError("area, mass and hbar must be positive")
     return mass * area / hbar
 
@@ -179,15 +189,15 @@ class SemiclassicalParams:
     loop_formation_time: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.dwell_time <= 0:
+        if not self.dwell_time > 0:
             raise ValueError("dwell_time must be positive")
-        if self.heisenberg_time <= 0:
+        if not self.heisenberg_time > 0:
             raise ValueError("heisenberg_time must be positive")
-        if self.lyapunov is not None and self.lyapunov < 0:
+        if self.lyapunov is not None and not self.lyapunov >= 0:
             raise ValueError("lyapunov must be non-negative")
-        if self.hbar <= 0:
+        if not self.hbar > 0:
             raise ValueError("hbar must be positive")
-        if self.ehrenfest_time < 0 or self.loop_formation_time < 0:
+        if not (self.ehrenfest_time >= 0 and self.loop_formation_time >= 0):
             raise ValueError("gating times must be non-negative")
         if self.dwell_time * self.heisenberg_time < sys.float_info.min:
             raise ValueError("dwell_time * heisenberg_time underflows")
@@ -199,7 +209,7 @@ class SemiclassicalParams:
             tau = derived if derived is not None else math.inf
             object.__setattr__(self, "decoherence_time", tau)
         else:
-            if self.decoherence_time <= 0:
+            if not self.decoherence_time > 0:
                 raise ValueError("decoherence_time must be positive")
             if derived is not None and not _close(self.decoherence_time, derived, _TAU_D_CONSISTENCY_RTOL):
                 raise ValueError(
@@ -333,7 +343,7 @@ def loop_correction_short_time(params: SemiclassicalParams, t):
 
 def ehrenfest_time(lyapunov: float, encounter_scale: float, hbar: float) -> float:
     """log(encounter_scale/hbar)/lyapunov: time to stretch a Planck cell to classical size."""
-    if lyapunov <= 0 or encounter_scale <= 0 or hbar <= 0:
+    if not (lyapunov > 0 and encounter_scale > 0 and hbar > 0):
         raise ValueError("lyapunov, encounter_scale and hbar must be positive")
     if encounter_scale < hbar:
         raise ValueError("encounter_scale below hbar gives a negative time")
@@ -416,66 +426,53 @@ def correction_curve(params: SemiclassicalParams, times, regime: str = "plain") 
 
 def correction_peak(params: SemiclassicalParams, regime: str = "plain",
                     telemetry: dict | None = None) -> tuple[float, float]:
-    """Location and value of the interior maximum of the bracket.
+    """Location and value of the interior maximum of the bracket, the root of its
+    stationarity condition.
 
-    Grid scan (log-spaced near the origin, linear beyond) to bracket the
-    maximum, then golden-section search inside the bracket.  For
-    tau_d -> inf the peak sits at exactly 2*tau_D.  A ``telemetry`` dict, if
-    given, receives ``evaluations``: the bracket evaluations of the
-    golden-section search.
+    Past the gate (2 t_E + 2 t_lL in the ehrenfest regime, else 0) the plain and ehrenfest
+    brackets are const exp(-t/tau_D) g(y), g = `loop_kernel`, y = (t - gate)/tau_d, so the
+    peak solves psi(y) = g(y)/(1 - e^-y) = y/(1 - e^-y) - 1 = c, c = tau_D/tau_d.  psi is
+    increasing, convex and >= max(y/2, y - 1), so Newton from y = min(2c, 1 + c) falls to
+    the root, until psi(y) - c is no longer positive and falling (rounding).  The
+    short-time bracket exp(-u) u^2 (1 - u/(3r)), u = t/tau_D, r = tau_d/tau_D, peaks at
+    the smaller root of u^2 - 3(1 + r)u + 6r = 0, and where tau_d is effectively infinite
+    (`_effective_tau_d` at gate + 2 tau_D) every peak is at exactly gate + 2 tau_D.  A
+    bracket value not above 0 there is a ``NumericError``.  A ``telemetry`` dict, if
+    given, receives ``iterations``: the Newton steps, 0 in the closed forms.
     """
     tau_D = params.dwell_time
-    tau_d = params.decoherence_time
-    scale = max(tau_D, min(tau_d, 1e3 * tau_D) if not math.isinf(tau_d) else tau_D)
-    t_hi = 20.0 * scale
-    t_lo = 1e-9 * tau_D
-    gate = 2.0 * params.ehrenfest_time + 2.0 * params.loop_formation_time
-    if regime == "ehrenfest" and gate > 0:
-        t_lo = gate + 1e-12 * tau_D
-        t_hi = max(t_hi, gate + 20.0 * scale)
-
-    grid = np.unique(np.concatenate([np.geomspace(t_lo, t_hi, 2048),
-                                     np.linspace(t_lo, t_hi, 2048)]))
-    values = _bracket_for_regime(params, grid, regime)
-    k = int(np.argmax(values))
-    if k == 0 or k == len(grid) - 1 or values[k] <= 0.0:
-        raise NumericError(
-            "no interior maximum found for the correction bracket "
-            f"(argmax at grid index {k} of {len(grid)})"
-        )
-    # the search runs unchecked under one errstate, as a check per scalar evaluation costs
-    # more than its arithmetic; the value returned is checked
-    bracket = _BRACKETS[regime].__wrapped__
-    with np.errstate(over="ignore", invalid="ignore"):
-        t_star, evaluations = _golden_max(lambda t: float(bracket(params, np.asarray(t))),
-                                          float(grid[k - 1]), float(grid[k + 1]), 1e-12 * scale)
+    gate = (2.0 * params.ehrenfest_time + 2.0 * params.loop_formation_time
+            if regime == "ehrenfest" else 0.0)
+    tau_d = _effective_tau_d(params.decoherence_time, gate + 2.0 * tau_D)
+    c = tau_D / tau_d
+    iterations = 0
+    if math.isinf(tau_d):
+        t_star = gate + 2.0 * tau_D
+    elif regime == "short_time":
+        r = tau_d / tau_D
+        t_star = tau_d * (12.0 / (3.0 * (1.0 + r) + math.sqrt(9.0 * (1.0 + r) ** 2 - 24.0 * r)))
+    elif math.isinf(c):  # y = 1 + c to far below an ulp
+        t_star = gate + tau_D + tau_d
+    else:
+        y, residual = min(2.0 * c, 1.0 + c), math.inf
+        for iterations in range(_PEAK_MAX_ITERATIONS):
+            rise = -math.expm1(-y)  # 1 - e^-y
+            psi = (y * (0.5 + y * (1.0 / 12.0 + y * y * (-1.0 / 720.0 + y * y / 30240.0)))
+                   if y < _PSI_SERIES_CUTOFF else y / rise - 1.0)
+            if not 0.0 < psi - c < residual:  # at the root, to rounding
+                break
+            residual = psi - c
+            y -= residual / (1.0 - psi * math.exp(-y) / rise)  # psi' = 1 - psi e^-y/(1 - e^-y)
+        else:
+            raise NumericError("the peak's Newton iteration did not settle in "
+                               f"{_PEAK_MAX_ITERATIONS} steps")
+        t_star = gate + tau_d * y
     if telemetry is not None:
-        telemetry["evaluations"] = evaluations
-    return t_star, float(_bracket_for_regime(params, np.asarray(t_star), regime))
-
-
-def _golden_max(f, a: float, b: float, tol: float) -> tuple[float, int]:
-    """Maximiser of a unimodal ``f`` on [a, b] by golden-section search.
-
-    Shrinks the bracket by the golden ratio per evaluation until it is at
-    most ``tol`` wide (a fixed step count, so it ends even where rounding
-    stalls the bracket).  Returns its midpoint and the number of ``f``
-    evaluations.
-    """
-    r = 0.5 * (math.sqrt(5.0) - 1.0)
-    c, d = b - r * (b - a), a + r * (b - a)
-    fc, fd = f(c), f(d)
-    steps = max(0, math.ceil(math.log(tol / (b - a)) / math.log(r)))
-    for _ in range(steps):
-        if fc >= fd:  # the maximum lies in [a, d]
-            b, d, fd = d, c, fc
-            c = b - r * (b - a)
-            fc = f(c)
-        else:  # in [c, b]
-            a, c, fc = c, d, fd
-            d = a + r * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b), 2 + steps
+        telemetry["iterations"] = iterations
+    value = float(_bracket_for_regime(params, np.asarray(t_star), regime))
+    if not value > 0.0:
+        raise NumericError(f"the correction bracket is {value!r} at its peak t = {t_star!r}")
+    return t_star, value
 
 
 @dataclass(frozen=True)
@@ -500,7 +497,7 @@ def figure3_curves(
     decoherence-free curve is always included as ``reference``.  Entries of
     ``taud_over_TH`` may be ``inf``; such columns coincide with the reference.
     """
-    if tauD_over_TH <= 0:
+    if not tauD_over_TH > 0:
         raise ValueError("tauD_over_TH must be positive")
     if n_points < 2:
         raise ValueError("n_points must be at least 2")

@@ -2,8 +2,9 @@
 
 ``tests/golden.json`` records, for one numpy build, the CSV digest of each
 config in ``scripts/configs/`` run in-process through ``chaodecay.cli.main``,
-``simulate`` at one and at two threads, and of ``simulate`` on the circle and
-the stadium (``tests/golden_configs/``).  It also records the digest of
+``simulate`` at one and at two threads, of ``simulate`` on the circle and the
+stadium, and of ``peak`` in the ehrenfest and short-time regimes
+(``tests/golden_configs/``).  It also records the digest of
 `batch_collide`'s five outputs for each shape at scale 1 and 1.5 on one
 seeded batch of interior and boundary starts (`kernel_sha256`), so a kernel
 byte change shows even at a scale no bundled config uses.  numpy routes some float64 ufuncs to
@@ -33,7 +34,8 @@ from chaodecay.geometry import SHAPES, CavityGeometry
 GOLDEN_FILE = Path(__file__).with_name("golden.json")
 EXAMPLE_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "scripts" / "configs")
                          .glob("*.json"))
-# simulate on the two shapes the bundled configs leave out
+# simulate on the two shapes the bundled configs leave out, and peak in the two
+# regimes they leave out
 SHAPE_CONFIGS = sorted(Path(__file__).with_name("golden_configs").glob("*.json"))
 GOLDEN_CASES = [(path, 1) for path in EXAMPLE_CONFIGS + SHAPE_CONFIGS] + [
     (path, 2) for path in EXAMPLE_CONFIGS if path.name == "simulate.json"]

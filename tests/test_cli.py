@@ -682,8 +682,8 @@ class TestCommandLine:
         code, out = run_cli(tmp_path, doc)
         assert code == 0
         telemetry = read_manifest(str(out / "manifest.json"))["telemetry"]
-        assert set(telemetry) == {"evaluations"}
-        assert telemetry["evaluations"] > 2
+        assert set(telemetry) == {"iterations"}
+        assert 0 < telemetry["iterations"] <= 6
         # the CSV is what the library's peak gives without telemetry
         csv = (out / "peak.csv").read_bytes()
         assert b"telemetry" not in csv
@@ -854,10 +854,14 @@ _TINY_SEMICLASSICAL = {
     ({**_PAIRS, "params": {"alpha": 1e307}}, 4,
      "config.params.alpha: 1e+307 makes the running exponent or its standard error overflow"),
     # 6 T_H tau_D tau_d underflows, and the bare bracket times 1 - t/(3 tau_d) does not;
-    # that factor is negative past t = 3 tau_d, below the first point of the peak scan
+    # the peak is at 2 tau_d = 2e-250, where the bracket is 6.7e-301
     ({"command": "correction", "params": _SHORT_TIME_UNDERFLOWING}, 0, ""),
-    ({"command": "peak", "params": _SHORT_TIME_UNDERFLOWING}, 4,
-     "no interior maximum found for the correction bracket"),
+    ({"command": "peak", "params": _SHORT_TIME_UNDERFLOWING}, 0, ""),
+    # exp(-2 t_lL/tau_d) = exp(-1e5) underflows: the bracket is 0 at its maximum too
+    ({"command": "peak", "params": {"dwell_time": 1.0, "heisenberg_time": 1.0, "tau_d": 1e-6,
+                                    "ehrenfest_time": 0.1, "loop_formation_time": 0.05,
+                                    "regime": "ehrenfest"}}, 4,
+     "the correction bracket is 0.0 at its peak"),
     ({"command": "correction", "params": {"dwell_time": 1.0, "heisenberg_time": 1.0,
                                           "alpha": 1e300, "sigma2": 1e300}},
      3, "config.params: 2 * alpha * sigma2 overflows"),
@@ -904,6 +908,7 @@ _TINY_SEMICLASSICAL = {
         "correction-underflow-no-tau_d", "pair-decoherence-bath-hbar", "correction-bath-hbar",
         "pair-decoherence-bath-alpha", "pair-decoherence-huge-alpha",
         "correction-short_time-underflow", "peak-short_time-underflow",
+        "peak-ehrenfest-underflow",
         "correction-tau_d-overflow", "correction-ehrenfest-late-gate", "fig3-huge-kernel",
         "correction-tau_d-squared-underflow", "correction-tau_d-squared-overflow",
         "correction-bare-squared-overflow", "correction-prefactor-underflow",

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chaodecay.errors import NumericError
 from chaodecay.formulas import (
     REGIMES,
     BathSpec,
@@ -62,6 +63,15 @@ class TestBath:
         with pytest.raises(ValueError):
             BathSpec(damping=-1.0, inverse_temperature=1.0)
 
+    @pytest.mark.parametrize("field, message", [
+        ("damping", "damping must be non-negative"),
+        ("inverse_temperature", "inverse_temperature must be positive"),
+        ("hbar", "hbar must be positive"),
+    ])
+    def test_nan_bath_rejected(self, field, message):
+        with pytest.raises(ValueError, match=message):
+            BathSpec(**{"damping": 1.0, "inverse_temperature": 1.0, field: math.nan})
+
     @pytest.mark.parametrize("bath", [
         {"hbar": 1e-200},  # hbar^2 underflows to 0
         {"hbar": 1e-160},  # hbar^2 * beta is subnormal and alpha overflows
@@ -104,6 +114,30 @@ class TestParameterMaps:
         with pytest.raises(ValueError):
             ehrenfest_time(1.0, 0.5, 1.0)
 
+    @pytest.mark.parametrize("function, args, message", [
+        (dwell_time, (math.nan, 0.1), "area, opening_length and speed must be positive"),
+        (dwell_time, (1.0, math.nan), "area, opening_length and speed must be positive"),
+        (dwell_time, (1.0, 0.1, math.nan), "area, opening_length and speed must be positive"),
+        (heisenberg_time, (math.nan,), "area, mass and hbar must be positive"),
+        (heisenberg_time, (1.0, math.nan), "area, mass and hbar must be positive"),
+        (heisenberg_time, (1.0, 1.0, math.nan), "area, mass and hbar must be positive"),
+        (decoherence_time, (math.nan, 1.0), "coupling and variance must be non-negative"),
+        (decoherence_time, (1.0, math.nan), "coupling and variance must be non-negative"),
+        (ehrenfest_time, (math.nan, 2.0, 1.0), "lyapunov, encounter_scale and hbar"),
+        (ehrenfest_time, (1.0, math.nan, 1.0), "lyapunov, encounter_scale and hbar"),
+        (ehrenfest_time, (1.0, 2.0, math.nan), "lyapunov, encounter_scale and hbar"),
+    ])
+    def test_nan_argument_rejected(self, function, args, message):
+        with pytest.raises(ValueError, match=message):
+            function(*args)
+
+    def test_infinite_scales_allowed(self):
+        assert dwell_time(math.inf, 0.1) == math.inf
+        # zero coupling is no decoherence, whatever the variance
+        assert decoherence_time(0.0, math.inf) == math.inf
+        p = params(coupling_strength=0.0, position_variance=math.inf)
+        assert p.decoherence_time == math.inf
+
 
 class TestParams:
     def test_tau_d_single_source(self):
@@ -131,6 +165,24 @@ class TestParams:
         with pytest.raises(ValueError, match="underflows"):
             params(dwell_time=1e-300, heisenberg_time=1e-300, decoherence_time=1e-300)
         assert params(dwell_time=1e-150, heisenberg_time=1e-150).dwell_time == 1e-150
+
+    @pytest.mark.parametrize("field, message", [
+        ("dwell_time", "dwell_time must be positive"),
+        ("heisenberg_time", "heisenberg_time must be positive"),
+        ("lyapunov", "lyapunov must be non-negative"),
+        ("hbar", "hbar must be positive"),
+        ("ehrenfest_time", "gating times must be non-negative"),
+        ("loop_formation_time", "gating times must be non-negative"),
+        ("decoherence_time", "decoherence_time must be positive"),
+        ("coupling_strength", "coupling and variance must be non-negative"),
+        ("position_variance", "coupling and variance must be non-negative"),
+    ])
+    def test_nan_field_rejected(self, field, message):
+        # a NaN compares false both ways, so each check accepts only what it names
+        kw = {"coupling_strength": 0.3, "position_variance": 0.5} if field in (
+            "coupling_strength", "position_variance") else {}
+        with pytest.raises(ValueError, match=message):
+            params(**{**kw, field: math.nan})
 
     def test_with_override(self):
         p = params()
@@ -382,23 +434,91 @@ class TestPeak:
         t_oracle = t[np.argmax(loop_correction_ehrenfest(p, t))]
         assert t_star == pytest.approx(t_oracle, abs=2e-5)
 
-    def test_telemetry_counts_golden_evaluations(self):
+    def test_telemetry_counts_newton_iterations(self):
         p = params(decoherence_time=0.1)
         telemetry = {}
         assert correction_peak(p, telemetry=telemetry) == correction_peak(p)
-        # two starting points, then one evaluation per golden-ratio step from
-        # a two-grid-cell bracket (at most 2 * 20 * tau_D / 2047) down to
-        # 1e-12 * tau_D
-        steps = math.log(1e-12 / (40.0 / 2047)) / math.log(0.5 * (math.sqrt(5.0) - 1.0))
-        assert set(telemetry) == {"evaluations"}
-        assert 2 < telemetry["evaluations"] <= 2 + math.ceil(steps)
+        assert set(telemetry) == {"iterations"}
+        assert 0 < telemetry["iterations"] <= 6
+        # Newton settles in a few steps for any tau_D/tau_d; the closed forms take none
+        for tau_d in np.geomspace(1e-6, 1e7, 200):
+            for regime in REGIMES:
+                correction_peak(params(decoherence_time=tau_d), regime, telemetry)
+                assert telemetry["iterations"] <= (0 if regime == "short_time" else 6)
+        correction_peak(params(), telemetry=telemetry)
+        assert telemetry["iterations"] == 0
 
     def test_scale_invariance(self):
         k = 5.0
         t1, _ = correction_peak(params(decoherence_time=0.1))
         t2, _ = correction_peak(SemiclassicalParams(
             dwell_time=0.3 * k, heisenberg_time=k, decoherence_time=0.1 * k))
-        assert t2 == pytest.approx(k * t1, rel=1e-6)  # up to root-finder tolerance
+        assert t2 == pytest.approx(k * t1, rel=1e-14)
+
+    # (tau_D, tau_d, t_E, t_lL): the bundled peak, psi's series and its closed form on
+    # either side of their seam, the kernel's own seam, strong decoherence, and gates
+    @pytest.mark.parametrize("regime", REGIMES)
+    @pytest.mark.parametrize("tau_D, tau_d, t_E, t_lL", [
+        (1.0, 1e6, 0.0, 0.0),
+        (0.3, 0.1, 0.1, 0.05),
+        (1.0, 101.0, 0.2, 0.0),
+        (1.0, 99.0, 0.0, 0.3),
+        (21.325854680761836, 37531.80502560088, 1.0, 2.0),
+        (1.0, 1e-3, 0.05, 0.05),
+        (2e-7, 3e-5, 1e-7, 4e-8),
+        (5e4, 2e4, 3e3, 1e4),
+    ])
+    def test_peak_is_the_stationary_point(self, regime, tau_D, tau_d, t_E, t_lL):
+        # the root of d/dt log(bracket), from the bracket's own formula at 50 digits
+        mpmath = pytest.importorskip("mpmath")
+        p = SemiclassicalParams(dwell_time=tau_D, heisenberg_time=1.0, decoherence_time=tau_d,
+                                ehrenfest_time=t_E, loop_formation_time=t_lL)
+        t_star, value = correction_peak(p, regime)
+        with mpmath.workdps(50):
+            D, d = mpmath.mpf(tau_D), mpmath.mpf(tau_d)
+            gate = 2 * mpmath.mpf(t_E) + 2 * mpmath.mpf(t_lL) if regime == "ehrenfest" else 0
+
+            def log_bracket(t):
+                if regime == "short_time":
+                    return -t / D + 2 * mpmath.log(t) + mpmath.log(1 - t / (3 * d))
+                y = (t - gate) / d
+                return -t / D + mpmath.log(mpmath.exp(-y) - 1 + y)
+            # a sign change of the derivative within 1e-6 of the peak found
+            exact = mpmath.findroot(lambda t: mpmath.diff(log_bracket, t),
+                                    (t_star * (1 - 1e-6), t_star * (1 + 1e-6)), solver="anderson")
+        assert t_star == pytest.approx(float(exact), rel=1e-13, abs=0.0)
+        assert value == correction_curve(p, [t_star], regime).bracket[0]
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_infinite_tau_d_peak_is_exact(self, regime):
+        p = params(ehrenfest_time=0.1, loop_formation_time=0.05)
+        gate = 2.0 * 0.1 + 2.0 * 0.05 if regime == "ehrenfest" else 0.0
+        telemetry = {}
+        t_star, _ = correction_peak(p, regime, telemetry)
+        assert t_star == gate + 2.0 * 0.3
+        assert telemetry["iterations"] == 0
+
+    def test_peak_past_the_decoherence_scale_ratio(self):
+        # tau_D/tau_d overflows: the peak is tau_D + tau_d past the gate, tau_D to rounding,
+        # where the bracket is e^-1 tau_d t/(T_H tau_D)
+        p = SemiclassicalParams(dwell_time=1e10, heisenberg_time=1e-305, decoherence_time=1e-300)
+        t_star, value = correction_peak(p)
+        assert t_star == 1e10
+        assert value == pytest.approx(math.exp(-1.0) * 1e5, rel=1e-12)
+
+    def test_underflowing_peak_raises(self):
+        # exp(-2 t_lL/tau_d) = exp(-1e5) is 0: the bracket is 0 at its maximum too
+        p = params(dwell_time=1.0, decoherence_time=1e-6, ehrenfest_time=0.1,
+                   loop_formation_time=0.05)
+        with pytest.raises(NumericError, match="the correction bracket is 0.0 at its peak"):
+            correction_peak(p, regime="ehrenfest")
+
+    def test_short_time_peak_below_the_float_range_of_its_scales(self):
+        # tau_d/tau_D = 1e-150: the peak is 2 tau_d, where the bracket is 2 tau_d^2/(T_H tau_D)
+        p = params(dwell_time=1e-100, heisenberg_time=1e-100, decoherence_time=1e-250)
+        t_star, value = correction_peak(p, regime="short_time")
+        assert t_star == 2e-250
+        assert value == pytest.approx(2.0 / 3.0 * 1e-300, rel=1e-14)
 
 
 class TestFigure3:
@@ -535,3 +655,20 @@ def test_bracket_float_range_property(regime, tau_D, T_H, tau_d, t_E, t_lL, t_ma
         except ValueError:
             return
     assert np.isfinite(values).all()
+
+
+@given(st.sampled_from(REGIMES), _LOG_UNIFORM, _LOG_UNIFORM,
+       st.one_of(st.just(math.inf), _LOG_UNIFORM), _LOG_UNIFORM, _LOG_UNIFORM)
+@settings(max_examples=600, deadline=None, derandomize=True)
+def test_peak_float_range_property(regime, tau_D, T_H, tau_d, t_E, t_lL):
+    # a finite positive peak, a ValueError where the bracket there leaves the float range,
+    # or a NumericError where it underflows; never a numpy RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            p = SemiclassicalParams(dwell_time=tau_D, heisenberg_time=T_H, decoherence_time=tau_d,
+                                    ehrenfest_time=t_E, loop_formation_time=t_lL)
+            t_star, value = correction_peak(p, regime)
+        except (ValueError, NumericError):
+            return
+    assert 0.0 < t_star < math.inf and 0.0 < value < math.inf
