@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import NumericError, _check
 from .geometry import CavityGeometry
 
 __all__ = [
@@ -78,6 +78,7 @@ def escape_times(
     the opening.  The count takes the hits due by ``t_max``, the escapes
     included.  Raises ``NumericError`` for a particle stuck in place.
     """
+    _check("t_max", t_max, "non-negative")
     esc = np.full(len(positions), np.inf)
     flights = 0
     for rows, _, _, _, t_hit, left, *_ in _flights(
@@ -106,8 +107,9 @@ def sample_positions(
     boundary, so the state is never drifted off the boundary.  Raises
     ``NumericError`` for a particle stuck in place.
     """
-    if dt <= 0 or n_steps < 1:
-        raise ValueError("dt must be positive and n_steps at least 1")
+    _check("dt", dt)
+    if n_steps < 1:
+        raise ValueError("n_steps must be at least 1")
     n = len(positions)
     times = dt * np.arange(n_steps + 1)
     samples = np.empty((n, n_steps + 1, 2))
@@ -144,6 +146,7 @@ def _flights(geometry: CavityGeometry, pos, dirs, t_now, speed: float, t_end: fl
     others drop out.  Raises ``NumericError`` for a particle that starts at a
     non-finite point or heading, checked once per call, or is stuck in place.
     """
+    _check("speed", speed)
     pos, dirs = np.asarray(pos, dtype=float), np.asarray(dirs, dtype=float)
     finite = np.isfinite(pos).all(axis=1) & np.isfinite(dirs).all(axis=1)
     if not finite.all():

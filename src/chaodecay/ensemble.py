@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import _flights, escape_times, sample_positions
-from .errors import NumericError, StatsError
+from .errors import NumericError, StatsError, _check
 from .geometry import CavityGeometry
 
 __all__ = [
@@ -78,13 +78,12 @@ class EnsembleSpec:
     speed: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be at least 1")
+        if not isinstance(n := self.n_samples, (int, np.integer)) or isinstance(n, bool) or n < 1:
+            raise ValueError(f"n_samples must be an integer of at least 1, got {n!r}")
         # the seed fills the low 64 bits of a Philox key whose high bits tag the stream
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
             raise ValueError("seed must be an integer in [0, 2**64)")
-        if not (0 < self.speed < math.inf):
-            raise ValueError("speed must be positive and finite")
+        _check("speed", self.speed)
 
 
 @dataclass(frozen=True)
@@ -212,8 +211,10 @@ def _sample_block(geometry: CavityGeometry, n: int, rng: np.random.Generator,
 
 def hybrid_time_grid(t_max: float, dense_until: float, n_points: int = 200) -> np.ndarray:
     """``n_points`` times: 0, geometric spacing up to ``dense_until``, then linear to ``t_max``."""
-    if not (0 < t_max < math.inf and 0 < dense_until < math.inf) or n_points < 16:
-        raise ValueError("t_max and dense_until must be positive and finite, n_points >= 16")
+    _check("t_max", t_max)
+    _check("dense_until", dense_until)
+    if n_points < 16:
+        raise ValueError("n_points must be at least 16")
     dense_until = min(dense_until, 0.5 * t_max)
     n_geo = max(n_points // 4, 8)
     n_lin = n_points - 1 - n_geo  # the leading zero is one of the points
@@ -224,6 +225,7 @@ def hybrid_time_grid(t_max: float, dense_until: float, n_points: int = 200) -> n
 
 def mean_free_time(geometry: CavityGeometry, speed: float = 1.0) -> float:
     """Mean time between collisions: pi*A/(P*v) for a 2-D billiard."""
+    _check("speed", speed)
     return math.pi * geometry.area / (geometry.perimeter * speed)
 
 
@@ -250,10 +252,9 @@ def survival_curve(
     """
     if threads < 1:
         raise ValueError("threads must be at least 1")
-    times = np.asarray(times, dtype=float)
-    if not (times.ndim == 1 and times.size and 0 <= times[0] and np.isfinite(times[-1])
-            and np.all(np.diff(times) > 0)):
-        raise ValueError("times must be non-empty, finite, non-negative and strictly increasing")
+    times = _check("times", times, "non-negative")
+    if not (times.ndim == 1 and times.size and np.all(np.diff(times) > 0)):
+        raise ValueError("times must be a non-empty, strictly increasing 1-D grid")
     t_max = float(times[-1])
     n = spec.n_samples
     workers = min(threads, _usable_cpus())
@@ -358,8 +359,7 @@ def estimate_lyapunov(
     dynamics the estimate decays like log(t)/t and the drift term is what
     keeps "consistent with zero" an honest statement.
     """
-    if t_obs <= 0:
-        raise ValueError("t_obs must be positive")
+    _check("t_obs", t_obs)
     dt = mean_free_time(geometry, spec.speed)
     n_steps = max(int(round(t_obs / dt)), 8)
     burn = min(20, n_steps // 8)
@@ -448,6 +448,7 @@ def position_variance(
     circle, which is not ergodic, is expected to warn).  Fewer than 2
     samples, which have no spread to compare with, are a statistics error.
     """
+    _check("t_obs", t_obs)
     if spec.n_samples < 2:
         raise StatsError(f"the position variance needs at least 2 samples, got {spec.n_samples}")
     sigma2_area, stderr = area_variance(geometry, spec)
@@ -481,10 +482,8 @@ def decoherence_functional(samples_a, samples_b, coupling_strength: float, dt: f
     starting at 0.  The integral is the cumulative trapezoid rule, so the
     exponent over ``[t_j, t_k]`` is exactly the difference of the two nodes.
     """
-    if coupling_strength < 0:
-        raise ValueError("coupling_strength must be non-negative")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    _check("coupling_strength", coupling_strength, "non-negative")
+    _check("dt", dt)
     a = np.asarray(samples_a, dtype=float)
     b = np.asarray(samples_b, dtype=float)
     if a.shape != b.shape or a.ndim < 2 or a.shape[-1] != 2 or a.shape[-2] < 2:

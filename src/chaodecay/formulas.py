@@ -20,6 +20,10 @@ every regime a bracket row outside the float range is a ``ValueError``.
 `correction_peak` takes each bracket's maximum as the root of its stationarity
 condition, in closed form or by Newton.
 
+Every argument passes `errors._check`: positive and finite, or non-negative where zero means
+none (couplings, variances, gates, times, ``lyapunov``), and never NaN.  Inf is a limit allowed
+in ``dwell_time``'s area, ``position_variance``, ``decoherence_time`` and ``taud_over_TH``.
+
 All formula functions broadcast over numpy arrays of times.
 """
 
@@ -33,7 +37,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import NumericError, _check
 
 __all__ = [
     "BathSpec",
@@ -95,12 +99,9 @@ class BathSpec:
     characteristic_frequency: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.damping >= 0:
-            raise ValueError("damping must be non-negative")
-        if not self.inverse_temperature > 0:
-            raise ValueError("inverse_temperature must be positive")
-        if not self.hbar > 0:
-            raise ValueError("hbar must be positive")
+        _check("damping", self.damping, "non-negative")
+        for name in ("inverse_temperature", "hbar", "characteristic_frequency"):
+            _check(name, getattr(self, name))
         if not self.high_temperature_ok:
             warnings.warn(
                 "bath is not in the high-temperature regime "
@@ -138,8 +139,8 @@ def alpha_from_bath(bath: BathSpec) -> float:
 
 def decoherence_time(coupling_strength: float, position_variance: float) -> float:
     """Time scale 1/(2 alpha sigma^2) on which loop decoherence saturates."""
-    if not (coupling_strength >= 0 and position_variance >= 0):
-        raise ValueError("coupling and variance must be non-negative")
+    _check("coupling_strength", coupling_strength, "non-negative")
+    _check("position_variance", position_variance, "non-negative", inf=True)
     # a zero factor is no decoherence, also against an infinite one (0 * inf is NaN)
     denom = (2.0 * coupling_strength * position_variance
              if coupling_strength and position_variance else 0.0)
@@ -154,15 +155,17 @@ def dwell_time(area: float, opening_length: float, speed: float = 1.0) -> float:
     Equals (phase-space shell volume 2*pi*m*A) / (2 * opening * momentum m*v)
     for a free particle in two dimensions, so the mass cancels.
     """
-    if not (area > 0 and opening_length > 0 and speed > 0):
-        raise ValueError("area, opening_length and speed must be positive")
+    _check("area", area, inf=True)
+    _check("opening_length", opening_length)
+    _check("speed", speed)
     return math.pi * area / (opening_length * speed)
 
 
 def heisenberg_time(area: float, mass: float = 1.0, hbar: float = 1.0) -> float:
     """Shell volume over Planck cell: m*A/hbar for a free particle in 2-D."""
-    if not (area > 0 and mass > 0 and hbar > 0):
-        raise ValueError("area, mass and hbar must be positive")
+    _check("area", area)
+    _check("mass", mass)
+    _check("hbar", hbar)
     return mass * area / hbar
 
 
@@ -189,33 +192,25 @@ class SemiclassicalParams:
     loop_formation_time: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.dwell_time > 0:
-            raise ValueError("dwell_time must be positive")
-        if not self.heisenberg_time > 0:
-            raise ValueError("heisenberg_time must be positive")
-        if self.lyapunov is not None and not self.lyapunov >= 0:
-            raise ValueError("lyapunov must be non-negative")
-        if not self.hbar > 0:
-            raise ValueError("hbar must be positive")
-        if not (self.ehrenfest_time >= 0 and self.loop_formation_time >= 0):
-            raise ValueError("gating times must be non-negative")
+        for name in ("dwell_time", "heisenberg_time", "encounter_scale", "encounter_shape_factor",
+                     "hbar"):
+            _check(name, getattr(self, name))
+        for name in ("lyapunov", "coupling_strength", "ehrenfest_time", "loop_formation_time"):
+            _check(name, getattr(self, name), "non-negative")
+        _check("position_variance", self.position_variance, "non-negative", inf=True)
+        _check("decoherence_time", self.decoherence_time, inf=True)
         if self.dwell_time * self.heisenberg_time < sys.float_info.min:
             raise ValueError("dwell_time * heisenberg_time underflows")
 
-        derived = None
+        tau = self.decoherence_time
         if self.coupling_strength is not None and self.position_variance is not None:
             derived = decoherence_time(self.coupling_strength, self.position_variance)
-        if self.decoherence_time is None:
-            tau = derived if derived is not None else math.inf
-            object.__setattr__(self, "decoherence_time", tau)
-        else:
-            if not self.decoherence_time > 0:
-                raise ValueError("decoherence_time must be positive")
-            if derived is not None and not _close(self.decoherence_time, derived, _TAU_D_CONSISTENCY_RTOL):
-                raise ValueError(
-                    "decoherence_time inconsistent with coupling_strength and "
-                    f"position_variance: given {self.decoherence_time!r}, derived {derived!r}"
-                )
+            if tau is None:
+                tau = derived
+            elif not math.isclose(tau, derived, rel_tol=_TAU_D_CONSISTENCY_RTOL):
+                raise ValueError("decoherence_time inconsistent with coupling_strength and "
+                                 f"position_variance: given {tau!r}, derived {derived!r}")
+        object.__setattr__(self, "decoherence_time", math.inf if tau is None else tau)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +220,7 @@ class SemiclassicalParams:
 
 def classical_survival(params: SemiclassicalParams, t):
     """exp(-t/dwell_time): ergodic escape through the opening."""
-    t = _check_times(t)
+    t = _check("t", t, "non-negative")
     with np.errstate(over="ignore"):  # t/dwell_time past the float range: exp gives 0
         return np.exp(-t / params.dwell_time)
 
@@ -235,7 +230,7 @@ def _in_float_range(bracket):
     ``ValueError`` where a row is not finite: every regime's one float-range rule."""
     @functools.wraps(bracket)
     def checked(params: SemiclassicalParams, t):
-        t = _check_times(t)
+        t = _check("t", t, "non-negative")
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             values = bracket(params, t)
         bad = ~np.isfinite(values)
@@ -343,8 +338,9 @@ def loop_correction_short_time(params: SemiclassicalParams, t):
 
 def ehrenfest_time(lyapunov: float, encounter_scale: float, hbar: float) -> float:
     """log(encounter_scale/hbar)/lyapunov: time to stretch a Planck cell to classical size."""
-    if not (lyapunov > 0 and encounter_scale > 0 and hbar > 0):
-        raise ValueError("lyapunov, encounter_scale and hbar must be positive")
+    _check("lyapunov", lyapunov)
+    _check("encounter_scale", encounter_scale)
+    _check("hbar", hbar)
     if encounter_scale < hbar:
         raise ValueError("encounter_scale below hbar gives a negative time")
     return math.log(encounter_scale / hbar) / lyapunov
@@ -402,7 +398,7 @@ class CorrectionCurve:
     params: SemiclassicalParams
 
     def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float)
+        times = _check("times", self.times, "non-negative")
         bracket = np.asarray(self.bracket, dtype=float)
         if times.ndim != 1 or times.shape != bracket.shape:
             raise ValueError("times and bracket must be matching 1-D arrays")
@@ -497,19 +493,17 @@ def figure3_curves(
     decoherence-free curve is always included as ``reference``.  Entries of
     ``taud_over_TH`` may be ``inf``; such columns coincide with the reference.
     """
-    if not tauD_over_TH > 0:
-        raise ValueError("tauD_over_TH must be positive")
+    _check("taud_over_TH", taud_over_TH, inf=True)
+    _check("tauD_over_TH", tauD_over_TH)
+    _check("t_max_over_TH", t_max_over_TH)
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
     times = np.linspace(0.0, t_max_over_TH, n_points)
     base = SemiclassicalParams(dwell_time=tauD_over_TH, heisenberg_time=1.0)
     columns: dict[str, np.ndarray] = {}
     for ratio in taud_over_TH:
-        if not (ratio > 0):
-            raise ValueError("taud_over_TH entries must be positive (inf allowed)")
         p = replace(base, decoherence_time=float(ratio))
-        label = "inf" if math.isinf(ratio) else f"{ratio:g}"
-        columns[f"taud_{label}"] = loop_correction(p, times)
+        columns[f"taud_{ratio:g}"] = loop_correction(p, times)  # f"{inf:g}" is "inf"
     return CorrectionTable(
         times=times,
         columns=columns,
@@ -528,14 +522,3 @@ def _effective_tau_d(tau_d: float, t_max: float) -> float:
     forms are off there by t/(3 tau_d) at most, and the finite ones lose about as
     much to cancellation (the one-leg quadrature), or overflow in tau_d^2."""
     return math.inf if t_max < 1e-8 * tau_d else tau_d
-
-
-def _check_times(t):
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("times must be non-negative")
-    return t
-
-
-def _close(a: float, b: float, rtol: float) -> bool:
-    return a == b or abs(a - b) <= rtol * max(abs(a), abs(b))

@@ -31,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import NumericError, _check
 
 __all__ = ["CavityGeometry", "SHAPES"]
 
@@ -84,15 +84,13 @@ class CavityGeometry:
     def __post_init__(self) -> None:
         if self.shape not in SHAPES:
             raise ValueError(f"unknown shape {self.shape!r}; expected one of {SHAPES}")
-        if not (self.scale > 0):
-            raise ValueError("scale must be positive")
+        _check("scale", self.scale)
         if self.opening_center is None:
             object.__setattr__(self, "opening_center",
                                _SHAPE_FACTS[self.shape].opening_center * self.scale)
         if not (0 < self.opening_length < self.perimeter):
             raise ValueError("opening_length must lie strictly between 0 and the perimeter")
-        if not math.isfinite(self.opening_center):
-            raise ValueError("opening_center must be finite")
+        _check("opening_center", self.opening_center, None)
 
     # -- global measures ---------------------------------------------------
 

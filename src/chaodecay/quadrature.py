@@ -58,7 +58,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import NumericError, _check
 from .formulas import SemiclassicalParams, _effective_tau_d, loop_correction, loop_kernel
 
 __all__ = [
@@ -128,10 +128,8 @@ class DiagramResult:
                             compare=False)
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.value):
-            raise ValueError("diagram value must be finite")
-        if self.est_error < 0:
-            raise ValueError("est_error must be non-negative")
+        _check("value", self.value, None)
+        _check("est_error", self.est_error, "non-negative")
 
 
 def _omega(p: SemiclassicalParams) -> float:
@@ -358,23 +356,23 @@ def _converge(eval_at, su_grid: int, diagram: str):
     return fine, est
 
 
-def _diagram(name: str, phi, tau_gate: float, breaks: list[float], params: SemiclassicalParams,
+def _diagram(name: str, phi, t: float, params: SemiclassicalParams,
              spec: QuadratureSpec) -> DiagramResult:
     """The converged, sector-doubled smoothed-cutoff integral of e^{ix/hbar} phi
-    over x in [c^2 e^{-lambda tau_gate}, c^2]; ``tau_gate`` is a positive
-    multiple of t and ``breaks`` are extra panel edges.  Encounter times past
+    over x in [c^2 e^{-lambda tau_gate}, c^2], tau_gate = t (one-leg, with a panel
+    edge at t/2) or t/2 (two-leg).  Encounter times past
     ``su_cut`` are dropped, bounded by sup|phi| times the dropped x-interval.
     A panel is counted for each row of the node blocks that reach the envelope.
     """
     p = params
-    if p.lyapunov is None or p.lyapunov <= 0:
-        raise ValueError("diagram quadrature needs a positive lyapunov rate")
-    if p.encounter_scale is None or p.encounter_scale <= 0:
-        raise ValueError("diagram quadrature needs a positive encounter_scale")
-    if not tau_gate > 0:
-        raise ValueError("t must be positive")
+    _check("t", t)
+    if not p.lyapunov or p.encounter_scale is None:  # a lyapunov of None or 0
+        raise ValueError("diagram quadrature needs a positive lyapunov rate and a positive "
+                         f"encounter_scale, got {p.lyapunov!r} and {p.encounter_scale!r}")
     lam = p.lyapunov
-    excluded = name.startswith("one_leg") and spec.one_leg_convention == "excluded"
+    one_leg = name.startswith("one_leg")
+    tau_gate, breaks = (t, [t / 2.0]) if one_leg else (t / 2.0, [])
+    excluded = one_leg and spec.one_leg_convention == "excluded"
     if excluded or lam * tau_gate < 1e-14:  # the gate leaves no room
         return DiagramResult(0.0, 0.0, 0.0, name)
     telemetry = dict.fromkeys(_TELEMETRY_KEYS, 0)
@@ -412,8 +410,7 @@ def _diagram(name: str, phi, tau_gate: float, breaks: list[float], params: Semic
 def integrate_2leg(params: SemiclassicalParams, t: float,
                    spec: QuadratureSpec = QuadratureSpec()) -> DiagramResult:
     """Two-leg encounter diagram: both stretches in the trajectory interior."""
-    return _diagram("two_leg", lambda tau: _phi_two_leg(tau, t, params), t / 2.0, [], params,
-                    spec)
+    return _diagram("two_leg", lambda tau: _phi_two_leg(tau, t, params), t, params, spec)
 
 
 def integrate_1leg(params: SemiclassicalParams, t: float,
@@ -424,8 +421,7 @@ def integrate_1leg(params: SemiclassicalParams, t: float,
     carries its numbers.  With ``one_leg_convention='excluded'`` both are
     identically zero by configuration.
     """
-    head = _diagram("one_leg_head", lambda tau: _phi_one_leg(tau, t, params), t, [t / 2.0],
-                    params, spec)
+    head = _diagram("one_leg_head", lambda tau: _phi_one_leg(tau, t, params), t, params, spec)
     return head, replace(head, diagram="one_leg_tail")
 
 
@@ -507,6 +503,10 @@ def semiclassical_ladder(
     alpha*eta*c^2*tau_D also shrinks -- every correction to the closed form
     decays along the sequence.
     """
+    for name, value in (("lam_tau_values", lam_tau_values), ("dwell_time", dwell_time),
+                        ("position_variance", position_variance), ("eta", eta)):
+        _check(name, value)
+    _check("alpha_dwell_sigma2", alpha_dwell_sigma2, "non-negative")
     if len(ehrenfest_fractions) != len(lam_tau_values):
         raise ValueError("need one ehrenfest fraction per lambda*tau_D value")
     if any(b <= a for a, b in zip(lam_tau_values, lam_tau_values[1:])):

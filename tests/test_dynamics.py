@@ -1,6 +1,7 @@
 """Billiard dynamics: reflection law, collision finding, sampling, escape."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -434,6 +435,23 @@ class TestProgressGuarantee:
         with pytest.raises(NumericError, match="particle 3 made no progress"):
             sample_positions(table, pos, dirs, 1.0, 0.1, 100)
         assert NumericError.exit_code == 4
+
+
+# a negative speed made the hit times fall and the diameter orbit from the centre never
+# reaches the opening, so the negative speeds and the infinite horizon looped for ever
+@pytest.mark.parametrize("call, argument", [
+    (lambda g, p, d: escape_times(g, p, d, -1.0, 5.0), "speed"),
+    (lambda g, p, d: escape_times(g, p, d, 0.0, 5.0), "speed"),
+    (lambda g, p, d: sample_positions(g, p, d, -1.0, 0.1, 3), "speed"),
+    (lambda g, p, d: escape_times(g, p, d, 1.0, math.inf), "t_max"),
+    (lambda g, p, d: sample_positions(g, p, d, 1.0, math.nan, 3), "dt"),
+], ids=["escape-negative-speed", "escape-zero-speed", "sample-negative-speed",
+        "escape-infinite-horizon", "sample-nan-dt"])
+def test_bad_speed_or_horizon_raises_at_once(call, argument):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"^{argument} must be "):
+        call(make(), np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]]))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_acceptance_circle_oracle_bulk():

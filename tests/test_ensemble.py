@@ -195,6 +195,14 @@ def test_non_finite_input_rejected(call):
         call()
 
 
+@pytest.mark.parametrize("n_samples", [2.5, True, 0, "10"])
+def test_n_samples_must_be_an_integer(n_samples):
+    # 2.5 once failed later, inside range; True counted as 1
+    with pytest.raises(ValueError, match="n_samples must be an integer"):
+        EnsembleSpec(n_samples=n_samples, seed=1)
+    assert EnsembleSpec(n_samples=np.int64(3), seed=1).n_samples == 3
+
+
 class TestSurvival:
     def test_starts_at_one_and_monotone(self):
         g = cardioid()

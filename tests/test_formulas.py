@@ -13,6 +13,7 @@ from chaodecay.errors import NumericError
 from chaodecay.formulas import (
     REGIMES,
     BathSpec,
+    CorrectionCurve,
     SemiclassicalParams,
     alpha_from_bath,
     bare_quantum_correction,
@@ -115,17 +116,19 @@ class TestParameterMaps:
             ehrenfest_time(1.0, 0.5, 1.0)
 
     @pytest.mark.parametrize("function, args, message", [
-        (dwell_time, (math.nan, 0.1), "area, opening_length and speed must be positive"),
-        (dwell_time, (1.0, math.nan), "area, opening_length and speed must be positive"),
-        (dwell_time, (1.0, 0.1, math.nan), "area, opening_length and speed must be positive"),
-        (heisenberg_time, (math.nan,), "area, mass and hbar must be positive"),
-        (heisenberg_time, (1.0, math.nan), "area, mass and hbar must be positive"),
-        (heisenberg_time, (1.0, 1.0, math.nan), "area, mass and hbar must be positive"),
-        (decoherence_time, (math.nan, 1.0), "coupling and variance must be non-negative"),
-        (decoherence_time, (1.0, math.nan), "coupling and variance must be non-negative"),
-        (ehrenfest_time, (math.nan, 2.0, 1.0), "lyapunov, encounter_scale and hbar"),
-        (ehrenfest_time, (1.0, math.nan, 1.0), "lyapunov, encounter_scale and hbar"),
-        (ehrenfest_time, (1.0, 2.0, math.nan), "lyapunov, encounter_scale and hbar"),
+        (dwell_time, (math.nan, 0.1), "area must be positive, got nan"),
+        (dwell_time, (1.0, math.nan), "opening_length must be positive and finite, got nan"),
+        (dwell_time, (1.0, 0.1, math.nan), "speed must be positive and finite, got nan"),
+        (heisenberg_time, (math.nan,), "area must be positive and finite, got nan"),
+        (heisenberg_time, (1.0, math.nan), "mass must be positive and finite, got nan"),
+        (heisenberg_time, (1.0, 1.0, math.nan), "hbar must be positive and finite, got nan"),
+        (decoherence_time, (math.nan, 1.0),
+         "coupling_strength must be non-negative and finite, got nan"),
+        (decoherence_time, (1.0, math.nan), "position_variance must be non-negative, got nan"),
+        (ehrenfest_time, (math.nan, 2.0, 1.0), "lyapunov must be positive and finite, got nan"),
+        (ehrenfest_time, (1.0, math.nan, 1.0),
+         "encounter_scale must be positive and finite, got nan"),
+        (ehrenfest_time, (1.0, 2.0, math.nan), "hbar must be positive and finite, got nan"),
     ])
     def test_nan_argument_rejected(self, function, args, message):
         with pytest.raises(ValueError, match=message):
@@ -150,6 +153,17 @@ class TestParams:
             params(coupling_strength=0.3, position_variance=0.5,
                    decoherence_time=1.0)
 
+    def test_curve_times_nan_rejected(self):
+        # NaN compares false with its neighbours, so it passed the increasing-times test
+        with pytest.raises(ValueError, match="times must be non-negative and finite, got nan"):
+            CorrectionCurve(times=[0.0, math.nan], bracket=[0.0, 1.0], regime="plain",
+                            params=params())
+
+    def test_infinite_tau_d_conflict_rejected(self):
+        # inf - tau_d is inf, within 1e-15 * inf: a relative test alone took them as equal
+        with pytest.raises(ValueError, match="inconsistent"):
+            params(coupling_strength=0.3, position_variance=0.5, decoherence_time=math.inf)
+
     def test_tau_d_consistent_accepted(self):
         p = params(coupling_strength=0.3, position_variance=0.5,
                    decoherence_time=10.0 / 3.0)
@@ -171,11 +185,11 @@ class TestParams:
         ("heisenberg_time", "heisenberg_time must be positive"),
         ("lyapunov", "lyapunov must be non-negative"),
         ("hbar", "hbar must be positive"),
-        ("ehrenfest_time", "gating times must be non-negative"),
-        ("loop_formation_time", "gating times must be non-negative"),
+        ("ehrenfest_time", "ehrenfest_time must be non-negative"),
+        ("loop_formation_time", "loop_formation_time must be non-negative"),
         ("decoherence_time", "decoherence_time must be positive"),
-        ("coupling_strength", "coupling and variance must be non-negative"),
-        ("position_variance", "coupling and variance must be non-negative"),
+        ("coupling_strength", "coupling_strength must be non-negative"),
+        ("position_variance", "position_variance must be non-negative"),
     ])
     def test_nan_field_rejected(self, field, message):
         # a NaN compares false both ways, so each check accepts only what it names

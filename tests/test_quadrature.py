@@ -100,7 +100,7 @@ def reversed_tail(p, t, spec=QuadratureSpec()):
     def phi(tau):
         return _phi_one_leg_reversed(tau, t, p, np.real(tau) < t / 2.0)
 
-    return _diagram("one_leg_tail", phi, t, [t / 2.0], p, spec).value
+    return _diagram("one_leg_tail", phi, t, p, spec).value
 
 
 def _raw_two_leg(params: SemiclassicalParams, t: float, spec: QuadratureSpec,
