@@ -173,7 +173,8 @@ def _flights(geometry: CavityGeometry, pos, dirs, t_now, speed: float, t_end: fl
 
 
 def _count_stalls(stalls, dist, index):
-    """Consecutive zero-length flights per particle of the current batch.
+    """Consecutive zero-length flights per particle of the current batch: cusp events
+    only, as `ray_hits` raises for any other flight that is not ahead of its start.
 
     ``stalls`` is row-aligned with ``dist`` (particle ids ``index``), or None
     while no particle has stalled; as long as every flight is non-empty this

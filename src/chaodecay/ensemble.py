@@ -80,9 +80,10 @@ class EnsembleSpec:
     def __post_init__(self) -> None:
         if not isinstance(n := self.n_samples, (int, np.integer)) or isinstance(n, bool) or n < 1:
             raise ValueError(f"n_samples must be an integer of at least 1, got {n!r}")
-        # the seed fills the low 64 bits of a Philox key whose high bits tag the stream
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
-            raise ValueError("seed must be an integer in [0, 2**64)")
+        k = self.seed  # the low 64 bits of a Philox key whose high bits tag the stream
+        if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or not 0 <= int(k) < 2**64:
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {k!r}")
+        object.__setattr__(self, "seed", int(k))
         _check("speed", self.speed)
 
 

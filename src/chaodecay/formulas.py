@@ -412,12 +412,8 @@ class CorrectionCurve:
 
 def correction_curve(params: SemiclassicalParams, times, regime: str = "plain") -> CorrectionCurve:
     """Evaluate the requested bracket on a time grid."""
-    return CorrectionCurve(
-        times=times,
-        bracket=_bracket_for_regime(params, times, regime),
-        regime=regime,
-        params=params,
-    )
+    times = _check("times", times, "non-negative")
+    return CorrectionCurve(times, _bracket_for_regime(params, times, regime), regime, params)
 
 
 def correction_peak(params: SemiclassicalParams, regime: str = "plain",

@@ -177,19 +177,24 @@ class CavityGeometry:
         where ``dist`` is the chord length, ``s_hit`` the hit arclength,
         ``normal`` the inward unit normal at the hit and ``cusp`` marks
         cardioid hits on which the caller should retroreflect: those within
-        ``_CUSP_RADIUS*scale`` of the cusp, which are pinned to it, and rays
-        with no hit ahead.  Every other cardioid hit lies on the boundary and
-        on its ray's line to rounding.  Starts up to
-        ``1e-9*scale`` outside the boundary are tolerated.  A stadium ray
-        with no exit ahead of it (a start outside, a tangent ray, a NaN)
-        raises ``NumericError``.
+        ``_CUSP_RADIUS*scale`` of the cusp, pinned to it, and rays with no hit
+        ahead, at distance 0.  Every other cardioid hit lies on the boundary
+        and on its ray's line to rounding.  Starts up to ``1e-9*scale`` outside
+        the boundary are tolerated.  Any other row not ahead by more than
+        ``_TAU_MIN*scale`` (a start outside, a circle or stadium ray tangent to
+        or aimed out of the wall, a NaN) raises ``NumericError``.
         """
         p = np.atleast_2d(np.asarray(pos, dtype=float))
         d = np.atleast_2d(np.asarray(dirs, dtype=float))
-        if self.shape == "cardioid":
-            return _cardioid_hits(p, d, self.scale)
-        hits = _circle_hits if self.shape == "circle" else _stadium_hits
-        return (*hits(p, d, self.scale), np.zeros(len(p), dtype=bool))
+        kernels = {"circle": _circle_hits, "cardioid": _cardioid_hits, "stadium": _stadium_hits}
+        hits = kernels[self.shape](p, d, self.scale)
+        dist, short = hits[0], _TAU_MIN * self.scale
+        if dist.size and not dist.min() > short:  # one reduction while all is well; NaN fails it
+            bad = np.flatnonzero(~((dist > short) | hits[4]))
+            if bad.size:
+                raise NumericError(f"{self.shape} ray from {p[bad[0]].tolist()} along "
+                                   f"{d[bad[0]].tolist()} has no boundary exit ahead of it")
+        return hits
 
 
 def _circle_hits(p, d, radius):
@@ -202,7 +207,7 @@ def _circle_hits(p, d, radius):
     phi = np.arctan2(hit[:, 1], hit[:, 0]) % (2.0 * math.pi)
     s_hit = radius * phi
     nrm = -hit / radius
-    return dist, s_hit, hit, nrm
+    return dist, s_hit, hit, nrm, np.zeros(len(p), dtype=bool)
 
 
 def _far_root(b, disc, c0, radius):
@@ -210,7 +215,8 @@ def _far_root(b, disc, c0, radius):
 
     Where c0 = |p|^2 - radius^2 is rounding noise (a start on the circle) and
     b^2 is no larger (within ~1e-6 rad of the tangent), the sign of that noise
-    would pick the root; those rows take the exact circle's far root, -2b.
+    would pick the root; those rows take -2b, the chord from a start exactly on
+    the circle: positive aimed inward (b < 0), 0 or negative aimed outward.
     """
     tol = 1e-12 * radius * radius
     return np.where((np.abs(c0) <= tol) & (b * b <= tol), -2.0 * b, -b + np.sqrt(disc))
@@ -243,10 +249,6 @@ def _stadium_hits(p, d, a):
     c0 = px * px + oy * oy - a * a
     with np.errstate(invalid="ignore"):
         tau = _far_root(b, b * b - c0, c0, a)
-    bad = cap[~((tau > _TAU_MIN * a) & (tau < np.inf))]
-    if bad.size:
-        raise NumericError(f"stadium ray from {p[bad[0]].tolist()} along {d[bad[0]].tolist()} "
-                           "has no boundary exit ahead of it")
     px, py = ox + tau * dx - xc, oy + tau * dy
     rr = np.hypot(px, py)
     px, py = a * px / rr, a * py / rr  # snap radially onto the cap
@@ -258,7 +260,7 @@ def _stadium_hits(p, d, a):
     dist[cap], x[cap], edge[cap], nx[cap], ny[cap] = tau, px + xc, py, -px / a, -py / a
     hit, nrm = np.empty((2, len(p), 2))
     hit[:, 0], hit[:, 1], nrm[:, 0], nrm[:, 1] = x, edge, nx, ny
-    return dist, s_hit, hit, nrm
+    return dist, s_hit, hit, nrm, np.zeros(len(p), dtype=bool)
 
 
 def _cardioid_hits(p, d, scale):

@@ -1,6 +1,7 @@
 """Billiard dynamics: reflection law, collision finding, sampling, escape."""
 
 import math
+import re
 import time
 
 import numpy as np
@@ -452,6 +453,47 @@ def test_bad_speed_or_horizon_raises_at_once(call, argument):
     with pytest.raises(ValueError, match=f"^{argument} must be "):
         call(make(), np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]]))
     assert time.perf_counter() - start < 1.0
+
+
+# the circle's start aimed out of the wall by 1e-9 rad flew -2e-9 on every step, so its
+# hit times fell for ever; aimed out by 1e-5 rad it flew 0 and was reflected in place
+@pytest.mark.parametrize("shape, start, heading", [
+    ("circle", (1.0, 0.0), (math.sin(1e-9), math.cos(1e-9))),
+    ("circle", (1.0, 0.0), (math.sin(1e-5), math.cos(1e-5))),
+    ("circle", (1.0, 0.0), (0.0, 1.0)),
+    ("stadium", (2.0, 0.0), (0.0, 1.0)),
+    ("stadium", (0.0, 1.5), (0.0, 1.0)),
+    ("circle", (0.0, 0.0), (math.nan, 0.0)),
+], ids=["circle-out-1e-9", "circle-out-1e-5", "circle-tangent", "stadium-tangent",
+        "stadium-outside", "circle-nan"])
+def test_no_hit_ahead_raises_at_once(shape, start, heading):
+    begin = time.perf_counter()
+    g = make(shape)
+    message = re.escape(f"{shape} ray from {list(start)} along {list(heading)} "
+                        "has no boundary exit ahead of it")
+    pos, dirs = np.array([start]), np.array([heading])
+    calls = [lambda: g.ray_hits(pos, dirs)]
+    if np.isfinite(heading).all():
+        calls += [lambda: escape_times(g, pos, dirs, 1.0, 1e-3),
+                  lambda: sample_positions(g, pos, dirs, 1.0, 1e-4, 10)]
+    for call in calls:
+        with pytest.raises(NumericError, match=f"^{message}$"):
+            call()
+    assert time.perf_counter() - begin < 1.0
+
+
+def test_cusp_graze_law():
+    # A horizontal ray from (1, delta) meets the needle next to the cusp at
+    # polar radius r = (delta/sqrt 2)^(2/3) and leaves almost tangent to the
+    # wall, as a whispering-gallery orbit: by t = 9, about one lap, it makes
+    # n = 2 / r^(2/3) collisions.
+    delta = np.array([1e-4, 1e-5, 1e-6])
+    pos, dirs = np.stack([np.ones(3), delta], axis=-1), np.tile([-1.0, 0.0], (3, 1))
+    n = np.zeros(3, dtype=int)
+    for rows, _, _, _, t_hit, *_ in _flights(make("cardioid"), pos, dirs, np.zeros(3), 1.0, 9.0):
+        n += np.bincount(rows[t_hit <= 9.0], minlength=3)
+    r = (delta / math.sqrt(2.0)) ** (2.0 / 3.0)
+    np.testing.assert_allclose(n * r ** (2.0 / 3.0), 2.0, rtol=0.0, atol=0.005)
 
 
 def test_acceptance_circle_oracle_bulk():

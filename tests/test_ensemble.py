@@ -143,9 +143,17 @@ class TestSampling:
     def test_seed_fits_the_key(self):
         # the seed is the low 64 bits of the Philox key, the stream tag the high ones
         EnsembleSpec(n_samples=1, seed=2**64 - 1)
-        for seed in (2**64, 2**65 + 5, 2**128, -1):
+        for seed in (2**64, 2**65 + 5, 2**128, -1, True, 3.0, "3", np.int64(-1)):
             with pytest.raises(ValueError, match="seed"):
                 EnsembleSpec(n_samples=1, seed=seed)
+        # numpy integers count, as for n_samples, and become Python ints for the key
+        g = CavityGeometry("stadium")
+        for seed in (np.int64(3), np.uint64(2**64 - 1)):
+            spec = EnsembleSpec(n_samples=4, seed=seed)
+            assert type(spec.seed) is int
+            ref = sample_ensemble(g, EnsembleSpec(n_samples=4, seed=int(seed)))
+            for got, want in zip(sample_ensemble(g, spec), ref):
+                np.testing.assert_array_equal(got, want)
 
     def test_peak_memory_bounded(self):
         # numpy reports its buffers to tracemalloc; one whole-ensemble draw of

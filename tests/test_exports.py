@@ -107,6 +107,7 @@ BASE = {
     "EnsembleSpec": {"n_samples": 4, "seed": 1},
     "hybrid_time_grid": {"t_max": 10.0, "dense_until": 1.0},
     "mean_free_time": {"geometry": _CIRCLE},
+    "correction_curve": {"params": _PARAMS, "times": [1.0]},
     "survival_curve": {"geometry": _CIRCLE, "spec": _SPEC, "times": [1.0]},
     "fit_escape_rate": {"curve": _CURVE, "window": (0.0, 1.0)},
     "estimate_lyapunov": {"geometry": _CIRCLE, "spec": _SPEC, "t_obs": 10.0},
@@ -125,8 +126,8 @@ BASE = {
 POSITIVE, NON_NEGATIVE, ANY = "positive", "non-negative", "any"
 # (callable, argument) -> (sign, whether +inf is allowed).  A list or tuple
 # argument takes the value as its first entry.  The times ``t`` of the closed
-# forms and the grid of `survival_curve` are not annotated, so they are listed
-# by hand; every annotated float argument must be here.
+# forms and the grids of `correction_curve` and `survival_curve` are not
+# annotated, so they are listed by hand; every annotated float argument must be here.
 RULES = {
     ("BathSpec", "damping"): (NON_NEGATIVE, False),
     ("BathSpec", "inverse_temperature"): (POSITIVE, False),
@@ -170,6 +171,7 @@ RULES = {
     ("hybrid_time_grid", "t_max"): (POSITIVE, False),
     ("hybrid_time_grid", "dense_until"): (POSITIVE, False),
     ("mean_free_time", "speed"): (POSITIVE, False),
+    ("correction_curve", "times"): (NON_NEGATIVE, False),
     ("survival_curve", "times"): (NON_NEGATIVE, False),
     ("fit_escape_rate", "window"): (NON_NEGATIVE, False),  # t0, below t1
     ("estimate_lyapunov", "t_obs"): (POSITIVE, False),

@@ -159,6 +159,11 @@ class TestParams:
             CorrectionCurve(times=[0.0, math.nan], bracket=[0.0, 1.0], regime="plain",
                             params=params())
 
+    def test_correction_curve_names_its_times(self):
+        # the bracket's own check ran first and named its argument t
+        with pytest.raises(ValueError, match="^times must be non-negative and finite, got nan$"):
+            correction_curve(params(), [0.0, math.nan])
+
     def test_infinite_tau_d_conflict_rejected(self):
         # inf - tau_d is inf, within 1e-15 * inf: a relative test alone took them as equal
         with pytest.raises(ValueError, match="inconsistent"):
